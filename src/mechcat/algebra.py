@@ -8,6 +8,7 @@ b = (X + iP)/sqrt(2).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,19 +79,12 @@ def canonicalize(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
     return dict(_canonicalize_cached(tuple(word)))
 
 
-@lru_cache(maxsize=None)
-def _interleavings(p: int, q: int) -> tuple[tuple[str, ...], ...]:
+def _interleavings(p: int, q: int) -> list[tuple[str, ...]]:
     # distinct arrangements of p X's and q P's of one mode, as generic letters
-    if p == 0:
-        return (("P",) * q,)
-    if q == 0:
-        return (("X",) * p,)
-    out = []
-    for rest in _interleavings(p - 1, q):
-        out.append(("X",) + rest)
-    for rest in _interleavings(p, q - 1):
-        out.append(("P",) + rest)
-    return tuple(out)
+    return [
+        tuple("X" if i in xs else "P" for i in range(p + q))
+        for xs in itertools.combinations(range(p + q), p)
+    ]
 
 
 def symmetrized_expand(p: int, q: int, r: int, s: int, d_max: int = D_MAX) -> list[tuple[str, ...]]:
@@ -152,6 +146,61 @@ def keys_up_to_order(order_max: int) -> list[Key]:
     return sorted(out, key=lambda k: (sum(k), k))
 
 
+def order_slice(order: int) -> slice:
+    """Position of the order-`order` keys in keys_up_to_order(n >= order)."""
+    return slice(math.comb(order + 3, 4), math.comb(order + 4, 4))
+
+
+# ---------------------------------------------------------------------------
+# Per-mode linear maps: a map acting letter by letter within each mode acts on
+# the moments laid out as a (mode-1 word) x (mode-2 word) grid G as M G M^T.
+
+
+def mode_keys(order_max: int) -> list[tuple[int, int]]:
+    """Single-mode canonical words X^a P^b with a + b <= order_max."""
+    return [(a, n - a) for n in range(order_max + 1) for a in range(n, -1, -1)]
+
+
+@lru_cache(maxsize=None)
+def _grid_index(order_max: int) -> np.ndarray:
+    pos = {k: i for i, k in enumerate(mode_keys(order_max))}
+    idx = np.array([(pos[k[:2]], pos[k[2:]]) for k in keys_up_to_order(order_max)]).T
+    idx.setflags(write=False)
+    return idx
+
+
+def table_vector(table: MomentTable, order_max: int) -> np.ndarray:
+    """Moments of the table over keys_up_to_order(order_max)."""
+    return np.array([table.value(k) for k in keys_up_to_order(order_max)], dtype=complex)
+
+
+def apply_mode_map(m: np.ndarray, vector: np.ndarray, order_max: int) -> np.ndarray:
+    """Apply the single-mode map m to both modes of a moment vector."""
+    i1, i2 = _grid_index(order_max)
+    grid = np.zeros((m.shape[1], m.shape[1]), dtype=complex)
+    grid[i1, i2] = vector
+    return (m @ grid @ m.T)[i1, i2]
+
+
+@lru_cache(maxsize=None)
+def symmetrization_maps(order_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only single-mode maps of the symmetrized sums: row (p, q) adds up the
+    canonical coefficients of every ordering of p X and q P letters and, for
+    error propagation, their squared moduli ordering by ordering."""
+    mkeys = mode_keys(order_max)
+    pos = {k: i for i, k in enumerate(mkeys)}
+    sym = np.zeros((len(mkeys), len(mkeys)), dtype=complex)
+    sym_sq = np.zeros((len(mkeys), len(mkeys)))
+    for row, (p, q) in enumerate(mkeys):
+        for word in symmetrized_expand(p, q, 0, 0):
+            for key, c in canonicalize(word).items():
+                sym[row, pos[key[:2]]] += c
+                sym_sq[row, pos[key[:2]]] += abs(c) ** 2
+    for a in (sym, sym_sq):
+        a.setflags(write=False)
+    return sym, sym_sq
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -170,9 +219,6 @@ class MomentTable:
     n_samples: int | None = None
     std_errors: dict[Key, float] = field(default_factory=dict)
     evolved: bool = False  # open-system map applied (commutators no longer exact)
-    _sum_cache: dict[Key, complex] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.entries.setdefault((0, 0, 0, 0), 1.0 + 0.0j)
@@ -192,15 +238,6 @@ class MomentTable:
 
     def ladder_value(self, word: tuple[str, ...]) -> complex:
         return self.evaluate(ladder_to_quadrature(word))
-
-    def symmetrized_sum(self, p: int, q: int, r: int, s: int) -> complex:
-        # cached; entries must not be mutated after the first evaluation
-        key = (p, q, r, s)
-        if key not in self._sum_cache:
-            self._sum_cache[key] = complex(
-                sum(self.evaluate(canonicalize(w)) for w in symmetrized_expand(p, q, r, s))
-            )
-        return self._sum_cache[key]
 
     def check_hermitian_real(self, tol: float = 1e-9) -> None:
         """Hermitian-symmetric words (q and s paired as X^p P^q with the word

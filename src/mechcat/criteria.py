@@ -116,10 +116,15 @@ def build_s3(table: MomentTable) -> CriterionResult:
     return _build_criterion(table, "S3", S3_INDICES)
 
 
+# 2 cos^2(phi/2) at the double nearest pi: the resolution of the dark fringe
+_DARK_FRINGE_FLOOR = 2.0 * math.cos(math.pi / 2.0) ** 2
+
+
 def s3_ground_closed_form(mu: float, phi: float) -> float:
-    """Closed-system S3 of the ground-state cat: -mu^6 e^{-mu^2} / [64 (1 + e^{-mu^2/2} cos phi)^3]."""
-    den = 1.0 + math.exp(-mu * mu / 2.0) * math.cos(phi)
-    if den <= 1e-12:
+    """Closed-system S3 of the ground-state cat: -mu^6 e^{-mu^2} / [64 (1 + e^{-mu^2/2} cos phi)^3],
+    with the denominator free of cancellation at the dark fringe."""
+    den = 2.0 * math.cos(phi / 2.0) ** 2 + math.cos(phi) * math.expm1(-mu * mu / 2.0)
+    if den <= _DARK_FRINGE_FLOOR:
         raise DegenerateHerald("heralding probability vanishes at this (mu, phi)")
     return -(mu**6) * math.exp(-mu * mu) / (64.0 * den**3)
 

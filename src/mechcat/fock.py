@@ -17,6 +17,7 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_TOL = 1e-8
 ENTROPY_EIG_FLOOR = 1e-14
+THERMAL_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,13 @@ class FockConfig:
 
 
 def default_cutoff(nbar: float, mu: float) -> int:
-    """Per-mode cutoff heuristic: 8x margin over the excitation scale."""
-    return max(20, math.ceil(8.0 * (nbar + mu * mu + 1.0)))
+    """Per-mode cutoff: 8x margin over the excitation scale, and two levels
+    above the cutoff whose thermal tail mass meets THERMAL_TAIL_TOL."""
+    cutoff = max(20, math.ceil(8.0 * (nbar + mu * mu + 1.0)))
+    if nbar > 0:
+        ratio = nbar / (nbar + 1.0)
+        cutoff = max(cutoff, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(ratio)) + 2)
+    return cutoff
 
 
 def default_config(nbar_1: float, nbar_2: float, mu: float) -> FockConfig:
@@ -183,10 +189,6 @@ class TwoModeState:
     rho: np.ndarray
     vector: np.ndarray | None = None
 
-    @property
-    def purity_hint(self) -> bool:
-        return self.vector is not None
-
     def validate(self, psd_tol: float = PSD_TOL) -> "TwoModeState":
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -229,7 +231,7 @@ def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
         return p
     ratio = nbar / (nbar + 1.0)
     tail = ratio**cutoff  # mass above the truncation
-    if tail > 1e-10:
+    if tail > THERMAL_TAIL_TOL:
         raise CutoffTooSmall(
             f"thermal tail mass {tail:.3g} at nbar={nbar}, cutoff={cutoff}"
         )

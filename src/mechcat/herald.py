@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -267,19 +266,6 @@ def heralded_moment_table(
     for key in keys_up_to_order(order_max):
         entries[key] = complex(sum(w * s.moment(key) for w, s in sandwiches)) / norm
     return MomentTable(entries, order_max)
-
-
-@lru_cache(maxsize=None)
-def _cached_table(mu, phi, nbar_1, nbar_2, configuration, order_max, m, n):
-    params = ProtocolParams(mu=mu, phi=phi, configuration=configuration,
-                            nbar_1=nbar_1, nbar_2=nbar_2)
-    return heralded_moment_table(params, order_max, ClickOutcome(m, n))
-
-
-def heralded_moment_table_cached(params: ProtocolParams, order_max: int,
-                                 outcome: ClickOutcome = ClickOutcome(1, 0)) -> MomentTable:
-    return _cached_table(params.mu, params.phi, params.nbar_1, params.nbar_2,
-                         params.configuration, order_max, outcome.m, outcome.n)
 
 
 def thermal_moment_table(nbar_1: float, nbar_2: float, order_max: int) -> MomentTable:

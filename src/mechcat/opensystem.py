@@ -10,7 +10,8 @@ The verification pulses always read out the position quadrature, so a
 tau' where the X0 coefficient vanishes. Moment words evolve by substituting
 this solution letter by letter: X letters at t_x (default 0), P letters at
 t_p (default tau'); noise letters are Gaussian, independent of the initial
-operators, and independent between the two modes.
+operators, and independent between the two modes. The substitution is
+therefore one single-mode matrix applied to both modes of the moment vector.
 """
 
 from __future__ import annotations
@@ -18,11 +19,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
+import numpy as np
 from scipy.integrate import quad
 
-from .algebra import MomentTable, canonicalize, keys_up_to_order
+from .algebra import (
+    MomentTable,
+    apply_mode_map,
+    keys_up_to_order,
+    mode_keys,
+    table_vector,
+)
 from .errors import OrderOverflow
 
 Q_WARN = 10.0
@@ -186,20 +193,62 @@ def _letter_substitution(env: EnvParams, t: float):
     return c_x, c_p, (g > 0.0 and t > 0.0)
 
 
-def _isserlis(noise_letters, cov):
-    """E[prod of zero-mean jointly Gaussian noise letters]."""
-    n = len(noise_letters)
-    if n == 0:
-        return 1.0
-    if n % 2 == 1:
-        return 0.0
-    first = noise_letters[0]
-    total = 0.0
-    for j in range(1, n):
-        c = cov(first, noise_letters[j])
-        if c != 0.0:
-            total += c * _isserlis(noise_letters[1:j] + noise_letters[j + 1 :], cov)
-    return total
+def _times(poly: np.ndarray, cx: complex, cp: complex) -> np.ndarray:
+    """Right product poly . (cx X + cp P) over X^a P^b, using P^b X = X P^b - i b P^(b-1)."""
+    out = np.zeros_like(poly)
+    out[1:] += cx * poly[:-1]
+    out[:, :-1] -= 1j * cx * np.arange(1, poly.shape[1]) * poly[:, 1:]
+    out[:, 1:] += cp * poly[:, :-1]
+    return out
+
+
+def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int) -> np.ndarray:
+    """Single-mode map of the measured moments over mode_keys(order_max).
+
+    Row (p, q) holds E[(A + N_x)^p (B + N_p)^q] over the canonical words
+    X^a P^b, with A = a_x X + b_x P and B = a_p X + b_p P. The noise letters
+    commute with everything, so the row is the binomial sum of the Gaussian
+    moments E[N_x^i N_p^j] times the expansions of A^(p-i) B^(q-j).
+    """
+    t_x, t_p = schedule.t_x, schedule.t_p
+    ax, bx, noisy_x = _letter_substitution(env, t_x)
+    ap, bp, noisy_p = _letter_substitution(env, t_p)
+    # the decay prefactor is folded into the damped noise covariances
+    vx = noise_covariances(env, t_x).var_dx if noisy_x else 0.0
+    vp = noise_covariances(env, t_p).var_dx if noisy_p else 0.0
+    cxp = (vx if t_x == t_p else noise_cross_cov(env, t_x, t_p)) if noisy_x and noisy_p else 0.0
+    n = order_max + 1
+    gauss = np.zeros((n, n))  # Isserlis recursion on the first noise letter
+    gauss[0, 0] = 1.0
+    for i in range(n):
+        for j in range(n - i):
+            if i >= 2:
+                gauss[i, j] += (i - 1) * vx * gauss[i - 2, j]
+            if i and j:
+                gauss[i, j] += j * cxp * gauss[i - 1, j - 1]
+            if not i and j >= 2:
+                gauss[i, j] = (j - 1) * vp * gauss[i, j - 2]
+    mkeys = mode_keys(order_max)
+    a_idx, b_idx = np.array(mkeys).T
+    words = {}
+    a_power = np.zeros((n, n), dtype=complex)
+    a_power[0, 0] = 1.0
+    for p in range(n):
+        if p:
+            a_power = _times(a_power, ax, bx)
+        poly = a_power
+        for q in range(n - p):
+            if q:
+                poly = _times(poly, ap, bp)
+            words[(p, q)] = poly[a_idx, b_idx]
+    return np.array([
+        sum(
+            math.comb(p, i) * math.comb(q, j) * gauss[i, j] * words[(p - i, q - j)]
+            for i in range(p + 1)
+            for j in range(q + 1)
+        )
+        for p, q in mkeys
+    ])
 
 
 def evolve_moments(
@@ -210,51 +259,12 @@ def evolve_moments(
         schedule = MeasurementSchedule.standard(env)
     if table.order_max > 8:
         raise OrderOverflow("evolution supported up to order 8")
-
-    sub = {
-        "X": (_letter_substitution(env, schedule.t_x), schedule.t_x),
-        "P": (_letter_substitution(env, schedule.t_p), schedule.t_p),
-    }
-
-    def cov(a, b):
-        (mode_a, ta), (mode_b, tb) = a, b
-        if mode_a != mode_b:
-            return 0.0
-        if ta == tb:
-            return noise_covariances(env, ta).var_dx
-        return noise_cross_cov(env, ta, tb)
-
-    entries = {}
-    for key in keys_up_to_order(table.order_max):
-        letters = (
-            [("X", 1)] * key[0] + [("P", 1)] * key[1] + [("X", 2)] * key[2] + [("P", 2)] * key[3]
-        )
-        choices = []
-        for quad_letter, mode in letters:
-            (c_x, c_p, noisy), t = sub[quad_letter]
-            opts = [(c_x, ("op", f"X{mode}")), (c_p, ("op", f"P{mode}"))]
-            if noisy:
-                # decay prefactor is folded into the damped noise covariances
-                opts.append((1.0, ("noise", (mode, t))))
-            choices.append([(c, tag) for c, tag in opts if c != 0.0])
-        total = 0.0 + 0.0j
-        for combo in product(*choices):
-            coeff = 1.0 + 0.0j
-            op_word = []
-            noise_list = []
-            for c, (kind, payload) in combo:
-                coeff *= c
-                if kind == "op":
-                    op_word.append(payload)
-                else:
-                    noise_list.append(payload)
-            noise_val = _isserlis(tuple(noise_list), cov)
-            if noise_val == 0.0:
-                continue
-            total += coeff * noise_val * table.evaluate(canonicalize(tuple(op_word)))
-        entries[key] = total
+    order = table.order_max
+    values = apply_mode_map(
+        evolution_map(env, schedule, order), table_vector(table, order), order
+    )
     return MomentTable(
-        entries,
+        dict(zip(keys_up_to_order(order), values.tolist())),
         table.order_max,
         provenance=table.provenance,
         n_samples=table.n_samples,

@@ -9,7 +9,8 @@ inject vacuum noise, so every port carries one unit of input noise. Sample
 moments <P^d> are synthesized semi-analytically with the exact estimator
 covariance, and the recovery solves weighted least-squares systems for the
 symmetrized sums of each order, unlocking individual moments through the
-canonical commutation relations.
+canonical commutation relations. Port moments are linear in the symmetrized
+sums, and the sums are a per-mode linear map of the moment vector.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ import numpy as np
 from scipy.linalg import sqrtm
 
 from .algebra import (
+    QUAD_LETTERS,
     Key,
     MomentTable,
-    canonicalize,
+    apply_mode_map,
     keys_up_to_order,
-    symmetrized_expand,
+    order_slice,
+    symmetrization_maps,
+    table_vector,
 )
 from .errors import IllConditioned, MissingMoment, RankDeficient
 from . import fock
@@ -109,59 +113,45 @@ def port_observable(pathway: Pathway, port: str) -> PortForm:
     return PortForm(signal=signal, noise_coeffs=base)
 
 
-def _double_factorial(m: int) -> int:
-    return math.prod(range(m, 0, -2)) if m > 0 else 1
+def _channel_signals(channels: list[tuple[Pathway, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Signal coefficients over (X1, P1, X2, P2) and port noise variances, one row per channel."""
+    forms = [port_observable(pathway, port) for pathway, port in channels]
+    kappa = [[f.signal.get(letter, 0.0) for letter in QUAD_LETTERS] for f in forms]
+    return np.array(kappa, dtype=complex), np.array([f.noise_variance for f in forms])
 
 
-def _noise_moment(variance: complex, m: int) -> complex:
-    if m % 2 == 1:
-        return 0.0
-    return _double_factorial(m - 1) * variance ** (m // 2)
+def _coefficient_rows(kappa: np.ndarray, keys, order: int) -> np.ndarray:
+    """Coefficient C(order, p+q) kappa^key of S(key) in <(kappa . L)^order>, per channel."""
+    keys = np.asarray(keys).reshape(-1, 4)
+    powers = np.ones(kappa.shape + (order + 1,), dtype=complex)
+    for e in range(1, order + 1):
+        powers[..., e] = powers[..., e - 1] * kappa
+    rows = np.array([math.comb(order, p + q) for p, q, _, _ in keys], dtype=float)
+    for letter in range(4):
+        rows = rows * powers[:, letter, keys[:, letter]]
+    return rows
 
 
-class _SumCache:
-    """Symmetrized sums of a moment table (cache lives on the table)."""
-
-    def __init__(self, table: MomentTable):
-        self.table = table
-
-    def __call__(self, key: Key) -> complex:
-        return self.table.symmetrized_sum(*key)
+def _noise_powers(nu: np.ndarray, d_max: int) -> np.ndarray:
+    """Gaussian port-noise moments <N^m> = (m-1)!! nu^(m/2), m = 0..d_max, per channel."""
+    out = np.zeros((len(nu), d_max + 1), dtype=complex)
+    for m in range(0, d_max + 1, 2):
+        out[:, m] = math.prod(range(m - 1, 0, -2)) * nu ** (m // 2)
+    return out
 
 
-def _mech_coefficient(signal: dict[str, complex], key: Key, order: int) -> complex:
-    """Coefficient of S(key) in <(sum_s kappa_s L_s)^order>."""
-    p, q, r, s = key
-    c = math.comb(order, p + q)
-    for letter, e in zip(("X1", "P1", "X2", "P2"), key):
-        if e:
-            if letter not in signal:
-                return 0.0
-            c = c * signal[letter] ** e
-    return c
-
-
-def _mech_moment(signal: dict[str, complex], sums: _SumCache, order: int) -> complex:
-    if order == 0:
-        return 1.0
-    total = 0.0 + 0.0j
-    for key in keys_up_to_order(order):
-        if sum(key) != order:
-            continue
-        c = _mech_coefficient(signal, key, order)
-        if c != 0.0:
-            total += c * sums(key)
-    return total
-
-
-def _port_moments_from_sums(form: PortForm, sums: _SumCache, d_max: int) -> np.ndarray:
-    nu = form.noise_variance
-    out = np.empty(d_max, dtype=complex)
+def _port_moments(kappa: np.ndarray, nu: np.ndarray, table: MomentTable, d_max: int) -> np.ndarray:
+    """<P^d> for d = 1..d_max, one row per channel, from the table's symmetrized sums."""
+    if table.order_max < d_max:
+        raise MissingMoment(f"table order {table.order_max} < requested {d_max}")
+    sums = apply_mode_map(symmetrization_maps(d_max)[0], table_vector(table, d_max), d_max)
+    mech = np.ones((len(nu), d_max + 1), dtype=complex)
+    for j in range(1, d_max + 1):
+        mech[:, j] = _coefficient_rows(kappa, _order_keys(j), j) @ sums[order_slice(j)]
+    noise = _noise_powers(nu, d_max)
+    out = np.empty((len(nu), d_max), dtype=complex)
     for d in range(1, d_max + 1):
-        out[d - 1] = sum(
-            math.comb(d, j) * _mech_moment(form.signal, sums, j) * _noise_moment(nu, d - j)
-            for j in range(d + 1)
-        )
+        out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * noise[:, d - j] for j in range(d + 1))
     return out
 
 
@@ -169,9 +159,13 @@ def exact_port_moments(
     pathway: Pathway, port: str, table: MomentTable, d_max: int
 ) -> np.ndarray:
     """<P_port^d> for d = 1..d_max from the mechanical moment table."""
-    if table.order_max < d_max:
-        raise MissingMoment(f"table order {table.order_max} < requested {d_max}")
-    return _port_moments_from_sums(port_observable(pathway, port), _SumCache(table), d_max)
+    return _port_moments(*_channel_signals([(pathway, port)]), table, d_max)[0]
+
+
+def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
+    """N Cov(P^d, P^e) = <P^{d+e}> - <P^d><P^e> for d, e = 1..d_max."""
+    idx = np.add.outer(np.arange(d_max), np.arange(d_max)) + 1
+    return exact[idx] - np.outer(exact[:d_max], exact[:d_max])
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +260,7 @@ def synthesize_dataset(
         )
     exact = exact_port_moments(pathway, port, table, 2 * d_max)
     moments = exact[:d_max].copy()
-    cov = np.empty((d_max, d_max), dtype=complex)
-    for d in range(1, d_max + 1):
-        for e_ in range(1, d_max + 1):
-            cov[d - 1, e_ - 1] = exact[d + e_ - 1] - exact[d - 1] * exact[e_ - 1]
+    cov = _sampling_covariance(exact, d_max)
     if n_samples is None:
         return HomodyneDataset(pathway, port, None, moments, np.zeros(d_max), seed)
     cov = cov / n_samples
@@ -320,12 +311,11 @@ def sample_port_shots(
 
 
 def _order_keys(order: int) -> list[Key]:
-    return [k for k in keys_up_to_order(order) if sum(k) == order]
+    return keys_up_to_order(order)[order_slice(order)]
 
 
 def _coefficient_row(pathway: Pathway, port: str, keys: list[Key], order: int) -> np.ndarray:
-    form = port_observable(pathway, port)
-    return np.array([_mech_coefficient(form.signal, k, order) for k in keys], dtype=complex)
+    return _coefficient_rows(_channel_signals([(pathway, port)])[0], keys, order)[0]
 
 
 def default_phase_sets(
@@ -347,27 +337,30 @@ def default_phase_sets(
     candidates = [
         PhaseSet(z1, z2, z3, 0.0) for z3 in grid for z1 in grid for z2 in grid
     ]
-    keys_per_order = {d: _order_keys(d) for d in range(1, target_order + 1)}
+    keys_per_order = {d: np.array(_order_keys(d)) for d in range(1, target_order + 1)}
     bases: dict[int, list[np.ndarray]] = {d: [] for d in keys_per_order}
     selected: list[PhaseSet] = []
     extra = 0
+
+    def complete() -> bool:
+        return all(len(bases[d]) >= len(keys) for d, keys in keys_per_order.items())
+
     for cand in candidates:
         pathway = Pathway(phases=cand, chi=chi, phi=phi)
         useful = False
-        complete_before = all(
-            len(bases[d]) >= len(keys_per_order[d]) for d in keys_per_order
-        )
+        complete_before = complete()
+        kappa, _ = _channel_signals([(pathway, port) for port in PORTS])
         for d, keys in keys_per_order.items():
-            n_unknowns = len(keys)
-            for port in PORTS:
-                if len(bases[d]) >= n_unknowns:
+            if len(bases[d]) >= len(keys):
+                continue
+            for vec in _coefficient_rows(kappa, keys, d):
+                if len(bases[d]) >= len(keys):
                     break
-                vec = _coefficient_row(pathway, port, keys, d)
                 norm0 = np.linalg.norm(vec)
                 if norm0 < 1e-12:
                     continue
-                for b in bases[d]:
-                    vec = vec - (b.conj() @ vec) * b
+                basis = np.reshape(bases[d], (-1, len(keys)))
+                vec = vec - basis.T @ (basis.conj() @ vec)
                 if np.linalg.norm(vec) > RANK_RESIDUAL * norm0:
                     bases[d].append(vec / np.linalg.norm(vec))
                     useful = True
@@ -376,10 +369,7 @@ def default_phase_sets(
         elif complete_before and extra < margin:
             selected.append(cand)
             extra += 1
-        if (
-            all(len(bases[d]) >= len(keys_per_order[d]) for d in keys_per_order)
-            and extra >= margin
-        ):
+        if complete() and extra >= margin:
             break
     return selected
 
@@ -405,52 +395,31 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
     """
     if not datasets:
         raise ValueError("no datasets supplied")
-    entries: dict[Key, complex] = {(0, 0, 0, 0): 1.0 + 0.0j}
-    errors: dict[Key, float] = {(0, 0, 0, 0): 0.0}
-    sum_values: dict[Key, complex] = {}
-    sum_errors: dict[Key, float] = {}
-
-    def recovered_sum(key: Key) -> tuple[complex, float]:
-        if key not in sum_values:
-            val = 0.0 + 0.0j
-            var = 0.0
-            for w in symmetrized_expand(*key):
-                for k2, c in canonicalize(w).items():
-                    val += c * entries[k2]
-                    var += abs(c) ** 2 * errors.get(k2, 0.0) ** 2
-            sum_values[key] = val
-            sum_errors[key] = math.sqrt(var)
-        return sum_values[key], sum_errors[key]
-
+    kappa, nu = _channel_signals([(ds.pathway, ds.port) for ds in datasets])
+    noise = _noise_powers(nu, target_order)
+    covered = np.array([ds.d_max for ds in datasets])
+    # recovered <(sum_s kappa_s L_s)^j> of every channel, order by order
+    mech = np.ones((len(datasets), target_order + 1), dtype=complex)
+    sym, sym_sq = symmetrization_maps(target_order)
+    all_keys = keys_up_to_order(target_order)
+    values = np.zeros(len(all_keys), dtype=complex)
+    values[0] = 1.0
+    errors = np.zeros(len(all_keys))
     for order in range(1, target_order + 1):
         keys = _order_keys(order)
-        rows, rhs, weights = [], [], []
-        for ds in datasets:
-            if ds.d_max < order:
-                continue
-            form = port_observable(ds.pathway, ds.port)
-            nu = form.noise_variance
-            known = 0.0 + 0.0j
-            for j in range(order):
-                if j == 0:
-                    mech = 1.0 + 0.0j
-                else:
-                    mech = sum(
-                        _mech_coefficient(form.signal, k, j) * recovered_sum(k)[0]
-                        for k in _order_keys(j)
-                    )
-                known += math.comb(order, j) * mech * _noise_moment(nu, order - j)
-            rows.append(_coefficient_row(ds.pathway, ds.port, keys, order))
-            rhs.append(ds.sample_moments[order - 1] - known)
-            se = ds.standard_errors[order - 1]
-            weights.append(1.0 / se if se > 0 else None)
-        if not rows:
+        use = np.flatnonzero(covered >= order)
+        if not use.size:
             raise RankDeficient(f"no datasets cover order {order}", keys)
-        a = np.array(rows)
-        b = np.array(rhs)
-        finite = [w for w in weights if w is not None]
-        default_w = max(finite) * 10.0 if finite else 1.0
-        w = np.array([default_w if wi is None else wi for wi in weights])
+        known = sum(
+            math.comb(order, j) * mech[use, j] * noise[use, order - j] for j in range(order)
+        )
+        a = _coefficient_rows(kappa[use], keys, order)
+        b = np.array([datasets[i].sample_moments[order - 1] for i in use]) - known
+        se = np.array([datasets[i].standard_errors[order - 1] for i in use])
+        pos = se > 0
+        w = np.empty(len(use))
+        w[pos] = 1.0 / se[pos]
+        w[~pos] = w[pos].max() * 10.0 if pos.any() else 1.0
         a_w = a * w[:, None]
         b_w = b * w
         svals = np.linalg.svd(a_w, compute_uv=False)
@@ -466,32 +435,25 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
             raise IllConditioned(f"order {order}: condition number {cond:.3g}")
         sol, *_ = np.linalg.lstsq(a_w, b_w, rcond=None)
         gram_inv = np.linalg.inv(a_w.conj().T @ a_w)
-        sol_var = np.clip(np.real(np.diag(gram_inv)), 0.0, None)
-        for key, s_val, s_var in zip(keys, sol, sol_var):
-            sum_values[key] = complex(s_val)
-            sum_errors[key] = math.sqrt(s_var)
-        # unlock individual canonical moments through the commutators
-        for key in keys:
-            words = symmetrized_expand(*key)
-            n_words = len(words)
-            lower = 0.0 + 0.0j
-            lower_var = 0.0
-            for wword in words:
-                for k2, c in canonicalize(wword).items():
-                    if sum(k2) < order:
-                        lower += c * entries[k2]
-                        lower_var += abs(c) ** 2 * errors.get(k2, 0.0) ** 2
-            entries[key] = (sum_values[key] - lower) / n_words
-            errors[key] = math.sqrt(sum_errors[key] ** 2 + lower_var) / n_words
+        sum_errors = np.sqrt(np.clip(np.real(np.diag(gram_inv)), 0.0, None))
+        mech[use, order] = a @ sol
+        # unlock individual canonical moments through the commutators (the
+        # entries of this order are still zero: the maps give the lower part)
+        block = order_slice(order)
+        lower = apply_mode_map(sym, values, target_order)[block]
+        lower_var = apply_mode_map(sym_sq, errors**2, target_order)[block].real
+        n_words = np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
+        values[block] = (sol - lower) / n_words
+        errors[block] = np.sqrt(sum_errors**2 + lower_var) / n_words
     n_samples = min(
         (ds.n_samples for ds in datasets if ds.n_samples is not None), default=None
     )
     return MomentTable(
-        entries,
+        dict(zip(all_keys, values.tolist())),
         target_order,
         provenance="recovered",
         n_samples=n_samples,
-        std_errors=errors,
+        std_errors=dict(zip(all_keys, errors.tolist())),
         evolved=True,
     )
 
@@ -534,19 +496,16 @@ class VerificationStudy:
             phase_sets = default_phase_sets(target_order, phi=phi, chi=chi)
         self.table = table
         self.target_order = target_order
+        channels = [
+            (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
+        ]
+        exact = _port_moments(*_channel_signals(channels), table, 2 * target_order)
         self.channels = []
-        sums = _SumCache(table)
-        for ps in phase_sets:
-            pathway = Pathway(phases=ps, chi=chi, phi=phi)
-            for port in PORTS:
-                form = port_observable(pathway, port)
-                exact = _port_moments_from_sums(form, sums, 2 * target_order)
-                cov = np.empty((target_order, target_order), dtype=complex)
-                for d in range(1, target_order + 1):
-                    for e_ in range(1, target_order + 1):
-                        cov[d - 1, e_ - 1] = exact[d + e_ - 1] - exact[d - 1] * exact[e_ - 1]
-                factor = _factor_complex_symmetric(cov)
-                self.channels.append((pathway, port, exact[:target_order], cov, factor))
+        for (pathway, port), ex in zip(channels, exact):
+            cov = _sampling_covariance(ex, target_order)
+            self.channels.append(
+                (pathway, port, ex[:target_order], cov, _factor_complex_symmetric(cov))
+            )
 
     def run(self, n_samples: int | None = None, seed: int | None = None) -> VerificationRun:
         datasets = []

@@ -95,6 +95,18 @@ def test_map_s3_structure(tmp_path):
     assert "phi_zero" in contour
 
 
+def test_map_delta_default_cutoff_at_half_occupation(tmp_path):
+    # the default cutoff must pass the thermal-tail check at nbar = 0.5
+    cfg = tmp_path / "delta.ini"
+    cfg.write_text("[protocol]\nnbar = 0.5\n[grid]\nphi = 3.141592653589793\nmu = 0.5\n")
+    out = tmp_path / "delta.csv"
+    r = run_cli(["map", "--criterion", "delta", "--config", str(cfg), "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    rows = [line for line in out.read_text().splitlines() if line[:1].isdigit()]
+    assert len(rows) == 1
+    assert float(rows[0].split(",")[2]) > 0
+
+
 def test_verify_report(tmp_path):
     cfg = tmp_path / "v.ini"
     cfg.write_text("[verify]\nn_samples = 1e5\nn_seeds = 2\n")

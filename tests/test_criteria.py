@@ -102,6 +102,14 @@ def test_degenerate_herald_guard():
         s3_ground_closed_form(0.0, math.pi)
 
 
+def test_closed_form_dark_fringe_small_coupling():
+    # S3 -> -1/8 at phi = pi as mu -> 0; 1 - e^{-mu^2/2} must not cancel
+    assert s3_ground_closed_form(1e-6, math.pi) == pytest.approx(-1.0 / 8.0, abs=1e-9)
+    assert s3_ground_closed_form(1e-4, math.pi) == pytest.approx(
+        -(1e-4**6) * math.exp(-1e-8) / (64 * (-math.expm1(-0.5e-8)) ** 3), rel=1e-12
+    )
+
+
 def test_table_row_i():
     env = EnvParams(omega_m=OMEGA, q_factor=1e5, nbar_bath=1000.0)
     assert d5_evolved(1e-3, 0.1, env) == pytest.approx(0.56, abs=0.01)

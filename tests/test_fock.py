@@ -21,7 +21,18 @@ def test_config_validation():
 def test_default_cutoff_heuristic():
     assert fock.default_cutoff(0.0, 0.0) == 20
     assert fock.default_cutoff(0.1, 1.0) == max(20, math.ceil(8 * 2.1))
-    assert fock.default_cutoff(5.3, 0.0) == math.ceil(8 * 6.3)
+    assert fock.default_cutoff(0.4, 2.0) == math.ceil(8 * 5.4)
+    # where the thermal tail sets the cutoff, two levels above the tolerance
+    assert fock.default_cutoff(0.5, 0.5) == 23
+    assert fock.default_cutoff(5.3, 0.0) == math.ceil(math.log(1e-10) / math.log(5.3 / 6.3)) + 2
+
+
+@pytest.mark.parametrize("nbar", [0.05, 0.3, 0.5, 1.0, 2.5, 5.3])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
+def test_default_cutoff_passes_thermal_tail_check(nbar, mu):
+    cutoff = fock.default_cutoff(nbar, mu)
+    assert cutoff >= max(20, math.ceil(8.0 * (nbar + mu * mu + 1.0)))
+    fock.thermal_populations(nbar, cutoff)
 
 
 def test_thermal_ground_state():

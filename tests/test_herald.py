@@ -183,3 +183,17 @@ def test_dark_port_click_is_phase_shifted_bright_port():
     p01 = heralding_probability(ProtocolParams(phi=0.8, **base), ClickOutcome(0, 1))
     p10 = heralding_probability(ProtocolParams(phi=0.8 + math.pi, **base))
     assert p01 == pytest.approx(p10, rel=1e-12)
+
+
+def test_heralded_state_default_cutoff_half_occupation():
+    # the default cutoff must pass its own thermal-tail check here
+    params = ProtocolParams(mu=0.5, phi=math.pi, nbar_1=0.5, nbar_2=0.5)
+    state, _ = herald.heralded_state(params)
+    assert state.config == fock.FockConfig(23, 23)
+    table_fock = algebra.moments_from_state(state, 4)
+    table_ana = herald.heralded_moment_table(params, 4)
+    worst = max(
+        abs(table_fock.value(k) - table_ana.value(k)) / (1.0 + abs(table_ana.value(k)))
+        for k in table_ana.entries
+    )
+    assert worst < 2e-7

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mechcat import herald, opensystem
+from mechcat.algebra import canonicalize, keys_up_to_order
 from mechcat.herald import ProtocolParams, heralded_moment_table, thermal_moment_table
 from mechcat.opensystem import (
     EnvParams,
@@ -194,3 +196,103 @@ def test_hermitian_realness_preserved():
     env = EnvParams(omega_m=OMEGA, q_factor=1e4, nbar_bath=30.0)
     table = heralded_moment_table(ProtocolParams(mu=0.6, phi=1.7, nbar_1=0.3, nbar_2=0.1), 4)
     evolve_moments(table, env).check_hermitian_real()
+
+
+# ---------------------------------------------------------------------------
+# letter-by-letter reference: every word is expanded into its product terms
+# and the noise letters are averaged pairing by pairing (Isserlis)
+
+
+def _isserlis(noise_letters, cov):
+    """E[prod of zero-mean jointly Gaussian noise letters]."""
+    n = len(noise_letters)
+    if n == 0:
+        return 1.0
+    if n % 2 == 1:
+        return 0.0
+    first = noise_letters[0]
+    total = 0.0
+    for j in range(1, n):
+        c = cov(first, noise_letters[j])
+        if c != 0.0:
+            total += c * _isserlis(noise_letters[1:j] + noise_letters[j + 1 :], cov)
+    return total
+
+
+def reference_evolve(table, env, schedule, keys):
+    """Evolved moments of `keys` by product expansion of the substituted letters."""
+    sub = {
+        "X": (opensystem._letter_substitution(env, schedule.t_x), schedule.t_x),
+        "P": (opensystem._letter_substitution(env, schedule.t_p), schedule.t_p),
+    }
+    variance = {t: noise_covariances(env, t).var_dx for t in (schedule.t_x, schedule.t_p)}
+    cross = noise_cross_cov(env, schedule.t_x, schedule.t_p)
+
+    def cov(a, b):
+        (mode_a, ta), (mode_b, tb) = a, b
+        if mode_a != mode_b:
+            return 0.0
+        return variance[ta] if ta == tb else cross
+
+    out = {}
+    for key in keys:
+        letters = (
+            [("X", 1)] * key[0] + [("P", 1)] * key[1] + [("X", 2)] * key[2] + [("P", 2)] * key[3]
+        )
+        choices = []
+        for quad_letter, mode in letters:
+            (c_x, c_p, noisy), t = sub[quad_letter]
+            opts = [(c_x, ("op", f"X{mode}")), (c_p, ("op", f"P{mode}"))]
+            if noisy:
+                opts.append((1.0, ("noise", (mode, t))))
+            choices.append([(c, tag) for c, tag in opts if c != 0.0])
+        total = 0.0 + 0.0j
+        for combo in itertools.product(*choices):
+            coeff = 1.0 + 0.0j
+            op_word = []
+            noise_list = []
+            for c, (kind, payload) in combo:
+                coeff *= c
+                if kind == "op":
+                    op_word.append(payload)
+                else:
+                    noise_list.append(payload)
+            noise_val = _isserlis(tuple(noise_list), cov)
+            if noise_val != 0.0:
+                total += coeff * noise_val * table.evaluate(canonicalize(tuple(op_word)))
+        out[key] = total
+    return out
+
+
+def _schedules(env):
+    tq = quarter_period(env)
+    t_long = 20.0 * 50.0 / OMEGA  # 20 / gamma at Q = 50
+    return {
+        "standard": MeasurementSchedule.standard(env),
+        "equal": MeasurementSchedule(t_x=0.37 * tq, t_p=0.37 * tq),
+        "long": MeasurementSchedule(t_x=t_long, t_p=t_long + tq),
+    }
+
+
+# order-8 tables have 495 keys and up to 3^8 product terms per key: check
+# every top-order pure-mode key and a spread of the rest
+_ORDER8_KEYS = sorted(
+    {k for k in keys_up_to_order(8) if sum(k) == 8 and (k[0] + k[1] in (0, 8))}
+    | set(keys_up_to_order(8)[::23])
+)
+
+
+@pytest.mark.parametrize("q", [math.inf, 50.0, 1e5])
+@pytest.mark.parametrize("schedule_name", ["standard", "equal", "long"])
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_evolution_map_matches_letter_reference(order, schedule_name, q):
+    env = EnvParams(omega_m=OMEGA, q_factor=q, nbar_bath=3.0)
+    table = heralded_moment_table(
+        ProtocolParams(mu=0.7, phi=2.2, nbar_1=0.3, nbar_2=0.1, configuration="series"), order
+    )
+    schedule = _schedules(env)[schedule_name]
+    keys = _ORDER8_KEYS if order == 8 else keys_up_to_order(order)
+    ref = reference_evolve(table, env, schedule, keys)
+    new = evolve_moments(table, env, schedule)
+    worst = max(abs(new.value(k) - ref[k]) / (1.0 + abs(ref[k])) for k in keys)
+    assert worst < 1e-12

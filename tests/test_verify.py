@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mechcat import fock, verify
-from mechcat.algebra import canonicalize, symmetrized_expand
+from mechcat.algebra import canonicalize, keys_up_to_order, symmetrized_expand
 from mechcat.errors import IllConditioned, RankDeficient
 from mechcat.herald import ProtocolParams, heralded_moment_table, pure_cat_state
 from mechcat.opensystem import EnvParams, evolve_moments
@@ -276,3 +276,84 @@ def test_dataset_json_round_trip():
     assert back.seed == (5, 1)
     assert np.allclose(back.sample_moments, ds.sample_moments)
     assert np.allclose(back.standard_errors, ds.standard_errors)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: symmetrized sums word by word, port moments key by key
+
+
+def _reference_port_moments(pathway, port, table, d_max):
+    form = port_observable(pathway, port)
+
+    def mech_coefficient(key, order):
+        c = math.comb(order, key[0] + key[1])
+        for letter, e in zip(("X1", "P1", "X2", "P2"), key):
+            if e:
+                if letter not in form.signal:
+                    return 0.0
+                c = c * form.signal[letter] ** e
+        return c
+
+    def mech_moment(order):
+        total = 1.0 + 0.0j if order == 0 else 0.0 + 0.0j
+        for key in keys_up_to_order(order):
+            if order and sum(key) == order:
+                s_sum = sum(table.evaluate(canonicalize(w)) for w in symmetrized_expand(*key))
+                total += mech_coefficient(key, order) * s_sum
+        return total
+
+    def noise_moment(m):
+        if m % 2:
+            return 0.0
+        return math.prod(range(m - 1, 0, -2)) * form.noise_variance ** (m // 2)
+
+    mech = [mech_moment(j) for j in range(d_max + 1)]
+    return np.array([
+        sum(math.comb(d, j) * mech[j] * noise_moment(d - j) for j in range(d + 1))
+        for d in range(1, d_max + 1)
+    ])
+
+
+@pytest.mark.parametrize(
+    "pathway",
+    [
+        Pathway(chi=1.0, phi=PHI),
+        Pathway(phases=PhaseSet(0.3, 1.1, 2.0, 0.7), chi=1.4, phi=2.3),
+        Pathway(pulses=frozenset({"m1_t0", "m2_tp"}), phases=PhaseSet(zeta_2=0.9), chi=0.8, phi=PHI),
+    ],
+)
+def test_exact_port_moments_match_scalar_reference(pathway):
+    table = evolved_table(mu=0.9, phi=2.0, nbar=0.2)
+    for port in PORTS:
+        ref = _reference_port_moments(pathway, port, table, 8)
+        new = exact_port_moments(pathway, port, table, 8)
+        assert np.max(np.abs(new - ref) / (1.0 + np.abs(ref))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (
+            (4, math.pi, 1.0, 3),
+            [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 0),
+             (1, 2, 0), (2, 0, 0), (2, 2, 0), (0, 0, 1), (0, 2, 1), (1, 3, 1), (2, 0, 1),
+             (2, 3, 1), (5, 3, 1), (0, 0, 2), (1, 4, 2), (3, 3, 2), (4, 1, 2)],
+        ),
+        ((1, math.pi, 1.0, 0), [(0, 0, 0)]),
+        (
+            (2, math.pi, 1.3, 3),
+            [(0, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 2), (0, 1, 2), (0, 2, 2), (0, 3, 2)],
+        ),
+        (
+            (4, 2.0, 0.7, 3),
+            [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 0),
+             (1, 2, 0), (2, 0, 0), (2, 2, 0), (0, 0, 1), (0, 2, 1), (1, 3, 1), (2, 0, 1),
+             (2, 3, 1), (5, 3, 1), (0, 0, 2), (1, 4, 2), (3, 3, 2), (4, 1, 2)],
+        ),
+    ],
+)
+def test_default_phase_sets_pinned(args, expected):
+    # (zeta_1, zeta_2, zeta_3) in units of pi/4, zeta_4 = 0: how the
+    # projection is computed must not move the greedy selection
+    step = math.pi / 4.0
+    assert default_phase_sets(*args) == [PhaseSet(a * step, b * step, c * step, 0.0) for a, b, c in expected]
