@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CutoffTooSmall, MissingMoment, OrderOverflow
-from .fock import TwoModeState, x_single, p_single
+from .fock import TwoModeState, on_mode, p_single, x_single
 
 D_MAX = 8
 
@@ -318,32 +318,25 @@ def moments_from_state(
 
 
 def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
-    cfg = state.config
-    m1 = _single_mode_word_matrices(cfg.cutoff_1, order_max)
-    m2 = _single_mode_word_matrices(cfg.cutoff_2, order_max)
+    # <M1 x M2> = sum_{i,k} M1[i, k] S[i, k] with S[i, k] = sum_{j,x} conj(A[i, j, x]) (M2 A)[k, j, x],
+    # one S per mode-2 word
+    a = state.factor
+    c1 = a.shape[0]
+    m1 = _single_mode_word_matrices(c1, order_max)
+    m2 = _single_mode_word_matrices(a.shape[1], order_max)
+    conj_rows = a.conj().reshape(c1, -1)
+    sandwiches: dict[tuple[int, int], np.ndarray] = {}
     entries: dict[Key, complex] = {}
-    if state.vector is not None:
-        psi = state.vector.reshape(cfg.cutoff_1, cfg.cutoff_2)
-        for p, q, r, s in keys_up_to_order(order_max):
-            phi = m1[(p, q)] @ psi @ m2[(r, s)].T
-            entries[(p, q, r, s)] = complex(np.vdot(psi, phi))
-    else:
-        r4 = state.rho4()
-        for p, q, r, s in keys_up_to_order(order_max):
-            entries[(p, q, r, s)] = complex(
-                np.einsum("ijkl,ki,lj->", r4, m1[(p, q)], m2[(r, s)], optimize=True)
-            )
+    for p, q, r, s in keys_up_to_order(order_max):
+        if (r, s) not in sandwiches:
+            sandwiches[(r, s)] = conj_rows @ on_mode(m2[(r, s)], 2, a).reshape(c1, -1).T
+        entries[(p, q, r, s)] = complex(np.sum(m1[(p, q)] * sandwiches[(r, s)]))
     return MomentTable(entries, order_max)
 
 
 def _reembed(state: TwoModeState) -> TwoModeState:
     """Embed the state in a doubled-cutoff space (zero-padded)."""
-    cfg = state.config
-    big = cfg.doubled()
-    if state.vector is not None:
-        psi = np.zeros((big.cutoff_1, big.cutoff_2), dtype=complex)
-        psi[: cfg.cutoff_1, : cfg.cutoff_2] = state.vector.reshape(cfg.cutoff_1, cfg.cutoff_2)
-        return TwoModeState(big, np.outer(psi.ravel(), psi.ravel().conj()), vector=psi.ravel())
-    r4 = np.zeros((big.cutoff_1, big.cutoff_2, big.cutoff_1, big.cutoff_2), dtype=complex)
-    r4[: cfg.cutoff_1, : cfg.cutoff_2, : cfg.cutoff_1, : cfg.cutoff_2] = state.rho4()
-    return TwoModeState(big, r4.reshape(big.dim, big.dim))
+    cfg, big = state.config, state.config.doubled()
+    a = np.zeros((big.cutoff_1, big.cutoff_2, state.factor.shape[2]), dtype=complex)
+    a[: cfg.cutoff_1, : cfg.cutoff_2] = state.factor
+    return TwoModeState(big, a)

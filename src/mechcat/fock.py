@@ -7,6 +7,7 @@ so the vacuum quadrature variance is 1/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-8
 ENTROPY_EIG_FLOOR = 1e-14
 THERMAL_TAIL_TOL = 1e-10
+THERMAL_DROP_TOL = 1e-16  # thermal-factor columns left out: below the rounding of a unit trace
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,6 @@ def create(cutoff: int) -> np.ndarray:
     return destroy(cutoff).conj().T
 
 
-def number(cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-
-
 def x_single(cutoff: int) -> np.ndarray:
     a = destroy(cutoff)
     return (a + a.conj().T) / math.sqrt(2.0)
@@ -116,9 +114,6 @@ class ModeOperator:
                 f"operator {self.label!r}: shape {self.matrix.shape} vs dim {self.config.dim}"
             )
 
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.config, self.matrix.conj().T, self.label + "^dag")
-
     def __matmul__(self, other: "ModeOperator") -> "ModeOperator":
         if self.config != other.config:
             raise DimensionMismatch("operator configs differ")
@@ -153,9 +148,8 @@ def ladder_operator(mode: int, config: FockConfig, dagger: bool = False) -> Mode
     return embed(m, mode, config, f"b{mode}" + ("^dag" if dagger else ""))
 
 
-def displacement(mode: int, beta: complex, config: FockConfig) -> ModeOperator:
-    """Displacement D(beta) on one mode; e^{i mu X} is D(i mu / sqrt 2)."""
-    cutoff = config.cutoff(mode)
+def checked_displacement(beta: complex, cutoff: int) -> np.ndarray:
+    """Single-mode D(beta); CutoffTooSmall where the truncation spoils it."""
     if abs(beta) ** 2 > cutoff / 2.0:
         raise CutoffTooSmall(
             f"|beta|^2 = {abs(beta) ** 2:.3g} too large for cutoff {cutoff}"
@@ -164,6 +158,12 @@ def displacement(mode: int, beta: complex, config: FockConfig) -> ModeOperator:
     defect = np.max(np.abs(d.conj().T @ d - np.eye(cutoff)))
     if defect > 1e-6:
         raise CutoffTooSmall(f"displacement unitarity defect {defect:.3g}")
+    return d
+
+
+def displacement(mode: int, beta: complex, config: FockConfig) -> ModeOperator:
+    """Displacement D(beta) on one mode; e^{i mu X} is D(i mu / sqrt 2)."""
+    d = checked_displacement(beta, config.cutoff(mode))
     return embed(d, mode, config, f"D{mode}({beta:.4g})")
 
 
@@ -179,31 +179,44 @@ def rotation(mode: int, theta: float, config: FockConfig) -> ModeOperator:
 
 @dataclass(frozen=True)
 class TwoModeState:
-    """Dense density operator on the truncated two-mode space.
+    """Density operator rho = sum_x A_x A_x^dag on the truncated two-mode space,
+    held as its factor A of shape (cutoff_1, cutoff_2, rank); a pure state has
+    rank 1. rho is Hermitian and positive semidefinite by construction.
 
-    Known-pure states may carry their state vector in `vector`; `rho` is
-    always present and is the source of truth.
+    `truncation_loss` is the probability mass of the thermal input left out of
+    the factor: its tail beyond the cutoffs plus the dropped columns.
     """
 
     config: FockConfig
-    rho: np.ndarray
-    vector: np.ndarray | None = None
+    factor: np.ndarray
+    truncation_loss: float = 0.0
 
-    def validate(self, psd_tol: float = PSD_TOL) -> "TwoModeState":
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > TRACE_TOL:
+    def __post_init__(self):
+        shape = (self.config.cutoff_1, self.config.cutoff_2)
+        if self.factor.ndim != 3 or self.factor.shape[:2] != shape:
+            raise DimensionMismatch(f"factor shape {self.factor.shape} vs cutoffs {shape}")
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The factor as a (dim, rank) matrix: rho = columns columns^dag."""
+        return self.factor.reshape(self.config.dim, -1)
+
+    @property
+    def rho(self) -> np.ndarray:
+        a = self.columns
+        return a @ a.conj().T
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        """State vector of a rank-1 state, else None."""
+        return self.columns[:, 0] if self.factor.shape[2] == 1 else None
+
+    def validate(self) -> "TwoModeState":
+        """Unit trace; Hermiticity and positivity need no check (see state_from_rho)."""
+        tr = float(np.vdot(self.factor, self.factor).real)
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > HERM_TOL:
-            raise ValueError("rho is not Hermitian")
-        min_eig = float(np.linalg.eigvalsh(self.rho)[0])
-        if min_eig < -psd_tol:
-            raise ValueError(f"rho has negative eigenvalue {min_eig:.3g}")
         return self
-
-    def rho4(self) -> np.ndarray:
-        """rho reshaped to (c1, c2, c1, c2) for per-mode contractions."""
-        c1, c2 = self.config.cutoff_1, self.config.cutoff_2
-        return self.rho.reshape(c1, c2, c1, c2)
 
 
 def state_from_vector(psi: np.ndarray, config: FockConfig, check: bool = True) -> TwoModeState:
@@ -211,8 +224,25 @@ def state_from_vector(psi: np.ndarray, config: FockConfig, check: bool = True) -
     norm = np.linalg.norm(psi)
     if check and abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state vector norm {norm:.12g}")
-    psi = psi / norm
-    return TwoModeState(config, np.outer(psi, psi.conj()), vector=psi)
+    return TwoModeState(config, (psi / norm).reshape(config.cutoff_1, config.cutoff_2, 1))
+
+
+def state_from_rho(rho: np.ndarray, config: FockConfig) -> TwoModeState:
+    """State from a dense density matrix: trace, Hermiticity and positivity are
+    checked in full, and the factor is taken from its spectrum."""
+    if rho.shape != (config.dim, config.dim):
+        raise DimensionMismatch(f"rho shape {rho.shape} vs dim {config.dim}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
+    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
+        raise ValueError("rho is not Hermitian")
+    lam, v = np.linalg.eigh(rho)
+    if lam[0] < -PSD_TOL:
+        raise ValueError(f"rho has negative eigenvalue {lam[0]:.3g}")
+    keep = lam > 0.0
+    a = v[:, keep] * np.sqrt(lam[keep])
+    return TwoModeState(config, a.reshape(config.cutoff_1, config.cutoff_2, -1))
 
 
 def ground_state(config: FockConfig) -> TwoModeState:
@@ -240,47 +270,66 @@ def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
 
 
 def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeState:
-    """Product of single-mode thermal states, renormalized after truncation."""
-    p1 = thermal_populations(nbar_1, config.cutoff_1)
-    p2 = thermal_populations(nbar_2, config.cutoff_2)
-    rho = np.diag(np.kron(p1, p2)).astype(complex)
-    return TwoModeState(config, rho).validate()
+    """Product of single-mode thermal states, renormalized after truncation.
+
+    The factor has one column sqrt(p1_i p2_j) |i, j> per Fock product; the
+    smallest products are left out while their total mass stays at or below
+    THERMAL_DROP_TOL.
+    """
+    c1, c2 = config.cutoff_1, config.cutoff_2
+    w = np.outer(thermal_populations(nbar_1, c1), thermal_populations(nbar_2, c2)).ravel()
+    by_size = np.argsort(w, kind="stable")
+    n_drop = int(np.searchsorted(np.cumsum(w[by_size]), THERMAL_DROP_TOL, side="right"))
+    kept = np.sort(by_size[n_drop:])
+    a = np.zeros((config.dim, kept.size), dtype=complex)
+    a[kept, np.arange(kept.size)] = np.sqrt(w[kept])
+    tails = sum((nbar / (nbar + 1.0)) ** c for nbar, c in ((nbar_1, c1), (nbar_2, c2)))
+    loss = tails + float(w[by_size[:n_drop]].sum())
+    return TwoModeState(config, a.reshape(c1, c2, -1), loss).validate()
 
 
-def apply_operator(op: ModeOperator, state: TwoModeState) -> tuple[TwoModeState, float]:
-    """Return (op rho op^dag / p, p) with p = tr(op rho op^dag)."""
-    if op.config != state.config:
-        raise DimensionMismatch("operator and state configs differ")
-    if state.vector is not None:
-        phi = op.matrix @ state.vector
-        p = float(np.real(np.vdot(phi, phi)))
-        if p <= 0.0:
-            return state, 0.0
-        return state_from_vector(phi / math.sqrt(p), state.config, check=False), p
-    m = op.matrix @ state.rho @ op.matrix.conj().T
-    p = float(np.real(np.trace(m)))
+def on_mode(single: np.ndarray, mode: int, factor: np.ndarray) -> np.ndarray:
+    """Apply a single-mode matrix to one mode of a factor (c1, c2, r)."""
+    if mode == 1:
+        c1, c2, r = factor.shape
+        return (single @ factor.reshape(c1, c2 * r)).reshape(c1, c2, r)
+    if mode == 2:
+        return np.matmul(single, factor)
+    raise ValueError("mode must be 1 or 2")
+
+
+def apply_operator(
+    op: ModeOperator | Callable[[np.ndarray], np.ndarray], state: TwoModeState
+) -> tuple[TwoModeState, float]:
+    """Return (K rho K^dag / p, p) with p = tr(K rho K^dag), for K a ModeOperator
+    or a map on factors (such as one made of on_mode steps)."""
+    if isinstance(op, ModeOperator):
+        if op.config != state.config:
+            raise DimensionMismatch("operator and state configs differ")
+        a = (op.matrix @ state.columns).reshape(state.factor.shape)
+    else:
+        a = op(state.factor)
+    p = float(np.vdot(a, a).real)
     if p <= 0.0:
         return state, 0.0
-    return TwoModeState(state.config, m / p), p
+    return TwoModeState(state.config, a / math.sqrt(p), state.truncation_loss), p
 
 
 def expectation(state: TwoModeState, op: ModeOperator) -> complex:
     """tr(rho * matrix)."""
     if op.config != state.config:
         raise DimensionMismatch("operator and state configs differ")
-    if state.vector is not None:
-        return complex(np.vdot(state.vector, op.matrix @ state.vector))
-    return complex(np.trace(state.rho @ op.matrix))
+    a = state.columns
+    return complex(np.vdot(a, op.matrix @ a))
 
 
 def partial_trace(state: TwoModeState, keep_mode: int) -> np.ndarray:
     """Reduced density matrix of one mode."""
-    r4 = state.rho4()
-    if keep_mode == 1:
-        return np.einsum("ikjk->ij", r4)
-    if keep_mode == 2:
-        return np.einsum("kikj->ij", r4)
-    raise ValueError("keep_mode must be 1 or 2")
+    if keep_mode not in (1, 2):
+        raise ValueError("keep_mode must be 1 or 2")
+    a = state.factor if keep_mode == 1 else state.factor.transpose(1, 0, 2)
+    a = a.reshape(a.shape[0], -1)
+    return a @ a.conj().T
 
 
 def entropy_of_matrix(rho: np.ndarray) -> float:
@@ -290,10 +339,10 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 
 
 def von_neumann_entropy(state: TwoModeState) -> float:
-    """-sum lambda ln lambda over eigenvalues above the truncation-noise floor."""
-    if state.vector is not None:
-        return 0.0
-    return entropy_of_matrix(state.rho)
+    """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
+    from the rank x rank Gram matrix A^dag A (same nonzero spectrum as rho)."""
+    a = state.columns
+    return entropy_of_matrix(a.conj().T @ a)
 
 
 def entanglement_entropy(state: TwoModeState) -> float:
@@ -304,4 +353,4 @@ def entanglement_entropy(state: TwoModeState) -> float:
 def fidelity_to_pure(state: TwoModeState, psi: np.ndarray) -> float:
     """<psi| rho |psi> for a normalized reference vector."""
     psi = psi / np.linalg.norm(psi)
-    return float(np.real(np.vdot(psi, state.rho @ psi)))
+    return float(np.sum(np.abs(psi.conj() @ state.columns) ** 2))

@@ -112,36 +112,43 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
-def measurement_operator(
-    params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
-) -> ModeOperator:
-    """Fock-space matrix of the click operator Y_mn."""
+def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig):
+    """The click operator Y_mn as a map on state factors, applied mode by mode."""
     m, n = outcome.m, outcome.n
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
     beta = 1j * params.mu / math.sqrt(2.0)
     phase = np.exp(1j * params.phi)
+    d1 = fock.checked_displacement(beta, config.cutoff_1)
+    d2 = fock.checked_displacement(beta, config.cutoff_2)
     if params.configuration == PARALLEL:
-        e1 = fock.displacement(1, beta, config).matrix
-        e2 = fock.displacement(2, beta, config).matrix
-        plus = e1 + phase * e2
-        minus = e1 - phase * e2
+        def arm_sum(a, sign):  # (D1 x 1 +- e^{i phi} 1 x D2) a
+            return fock.on_mode(d1, 1, a) + sign * phase * fock.on_mode(d2, 2, a)
     else:
-        e12 = fock.displacement(1, beta, config).matrix @ fock.displacement(2, beta, config).matrix
-        eye = np.eye(config.dim, dtype=complex)
-        plus = e12 + phase * eye
-        minus = e12 - phase * eye
-    mat = pref * (
-        np.linalg.matrix_power(plus, m) @ np.linalg.matrix_power(minus, n)
-    )
-    return ModeOperator(config, mat, f"Y_{m}{n}")
+        def arm_sum(a, sign):  # (D1 x D2 +- e^{i phi}) a
+            return fock.on_mode(d1, 1, fock.on_mode(d2, 2, a)) + sign * phase * a
+
+    def apply(a: np.ndarray) -> np.ndarray:  # pref * plus^m minus^n a
+        for sign in (-1.0,) * n + (1.0,) * m:
+            a = arm_sum(a, sign)
+        return pref * a
+
+    return apply
+
+
+def measurement_operator(
+    params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
+) -> ModeOperator:
+    """Fock-space matrix of the click operator Y_mn (its map on the identity)."""
+    eye = np.eye(config.dim, dtype=complex).reshape(config.cutoff_1, config.cutoff_2, config.dim)
+    mat = _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
+    return ModeOperator(config, mat, f"Y_{outcome.m}{outcome.n}")
 
 
 def herald(
     state_in: TwoModeState, params: ProtocolParams, outcome: ClickOutcome = ClickOutcome(1, 0)
 ) -> tuple[TwoModeState, float]:
     """Post-measurement state and probability for a click event."""
-    op = measurement_operator(params, outcome, state_in.config)
-    state, p = fock.apply_operator(op, state_in)
+    state, p = fock.apply_operator(_click_map(params, outcome, state_in.config), state_in)
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
     return state.validate(), p

@@ -231,10 +231,14 @@ def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
     if scale == 0.0:
         return np.zeros_like(c)
     b = sqrtm(c)
-    if np.max(np.abs(b @ b - c)) > 1e-8 * scale:
+    if not np.max(np.abs(b @ b - c)) <= 1e-8 * scale:
         # regularize a near-singular matrix and retry
-        n = c.shape[0]
-        b = sqrtm(c + 1e-12 * scale * np.eye(n))
+        b = sqrtm(c + 1e-12 * scale * np.eye(c.shape[0]))
+        residual = np.max(np.abs(b @ b - c))
+        if not residual <= 1e-8 * scale:
+            raise IllConditioned(
+                f"no square root of the sampling covariance: residual {residual:.3g}, scale {scale:.3g}"
+            )
     return np.asarray(b, dtype=complex)
 
 
@@ -271,6 +275,20 @@ def synthesize_dataset(
     return HomodyneDataset(pathway, port, n_samples, moments, ses, seed)
 
 
+def _port_spectrum(form: PortForm, state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the real port signal Y1 x 1 + 1 x Y2 and the state's
+    probability on each eigenvector, from the single-mode eigenbases."""
+    cfg = state.config
+    singles = {"X": fock.x_single, "P": fock.p_single}
+    y = {mode: np.zeros((cfg.cutoff(mode),) * 2, dtype=complex) for mode in (1, 2)}
+    for letter, c in form.signal.items():
+        mode = int(letter[1])
+        y[mode] = y[mode] + np.real(c) * singles[letter[0]](cfg.cutoff(mode))
+    (w1, v1), (w2, v2) = np.linalg.eigh(y[1]), np.linalg.eigh(y[2])
+    amps = fock.on_mode(v1.conj().T, 1, fock.on_mode(v2.conj().T, 2, state.factor))
+    return np.add.outer(w1, w2).ravel(), np.sum(np.abs(amps) ** 2, axis=2).ravel()
+
+
 def sample_port_shots(
     pathway: Pathway,
     port: str,
@@ -288,16 +306,7 @@ def sample_port_shots(
     coeffs = list(form.signal.values()) + list(form.noise_coeffs)
     if max(abs(np.imag(c)) for c in coeffs) > 1e-12:
         raise ValueError("per-shot sampling requires a real-coefficient pathway")
-    cfg = state.config
-    mats = {
-        "X1": fock.x_operator(1, cfg).matrix,
-        "P1": fock.p_operator(1, cfg).matrix,
-        "X2": fock.x_operator(2, cfg).matrix,
-        "P2": fock.p_operator(2, cfg).matrix,
-    }
-    y = sum(np.real(c) * mats[letter] for letter, c in form.signal.items())
-    w, v = np.linalg.eigh(y)
-    probs = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state.rho, v))
+    w, probs = _port_spectrum(form, state)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

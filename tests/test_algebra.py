@@ -21,7 +21,7 @@ def random_state(cfg: fock.FockConfig, seed: int) -> fock.TwoModeState:
     w = np.exp(-2.0 * (n1 + n2))
     rho = w[:, None] * rho * w[None, :]
     rho = rho / np.trace(rho)
-    return fock.TwoModeState(cfg, rho)
+    return fock.state_from_rho(rho, cfg)
 
 
 def fock_word_matrix(word, cfg):

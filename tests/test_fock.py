@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import genlaguerre
 
-from mechcat import fock
-from mechcat.errors import CutoffTooSmall, DimensionMismatch
+from mechcat import algebra, criteria, fock, herald, verify
+from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError
 
 
 CFG = fock.FockConfig(24, 24)
@@ -160,18 +162,20 @@ def test_rotation_operator():
 
 def test_validate_catches_bad_states():
     good = fock.thermal_state(0.2, 0.2, CFG)
-    bad_trace = fock.TwoModeState(CFG, good.rho * 1.1)
     with pytest.raises(ValueError):
-        bad_trace.validate()
+        fock.state_from_rho(good.rho * 1.1, CFG)
     herm = good.rho.copy()
     herm[0, 1] += 1e-3
     with pytest.raises(ValueError):
-        fock.TwoModeState(CFG, herm).validate()
+        fock.state_from_rho(herm, CFG)
     neg = good.rho.copy()
     big = 2.0 * math.sqrt(abs(neg[0, 0] * neg[1, 1]))
     neg[0, 1] = neg[1, 0] = big  # off-diagonal beyond the PSD bound
     with pytest.raises(ValueError):
-        fock.TwoModeState(CFG, neg).validate()
+        fock.state_from_rho(neg, CFG)
+    # a factor state: Hermitian and PSD by construction, trace still checked
+    with pytest.raises(ValueError):
+        fock.TwoModeState(CFG, good.factor * 1.1).validate()
 
 
 def test_coherent_vector_matches_displacement_column():
@@ -180,3 +184,200 @@ def test_coherent_vector_matches_displacement_column():
     vec = fock.coherent_vector(beta, cutoff)
     col = fock.displacement_single(beta, cutoff)[:, 0]
     assert np.max(np.abs(vec - col)) < 1e-9
+
+
+def test_thermal_factor_rank_rule():
+    # one column per Fock product, less the smallest whose total mass is <= 1e-16
+    for (mu, nbar), rank in {(1.0, 0.2): 249, (1.5, 0.4): 519, (2.0, 0.4): 527, (0.5, 0.5): 477}.items():
+        cfg = fock.default_config(nbar, nbar, mu)
+        st_ = fock.thermal_state(nbar, nbar, cfg)
+        assert st_.factor.shape == (cfg.cutoff_1, cfg.cutoff_2, rank)
+        w = np.sort(np.outer(*(fock.thermal_populations(nbar, c) for c in (cfg.cutoff_1, cfg.cutoff_2))).ravel())
+        dropped = cfg.dim - rank
+        assert w[:dropped].sum() <= fock.THERMAL_DROP_TOL < w[: dropped + 1].sum()
+    assert fock.thermal_state(0.0, 0.0, CFG).factor.shape == (24, 24, 1)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.05, 0.2, 0.4, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
+def test_truncation_loss_on_default_cutoffs(nbar, mu):
+    cfg = fock.default_config(nbar, nbar, mu)
+    th = fock.thermal_state(nbar, nbar, cfg)
+    assert th.truncation_loss <= fock.THERMAL_TAIL_TOL + fock.THERMAL_DROP_TOL
+    if nbar == 0.0:
+        assert th.truncation_loss == 0.0
+    heralded, _ = herald.herald(th, herald.ProtocolParams(mu=mu, phi=0.3, nbar_1=nbar, nbar_2=nbar))
+    assert heralded.truncation_loss == th.truncation_loss
+
+
+def test_truncation_loss_is_the_left_out_mass():
+    # each mode's tail is checked against THERMAL_TAIL_TOL on its own, so two
+    # modes at large occupation may together leave out up to twice that
+    cfg = fock.default_config(5.3, 0.3, 0.0)
+    th = fock.thermal_state(5.3, 0.3, cfg)
+    tails = (5.3 / 6.3) ** cfg.cutoff_1 + (0.3 / 1.3) ** cfg.cutoff_2
+    assert tails <= th.truncation_loss <= tails + fock.THERMAL_DROP_TOL
+    assert th.truncation_loss <= 2 * fock.THERMAL_TAIL_TOL + fock.THERMAL_DROP_TOL
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the dim x dim formulas of the Fock path, applied to dense rho
+
+
+def ref_click_matrix(params, outcome, cfg):
+    """Y_mn from Kronecker-embedded displacements and matrix powers."""
+    beta = 1j * params.mu / math.sqrt(2.0)
+    e1 = fock.displacement(1, beta, cfg).matrix
+    e2 = fock.displacement(2, beta, cfg).matrix
+    phase = np.exp(1j * params.phi)
+    if params.configuration == herald.PARALLEL:
+        plus, minus = e1 + phase * e2, e1 - phase * e2
+    else:
+        eye = np.eye(cfg.dim, dtype=complex)
+        plus, minus = e1 @ e2 + phase * eye, e1 @ e2 - phase * eye
+    pref = herald.amplitude_prefactor(params, outcome)
+    return pref * (np.linalg.matrix_power(plus, outcome.m) @ np.linalg.matrix_power(minus, outcome.n))
+
+
+def ref_heralded_rho(params, outcome, cfg):
+    """(Y rho Y^dag / p, p) on the dense thermal input."""
+    pops = np.kron(
+        fock.thermal_populations(params.nbar_1, cfg.cutoff_1),
+        fock.thermal_populations(params.nbar_2, cfg.cutoff_2),
+    )
+    y = ref_click_matrix(params, outcome, cfg)
+    out = y @ np.diag(pops) @ y.conj().T
+    p = float(np.real(np.trace(out)))
+    if p < 1e-15:
+        raise herald.HeraldImpossible(f"click probability {p:.3g}")
+    return out / p, p
+
+
+def ref_entropy(rho):
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > fock.ENTROPY_EIG_FLOOR]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def ref_word_matrices(cutoff, order_max, size):
+    """X^a P^b at `cutoff`, restricted to the first `size` levels."""
+    x, p = fock.x_single(cutoff), fock.p_single(cutoff)
+    return {
+        (a, b): (np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(p, b))[:size, :size]
+        for a in range(order_max + 1)
+        for b in range(order_max + 1 - a)
+    }
+
+
+def ref_moments(rho, cfg, order_max, scale=1):
+    """tr(rho X1^p P1^q X2^r P2^s); scale = 2 gives the moments of rho zero-padded
+    into the doubled-cutoff space."""
+    c1, c2 = cfg.cutoff_1, cfg.cutoff_2
+    m1 = ref_word_matrices(scale * c1, order_max, c1)
+    m2 = ref_word_matrices(scale * c2, order_max, c2)
+    r4 = rho.reshape(c1, c2, c1, c2)
+    return {
+        (p, q, r, s): complex(np.einsum("ijkl,ki,lj->", r4, m1[(p, q)], m2[(r, s)], optimize=True))
+        for p, q, r, s in algebra.keys_up_to_order(order_max)
+    }
+
+
+def ref_moments_checked(rho, cfg, order_max):
+    table = ref_moments(rho, cfg, order_max)
+    big = ref_moments(rho, cfg, order_max, scale=2)
+    if any(abs(table[k] - big[k]) > 1e-8 for k in table if sum(k) == order_max):
+        raise CutoffTooSmall("drift under cutoff doubling")
+    return table
+
+
+def ref_delta(rho, cfg):
+    table = algebra.MomentTable(ref_moments(rho, cfg, 2), 2)
+    delta = criteria.gaussian_reference_entropy(table) - ref_entropy(rho)
+    if delta < -1e-6:
+        raise RuntimeError("negative non-Gaussianity")
+    return max(delta, 0.0)
+
+
+def ref_port_spectrum(form, rho, cfg):
+    ops = {"X1": fock.x_operator(1, cfg), "P1": fock.p_operator(1, cfg),
+           "X2": fock.x_operator(2, cfg), "P2": fock.p_operator(2, cfg)}
+    y = sum(np.real(c) * ops[letter].matrix for letter, c in form.signal.items())
+    w, v = np.linalg.eigh(y)
+    return w, np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho, v))
+
+
+def outcome_of(fn):
+    """(value, None) or (None, exception type) for the library's typed errors."""
+    try:
+        return fn(), None
+    except (MechcatError, RuntimeError) as exc:
+        return None, type(exc)
+
+
+def rel_err(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    return float(np.max(np.abs(new - ref) / (1.0 + np.abs(ref))))
+
+
+def smallest_tail_cutoff(nbar):
+    ratio = nbar / (nbar + 1.0)
+    return next(c for c in itertools.count(2) if ratio**c <= fock.THERMAL_TAIL_TOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    mu=st.floats(0.0, 2.0),
+    phi=st.one_of(st.just(math.pi), st.floats(0.0, 2 * math.pi)),
+    nbar_1=st.floats(0.0, 0.5),
+    nbar_2=st.floats(0.0, 0.5),
+    configuration=st.sampled_from([herald.PARALLEL, herald.SERIES]),
+    outcome=st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1)]),
+    cutoffs=st.tuples(st.integers(6, 16), st.integers(6, 16)),
+)
+def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configuration, outcome, cutoffs):
+    """Cutoffs up to 16, raised where the thermal tail check needs more (21 at nbar = 0.5)."""
+    assume(nbar_1 != nbar_2)
+    cfg = fock.FockConfig(max(cutoffs[0], smallest_tail_cutoff(nbar_1)),
+                          max(cutoffs[1], smallest_tail_cutoff(nbar_2)))
+    params = herald.ProtocolParams(mu=mu, phi=phi, configuration=configuration,
+                                   nbar_1=nbar_1, nbar_2=nbar_2)
+    click = herald.ClickOutcome(*outcome)
+    (ref, error) = outcome_of(lambda: ref_heralded_rho(params, click, cfg))
+    new, new_error = outcome_of(lambda: herald.heralded_state(params, cfg, click))
+    assert new_error is error
+    if error is not None:
+        return
+    (rho, p_ref), (state, p) = ref, new
+    assert rel_err(p, p_ref) < 1e-12
+    assert rel_err(state.rho, rho) < 1e-12
+    assert rel_err(fock.von_neumann_entropy(state), ref_entropy(rho)) < 1e-12
+    for keep in (1, 2):
+        axes = "ikjk->ij" if keep == 1 else "kikj->ij"
+        ref_reduced = np.einsum(axes, rho.reshape(cfg.cutoff_1, cfg.cutoff_2, cfg.cutoff_1, cfg.cutoff_2))
+        assert rel_err(fock.partial_trace(state, keep), ref_reduced) < 1e-12
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(0).normal(size=(2, cfg.dim))
+    psi /= np.linalg.norm(psi)
+    assert rel_err(fock.fidelity_to_pure(state, psi), np.real(np.vdot(psi, rho @ psi))) < 1e-12
+
+    delta, delta_error = outcome_of(lambda: criteria.non_gaussianity(state))
+    delta_ref, delta_ref_error = outcome_of(lambda: ref_delta(rho, cfg))
+    assert delta_error is delta_ref_error
+    if delta_error is None:
+        assert rel_err(delta, delta_ref) < 1e-12
+
+    table = algebra.moments_from_state(state, 4)
+    ref_table = ref_moments(rho, cfg, 4)
+    assert list(table.entries) == list(ref_table)
+    assert rel_err(list(table.entries.values()), list(ref_table.values())) < 1e-12
+    checked, checked_error = outcome_of(lambda: algebra.moments_from_state(state, 4, check_convergence=True))
+    _, ref_checked_error = outcome_of(lambda: ref_moments_checked(rho, cfg, 4))
+    assert checked_error is ref_checked_error
+    if checked_error is None:
+        assert checked.entries == table.entries
+
+    # per-shot sampler: the spectral measure of a real-coefficient port signal
+    form = verify.port_observable(verify.Pathway(chi=1.2, phi=math.pi), "A")
+    w, probs = verify._port_spectrum(form, state)
+    w_ref, probs_ref = ref_port_spectrum(form, rho, cfg)
+    for k in range(5):
+        assert rel_err(np.sum(probs * w**k), np.sum(probs_ref * w_ref**k)) < 1e-12

@@ -160,6 +160,17 @@ def test_per_shot_requires_real_pathway():
         sample_port_shots(pathway, "A", state, 10, seed=0)
 
 
+def test_noise_factor_rechecks_its_regularised_retry():
+    # complex symmetric and nilpotent of index 3: it has no square root, and the
+    # regularised retry leaves a residual of order one
+    c = np.array([[0, 1, 0], [1, 0, 1j], [0, 1j, 0]])
+    with pytest.raises(IllConditioned):
+        verify._factor_complex_symmetric(c)
+    good = np.array([[2.0, 0.5j], [0.5j, 1.0]])
+    b = verify._factor_complex_symmetric(good)
+    assert np.max(np.abs(b @ b - good)) < 1e-12
+
+
 def test_default_phase_sets_order1_minimal():
     sets = default_phase_sets(1, phi=PHI, margin=0)
     assert len(sets) == 1  # four ports resolve the four first moments
