@@ -175,11 +175,12 @@ def table_vector(table: MomentTable, order_max: int) -> np.ndarray:
 
 
 def apply_mode_map(m: np.ndarray, vector: np.ndarray, order_max: int) -> np.ndarray:
-    """Apply the single-mode map m to both modes of a moment vector."""
+    """Apply the single-mode map m to both modes of a moment vector; vectors may be
+    stacked as (*batch, keys), and m may be a stack (*batch, n, n) broadcasting with them."""
     i1, i2 = _grid_index(order_max)
-    grid = np.zeros((m.shape[1], m.shape[1]), dtype=complex)
-    grid[i1, i2] = vector
-    return (m @ grid @ m.T)[i1, i2]
+    grid = np.zeros(vector.shape[:-1] + m.shape[-1:] * 2, dtype=complex)
+    grid[..., i1, i2] = vector
+    return (m @ grid @ np.swapaxes(m, -1, -2))[..., i1, i2]
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ detector studies, and verification Monte-Carlo runs.
 Output is CSV (UTF-8, '.' decimal, stable column order) or JSON; numbers are
 dimensionless with hbar = 1 and vacuum quadrature variance 1/2 unless a
 column says otherwise. Exit codes: 0 success, 2 golden-tolerance failure in
---check mode, 3 library error.
+--check mode, 3 library error or invalid input value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import importlib.resources as resources
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -41,16 +40,14 @@ def write_csv(path, header_meta: list[str], columns: list[str], rows: list[tuple
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload):
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    _write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
+def _write_text(path, text: str):
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -69,7 +66,10 @@ def parse_grid(spec: str) -> list[float]:
     """Grid syntax: 'start:stop:num' (inclusive linspace) or 'a, b, c'."""
     spec = spec.strip()
     if ":" in spec:
-        start, stop, num = spec.split(":")
+        parts = spec.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {spec!r} is not start:stop:num")
+        start, stop, num = parts
         return [float(v) for v in np.linspace(float(start), float(stop), int(num))]
     return [float(v) for v in spec.split(",") if v.strip()]
 
@@ -83,9 +83,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _cfg_float(cfg, section, key, default):
-    if cfg.has_option(section, key):
-        return cfg.getfloat(section, key)
-    return default
+    return cfg.getfloat(section, key, fallback=default)
 
 
 def env_from_config(cfg) -> EnvParams:
@@ -178,6 +176,19 @@ QUANTITIES_T1 = (
 )
 
 
+def _check(args, computed: dict[tuple[str, str], float], name: str) -> int:
+    """Exit code of the --check comparison against the golden file of `name`."""
+    if not args.check:
+        return EXIT_OK
+    failures = check_against_golden(computed, load_golden(f"golden_{name}.csv"))
+    for f in failures:
+        print(f"CHECK FAIL {f}", file=sys.stderr)
+    if failures:
+        return EXIT_CHECK_FAILED
+    print(f"{name} check: all {len(computed)} values within tolerance", file=sys.stderr)
+    return EXIT_OK
+
+
 def cmd_table1(args) -> int:
     rows_out = []
     computed = {}
@@ -197,14 +208,7 @@ def cmd_table1(args) -> int:
     ]
     columns = ["row", "mu", "q_factor", "nbar", "nbar_bath", *QUANTITIES_T1]
     write_table(args, meta, columns, rows_out)
-    if args.check:
-        failures = check_against_golden(computed, load_golden("golden_table1.csv"))
-        for f in failures:
-            print(f"CHECK FAIL {f}", file=sys.stderr)
-        if failures:
-            return EXIT_CHECK_FAILED
-        print(f"table1 check: all {len(computed)} values within tolerance", file=sys.stderr)
-    return EXIT_OK
+    return _check(args, computed, "table1")
 
 
 def cmd_table2(args) -> int:
@@ -225,34 +229,7 @@ def cmd_table2(args) -> int:
     ]
     columns = ["row", "g0", "kappa", "omega_m", "mu", "sideband_ratio", "percent_reduction"]
     write_table(args, meta, columns, rows_out)
-    if args.check:
-        failures = check_against_golden(computed, load_golden("golden_table2.csv"))
-        for f in failures:
-            print(f"CHECK FAIL {f}", file=sys.stderr)
-        if failures:
-            return EXIT_CHECK_FAILED
-        print(f"table2 check: all {len(computed)} values within tolerance", file=sys.stderr)
-    return EXIT_OK
-
-
-def _map_point(task):
-    criterion, mu, phi, nbar, q_factor, nbar_bath, omega_m = task
-    env = EnvParams(omega_m=omega_m, q_factor=q_factor, nbar_bath=nbar_bath)
-    if criterion == "D5":
-        return criteria.d5_evolved(mu, nbar, env, phi)
-    if criterion == "S3":
-        return criteria.s3_evolved(mu, nbar, env, phi)
-    # delta: non-Gaussianity of the closed-system heralded state
-    params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
-    state, _ = heralded_state(params)
-    return criteria.non_gaussianity(state)
-
-
-def _run_tasks(tasks, fn, threads: int):
-    if threads <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * threads))))
+    return _check(args, computed, "table2")
 
 
 def cmd_map(args) -> int:
@@ -261,16 +238,14 @@ def cmd_map(args) -> int:
     nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
     phis = parse_grid(cfg.get("grid", "phi", fallback="0:6.283185307179586:41"))
     mus = parse_grid(cfg.get("grid", "mu", fallback="0.05:2.0:40"))
-    tasks = [
-        (args.criterion, mu, phi, nbar, env.q_factor, env.nbar_bath, env.omega_m)
-        for mu in mus
-        for phi in phis
-    ]
-    values = _run_tasks(tasks, _map_point, args.threads)
-    rows = [
-        (mu, phi, val, int(val < 0))
-        for (_, mu, phi, *_), val in zip(tasks, values)
-    ]
+    grid_mu, grid_phi = (a.ravel().tolist() for a in np.meshgrid(mus, phis, indexing="ij"))
+    if args.criterion == "delta":  # non-Gaussianity of the closed-system heralded state
+        states = (heralded_state(ProtocolParams(mu=m, phi=p, nbar_1=nbar, nbar_2=nbar))[0]
+                  for m, p in zip(grid_mu, grid_phi))
+        values = [criteria.non_gaussianity(state) for state in states]
+    else:
+        values = criteria.evolved_criterion(args.criterion, [env])(grid_mu, grid_phi, nbar).tolist()
+    rows = [(mu, phi, val, int(val < 0)) for mu, phi, val in zip(grid_mu, grid_phi, values)]
     meta = [
         f"criterion map: {args.criterion}; hbar=1, Var_vac=1/2; phi in radians",
         f"nbar={nbar}, q_factor={env.q_factor}, nbar_bath={env.nbar_bath}"
@@ -279,11 +254,8 @@ def cmd_map(args) -> int:
     write_table(args, meta, ["mu", "phi", "value", "negative"], rows)
     # zero crossings along phi for each mu
     contours = []
-    idx = 0
-    for mu in mus:
-        vals = values[idx : idx + len(phis)]
-        idx += len(phis)
-        for (p1, v1), (p2, v2) in zip(zip(phis, vals), list(zip(phis, vals))[1:]):
+    for mu, vals in zip(mus, np.reshape(values, (len(mus), len(phis))).tolist()):
+        for (p1, v1), (p2, v2) in zip(zip(phis, vals), zip(phis[1:], vals[1:])):
             if v1 == 0.0 or (v1 < 0) != (v2 < 0):
                 frac = abs(v1) / (abs(v1) + abs(v2)) if (abs(v1) + abs(v2)) > 0 else 0.0
                 contours.append((mu, p1 + frac * (p2 - p1)))
@@ -300,24 +272,15 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def _cooling_point(task):
-    mu, nbar_bath, q_factor, omega_m, phi = task
-    env = EnvParams(omega_m=omega_m, q_factor=q_factor, nbar_bath=nbar_bath)
-    res = criteria.max_cooled_occupation(mu, env, phi)
-    return res.nbar_max, res.verification_possible
-
-
 def cmd_cooling_map(args) -> int:
     cfg = load_config(args.config)
     env = env_from_config(cfg)
     mus = parse_grid(cfg.get("grid", "mu", fallback="0.2:4.2:21"))
     baths = parse_grid(cfg.get("grid", "nbar_bath", fallback="0:2000:9"))
-    tasks = [(mu, nb, env.q_factor, env.omega_m, PHI_DEFAULT) for mu in mus for nb in baths]
-    results = _run_tasks(tasks, _cooling_point, args.threads)
-    rows = [
-        (mu, nb, nmax, int(ok))
-        for (mu, nb, *_), (nmax, ok) in zip(tasks, results)
-    ]
+    envs = [EnvParams(omega_m=env.omega_m, q_factor=env.q_factor, nbar_bath=nb) for nb in baths]
+    nbar_max, ok = criteria.cooled_occupations(np.array(mus)[:, None], envs, PHI_DEFAULT)
+    grid_mu, grid_nb = (a.ravel().tolist() for a in np.meshgrid(mus, baths, indexing="ij"))
+    rows = list(zip(grid_mu, grid_nb, nbar_max.ravel().tolist(), ok.ravel().astype(int).tolist()))
     meta = [
         "maximum initial occupation with S3 < 0; phi = pi",
         f"q_factor={env.q_factor}; verifiable=0 marks the NoVerification region",
@@ -440,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         if check:
             p.add_argument("--check", action="store_true",
                            help="compare against bundled golden values")
@@ -483,7 +446,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except MechcatError as exc:
+    except (MechcatError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fock
-from .algebra import MomentTable, moments_from_state
+from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_quadrature,
+                      moments_from_state, table_vector)
 from .errors import DegenerateHerald, NonPhysicalCovariance
 from .fock import TwoModeState
-from .herald import ProtocolParams, heralded_moment_table
-from .opensystem import EnvParams, MeasurementSchedule, evolve_moments
+from .herald import heralded_moments
+from .opensystem import EnvParams, MeasurementSchedule, evolution_map
 
 LadderWord = tuple[str, ...]
 Label = tuple[LadderWord, LadderWord]  # (mode-1 letters, mode-2 letters)
@@ -40,6 +41,8 @@ PT_BASIS: list[Label] = [
 
 D5_INDICES = (0, 1, 2, 3, 4)
 S3_INDICES = (0, 3, 5)
+# label indices of each criterion and the highest moment order of its entries
+CRITERIA = {"D5": (D5_INDICES, 2), "S3": (S3_INDICES, 4)}
 
 
 def _dagger(word: LadderWord) -> LadderWord:
@@ -83,37 +86,57 @@ class CriterionResult:
         )
 
 
-def _build_criterion(table: MomentTable, name: str, indices: tuple[int, ...]) -> CriterionResult:
+@lru_cache(maxsize=None)
+def criterion_functional(name: str) -> np.ndarray:
+    """Read-only (n^2, keys) map from a moment vector over keys_up_to_order(order)
+    to the row-major entries of the named partial-transpose matrix."""
+    indices, order = CRITERIA[name]
+    words = [word for row in criterion_words(indices) for word in row]
+    pos = {key: i for i, key in enumerate(keys_up_to_order(order))}
+    f = np.zeros((len(words), len(pos)), dtype=complex)
+    for row, word in zip(f, words):
+        for key, c in ladder_to_quadrature(word).items():
+            row[pos[key]] += c
+    f.setflags(write=False)
+    return f
+
+
+def criterion_matrices(name: str, vectors: np.ndarray) -> np.ndarray:
+    """The named matrix at every point of stacked moment vectors (*batch, keys)."""
+    n = len(CRITERIA[name][0])
+    return (vectors @ criterion_functional(name).T).reshape(vectors.shape[:-1] + (n, n))
+
+
+def _determinants(name: str, mats: np.ndarray) -> np.ndarray:
+    det = np.linalg.det(mats)
+    if np.any(bad := np.abs(det.imag) > 1e-9 * (1.0 + np.abs(det))):
+        raise ValueError(f"{name} determinant has imaginary part {det.imag[bad].flat[0]:.3g}")
+    return det.real
+
+
+def _build_criterion(table: MomentTable, name: str) -> CriterionResult:
     """Noisy recovered tables are Hermitized before the determinant (the
     matrix is Hermitian for any physical moment set, so averaging the
     conjugate pairs is the natural estimator and keeps the determinant
     exactly real)."""
-    words = criterion_words(indices)
-    n = len(words)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = table.ladder_value(words[i][j])
+    mat = criterion_matrices(name, table_vector(table, CRITERIA[name][1]))
     if table.provenance == "exact" and not table.evolved:
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > 1e-9 * (1.0 + np.max(np.abs(mat))):
             raise ValueError(f"{name} matrix not Hermitian: defect {herm:.3g}")
     if table.provenance == "recovered":
         mat = 0.5 * (mat + mat.conj().T)
-    det = complex(np.linalg.det(mat))
-    if abs(det.imag) > 1e-9 * (1.0 + abs(det)):
-        raise ValueError(f"{name} determinant has imaginary part {det.imag:.3g}")
-    return CriterionResult(name, float(det.real), mat)
+    return CriterionResult(name, float(_determinants(name, mat)), mat)
 
 
 def build_d5(table: MomentTable) -> CriterionResult:
     """5x5 partial-transpose determinant (Simon's criterion reformulated)."""
-    return _build_criterion(table, "D5", D5_INDICES)
+    return _build_criterion(table, "D5")
 
 
 def build_s3(table: MomentTable) -> CriterionResult:
     """3x3 subdeterminant sensitive to non-Gaussian entanglement."""
-    return _build_criterion(table, "S3", S3_INDICES)
+    return _build_criterion(table, "S3")
 
 
 # 2 cos^2(phi/2) at the double nearest pi: the resolution of the dark fringe
@@ -184,29 +207,29 @@ def non_gaussianity(state: TwoModeState) -> float:
 # cooling requirements
 
 
-def s3_evolved(
-    mu: float,
-    nbar: float,
-    env: EnvParams,
-    phi: float = math.pi,
-    schedule: MeasurementSchedule | None = None,
-) -> float:
+def evolved_criterion(name: str, envs: list[EnvParams], schedule: MeasurementSchedule | None = None):
+    """The function (mu, phi, nbar) -> D5 or S3 after the open-system verification
+    delays, at every point of broadcast arrays. The evolution maps are built
+    once; the environments run along the last batch axis (one broadcasts)."""
+    order = CRITERIA[name][1]
+    maps = np.stack([evolution_map(e, schedule or MeasurementSchedule.standard(e), order) for e in envs])
+
+    def values(mu, phi, nbar) -> np.ndarray:
+        vectors = apply_mode_map(maps, heralded_moments(mu, phi, nbar, nbar, order), order)
+        return _determinants(name, criterion_matrices(name, vectors))
+
+    return values
+
+
+def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi,
+               schedule: MeasurementSchedule | None = None) -> float:
     """S3 of the heralded state after the open-system verification delays."""
-    params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
-    table = heralded_moment_table(params, order_max=4)
-    return build_s3(evolve_moments(table, env, schedule)).value
+    return float(evolved_criterion("S3", [env], schedule)(mu, phi, nbar)[0])
 
 
-def d5_evolved(
-    mu: float,
-    nbar: float,
-    env: EnvParams,
-    phi: float = math.pi,
-    schedule: MeasurementSchedule | None = None,
-) -> float:
-    params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
-    table = heralded_moment_table(params, order_max=2)
-    return build_d5(evolve_moments(table, env, schedule)).value
+def d5_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi,
+               schedule: MeasurementSchedule | None = None) -> float:
+    return float(evolved_criterion("D5", [env], schedule)(mu, phi, nbar)[0])
 
 
 @dataclass(frozen=True)
@@ -215,33 +238,46 @@ class CoolingResult:
     verification_possible: bool
 
 
+def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Midpoints of brackets with f(lo) < 0 <= f(hi), all narrowed at once until
+    hi - lo <= 1e-10 hi (or 1e-15, the floor for a bracket at zero)."""
+    while np.any(wide := hi - lo > np.maximum(1e-10 * np.abs(hi), 1e-15)):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) < 0.0
+        lo, hi = np.where(wide & neg, mid, lo), np.where(wide & ~neg, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple[np.ndarray, np.ndarray]:
+    """Largest initial occupation with S3 < 0 (0 where there is none) and the
+    verification flag at every coupling of mu; the environments run along the
+    last axis of mu (one broadcasts)."""
+    if np.any(np.asarray(mu) <= 0):
+        raise ValueError("mu must be positive")
+    s3 = evolved_criterion("S3", envs)
+    ok = s3(mu, phi, 0.0) < 0.0
+    lo, hi = np.zeros(ok.shape), np.where(ok, 0.5, 0.0)
+    while np.any(up := ok & (s3(mu, phi, hi) < 0.0)):
+        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
+        if np.any(hi > 1e9):
+            raise RuntimeError("S3 stayed negative up to nbar = 1e9")
+    return np.where(ok, _bisect(lambda n: s3(mu, phi, n), lo, hi), 0.0), ok
+
+
 def max_cooled_occupation(mu: float, env: EnvParams, phi: float = math.pi) -> CoolingResult:
     """Largest initial occupation with S3 < 0, or the NoVerification flag."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    f0 = s3_evolved(mu, 0.0, env, phi)
-    if f0 >= 0.0:
-        return CoolingResult(0.0, False)
-    lo, hi = 0.0, 0.5
-    while s3_evolved(mu, hi, env, phi) < 0.0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e9:
-            raise RuntimeError("S3 stayed negative up to nbar = 1e9")
-    root = brentq(lambda n: s3_evolved(mu, n, env, phi), lo, hi, xtol=1e-10, rtol=1e-10)
-    return CoolingResult(float(root), True)
+    nbar_max, ok = cooled_occupations(mu, [env], phi)
+    return CoolingResult(float(nbar_max[0]), bool(ok[0]))
 
 
 def mu_cutoff(env: EnvParams, phi: float = math.pi, mu_lo: float = 0.5, mu_hi: float = 8.0) -> float:
     """Coupling above which S3 cannot verify entanglement even at nbar = 0."""
-    if s3_evolved(mu_lo, 0.0, env, phi) >= 0.0:
+    s3 = evolved_criterion("S3", [env])
+    scan = np.arange(mu_lo, mu_hi + 0.25, 0.25)
+    scan = scan[scan <= mu_hi]
+    nonneg = np.flatnonzero(s3(scan, phi, 0.0) >= 0.0)
+    if not nonneg.size:
+        raise RuntimeError(f"no S3 sign change found below mu = {mu_hi}")
+    if nonneg[0] == 0:
         raise RuntimeError("S3 already non-negative at mu_lo")
-    lo = mu_lo
-    step = 0.25
-    mu = mu_lo + step
-    while mu <= mu_hi:
-        if s3_evolved(mu, 0.0, env, phi) >= 0.0:
-            return float(brentq(lambda m: s3_evolved(m, 0.0, env, phi), lo, mu,
-                                xtol=1e-8, rtol=1e-10))
-        lo = mu
-        mu += step
-    raise RuntimeError(f"no S3 sign change found below mu = {mu_hi}")
+    return float(_bisect(lambda m: s3(m, phi, 0.0), scan[nonneg[0] - 1], scan[nonneg[0]])[0])

@@ -205,78 +205,75 @@ _K[0, 1] = _K[1, 0] = _K[2, 3] = _K[3, 2] = 1.0
 
 
 class _SandwichMoments:
-    """Moments of one sandwich term (u_j, u_k) on a product thermal state."""
+    """Moments of one sandwich term (u_j, u_k) on a product thermal state with
+    quadrature variances sigma; all three have shape (4, *batch), and so every
+    moment is an array over the batch."""
 
-    def __init__(self, u_j: np.ndarray, u_k: np.ndarray, v1: float, v2: float):
-        sigma_s = np.diag([v1, v1, v2, v2]).astype(complex)
+    def __init__(self, u_j: np.ndarray, u_k: np.ndarray, sigma: np.ndarray):
         du = u_k - u_j
-        self.const = complex(-0.5 * du @ sigma_s @ du + 0.5 * u_j @ _J @ u_k)
-        self.beta = -sigma_s @ du - 0.5 * _J @ (u_j + u_k)
-        self.h = -sigma_s - 0.5j * _K
+        j_k = np.einsum("ij,j...->i...", _J, u_k)
+        self.const = -0.5 * np.sum(du * sigma * du, axis=0) + 0.5 * np.sum(u_j * j_k, axis=0)
+        self.beta = -sigma * du - 0.5 * (np.einsum("ij,j...->i...", _J, u_j) + j_k)
+        # the nonzero entries of H = -sigma - K/2 i
+        self.h = {(i, k): -sigma[i] if i == k else -0.5j * _K[i, k]
+                  for i in range(4) for k in range(4) if i == k or _K[i, k]}
         self.scale = np.exp(self.const)
-        self._memo: dict[tuple[int, ...], complex] = {(): 1.0 + 0.0j}
+        self._memo: dict[tuple[int, ...], np.ndarray] = {(): np.ones_like(self.scale)}
 
-    def _raw(self, idx: tuple[int, ...]) -> complex:
+    def _raw(self, idx: tuple[int, ...]) -> np.ndarray:
         if idx in self._memo:
             return self._memo[idx]
         i, rest = idx[0], idx[1:]
         val = self.beta[i] * self._raw(rest)
         for j in range(len(rest)):
-            val += self.h[i, rest[j]] * self._raw(rest[:j] + rest[j + 1 :])
+            if (i, rest[j]) in self.h:
+                val = val + self.h[i, rest[j]] * self._raw(rest[:j] + rest[j + 1 :])
         self._memo[idx] = val
         return val
 
-    def moment(self, key: Key) -> complex:
+    def moment(self, key: Key) -> np.ndarray:
         idx = sum(((i,) * e for i, e in enumerate(key)), ())
         return (-1j) ** len(idx) * self.scale * self._raw(idx)
 
 
-def _exponent_vectors(params: ProtocolParams, outcome: ClickOutcome):
-    """(gamma_t, u_t) terms of the {1,0}/{0,1} measurement operator."""
+def heralded_moments(mu, phi, nbar_1, nbar_2, order_max: int, outcome: ClickOutcome = ClickOutcome(1, 0),
+                     configuration: str = PARALLEL) -> np.ndarray:
+    """Exact moments over keys_up_to_order(order_max) of the heralded state at every
+    point of the broadcast (mu, phi, nbar_1, nbar_2) arrays, shape (*batch, keys)."""
     if outcome.m + outcome.n != 1:
         raise ValueError("closed-form moments implemented for {1,0}/{0,1} only")
-    sign = 1.0 if outcome.m == 1 else -1.0
-    mu = params.mu
-    phase = sign * np.exp(1j * params.phi)
-    if params.configuration == PARALLEL:
-        return [
-            (1.0 + 0.0j, np.array([mu, 0.0, 0.0, 0.0])),
-            (phase, np.array([0.0, 0.0, mu, 0.0])),
-        ]
-    return [
-        (1.0 + 0.0j, np.array([mu, 0.0, mu, 0.0])),
-        (phase, np.array([0.0, 0.0, 0.0, 0.0])),
-    ]
+    mu, phi, n1, n2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (mu, phi, nbar_1, nbar_2)))
+    if np.any(mu < 0) or np.any(np.minimum(n1, n2) < 0):
+        raise ValueError("mu and nbar must be >= 0")
+    sigma = np.stack([n1, n1, n2, n2]) + 0.5
+    # (gamma_t, u_t) terms of the measurement operator, u_t of shape (4, *batch)
+    phase = (1.0 if outcome.m == 1 else -1.0) * np.exp(1j * phi)
+    z = np.zeros_like(mu)
+    if configuration == PARALLEL:
+        terms = [(1.0 + 0.0j, np.stack([mu, z, z, z])), (phase, np.stack([z, z, mu, z]))]
+    else:
+        terms = [(1.0 + 0.0j, np.stack([mu, z, mu, z])), (phase, np.stack([z, z, z, z]))]
+    sandwiches = [(np.conj(g_j) * g_k, _SandwichMoments(u_j, u_k, sigma))
+                  for g_j, u_j in terms for g_k, u_k in terms]
+    norm = sum(w * s.scale for w, s in sandwiches)
+    if np.any(np.abs(norm) < 1e-15):
+        raise HeraldImpossible("heralded-state normalization vanishes")
+    keys = keys_up_to_order(order_max)
+    return np.stack([sum(w * s.moment(key) for w, s in sandwiches) / norm for key in keys], axis=-1)
 
 
-def heralded_moment_table(
-    params: ProtocolParams,
-    order_max: int,
-    outcome: ClickOutcome = ClickOutcome(1, 0),
-) -> MomentTable:
+def heralded_moment_table(params: ProtocolParams, order_max: int,
+                          outcome: ClickOutcome = ClickOutcome(1, 0)) -> MomentTable:
     """Exact canonical moments of the heralded state, valid for any nbar.
 
     Independent of the input-light choice: the measurement operator shape
     cancels in the normalized state.
     """
-    v1 = params.nbar_1 + 0.5
-    v2 = params.nbar_2 + 0.5
-    terms = _exponent_vectors(params, outcome)
-    sandwiches = []
-    for g_j, u_j in terms:
-        for g_k, u_k in terms:
-            sandwiches.append((np.conj(g_j) * g_k, _SandwichMoments(u_j, u_k, v1, v2)))
-    norm = complex(sum(w * s.scale for w, s in sandwiches))
-    if abs(norm) < 1e-15:
-        raise HeraldImpossible("heralded-state normalization vanishes")
-    entries: dict[Key, complex] = {}
-    for key in keys_up_to_order(order_max):
-        entries[key] = complex(sum(w * s.moment(key) for w, s in sandwiches)) / norm
-    return MomentTable(entries, order_max)
+    p = params
+    values = heralded_moments(p.mu, p.phi, p.nbar_1, p.nbar_2, order_max, outcome, p.configuration)
+    return MomentTable(dict(zip(keys_up_to_order(order_max), values.tolist())), order_max)
 
 
 def thermal_moment_table(nbar_1: float, nbar_2: float, order_max: int) -> MomentTable:
     """Moments of the bare product thermal state (mu = 0 limit)."""
-    s = _SandwichMoments(np.zeros(4), np.zeros(4), nbar_1 + 0.5, nbar_2 + 0.5)
-    entries = {key: s.moment(key) for key in keys_up_to_order(order_max)}
-    return MomentTable(entries, order_max)
+    return heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=nbar_1, nbar_2=nbar_2), order_max)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .algebra import (
     MomentTable,
@@ -122,6 +121,8 @@ def noise_covariances(env: EnvParams, t: float, damped: bool = True) -> NoiseMom
 
 def noise_covariances_quad(env: EnvParams, t: float, damped: bool = True) -> NoiseMoments:
     """Adaptive-quadrature oracle for the same integrals."""
+    from scipy.integrate import quad
+
     g, w, eps = env.gamma, env.omega_m, env.epsilon
     if g == 0.0 or t == 0.0:
         return NoiseMoments(0.0, 0.0, 0.0)

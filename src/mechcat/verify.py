@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .algebra import (
     QUAD_LETTERS,
@@ -227,6 +226,8 @@ class HomodyneDataset:
 
 def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
     """B with B B^T = C for complex symmetric C (principal square root)."""
+    from scipy.linalg import sqrtm
+
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return np.zeros_like(c)

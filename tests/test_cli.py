@@ -171,3 +171,60 @@ def test_cooling_map_command(tmp_path):
     table = {float(r_[0]): (float(r_[2]), int(r_[3])) for r_ in rows}
     assert table[0.5][1] == 1 and table[0.5][0] > 0
     assert table[5.0][1] == 0  # beyond the S3 cutoff coupling
+
+
+def test_import_loads_no_scipy():
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mechcat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("map", "[grid]\nmu = -0.1, 0.5\nphi = 0, 1\n"),
+        ("cooling-map", "[grid]\nmu = 0.5\nnbar_bath = -5\n"),
+        ("map", "[grid]\nmu = 0:1\n"),
+    ],
+    ids=["negative-mu", "negative-nbar-bath", "malformed-grid"],
+)
+def test_bad_config_value_exits_3(tmp_path, capsys, command, config):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    if command == "map":
+        argv += ["--criterion", "S3"]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:")
+
+
+def _csv_rows(path):
+    return [l.split(",") for l in path.read_text().splitlines() if l[:1].isdigit()]
+
+
+def test_default_cooling_roots_bracket_s3_sign_change(tmp_path):
+    from mechcat.criteria import s3_evolved
+    from mechcat.opensystem import EnvParams
+    from mechcat.presets import OMEGA_M_DEFAULT
+
+    outputs = {}
+    for command, extra in (("map", ["--criterion", "S3"]), ("cooling-map", [])):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}.csv"
+            assert cli.main([command, *extra, "--out", str(out), "--threads", threads]) == cli.EXIT_OK
+            outputs[command, threads] = out
+        assert outputs[command, "1"].read_bytes() == outputs[command, "2"].read_bytes()
+    rows = _csv_rows(outputs["cooling-map", "1"])
+    assert len(rows) == 21 * 9
+    for mu, nbar_bath, root, verifiable in rows:
+        mu, root = float(mu), float(root)
+        env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=float(nbar_bath))
+        if verifiable == "1":
+            assert s3_evolved(mu, root * (1 - 1e-6), env) < 0 < s3_evolved(mu, root * (1 + 1e-6), env)
+        else:
+            assert s3_evolved(mu, 0.0, env) >= 0

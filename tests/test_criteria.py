@@ -19,7 +19,7 @@ from mechcat.criteria import (
 )
 from mechcat.errors import DegenerateHerald, NonPhysicalCovariance
 from mechcat.herald import ProtocolParams, heralded_moment_table, thermal_moment_table
-from mechcat.opensystem import EnvParams
+from mechcat.opensystem import EnvParams, evolve_moments
 
 OMEGA = 2 * math.pi * 1e6
 
@@ -219,3 +219,43 @@ def test_non_gaussianity_increases_toward_phi_pi():
         st, _ = herald.heralded_state(ProtocolParams(mu=0.8, phi=phi, nbar_1=0.1, nbar_2=0.1), cfg)
         deltas.append(non_gaussianity(st))
     assert deltas[0] < deltas[1] < deltas[2]
+
+
+def _entrywise_determinant(name, mu, phi, nbar, env):
+    """Reference: every matrix entry by MomentTable.ladder_value on the evolved table."""
+    indices, order = criteria.CRITERIA[name]
+    params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
+    table = evolve_moments(heralded_moment_table(params, order), env)
+    mat = np.array([[table.ladder_value(w) for w in row] for row in criterion_words(indices)])
+    return np.linalg.det(mat).real
+
+
+@pytest.mark.parametrize("name", ["D5", "S3"])
+def test_batched_criteria_match_entrywise_reference(name):
+    mus = np.array([1e-3, 0.3, 1.0, 2.0])
+    phis = np.array([0.0, 1.0, math.pi, 5.0])
+    nbars = np.array([0.0, 0.3])
+    envs = [EnvParams(OMEGA, math.inf, 0.0), EnvParams(OMEGA, 1e5, 500.0)]
+    # one call over the whole grid; the environments run along the last axis
+    batch = criteria.evolved_criterion(name, envs)(
+        mus[:, None, None, None], phis[:, None, None], nbars[:, None]
+    )
+    assert batch.shape == (4, 4, 2, 2)
+    for (i, j, k, m), value in np.ndenumerate(batch):
+        ref = _entrywise_determinant(name, mus[i], phis[j], nbars[k], envs[m])
+        assert abs(value - ref) / (1 + abs(ref)) <= 1e-12
+
+
+def test_cooling_roots_match_brentq():
+    from scipy.optimize import brentq
+
+    for mu in (0.2, 1.0, 2.0):
+        for nbar_bath in (0.0, 1000.0):
+            env = EnvParams(OMEGA, 1e5, nbar_bath)
+            res = max_cooled_occupation(mu, env)
+            assert res.verification_possible
+            hi = 0.5
+            while s3_evolved(mu, hi, env) < 0:
+                hi *= 2
+            ref = brentq(lambda n: s3_evolved(mu, n, env), 0.0, hi, xtol=1e-14, rtol=1e-14)
+            assert abs(res.nbar_max - ref) <= 1e-9 * ref
