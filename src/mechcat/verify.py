@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    QUAD_LETTERS,
     Key,
     MomentTable,
     apply_mode_map,
@@ -72,21 +71,35 @@ class Pathway:
             raise ValueError("chi must be positive")
 
 
+def _port_bases(zetas, phi) -> np.ndarray:
+    """Transfer coefficients of the four slots into each port, shape (..., port, slot),
+    for phase sets zetas[..., :] = (zeta_1, zeta_2, zeta_3, zeta_4)."""
+    z1, z2, z3, z4 = np.moveaxis(np.asarray(zetas, dtype=float), -1, 0)
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), z1.shape)
+    e = lambda x: np.exp(1j * x)  # noqa: E731
+    one = np.ones(z1.shape, dtype=complex)
+    ports = [
+        [e(z3), e(z3 + z1), e(phi), e(phi + z2)],
+        [e(z3), e(z3 + z1), -e(phi), -e(phi + z2)],
+        [one, -e(z1), -e(phi + z4), -e(phi + z4 + z2)],
+        [one, -e(z1), e(phi + z4), -e(phi + z4 + z2)],
+    ]
+    return 0.5 * np.stack([np.stack(c, axis=-1) for c in ports], axis=-2)
+
+
+def _port_index(port: str) -> int:
+    if port not in PORTS:
+        raise ValueError(f"unknown port {port!r}")
+    return PORTS.index(port)
+
+
+def _zetas(phases: PhaseSet) -> tuple[float, float, float, float]:
+    return (phases.zeta_1, phases.zeta_2, phases.zeta_3, phases.zeta_4)
+
+
 def port_base_coefficients(phases: PhaseSet, phi: float, port: str) -> np.ndarray:
     """Transfer coefficients of the four slots into one output port."""
-    z1, z2, z3, z4 = phases.zeta_1, phases.zeta_2, phases.zeta_3, phases.zeta_4
-    e = lambda x: np.exp(1j * x)  # noqa: E731
-    if port == "A":
-        c = [e(z3), e(z3 + z1), e(phi), e(phi + z2)]
-    elif port == "B":
-        c = [e(z3), e(z3 + z1), -e(phi), -e(phi + z2)]
-    elif port == "C":
-        c = [1.0, -e(z1), -e(phi + z4), -e(phi + z4 + z2)]
-    elif port == "D":
-        c = [1.0, -e(z1), e(phi + z4), -e(phi + z4 + z2)]
-    else:
-        raise ValueError(f"unknown port {port!r}")
-    return 0.5 * np.asarray(c, dtype=complex)
+    return _port_bases(_zetas(phases), phi)[_port_index(port)]
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,14 @@ def port_observable(pathway: Pathway, port: str) -> PortForm:
 
 def _channel_signals(channels: list[tuple[Pathway, str]]) -> tuple[np.ndarray, np.ndarray]:
     """Signal coefficients over (X1, P1, X2, P2) and port noise variances, one row per channel."""
-    forms = [port_observable(pathway, port) for pathway, port in channels]
-    kappa = [[f.signal.get(letter, 0.0) for letter in QUAD_LETTERS] for f in forms]
-    return np.array(kappa, dtype=complex), np.array([f.noise_variance for f in forms])
+    pathways = [pathway for pathway, _ in channels]
+    zetas = np.reshape([_zetas(p.phases) for p in pathways], (-1, 4))
+    ports = [_port_index(port) for _, port in channels]
+    bases = _port_bases(zetas, [p.phi for p in pathways])[np.arange(len(channels)), ports]
+    pulsed = np.array([[s in p.pulses for s in SLOTS] for p in pathways], dtype=bool)
+    chi = np.array([p.chi for p in pathways], dtype=float)
+    kappa = np.where(pulsed, chi[:, None] * bases, 0.0)
+    return kappa, np.sum(bases**2, axis=-1) / 2.0
 
 
 def _coefficient_rows(kappa: np.ndarray, keys, order: int) -> np.ndarray:
@@ -162,9 +180,9 @@ def exact_port_moments(
 
 
 def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
-    """N Cov(P^d, P^e) = <P^{d+e}> - <P^d><P^e> for d, e = 1..d_max."""
+    """N Cov(P^d, P^e) = <P^{d+e}> - <P^d><P^e> for d, e = 1..d_max, per channel row."""
     idx = np.add.outer(np.arange(d_max), np.arange(d_max)) + 1
-    return exact[idx] - np.outer(exact[:d_max], exact[:d_max])
+    return exact[..., idx] - exact[..., :d_max, None] * exact[..., None, :d_max]
 
 
 # ---------------------------------------------------------------------------
@@ -225,55 +243,35 @@ class HomodyneDataset:
 
 
 def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
-    """B with B B^T = C for complex symmetric C (principal square root)."""
-    from scipy.linalg import sqrtm
+    """B = L sqrt(D) with B B^T = C, for complex symmetric C or a stack of them.
 
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros_like(c)
-    b = sqrtm(c)
-    if not np.max(np.abs(b @ b - c)) <= 1e-8 * scale:
-        # regularize a near-singular matrix and retry
-        b = sqrtm(c + 1e-12 * scale * np.eye(c.shape[0]))
-        residual = np.max(np.abs(b @ b - c))
-        if not residual <= 1e-8 * scale:
-            raise IllConditioned(
-                f"no square root of the sampling covariance: residual {residual:.3g}, scale {scale:.3g}"
-            )
-    return np.asarray(b, dtype=complex)
-
-
-def synthesize_dataset(
-    pathway: Pathway,
-    port: str,
-    table: MomentTable,
-    n_samples: int | None,
-    seed: int | None = None,
-    d_max: int = 4,
-) -> HomodyneDataset:
-    """Semi-analytic dataset: exact moments plus correlated estimation noise.
-
-    The perturbation covariance is the exact sampling covariance
-    Cov(P^d, P^e) = (<P^{d+e}> - <P^d><P^e>) / N, so the synthesized
-    estimates carry the statistics the direct-sum estimator would produce.
-    n_samples=None yields the noiseless (infinite-N) dataset.
+    An unpivoted LDL^T factor, so B moves smoothly with C while the pivots
+    stay away from zero. A zero pivot over a zero column gives a zero column
+    (an all-zero C gives B = 0); any other zero or non-finite pivot, or a
+    residual |B B^T - C| above 1e-8 of the largest |C|, raises IllConditioned.
     """
-    if table.order_max < 2 * d_max:
-        raise MissingMoment(
-            f"need moments to order {2 * d_max} for sampling covariance, "
-            f"table has {table.order_max}"
+    a = np.array(c, dtype=complex)
+    b = np.zeros_like(a)
+    for j in range(a.shape[-1]):
+        pivot, below = a[..., j, j], a[..., j + 1 :, j]
+        zero = pivot == 0
+        if np.any(zero & np.any(below != 0, axis=-1)) or not np.all(np.isfinite(pivot)):
+            raise IllConditioned("zero or non-finite pivot in the sampling covariance")
+        root = np.sqrt(pivot)
+        b[..., j, j] = root
+        b[..., j + 1 :, j] = below / np.where(zero, 1.0, root)[..., None]
+        col = b[..., j + 1 :, j]
+        a[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]
+    scale = np.max(np.abs(c), axis=(-2, -1))
+    residual = np.max(np.abs(b @ np.swapaxes(b, -1, -2) - c), axis=(-2, -1))
+    bad = ~(residual <= 1e-8 * scale)
+    if np.any(bad):
+        worst = np.flatnonzero(bad)[0]
+        raise IllConditioned(
+            f"no LDL^T factor of the sampling covariance: residual "
+            f"{np.ravel(residual)[worst]:.3g}, scale {np.ravel(scale)[worst]:.3g}"
         )
-    exact = exact_port_moments(pathway, port, table, 2 * d_max)
-    moments = exact[:d_max].copy()
-    cov = _sampling_covariance(exact, d_max)
-    if n_samples is None:
-        return HomodyneDataset(pathway, port, None, moments, np.zeros(d_max), seed)
-    cov = cov / n_samples
-    ses = np.sqrt(np.abs(np.diag(cov)))
-    rng = np.random.default_rng(seed)
-    b = _factor_complex_symmetric(cov)
-    moments = moments + b @ rng.standard_normal(d_max)
-    return HomodyneDataset(pathway, port, n_samples, moments, ses, seed)
+    return b
 
 
 def _port_spectrum(form: PortForm, state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +326,34 @@ def _coefficient_row(pathway: Pathway, port: str, keys: list[Key], order: int) -
     return _coefficient_rows(_channel_signals([(pathway, port)])[0], keys, order)[0]
 
 
+def _greedy_rows(rows: np.ndarray, rank: int) -> list[int]:
+    """Indices of the rows a greedy Gram-Schmidt pass accepts, in row order.
+
+    A row is accepted when its residual against the directions accepted
+    before it keeps more than RANK_RESIDUAL of its norm; the pass stops at
+    `rank` directions or when no later row qualifies. Rows are projected 64
+    at a time, so the work follows the rows actually scanned.
+    """
+    chunk = 64
+    norms = np.linalg.norm(rows, axis=1)
+    basis = np.empty((0, rows.shape[1]), dtype=complex)
+    accepted: list[int] = []
+    start = 0
+    while len(accepted) < rank and start < len(rows):
+        block, norm = rows[start : start + chunk], norms[start : start + chunk]
+        residual = block - (block @ basis.conj().T) @ basis
+        left = np.linalg.norm(residual, axis=1)
+        hits = np.flatnonzero((left > RANK_RESIDUAL * norm) & (norm >= 1e-12))
+        if not hits.size:
+            start += len(block)
+            continue
+        i = hits[0]
+        basis = np.vstack([basis, residual[i] / left[i]])
+        accepted.append(start + i)
+        start += i + 1
+    return accepted
+
+
 def default_phase_sets(
     target_order: int,
     phi: float = math.pi,
@@ -340,48 +366,32 @@ def default_phase_sets(
     the X1^4 and P1^4 sums: their coefficients coincide on every port for
     all fourth-root phases). Greedy selection keeps a set if one of its
     port rows adds a sufficiently independent direction at any order that
-    is still rank-deficient, then a few extra sets are kept to
-    overdetermine the system.
+    is still rank-deficient; orders never share directions, so each order
+    is one greedy pass over the rows of all candidates and ports. Once every
+    order is complete, the next `margin` candidates are kept as extras to
+    overdetermine the system. At order 4 the greedy basis never completes:
+    the candidate rows have the full rank 35, but the RANK_RESIDUAL rule
+    stops short of it, so `margin` adds nothing there.
     """
-    grid = [k * math.pi / 4.0 for k in range(8)]
-    candidates = [
-        PhaseSet(z1, z2, z3, 0.0) for z3 in grid for z1 in grid for z2 in grid
-    ]
-    keys_per_order = {d: np.array(_order_keys(d)) for d in range(1, target_order + 1)}
-    bases: dict[int, list[np.ndarray]] = {d: [] for d in keys_per_order}
-    selected: list[PhaseSet] = []
-    extra = 0
-
-    def complete() -> bool:
-        return all(len(bases[d]) >= len(keys) for d, keys in keys_per_order.items())
-
-    for cand in candidates:
-        pathway = Pathway(phases=cand, chi=chi, phi=phi)
-        useful = False
-        complete_before = complete()
-        kappa, _ = _channel_signals([(pathway, port) for port in PORTS])
-        for d, keys in keys_per_order.items():
-            if len(bases[d]) >= len(keys):
-                continue
-            for vec in _coefficient_rows(kappa, keys, d):
-                if len(bases[d]) >= len(keys):
-                    break
-                norm0 = np.linalg.norm(vec)
-                if norm0 < 1e-12:
-                    continue
-                basis = np.reshape(bases[d], (-1, len(keys)))
-                vec = vec - basis.T @ (basis.conj() @ vec)
-                if np.linalg.norm(vec) > RANK_RESIDUAL * norm0:
-                    bases[d].append(vec / np.linalg.norm(vec))
-                    useful = True
-        if useful:
-            selected.append(cand)
-        elif complete_before and extra < margin:
-            selected.append(cand)
-            extra += 1
-        if complete() and extra >= margin:
-            break
-    return selected
+    grid = np.arange(8) * math.pi / 4.0
+    z3, z1, z2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+    zetas = np.stack([z1, z2, z3, np.zeros_like(z1)], axis=-1)
+    kappa = (chi * _port_bases(zetas, phi)).reshape(-1, 4)  # candidate-then-port rows
+    useful = np.zeros(len(zetas), dtype=bool)
+    completed = -1  # candidate at which the last order completed
+    for d in range(1, target_order + 1):
+        keys = _order_keys(d)
+        accepted = np.array(_greedy_rows(_coefficient_rows(kappa, keys, d), len(keys)), dtype=int)
+        useful[accepted // len(PORTS)] = True
+        if completed is not None and len(accepted) == len(keys):
+            completed = max(completed, accepted[-1] // len(PORTS))
+        else:
+            completed = None
+    selected = np.flatnonzero(useful)
+    if completed is not None:
+        extras = np.arange(completed + 1, min(completed + 1 + margin, len(zetas)))
+        selected = np.concatenate([selected, extras])
+    return [PhaseSet(*map(float, zetas[i])) for i in selected]
 
 
 def _missing_directions(a_stacked: np.ndarray, keys: list[Key], tol: float) -> list[Key]:
@@ -490,8 +500,9 @@ class VerificationRun:
 class VerificationStudy:
     """Precomputed campaign over every (phase set, port) of the full pathway.
 
-    Exact port moments and sampling-covariance factors are computed once;
-    repeated Monte-Carlo draws then only add noise and re-run the recovery.
+    Exact port moments and the LDL^T factors of all sampling covariances are
+    computed once, as stacked arrays; repeated Monte-Carlo draws then only
+    add noise and re-run the recovery.
     """
 
     def __init__(
@@ -506,48 +517,39 @@ class VerificationStudy:
             phase_sets = default_phase_sets(target_order, phi=phi, chi=chi)
         self.table = table
         self.target_order = target_order
-        channels = [
+        self.channels = [
             (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
         ]
-        exact = _port_moments(*_channel_signals(channels), table, 2 * target_order)
-        self.channels = []
-        for (pathway, port), ex in zip(channels, exact):
-            cov = _sampling_covariance(ex, target_order)
-            self.channels.append(
-                (pathway, port, ex[:target_order], cov, _factor_complex_symmetric(cov))
-            )
+        exact = _port_moments(*_channel_signals(self.channels), table, 2 * target_order)
+        cov = _sampling_covariance(exact, target_order)
+        self.exact = exact[:, :target_order]
+        self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
+        self.factors = _factor_complex_symmetric(cov)
 
-    def run(self, n_samples: int | None = None, seed: int | None = None) -> VerificationRun:
-        datasets = []
-        for stream, (pathway, port, exact, cov, factor) in enumerate(self.channels):
+    def datasets(
+        self, n_samples: int | None = None, seed: int | tuple | None = None
+    ) -> list[HomodyneDataset]:
+        """One dataset per channel: the exact moments plus, for finite n_samples,
+        correlated estimation noise B z / sqrt(N) with z from the stream (seed, channel)."""
+        order = self.target_order
+        out = []
+        for stream, (pathway, port) in enumerate(self.channels):
+            exact = self.exact[stream]
             if n_samples is None:
-                ds = HomodyneDataset(
-                    pathway, port, None, exact.copy(), np.zeros(self.target_order), seed
-                )
-            else:
-                ses = np.sqrt(np.abs(np.diag(cov)) / n_samples)
-                rng = np.random.default_rng(None if seed is None else (seed, stream))
-                noise = (factor / math.sqrt(n_samples)) @ rng.standard_normal(self.target_order)
-                ds = HomodyneDataset(pathway, port, n_samples, exact + noise, ses, seed)
-            datasets.append(ds)
+                out.append(HomodyneDataset(pathway, port, None, exact.copy(), np.zeros(order), seed))
+                continue
+            ses = np.sqrt(self.variances[stream] / n_samples)
+            rng = np.random.default_rng(None if seed is None else (seed, stream))
+            noise = (self.factors[stream] / math.sqrt(n_samples)) @ rng.standard_normal(order)
+            out.append(HomodyneDataset(pathway, port, n_samples, exact + noise, ses, seed))
+        return out
+
+    def run(
+        self, n_samples: int | None = None, seed: int | tuple | None = None
+    ) -> VerificationRun:
+        datasets = self.datasets(n_samples, seed)
         recovered = recover_moments(datasets, self.target_order)
         return VerificationRun(
             exact_table=self.table, recovered_table=recovered, datasets=datasets
         )
 
-
-def run_verification(
-    table: MomentTable,
-    phi: float,
-    chi: float = 1.0,
-    n_samples: int | None = None,
-    seed: int | None = None,
-    target_order: int = 4,
-    phase_sets: list[PhaseSet] | None = None,
-) -> VerificationRun:
-    """Synthesize datasets for every (phase set, port) and recover moments.
-
-    `table` holds the evolved mechanical moments to order >= 2*target_order.
-    """
-    study = VerificationStudy(table, phi, chi, target_order, phase_sets)
-    return study.run(n_samples, seed)

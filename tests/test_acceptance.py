@@ -197,7 +197,7 @@ def test_criterion_8_verification_pipeline():
         params = ProtocolParams(mu=0.5, phi=PHI_DEFAULT, nbar_1=0.1, nbar_2=0.1,
                                 configuration=configuration)
         table = evolve_moments(heralded_moment_table(params, 8), env)
-        run = verify.run_verification(table, phi=PHI_DEFAULT, n_samples=None, target_order=4)
+        run = verify.VerificationStudy(table, phi=PHI_DEFAULT, target_order=4).run(None)
         devs[configuration] = run.max_abs_deviation()
     noiseless_ok = all(d < 1e-8 for d in devs.values())
 
@@ -205,14 +205,13 @@ def test_criterion_8_verification_pipeline():
     table_i = evolve_moments(heralded_moment_table(params_i, 8), env)
     pathway = verify.Pathway(chi=1.0, phi=PHI_DEFAULT)
     exact1 = verify.exact_port_moments(pathway, "A", table_i, 1)[0]
+    single = verify.VerificationStudy(table_i, phi=PHI_DEFAULT, phase_sets=[verify.PhaseSet()])
+    port_a = verify.PORTS.index("A")
     ns = [10**3, 10**4, 10**5, 10**6]
     means = []
     for n in ns:
-        errs = [
-            abs(verify.synthesize_dataset(pathway, "A", table_i, n, (17, k), 4).sample_moments[0]
-                - exact1)
-            for k in range(100)
-        ]
+        errs = [abs(single.datasets(n, (17, k))[port_a].sample_moments[0] - exact1)
+                for k in range(100)]
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
     slope_ok = abs(slope + 0.5) <= 0.1

@@ -183,6 +183,26 @@ def test_import_loads_no_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def test_verify_path_loads_no_scipy():
+    # the `mechcat verify` default table, its study and one seeded run
+    code = """
+import sys
+from mechcat import cli, verify
+from mechcat.herald import ProtocolParams, heralded_moment_table
+from mechcat.opensystem import evolve_moments
+from mechcat.presets import PHI_DEFAULT
+
+env = cli.env_from_config(cli.load_config(None))
+params = ProtocolParams(mu=1e-3, phi=PHI_DEFAULT, nbar_1=0.1, nbar_2=0.1)
+table = evolve_moments(heralded_moment_table(params, 8), env)
+verify.VerificationStudy(table, phi=PHI_DEFAULT).run(10**6, (7, 0))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "command, config",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,18 +18,22 @@ from mechcat.verify import (
     exact_port_moments,
     port_observable,
     recover_moments,
-    run_verification,
     sample_port_shots,
-    synthesize_dataset,
 )
 
 PHI = math.pi
 ENV = EnvParams(omega_m=2 * math.pi * 1e6, q_factor=1e5, nbar_bath=1000.0)
 
 
-def evolved_table(mu=0.5, phi=PHI, nbar=0.1, order=8, configuration="parallel"):
+def evolved_table(mu=0.5, phi=PHI, nbar=0.1, order=8, configuration="parallel", env=ENV):
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar, configuration=configuration)
-    return evolve_moments(heralded_moment_table(params, order), ENV)
+    return evolve_moments(heralded_moment_table(params, order), env)
+
+
+def port_datasets(table, port, n_samples, seeds, phases=PhaseSet(), chi=1.0):
+    """The `port` dataset of a one-phase-set study, one per seed."""
+    study = VerificationStudy(table, phi=PHI, chi=chi, phase_sets=[phases])
+    return [study.datasets(n_samples, seed)[PORTS.index(port)] for seed in seeds]
 
 
 def test_port_coefficients_single_pulse():
@@ -102,7 +107,8 @@ def test_odd_port_moments_vanish_on_ground_state():
 def test_synthesize_noiseless_equals_exact():
     table = evolved_table()
     pathway = Pathway(chi=1.0, phi=PHI)
-    ds = synthesize_dataset(pathway, "B", table, None, None, 4)
+    (ds,) = port_datasets(table, "B", None, [None])
+    assert (ds.pathway, ds.port) == (pathway, "B")
     assert np.allclose(ds.sample_moments, exact_port_moments(pathway, "B", table, 4))
     assert np.all(ds.standard_errors == 0)
 
@@ -113,8 +119,8 @@ def test_synthesize_estimator_variance():
     exact = exact_port_moments(pathway, "A", table, 2)
     n = 10**4
     devs = [
-        synthesize_dataset(pathway, "A", table, n, (3, k), 4).sample_moments[0] - exact[0]
-        for k in range(1000)
+        ds.sample_moments[0] - exact[0]
+        for ds in port_datasets(table, "A", n, [(3, k) for k in range(1000)])
     ]
     var_emp = np.var(np.real(devs)) + np.var(np.imag(devs))
     var_th = abs(exact[1] - exact[0] ** 2) / n
@@ -129,8 +135,8 @@ def test_error_scaling_slope():
     means = []
     for n in ns:
         devs = [
-            abs(synthesize_dataset(pathway, "A", table, n, (11, k), 4).sample_moments[0] - exact)
-            for k in range(100)
+            abs(ds.sample_moments[0] - exact)
+            for ds in port_datasets(table, "A", n, [(11, k) for k in range(100)])
         ]
         means.append(np.mean(devs))
     slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
@@ -160,15 +166,52 @@ def test_per_shot_requires_real_pathway():
         sample_port_shots(pathway, "A", state, 10, seed=0)
 
 
-def test_noise_factor_rechecks_its_regularised_retry():
-    # complex symmetric and nilpotent of index 3: it has no square root, and the
-    # regularised retry leaves a residual of order one
+def test_noise_factor_is_ldlt_with_residual_check():
+    # complex symmetric and nilpotent of index 3: its first pivot is zero over a
+    # non-zero column, so it has no LDL^T factor
     c = np.array([[0, 1, 0], [1, 0, 1j], [0, 1j, 0]])
     with pytest.raises(IllConditioned):
         verify._factor_complex_symmetric(c)
     good = np.array([[2.0, 0.5j], [0.5j, 1.0]])
     b = verify._factor_complex_symmetric(good)
-    assert np.max(np.abs(b @ b - good)) < 1e-12
+    assert np.max(np.abs(b @ b.T - good)) < 1e-12
+    # a stack of random complex symmetric matrices, factored at once into
+    # lower-triangular B = L sqrt(D)
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    stack = g @ np.swapaxes(g, -1, -2)
+    b = verify._factor_complex_symmetric(stack)
+    assert b.shape == stack.shape
+    assert np.all(np.triu(b, 1) == 0)
+    assert np.max(np.abs(b @ np.swapaxes(b, -1, -2) - stack)) < 1e-12 * np.max(np.abs(stack))
+    # an all-zero C gives a zero factor, a zero pivot over a zero column a zero column
+    assert np.all(verify._factor_complex_symmetric(np.zeros((3, 3))) == 0)
+    b = verify._factor_complex_symmetric(np.array([[0.0, 0.0], [0.0, 4.0]]))
+    assert np.array_equal(b, [[0.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(IllConditioned):
+        verify._factor_complex_symmetric(np.full((2, 2), np.nan))
+
+
+def test_seeded_recovery_stable_under_last_bit_changes():
+    # the `mechcat verify` defaults; a 1e-13 relative change of the exact
+    # moments must barely move the seeded recovered moments
+    from mechcat.presets import OMEGA_M_DEFAULT
+
+    env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
+    table = evolved_table(mu=1e-3, env=env)
+    seeds = [(7, k) for k in range(5)]
+    reference = VerificationStudy(table, phi=PHI)
+    before = [reference.run(10**6, seed).recovered_table.entries for seed in seeds]
+    for p in range(3):
+        rng = np.random.default_rng(p)
+        entries = {
+            key: value * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0)) if any(key) else value
+            for key, value in table.entries.items()
+        }
+        study = VerificationStudy(dataclasses.replace(table, entries=entries), phi=PHI)
+        for seed, ref in zip(seeds, before):
+            rec = study.run(10**6, seed).recovered_table.entries
+            assert max(abs(rec[key] - ref[key]) for key in ref) <= 1e-9
 
 
 def test_default_phase_sets_order1_minimal():
@@ -191,14 +234,14 @@ def test_default_phase_sets_span_order4():
 @pytest.mark.parametrize("configuration", ["parallel", "series"])
 def test_noiseless_recovery_exact(configuration):
     table = evolved_table(configuration=configuration)
-    run = run_verification(table, phi=PHI, n_samples=None, target_order=4)
+    run = VerificationStudy(table, phi=PHI, target_order=4).run(None)
     assert run.max_abs_deviation() < 1e-8
 
 
 def test_recovered_commutator_identity():
     # <X1^2 P1 X2> = S/3 + i <X1 X2> inside the recovered table
     table = evolved_table()
-    run = run_verification(table, phi=PHI, n_samples=None, target_order=4)
+    run = VerificationStudy(table, phi=PHI, target_order=4).run(None)
     rec = run.recovered_table
     s_sum = sum(rec.evaluate(canonicalize(w)) for w in symmetrized_expand(2, 1, 1, 0))
     assert rec.value((2, 1, 1, 0)) == pytest.approx(
@@ -278,8 +321,8 @@ def test_dataset_json_round_trip():
     from mechcat.verify import HomodyneDataset
 
     table = evolved_table(mu=1e-3)
-    pathway = Pathway(phases=PhaseSet(zeta_1=0.5), chi=1.3, phi=PHI)
-    ds = synthesize_dataset(pathway, "C", table, 10**5, (5, 1), 4)
+    (ds,) = port_datasets(table, "C", 10**5, [(5, 1)], phases=PhaseSet(zeta_1=0.5), chi=1.3)
+    assert ds.pathway == Pathway(phases=PhaseSet(zeta_1=0.5), chi=1.3, phi=PHI)
     back = HomodyneDataset.from_json(ds.to_json())
     assert back.port == "C"
     assert back.pathway == ds.pathway
@@ -368,3 +411,48 @@ def test_default_phase_sets_pinned(args, expected):
     # projection is computed must not move the greedy selection
     step = math.pi / 4.0
     assert default_phase_sets(*args) == [PhaseSet(a * step, b * step, c * step, 0.0) for a, b, c in expected]
+
+
+def _reference_phase_sets(target_order, phi, chi, margin):
+    """Candidate-by-candidate greedy selection, one port row at a time."""
+    grid = [k * math.pi / 4.0 for k in range(8)]
+    candidates = [PhaseSet(z1, z2, z3, 0.0) for z3 in grid for z1 in grid for z2 in grid]
+    keys = {d: verify._order_keys(d) for d in range(1, target_order + 1)}
+    bases = {d: [] for d in keys}
+    selected, extra = [], 0
+
+    def complete():
+        return all(len(bases[d]) >= len(keys[d]) for d in keys)
+
+    for cand in candidates:
+        pathway = Pathway(phases=cand, chi=chi, phi=phi)
+        useful, complete_before = False, complete()
+        for d in keys:
+            for port in PORTS:
+                if len(bases[d]) >= len(keys[d]):
+                    break
+                vec = verify._coefficient_row(pathway, port, keys[d], d)
+                norm0 = np.linalg.norm(vec)
+                if norm0 < 1e-12:
+                    continue
+                basis = np.reshape(bases[d], (-1, len(keys[d])))
+                vec = vec - basis.T @ (basis.conj() @ vec)
+                if np.linalg.norm(vec) > verify.RANK_RESIDUAL * norm0:
+                    bases[d].append(vec / np.linalg.norm(vec))
+                    useful = True
+        if useful:
+            selected.append(cand)
+        elif complete_before and extra < margin:
+            selected.append(cand)
+            extra += 1
+        if complete() and extra >= margin:
+            break
+    return selected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1, 0.3, 0.7, 3), (2, 2.0, 1.3, 0), (2, 5.1, 1.0, 3), (3, math.pi / 2, 0.7, 3), (4, 0.3, 1.3, 0)],
+)
+def test_default_phase_sets_match_candidate_loop(args):
+    assert default_phase_sets(*args) == _reference_phase_sets(*args)
