@@ -7,16 +7,16 @@ brute-forces the loss-channel outcome probabilities P_mnkl.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import fock
 from .errors import DegenerateHerald, TruncationTooSmall
 from .fock import FockConfig
-from .herald import CoherentInput, ProtocolParams, heralding_probability
+from .herald import CoherentInput, ProtocolParams, heralding_probability, interferometer_arms
 
 LOSS_TRUNCATION = 8
 L_SUM_TERM_TOL = 1e-12
@@ -25,16 +25,11 @@ L_SUM_M_CAP = 60
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Intensity transmission, dark-count probability per window, detector type.
-
-    `alpha` optionally overrides the protocol's entangling-pulse amplitude
-    (used by the optimizer); None keeps the protocol value.
-    """
+    """Intensity transmission, dark-count probability per window, detector type."""
 
     eta: float
     dark_prob: float
     resolving: bool = True
-    alpha: complex | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -48,24 +43,14 @@ def dark_prob_from_rate(rate_hz: float, window_s: float) -> float:
     return rate_hz * window_s
 
 
-def _with_alpha(protocol: ProtocolParams, det: DetectorParams) -> ProtocolParams:
+def _require_coherent(protocol: ProtocolParams) -> None:
     if not isinstance(protocol.input, CoherentInput):
         raise ValueError("detector formulas require a coherent input")
-    if det.alpha is None:
-        return protocol
-    return ProtocolParams(
-        mu=protocol.mu,
-        phi=protocol.phi,
-        input=CoherentInput(det.alpha),
-        configuration=protocol.configuration,
-        nbar_1=protocol.nbar_1,
-        nbar_2=protocol.nbar_2,
-    )
 
 
 def true_positive_fraction_resolving(det: DetectorParams, protocol: ProtocolParams) -> float:
     """F = [e^{(1-eta)|a|^2} + e^{-eta|a|^2} D / (eta P10 (1-D))]^-1."""
-    protocol = _with_alpha(protocol, det)
+    _require_coherent(protocol)
     a2 = abs(protocol.input.alpha) ** 2
     p10 = heralding_probability(protocol)
     if p10 < 1e-300:
@@ -100,7 +85,7 @@ def click_sum(eta: float, a2: float, mu: float, phi: float, nbar_1: float, nbar_
 
 def true_positive_fraction_nonresolving(det: DetectorParams, protocol: ProtocolParams) -> float:
     """F = [e^{-eta|a|^2} (L + D) / (eta P10)]^-1 for non-resolving detectors."""
-    protocol = _with_alpha(protocol, det)
+    _require_coherent(protocol)
     a2 = abs(protocol.input.alpha) ** 2
     p10 = heralding_probability(protocol)
     if p10 < 1e-300:
@@ -131,10 +116,10 @@ def optimize_alpha(
     tol: float = 1e-6,
 ) -> AlphaOptimum:
     """Golden-section maximum of F over real alpha in (0, hi]."""
+    _require_coherent(protocol)
 
     def f(alpha: float) -> float:
-        return true_positive_fraction(DetectorParams(det.eta, det.dark_prob, det.resolving, alpha),
-                                      protocol)
+        return true_positive_fraction(det, dataclasses.replace(protocol, input=CoherentInput(alpha)))
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -175,24 +160,31 @@ class LossOutcome:
         return self.m + self.n + self.k + self.l
 
 
-@lru_cache(maxsize=8)
-def _loss_matrices(mu: float, phi: float, config: FockConfig, max_power: int):
-    beta = 1j * mu / math.sqrt(2.0)
-    e1 = fock.displacement(1, beta, config).matrix
-    e2 = fock.displacement(2, beta, config).matrix
-    phase = np.exp(1j * phi)
-    plus = e1 + phase * e2
-    minus = e1 - phase * e2
-    def powers(m):
-        out = [np.eye(config.dim, dtype=complex)]
-        for _ in range(max_power):
-            out.append(out[-1] @ m)
-        return out
-    return powers(plus), powers(minus), powers(e1), powers(e2)
+def _check_truncation(outcome: LossOutcome, truncation: int) -> None:
+    if outcome.total > truncation:
+        raise TruncationTooSmall(f"outcome {outcome} beyond truncation {truncation}")
+
+
+def _powers(step, a: np.ndarray, count: int):
+    """a, step(a), ..., step^count(a)."""
+    yield a
+    for _ in range(count):
+        a = step(a)
+        yield a
+
+
+def _poisson_weights(mean: float, count: int) -> np.ndarray:
+    return np.array([mean**j / math.factorial(j) for j in range(count + 1)])
 
 
 class LossOracle:
-    """Brute-force P_mnkl evaluator with cached operator powers and state."""
+    """Brute-force P_mnkl = tr(Y_mnkl rho Y_mnkl^dag) for every outcome with
+    m + n + k + l <= truncation, from one walk over the thermal state factor.
+
+    Each lost photon applies its interferometer arm, each click applies
+    arm_1 +- e^{i phi} arm_2; `table[m, n, k, l]` holds P_mnkl (zero beyond
+    the truncation).
+    """
 
     def __init__(
         self,
@@ -201,47 +193,33 @@ class LossOracle:
         config: FockConfig,
         truncation: int = LOSS_TRUNCATION,
     ):
-        self.det = det
-        self.protocol = _with_alpha(protocol, det)
-        self.config = config
-        self.truncation = truncation
-        plus_p, minus_p, e1_p, e2_p = _loss_matrices(
-            self.protocol.mu, self.protocol.phi, config, truncation
-        )
-        self._plus, self._minus = plus_p, minus_p
-        self._e1, self._e2 = e1_p, e2_p
-        self._pops = np.kron(
-            fock.thermal_populations(self.protocol.nbar_1, config.cutoff_1),
-            fock.thermal_populations(self.protocol.nbar_2, config.cutoff_2),
-        )
-        self._mn_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._kl_cache: dict[tuple[int, int], np.ndarray] = {}
+        _require_coherent(protocol)
+        t = self.truncation = truncation
+        arm_1, arm_2 = interferometer_arms(protocol, config)
+        phase = np.exp(1j * protocol.phi)
+
+        def plus(a):
+            return arm_1(a) + phase * arm_2(a)
+
+        def minus(a):
+            return arm_1(a) - phase * arm_2(a)
+
+        norms = np.zeros((t + 1,) * 4)
+        factor = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).factor
+        for k, a_k in enumerate(_powers(arm_1, factor, t)):
+            for l, a_kl in enumerate(_powers(arm_2, a_k, t - k)):  # noqa: E741
+                for n, a_nkl in enumerate(_powers(minus, a_kl, t - k - l)):
+                    for m, a in enumerate(_powers(plus, a_nkl, t - k - l - n)):
+                        norms[m, n, k, l] = np.vdot(a, a).real
+        a2 = abs(protocol.input.alpha) ** 2
+        click = _poisson_weights(det.eta * a2 / 4.0, t)
+        lost = _poisson_weights((1.0 - det.eta) * a2 / 2.0, t)
+        self.table = math.exp(-a2) * np.einsum("m,n,k,l->mnkl", click, click, lost, lost) * norms
 
     def probability(self, outcome: LossOutcome) -> float:
-        """P_mnkl = tr(Y_mnkl rho Y_mnkl^dag)."""
-        if outcome.total > self.truncation:
-            raise TruncationTooSmall(
-                f"outcome {outcome} beyond truncation {self.truncation}"
-            )
-        m, n, k, l = outcome.m, outcome.n, outcome.k, outcome.l
-        alpha = self.protocol.input.alpha
-        eta = self.det.eta
-        pref = (
-            math.exp(-abs(alpha) ** 2 / 2.0)
-            * (math.sqrt(eta) * abs(alpha) / 2.0) ** (m + n)
-            * (math.sqrt((1.0 - eta) / 2.0) * abs(alpha)) ** (k + l)
-            / math.sqrt(
-                math.factorial(m) * math.factorial(n) * math.factorial(k) * math.factorial(l)
-            )
-        )
-        if (m, n) not in self._mn_cache:
-            self._mn_cache[(m, n)] = self._plus[m] @ self._minus[n]
-        if (k, l) not in self._kl_cache:
-            self._kl_cache[(k, l)] = self._e1[k] @ self._e2[l]
-        op = self._mn_cache[(m, n)] @ self._kl_cache[(k, l)]
-        # rho is diagonal: the trace is a population-weighted column norm
-        col_norms = np.einsum("ij,ij->j", op.conj(), op).real
-        return float(pref * pref * (col_norms @ self._pops))
+        """P_mnkl of one outcome."""
+        _check_truncation(outcome, self.truncation)
+        return float(self.table[outcome.m, outcome.n, outcome.k, outcome.l])
 
 
 def loss_outcome_probability(
@@ -251,7 +229,8 @@ def loss_outcome_probability(
     config: FockConfig,
     truncation: int = LOSS_TRUNCATION,
 ) -> float:
-    return LossOracle(det, protocol, config, truncation).probability(outcome)
+    _check_truncation(outcome, truncation)
+    return LossOracle(det, protocol, config, outcome.total).probability(outcome)
 
 
 @dataclass(frozen=True)
@@ -268,21 +247,14 @@ def fractions_from_oracle(
     truncation: int = LOSS_TRUNCATION,
 ) -> OracleFractions:
     """Assemble both F values from brute-force P_mnkl sums (n = 0 clicks)."""
-    oracle = LossOracle(det, protocol, config, truncation)
+    table = LossOracle(det, protocol, config, truncation).table
     dark = det.dark_prob
-    p = {}
-    for m in range(truncation + 1):
-        for k in range(truncation + 1 - m):
-            for l in range(truncation + 1 - m - k):
-                p[(m, k, l)] = oracle.probability(LossOutcome(m, 0, k, l))
-    p1000 = p[(1, 0, 0)]
-    sum_10kl = sum(v for (m, k, l), v in p.items() if m == 1)
-    sum_00kl = sum(v for (m, k, l), v in p.items() if m == 0)
-    sum_m0kl = sum(v for (m, k, l), v in p.items() if m >= 1)
+    p = table[:, 0]  # P_m0kl
+    p1000 = p[1, 0, 0]
+    sum_10kl, sum_00kl, sum_m0kl = p[1].sum(), p[0].sum(), p[1:].sum()
     res = (1.0 - dark) * p1000 / ((1.0 - dark) * sum_10kl + dark * sum_00kl)
     nonres = p1000 / (sum_m0kl + dark * sum_00kl)
-    covered = total_probability_covered(det, protocol, config, truncation, oracle)
-    return OracleFractions(res, nonres, covered)
+    return OracleFractions(float(res), float(nonres), float(table.sum()))
 
 
 def total_probability_covered(
@@ -290,15 +262,6 @@ def total_probability_covered(
     protocol: ProtocolParams,
     config: FockConfig,
     truncation: int = LOSS_TRUNCATION,
-    oracle: LossOracle | None = None,
 ) -> float:
     """sum over all {m,n,k,l} with total <= truncation; approaches 1."""
-    if oracle is None:
-        oracle = LossOracle(det, protocol, config, truncation)
-    total = 0.0
-    for m in range(truncation + 1):
-        for n in range(truncation + 1 - m):
-            for k in range(truncation + 1 - m - n):
-                for l in range(truncation + 1 - m - n - k):
-                    total += oracle.probability(LossOutcome(m, n, k, l))
-    return total
+    return float(LossOracle(det, protocol, config, truncation).table.sum())

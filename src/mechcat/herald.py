@@ -112,24 +112,27 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
+def interferometer_arms(params: ProtocolParams, config: FockConfig):
+    """The two interferometer arms as maps on state factors, applied mode by mode:
+    D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series (D = e^{i mu X})."""
+    beta = 1j * params.mu / math.sqrt(2.0)
+    d1 = fock.checked_displacement(beta, config.cutoff_1)
+    d2 = fock.checked_displacement(beta, config.cutoff_2)
+    if params.configuration == PARALLEL:
+        return (lambda a: fock.on_mode(d1, 1, a)), (lambda a: fock.on_mode(d2, 2, a))
+    return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)
+
+
 def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig):
     """The click operator Y_mn as a map on state factors, applied mode by mode."""
     m, n = outcome.m, outcome.n
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
-    beta = 1j * params.mu / math.sqrt(2.0)
+    arm_1, arm_2 = interferometer_arms(params, config)
     phase = np.exp(1j * params.phi)
-    d1 = fock.checked_displacement(beta, config.cutoff_1)
-    d2 = fock.checked_displacement(beta, config.cutoff_2)
-    if params.configuration == PARALLEL:
-        def arm_sum(a, sign):  # (D1 x 1 +- e^{i phi} 1 x D2) a
-            return fock.on_mode(d1, 1, a) + sign * phase * fock.on_mode(d2, 2, a)
-    else:
-        def arm_sum(a, sign):  # (D1 x D2 +- e^{i phi}) a
-            return fock.on_mode(d1, 1, fock.on_mode(d2, 2, a)) + sign * phase * a
 
     def apply(a: np.ndarray) -> np.ndarray:  # pref * plus^m minus^n a
         for sign in (-1.0,) * n + (1.0,) * m:
-            a = arm_sum(a, sign)
+            a = arm_1(a) + sign * phase * arm_2(a)
         return pref * a
 
     return apply

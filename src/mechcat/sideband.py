@@ -18,6 +18,10 @@ class CavityParams:
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
+        if self.omega_m <= 0:
+            raise ValueError("omega_m must be positive")
+        if self.g0 < 0:
+            raise ValueError("g0 must be >= 0")
 
     @property
     def sideband_ratio(self) -> float:

@@ -223,6 +223,17 @@ def test_bad_config_value_exits_3(tmp_path, capsys, command, config):
     assert len(err) == 1 and err[0].startswith("error: ValueError:")
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [["--g0", "1", "--kappa", "1", "--omega-m", "0"], ["--g0", "-5", "--kappa", "1", "--omega-m", "-10"]],
+    ids=["zero-omega-m", "negative-g0-and-omega-m"],
+)
+def test_impossible_sideband_rates_exit_3(capsys, rates):
+    assert cli.main(["sideband", *rates]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:")
+
+
 def _csv_rows(path):
     return [l.split(",") for l in path.read_text().splitlines() if l[:1].isdigit()]
 

@@ -1,10 +1,16 @@
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mechcat import fock
 from mechcat.detector import (
+    LOSS_TRUNCATION,
     DetectorParams,
+    LossOracle,
     LossOutcome,
     click_sum,
     dark_prob_from_rate,
@@ -17,7 +23,7 @@ from mechcat.detector import (
 )
 from mechcat.errors import DegenerateHerald, TruncationTooSmall
 from mechcat.fock import FockConfig
-from mechcat.herald import CoherentInput, ProtocolParams, SinglePhotonInput
+from mechcat.herald import PARALLEL, SERIES, CoherentInput, ProtocolParams, SinglePhotonInput
 
 DET = DetectorParams(eta=0.8, dark_prob=1e-8)
 
@@ -42,6 +48,8 @@ def test_requires_coherent_input():
     p = ProtocolParams(mu=0.5, phi=math.pi, input=SinglePhotonInput())
     with pytest.raises(ValueError):
         true_positive_fraction_resolving(DET, p)
+    with pytest.raises(ValueError):
+        optimize_alpha(DET, p)
 
 
 def test_benchmark_fractions():
@@ -125,10 +133,8 @@ def test_loss_oracle_completeness():
     assert covered + tail == pytest.approx(1.0, abs=1e-8)
 
 
-def test_oracle_matches_closed_forms():
-    cfg = FockConfig(20, 20)
-    p = protocol(1e-2)
-    oracle = fractions_from_oracle(DET, p, cfg)
+def assert_oracle_matches_closed_forms(p):
+    oracle = fractions_from_oracle(DET, p, FockConfig(20, 20))
     det_n = DetectorParams(eta=0.8, dark_prob=1e-8, resolving=False)
     assert oracle.resolving == pytest.approx(true_positive_fraction_resolving(DET, p), abs=1e-6)
     assert oracle.nonresolving == pytest.approx(
@@ -136,12 +142,64 @@ def test_oracle_matches_closed_forms():
     )
 
 
-def test_alpha_override():
-    det = DetectorParams(eta=0.8, dark_prob=1e-8, alpha=0.5)
-    direct = true_positive_fraction_resolving(
-        DetectorParams(eta=0.8, dark_prob=1e-8), protocol(0.5, alpha=0.5)
-    )
-    assert true_positive_fraction_resolving(det, protocol(0.5, alpha=1.0)) == pytest.approx(direct)
+def test_oracle_matches_closed_forms():
+    assert_oracle_matches_closed_forms(protocol(1e-2))
+
+
+def test_series_oracle_matches_closed_forms():
+    assert_oracle_matches_closed_forms(dataclasses.replace(protocol(1e-2), configuration=SERIES))
+
+
+def dense_loss_probabilities(det, p, cfg, truncation):
+    """Every P_mnkl from Kronecker-embedded dim x dim displacements: the
+    population-weighted column norms of plus^m minus^n arm_1^k arm_2^l."""
+    beta = 1j * p.mu / math.sqrt(2.0)
+    d1 = fock.displacement(1, beta, cfg).matrix
+    d2 = fock.displacement(2, beta, cfg).matrix
+    arm_1, arm_2 = (d1, d2) if p.configuration == PARALLEL else (d1 @ d2, np.eye(cfg.dim))
+    phase = np.exp(1j * p.phi)
+    powers = [[np.linalg.matrix_power(op, j) for j in range(truncation + 1)]
+              for op in (arm_1 + phase * arm_2, arm_1 - phase * arm_2, arm_1, arm_2)]
+    pops = np.kron(fock.thermal_populations(p.nbar_1, cfg.cutoff_1),
+                   fock.thermal_populations(p.nbar_2, cfg.cutoff_2))
+    a = abs(p.input.alpha)
+    out = {}
+    for m, n, k, l in itertools.product(range(truncation + 1), repeat=4):  # noqa: E741
+        if m + n + k + l > truncation:
+            continue
+        op = powers[0][m] @ powers[1][n] @ powers[2][k] @ powers[3][l]
+        pref = (math.exp(-a * a / 2.0) * (math.sqrt(det.eta) * a / 2.0) ** (m + n)
+                * (math.sqrt((1.0 - det.eta) / 2.0) * a) ** (k + l)
+                / math.sqrt(math.factorial(m) * math.factorial(n) * math.factorial(k) * math.factorial(l)))
+        col_norms = np.einsum("ij,ij->j", op.conj(), op).real
+        out[LossOutcome(m, n, k, l)] = pref * pref * (col_norms @ pops)
+    return out
+
+
+@pytest.mark.parametrize("configuration", [PARALLEL, SERIES])
+@pytest.mark.parametrize("eta", [0.8, 1.0])
+def test_loss_oracle_matches_dense_reference(configuration, eta):
+    cfg = FockConfig(10, 10)
+    det = DetectorParams(eta=eta, dark_prob=1e-8)
+    p = ProtocolParams(mu=0.6, phi=2.1, input=CoherentInput(1.3), configuration=configuration,
+                       nbar_1=0.05, nbar_2=0.1)
+    oracle = LossOracle(det, p, cfg)
+    reference = dense_loss_probabilities(det, p, cfg, LOSS_TRUNCATION)
+    assert len(reference) == 495
+    for outcome, ref in reference.items():
+        assert abs(oracle.probability(outcome) - ref) <= 1e-12, outcome
+    assert oracle.table.sum() == pytest.approx(sum(reference.values()), abs=1e-12)
+
+
+def test_loss_oracle_memory_stays_below_one_dense_matrix():
+    cfg = FockConfig(24, 24)
+    tracemalloc.start()
+    try:
+        fractions_from_oracle(DET, protocol(0.3, nbar=0.0), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * cfg.dim**2
 
 
 def test_parameter_validation():

@@ -23,7 +23,10 @@ def test_percent_reduction_reference_rows():
 
 
 def test_percent_reduction_zero_frequency():
-    assert percent_reduction(CavityParams(g0=1.0, kappa=1.0, omega_m=0.0)) == 0.0
+    # a zero mechanical frequency is rejected; the reduction vanishes towards it
+    with pytest.raises(ValueError):
+        CavityParams(g0=1.0, kappa=1.0, omega_m=0.0)
+    assert percent_reduction(CavityParams(g0=1.0, kappa=1.0, omega_m=1e-9)) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_percent_reduction_requires_standard_pulse():
