@@ -207,18 +207,25 @@ def non_gaussianity(state: TwoModeState) -> float:
 # cooling requirements
 
 
+def _evolution_maps(name: str, envs: list[EnvParams], schedule: MeasurementSchedule | None = None) -> np.ndarray:
+    """Single-mode evolution maps of the named criterion's order, one per environment."""
+    order = CRITERIA[name][1]
+    return np.stack([evolution_map(e, schedule or MeasurementSchedule.standard(e), order) for e in envs])
+
+
+def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
+    """D5 or S3 after the evolution maps, at every point of the broadcast arrays."""
+    order = CRITERIA[name][1]
+    vectors = apply_mode_map(maps, heralded_moments(mu, phi, nbar, nbar, order), order)
+    return _determinants(name, criterion_matrices(name, vectors))
+
+
 def evolved_criterion(name: str, envs: list[EnvParams], schedule: MeasurementSchedule | None = None):
     """The function (mu, phi, nbar) -> D5 or S3 after the open-system verification
     delays, at every point of broadcast arrays. The evolution maps are built
     once; the environments run along the last batch axis (one broadcasts)."""
-    order = CRITERIA[name][1]
-    maps = np.stack([evolution_map(e, schedule or MeasurementSchedule.standard(e), order) for e in envs])
-
-    def values(mu, phi, nbar) -> np.ndarray:
-        vectors = apply_mode_map(maps, heralded_moments(mu, phi, nbar, nbar, order), order)
-        return _determinants(name, criterion_matrices(name, vectors))
-
-    return values
+    maps = _evolution_maps(name, envs, schedule)
+    return lambda mu, phi, nbar: _criterion_values(name, maps, mu, phi, nbar)
 
 
 def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi,
@@ -240,28 +247,39 @@ class CoolingResult:
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Midpoints of brackets with f(lo) < 0 <= f(hi), all narrowed at once until
-    hi - lo <= 1e-10 hi (or 1e-15, the floor for a bracket at zero)."""
-    while np.any(wide := hi - lo > np.maximum(1e-10 * np.abs(hi), 1e-15)):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo, hi = np.where(wide & neg, mid, lo), np.where(wide & ~neg, mid, hi)
+    hi - lo <= 1e-10 hi (or 1e-15, the floor for a bracket at zero). f(x, at)
+    evaluates at the flat indices `at` of the brackets still open."""
+    lo, hi = np.array(lo, float).ravel(), np.array(hi, float).ravel()
+    while (at := np.flatnonzero(hi - lo > np.maximum(1e-10 * np.abs(hi), 1e-15))).size:
+        mid = 0.5 * (lo[at] + hi[at])
+        neg = f(mid, at) < 0.0
+        lo[at[neg]], hi[at[~neg]] = mid[neg], mid[~neg]
     return 0.5 * (lo + hi)
 
 
 def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple[np.ndarray, np.ndarray]:
     """Largest initial occupation with S3 < 0 (0 where there is none) and the
     verification flag at every coupling of mu; the environments run along the
-    last axis of mu (one broadcasts)."""
+    last axis of mu (one broadcasts). S3 is evaluated only where a bracket is
+    still growing or open."""
     if np.any(np.asarray(mu) <= 0):
         raise ValueError("mu must be positive")
-    s3 = evolved_criterion("S3", envs)
-    ok = s3(mu, phi, 0.0) < 0.0
-    lo, hi = np.zeros(ok.shape), np.where(ok, 0.5, 0.0)
-    while np.any(up := ok & (s3(mu, phi, hi) < 0.0)):
-        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
+    maps = _evolution_maps("S3", envs)
+    shape = np.broadcast_shapes(np.shape(mu), (len(envs),))
+    mus = np.broadcast_to(mu, shape).ravel()
+    env_index = np.broadcast_to(np.arange(len(envs)), shape).ravel()
+
+    def s3(nbar, at):
+        return _criterion_values("S3", maps[env_index[at]], mus[at], phi, nbar)
+
+    ok = s3(0.0, np.arange(mus.size)) < 0.0
+    lo, hi = np.zeros(mus.size), np.where(ok, 0.5, 0.0)
+    up = np.flatnonzero(ok)
+    while (up := up[s3(hi[up], up) < 0.0]).size:
+        lo[up], hi[up] = hi[up], 2.0 * hi[up]
         if np.any(hi > 1e9):
             raise RuntimeError("S3 stayed negative up to nbar = 1e9")
-    return np.where(ok, _bisect(lambda n: s3(mu, phi, n), lo, hi), 0.0), ok
+    return np.where(ok, _bisect(s3, lo, hi), 0.0).reshape(shape), ok.reshape(shape)
 
 
 def max_cooled_occupation(mu: float, env: EnvParams, phi: float = math.pi) -> CoolingResult:
@@ -280,4 +298,4 @@ def mu_cutoff(env: EnvParams, phi: float = math.pi, mu_lo: float = 0.5, mu_hi: f
         raise RuntimeError(f"no S3 sign change found below mu = {mu_hi}")
     if nonneg[0] == 0:
         raise RuntimeError("S3 already non-negative at mu_lo")
-    return float(_bisect(lambda m: s3(m, phi, 0.0), scan[nonneg[0] - 1], scan[nonneg[0]])[0])
+    return float(_bisect(lambda m, at: s3(m, phi, 0.0), scan[nonneg[0] - 1], scan[nonneg[0]])[0])

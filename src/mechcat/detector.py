@@ -247,6 +247,7 @@ def fractions_from_oracle(
     truncation: int = LOSS_TRUNCATION,
 ) -> OracleFractions:
     """Assemble both F values from brute-force P_mnkl sums (n = 0 clicks)."""
+    _check_truncation(LossOutcome(1, 0, 0, 0), truncation)
     table = LossOracle(det, protocol, config, truncation).table
     dark = det.dark_prob
     p = table[:, 0]  # P_m0kl

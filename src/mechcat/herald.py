@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .algebra import Key, MomentTable, keys_up_to_order
+from .algebra import MomentTable, _grid_index, keys_up_to_order, mode_keys
 from .errors import HeraldImpossible, ZeroOperator
 from .fock import FockConfig, ModeOperator, TwoModeState
 
@@ -193,50 +193,40 @@ def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig
 # ---------------------------------------------------------------------------
 # closed-form moment path
 #
-# The heralded (unnormalized) state is sum_t g_t e^{i u_t . R} rho_th h.c.
-# with real 4-vectors u_t over R = (X1, P1, X2, P2). Sandwich expectations
-# <e^{-i u_j . R} X1^p P1^q X2^r P2^s e^{i u_k . R}> on a thermal state come
-# from a generating function exp(const + beta.y + y^T H y / 2), so each
-# canonical moment obeys the Gaussian moment recursion with complex mean and
-# covariance.
-
-_J = np.zeros((4, 4), dtype=complex)
-_J[0, 1], _J[1, 0] = 1j, -1j  # [X1, P1] = i
-_J[2, 3], _J[3, 2] = 1j, -1j
-_K = np.zeros((4, 4), dtype=complex)
-_K[0, 1] = _K[1, 0] = _K[2, 3] = _K[3, 2] = 1.0
+# The heralded (unnormalized) state is sum_t g_t e^{i x_t . X} rho_th h.c.
+# with real coefficients x_t over X = (X1, X2). Sandwich expectations
+# <e^{-i x_j . X} X1^p P1^q X2^r P2^s e^{i x_k . X}> on a thermal state come
+# from a generating function exp(const + beta.y + y^T H y / 2). Both the
+# thermal covariance and the [X, P] coupling act within one mode, so H has
+# no cross-mode entry and every moment is a mode-1 factor times a mode-2
+# factor, each from the one-mode Gaussian moment recursion. Mode m has
+# sigma_m = nbar_m + 1/2, dx_m = x_km - x_jm, mean beta = (-sigma_m dx_m,
+# (i/2)(x_jm + x_km)) and const = -sum_m sigma_m dx_m^2 / 2.
 
 
-class _SandwichMoments:
-    """Moments of one sandwich term (u_j, u_k) on a product thermal state with
-    quadrature variances sigma; all three have shape (4, *batch), and so every
-    moment is an array over the batch."""
+def _mode_table(beta_x: np.ndarray, beta_p: np.ndarray, sigma: np.ndarray, order_max: int) -> np.ndarray:
+    """(-i)^(a+b) R(a, b) over mode_keys(order_max), stacked on a new leading axis.
 
-    def __init__(self, u_j: np.ndarray, u_k: np.ndarray, sigma: np.ndarray):
-        du = u_k - u_j
-        j_k = np.einsum("ij,j...->i...", _J, u_k)
-        self.const = -0.5 * np.sum(du * sigma * du, axis=0) + 0.5 * np.sum(u_j * j_k, axis=0)
-        self.beta = -sigma * du - 0.5 * (np.einsum("ij,j...->i...", _J, u_j) + j_k)
-        # the nonzero entries of H = -sigma - K/2 i
-        self.h = {(i, k): -sigma[i] if i == k else -0.5j * _K[i, k]
-                  for i in range(4) for k in range(4) if i == k or _K[i, k]}
-        self.scale = np.exp(self.const)
-        self._memo: dict[tuple[int, ...], np.ndarray] = {(): np.ones_like(self.scale)}
-
-    def _raw(self, idx: tuple[int, ...]) -> np.ndarray:
-        if idx in self._memo:
-            return self._memo[idx]
-        i, rest = idx[0], idx[1:]
-        val = self.beta[i] * self._raw(rest)
-        for j in range(len(rest)):
-            if (i, rest[j]) in self.h:
-                val = val + self.h[i, rest[j]] * self._raw(rest[:j] + rest[j + 1 :])
-        self._memo[idx] = val
-        return val
-
-    def moment(self, key: Key) -> np.ndarray:
-        idx = sum(((i,) * e for i, e in enumerate(key)), ())
-        return (-1j) ** len(idx) * self.scale * self._raw(idx)
+    R is the one-mode moment recursion with mean (beta_x, beta_p), diagonal
+    covariance -sigma and [X, P] coupling -i/2, from X^0 P^0 = 1:
+    R(a, b) = beta_x R(a-1, b) - sigma (a-1) R(a-2, b) - (i/2) b R(a-1, b-1) for a > 0,
+    R(0, b) = beta_p R(0, b-1) - sigma (b-1) R(0, b-2).
+    """
+    r = {(0, 0): np.ones_like(beta_x)}
+    for a, b in mode_keys(order_max)[1:]:
+        if a:
+            v = beta_x * r[a - 1, b]
+            if a > 1:
+                v = v - sigma * (a - 1) * r[a - 2, b]
+            if b:
+                v = v - 0.5j * b * r[a - 1, b - 1]
+        else:
+            v = beta_p * r[0, b - 1]
+            if b > 1:
+                v = v - sigma * (b - 1) * r[0, b - 2]
+        r[a, b] = v
+    # the phase is exact: multiplying by +-1 or +-i only swaps and negates parts
+    return np.stack([(-1j) ** (a + b) * r[a, b] for a, b in mode_keys(order_max)])
 
 
 def heralded_moments(mu, phi, nbar_1, nbar_2, order_max: int, outcome: ClickOutcome = ClickOutcome(1, 0),
@@ -248,21 +238,31 @@ def heralded_moments(mu, phi, nbar_1, nbar_2, order_max: int, outcome: ClickOutc
     mu, phi, n1, n2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (mu, phi, nbar_1, nbar_2)))
     if np.any(mu < 0) or np.any(np.minimum(n1, n2) < 0):
         raise ValueError("mu and nbar must be >= 0")
-    sigma = np.stack([n1, n1, n2, n2]) + 0.5
-    # (gamma_t, u_t) terms of the measurement operator, u_t of shape (4, *batch)
+    sigma = np.stack([n1, n2]) + 0.5
+    # (gamma_t, x_t) terms of the measurement operator, x_t of shape (2, *batch)
     phase = (1.0 if outcome.m == 1 else -1.0) * np.exp(1j * phi)
     z = np.zeros_like(mu)
     if configuration == PARALLEL:
-        terms = [(1.0 + 0.0j, np.stack([mu, z, z, z])), (phase, np.stack([z, z, mu, z]))]
+        terms = [(1.0 + 0.0j, np.stack([mu, z])), (phase, np.stack([z, mu]))]
     else:
-        terms = [(1.0 + 0.0j, np.stack([mu, z, mu, z])), (phase, np.stack([z, z, z, z]))]
-    sandwiches = [(np.conj(g_j) * g_k, _SandwichMoments(u_j, u_k, sigma))
-                  for g_j, u_j in terms for g_k, u_k in terms]
-    norm = sum(w * s.scale for w, s in sandwiches)
+        terms = [(1.0 + 0.0j, np.stack([mu, mu])), (phase, np.stack([z, z]))]
+    # the four (j, k) sandwich terms on a leading axis
+    w = np.stack(np.broadcast_arrays(*(np.conj(g_j) * g_k for g_j, _ in terms for g_k, _ in terms)))
+    x_j = np.stack([x for _, x in terms for _ in terms])
+    x_k = np.stack([x for _ in terms for _, x in terms])
+    dx = x_k - x_j
+    # the complex exp, w * (scale * product) and the sequential sum over sandwich
+    # terms keep order 2 bit-identical to the whole-word recursion in the tests
+    scale = np.exp(-0.5 * np.sum(dx * sigma * dx, axis=1) + 0j)
+    beta_x, beta_p = -sigma * dx, 0.5j * (x_j + x_k)
+    norm = sum(w * scale)
     if np.any(np.abs(norm) < 1e-15):
         raise HeraldImpossible("heralded-state normalization vanishes")
-    keys = keys_up_to_order(order_max)
-    return np.stack([sum(w * s.moment(key) for w, s in sandwiches) / norm for key in keys], axis=-1)
+    i1, i2 = _grid_index(order_max)
+    t1 = _mode_table(beta_x[:, 0], beta_p[:, 0], sigma[0], order_max)
+    t2 = _mode_table(beta_x[:, 1], beta_p[:, 1], sigma[1], order_max)
+    parts = w * (scale * (t1[i1] * t2[i2]))  # (keys, sandwich, *batch)
+    return np.moveaxis(sum(np.moveaxis(parts, 1, 0)) / norm, 0, -1)
 
 
 def heralded_moment_table(params: ProtocolParams, order_max: int,

@@ -242,27 +242,39 @@ class HomodyneDataset:
         )
 
 
+_TAN_PI_16 = math.tan(math.pi / 16)
+
+
 def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
     """B = L sqrt(D) with B B^T = C, for complex symmetric C or a stack of them.
 
     An unpivoted LDL^T factor, so B moves smoothly with C while the pivots
-    stay away from zero. A zero pivot over a zero column gives a zero column
-    (an all-zero C gives B = 0); any other zero or non-finite pivot, or a
-    residual |B B^T - C| above 1e-8 of the largest |C|, raises IllConditioned.
+    stay away from zero. A pivot of modulus at most 1e-10 of the largest |C|
+    counts as zero and its column of B is zero: dividing by its root would
+    turn rounding noise into a factor column (an all-zero C gives B = 0).
+    A non-finite pivot, or a residual |B B^T - C| above 1e-8 of the largest
+    |C|, raises IllConditioned; so a dropped column that mattered, such as
+    the first of [[0, 1], [1, 0]], raises too.
+
+    The roots are taken with arg in (-9 pi/16, 7 pi/16], so their branch cut
+    lies along arg(pivot) = 7 pi/8. On the principal cut, the negative real
+    axis, sits the pivot of any purely imaginary signal combination, and the
+    sign of its column would follow the rounding of its imaginary part.
     """
     a = np.array(c, dtype=complex)
     b = np.zeros_like(a)
+    scale = np.max(np.abs(a), axis=(-2, -1))
     for j in range(a.shape[-1]):
         pivot, below = a[..., j, j], a[..., j + 1 :, j]
-        zero = pivot == 0
-        if np.any(zero & np.any(below != 0, axis=-1)) or not np.all(np.isfinite(pivot)):
-            raise IllConditioned("zero or non-finite pivot in the sampling covariance")
-        root = np.sqrt(pivot)
+        if not np.all(np.isfinite(pivot)):
+            raise IllConditioned("non-finite pivot in the sampling covariance")
+        keep = np.abs(pivot) > 1e-10 * scale
+        root = np.sqrt(np.where(keep, pivot, 0.0))
+        root = np.where((root.imag > 0) & (root.real <= _TAN_PI_16 * root.imag), -root, root)
         b[..., j, j] = root
-        b[..., j + 1 :, j] = below / np.where(zero, 1.0, root)[..., None]
+        b[..., j + 1 :, j] = np.where(keep[..., None], below / np.where(keep, root, 1.0)[..., None], 0.0)
         col = b[..., j + 1 :, j]
         a[..., j + 1 :, j + 1 :] -= col[..., :, None] * col[..., None, :]
-    scale = np.max(np.abs(c), axis=(-2, -1))
     residual = np.max(np.abs(b @ np.swapaxes(b, -1, -2) - c), axis=(-2, -1))
     bad = ~(residual <= 1e-8 * scale)
     if np.any(bad):

@@ -259,3 +259,30 @@ def test_cooling_roots_match_brentq():
                 hi *= 2
             ref = brentq(lambda n: s3_evolved(mu, n, env), 0.0, hi, xtol=1e-14, rtol=1e-14)
             assert abs(res.nbar_max - ref) <= 1e-9 * ref
+
+
+def _cooled_occupations_all_points(mu, envs, phi=math.pi):
+    """Reference: the same brackets and bisection, with S3 evaluated at every point
+    on every step."""
+    s3 = criteria.evolved_criterion("S3", envs)
+    ok = s3(mu, phi, 0.0) < 0.0
+    lo, hi = np.zeros(ok.shape), np.where(ok, 0.5, 0.0)
+    while np.any(up := ok & (s3(mu, phi, hi) < 0.0)):
+        lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
+    while np.any(wide := hi - lo > np.maximum(1e-10 * np.abs(hi), 1e-15)):
+        mid = 0.5 * (lo + hi)
+        neg = s3(mu, phi, mid) < 0.0
+        lo, hi = np.where(wide & neg, mid, lo), np.where(wide & ~neg, mid, hi)
+    return np.where(ok, 0.5 * (lo + hi), 0.0), ok
+
+
+def test_cooled_occupations_match_all_point_bisection():
+    # open brackets only, yet every root bit-identical; the grid has points
+    # that are not verifiable and brackets that close at different steps
+    mus = np.linspace(0.2, 4.2, 9)[:, None]
+    envs = [EnvParams(OMEGA, 1e5, nb) for nb in (0.0, 700.0, 2000.0)]
+    nbar_max, ok = criteria.cooled_occupations(mus, envs)
+    ref_max, ref_ok = _cooled_occupations_all_points(mus, envs)
+    assert nbar_max.shape == ok.shape == (9, 3)
+    assert not ok.all() and ok.any()
+    assert np.array_equal(ok, ref_ok) and np.array_equal(nbar_max, ref_max)

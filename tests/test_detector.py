@@ -124,6 +124,11 @@ def test_loss_oracle_no_loss_channel():
         loss_outcome_probability(det, protocol(0.3), LossOutcome(5, 4, 3, 2), cfg)
 
 
+def test_fractions_need_the_herald_outcome_in_the_truncation():
+    with pytest.raises(TruncationTooSmall):
+        fractions_from_oracle(DET, protocol(0.3, nbar=0.0), FockConfig(8, 8), truncation=0)
+
+
 def test_loss_oracle_completeness():
     cfg = FockConfig(20, 20)
     p = protocol(0.3)

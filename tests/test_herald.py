@@ -197,3 +197,139 @@ def test_heralded_state_default_cutoff_half_occupation():
         for k in table_ana.entries
     )
     assert worst < 2e-7
+
+
+# ---------------------------------------------------------------------------
+# references for the closed-form moments: the memoised recursion over the whole
+# four-letter word, which the per-mode tables replaced, and a 50-digit mpmath
+# evaluation of the same generating function
+
+_J = np.zeros((4, 4), dtype=complex)
+_J[0, 1], _J[1, 0] = 1j, -1j
+_J[2, 3], _J[3, 2] = 1j, -1j
+_K = np.zeros((4, 4), dtype=complex)
+_K[0, 1] = _K[1, 0] = _K[2, 3] = _K[3, 2] = 1.0
+
+
+class _WordRecursion:
+    """Moments of one sandwich term (u_j, u_k), each from the Gaussian moment
+    recursion over its whole word; arrays of shape (4, *batch)."""
+
+    def __init__(self, u_j, u_k, sigma):
+        du = u_k - u_j
+        j_k = np.einsum("ij,j...->i...", _J, u_k)
+        const = -0.5 * np.sum(du * sigma * du, axis=0) + 0.5 * np.sum(u_j * j_k, axis=0)
+        self.beta = -sigma * du - 0.5 * (np.einsum("ij,j...->i...", _J, u_j) + j_k)
+        self.h = {(i, k): -sigma[i] if i == k else -0.5j * _K[i, k]
+                  for i in range(4) for k in range(4) if i == k or _K[i, k]}
+        self.scale = np.exp(const)
+        self._memo = {(): np.ones_like(self.scale)}
+
+    def _raw(self, idx):
+        if idx not in self._memo:
+            i, rest = idx[0], idx[1:]
+            val = self.beta[i] * self._raw(rest)
+            for j in range(len(rest)):
+                if (i, rest[j]) in self.h:
+                    val = val + self.h[i, rest[j]] * self._raw(rest[:j] + rest[j + 1 :])
+            self._memo[idx] = val
+        return self._memo[idx]
+
+    def moment(self, key):
+        idx = sum(((i,) * e for i, e in enumerate(key)), ())
+        return (-1j) ** len(idx) * self.scale * self._raw(idx)
+
+
+def word_recursion_moments(mu, phi, n1, n2, order_max, outcome, configuration):
+    mu, phi, n1, n2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (mu, phi, n1, n2)))
+    sigma = np.stack([n1, n1, n2, n2]) + 0.5
+    phase = (1.0 if outcome.m == 1 else -1.0) * np.exp(1j * phi)
+    z = np.zeros_like(mu)
+    if configuration == "parallel":
+        terms = [(1.0 + 0.0j, np.stack([mu, z, z, z])), (phase, np.stack([z, z, mu, z]))]
+    else:
+        terms = [(1.0 + 0.0j, np.stack([mu, z, mu, z])), (phase, np.stack([z, z, z, z]))]
+    sandwiches = [(np.conj(g_j) * g_k, _WordRecursion(u_j, u_k, sigma))
+                  for g_j, u_j in terms for g_k, u_k in terms]
+    norm = sum(w * s.scale for w, s in sandwiches)
+    return np.stack([sum(w * s.moment(key) for w, s in sandwiches) / norm
+                     for key in algebra.keys_up_to_order(order_max)], axis=-1)
+
+
+def mpmath_moments(mu, phi, n1, n2, order_max, outcome, configuration, dps=50):
+    """The heralded moments of one point from the generating function, in dps digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mu, phi = mp.mpf(mu), mp.mpf(phi)
+        sigma = [mp.mpf(n1) + 0.5] * 2 + [mp.mpf(n2) + 0.5] * 2
+        zero = mp.mpf(0)
+        if configuration == "parallel":
+            us = ([mu, zero, zero, zero], [zero, zero, mu, zero])
+        else:
+            us = ([mu, zero, mu, zero], [zero] * 4)
+        gammas = (mp.mpc(1), (1 if outcome.m == 1 else -1) * mp.expj(phi))
+
+        def j_dot(u):  # J u with [X, P] = i
+            return [1j * u[1], -1j * u[0], 1j * u[3], -1j * u[2]]
+
+        terms = []
+        for g_j, u_j in zip(gammas, us):
+            for g_k, u_k in zip(gammas, us):
+                du = [b - a for a, b in zip(u_j, u_k)]
+                const = (-sum(s * d * d for s, d in zip(sigma, du)) + sum(a * b for a, b in zip(u_j, j_dot(u_k)))) / 2
+                beta = [-s * d - (a + b) / 2 for s, d, a, b in zip(sigma, du, j_dot(u_j), j_dot(u_k))]
+                terms.append((mp.conj(g_j) * g_k * mp.exp(const), beta, {(): mp.mpc(1)}))
+
+        def raw(idx, beta, memo):
+            if idx not in memo:
+                i, rest = idx[0], idx[1:]
+                val = beta[i] * raw(rest, beta, memo)
+                for j, letter in enumerate(rest):
+                    if letter == i:
+                        val -= sigma[i] * raw(rest[:j] + rest[j + 1 :], beta, memo)
+                    elif letter // 2 == i // 2:  # the other quadrature of the same mode
+                        val -= 0.5j * raw(rest[:j] + rest[j + 1 :], beta, memo)
+                memo[idx] = val
+            return memo[idx]
+
+        norm = sum(c for c, _, _ in terms)
+        out = []
+        for key in algebra.keys_up_to_order(order_max):
+            idx = sum(((i,) * e for i, e in enumerate(key)), ())
+            out.append((-1j) ** len(idx) * sum(c * raw(idx, beta, memo) for c, beta, memo in terms) / norm)
+        return np.array([complex(v) for v in out])
+
+
+def _random_points(n, seed):
+    # couplings 1e-5 to 2.5, unequal occupations, phases kept 0.25 away from the
+    # dark fringe of either outcome, where the norm cancels and every
+    # double-precision evaluation, the references included, loses digits
+    rng = np.random.default_rng(seed)
+    mu = 10.0 ** rng.uniform(-5.0, math.log10(2.5), n)
+    phi = rng.uniform(0.25, math.pi - 0.25, n) + math.pi * rng.integers(0, 2, n)
+    return mu, phi, rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+
+
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("outcome", [ClickOutcome(1, 0), ClickOutcome(0, 1)])
+def test_mode_tables_match_word_recursion(configuration, outcome):
+    mu, phi, n1, n2 = _random_points(40, seed=11)
+    for order in (2, 4, 8):
+        ref = word_recursion_moments(mu, phi, n1, n2, order, outcome, configuration)
+        got = herald.heralded_moments(mu, phi, n1, n2, order, outcome, configuration)
+        if order == 2:
+            assert np.array_equal(got, ref)
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-11
+
+
+@pytest.mark.parametrize("mu,phi,n1,n2,order,outcome,configuration", [
+    (0.7, 2.2, 0.25, 0.1, 8, ClickOutcome(1, 0), "parallel"),
+    (1e-3, 1.2, 0.3, 1.2, 4, ClickOutcome(0, 1), "series"),
+    (2.0, 0.4, 2.0, 0.5, 4, ClickOutcome(0, 1), "parallel"),
+    (1e-5, 4.0, 0.05, 0.6, 4, ClickOutcome(1, 0), "series"),
+])
+def test_moments_match_50_digit_generating_function(mu, phi, n1, n2, order, outcome, configuration):
+    ref = mpmath_moments(mu, phi, n1, n2, order, outcome, configuration)
+    got = herald.heralded_moments(mu, phi, n1, n2, order, outcome, configuration)
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-13

@@ -190,6 +190,30 @@ def test_noise_factor_is_ldlt_with_residual_check():
     assert np.array_equal(b, [[0.0, 0.0], [0.0, 2.0]])
     with pytest.raises(IllConditioned):
         verify._factor_complex_symmetric(np.full((2, 2), np.nan))
+    # a dropped zero pivot that mattered fails the residual check
+    with pytest.raises(IllConditioned):
+        verify._factor_complex_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_noise_factor_drops_rounding_level_pivots():
+    # rank 2 plus rounding noise: the last two pivots are noise, and dividing by
+    # their roots would make noise columns that move with every last bit of C
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    c = g @ g.T
+    for _ in range(3):
+        e = rng.standard_normal((4, 4))
+        b = verify._factor_complex_symmetric(c * (1.0 + 1e-15 * (e + e.T)))
+        assert np.all(b[:, 2:] == 0)
+        assert np.max(np.abs(b @ b.T - c)) < 1e-13 * np.max(np.abs(c))
+
+
+def test_noise_factor_root_continuous_across_negative_axis():
+    # a pivot on the negative real axis keeps the sign of its root whichever
+    # sign the rounding gives its imaginary part
+    b = verify._factor_complex_symmetric(np.array([[[-1.0 + 1e-17j]], [[-1.0 - 1e-17j]], [[-1.0]]]))
+    assert np.max(np.abs(b - b[0])) < 1e-15
+    assert np.allclose(b @ np.swapaxes(b, -1, -2), -1.0, rtol=1e-15, atol=0.0)
 
 
 def test_seeded_recovery_stable_under_last_bit_changes():
@@ -209,6 +233,7 @@ def test_seeded_recovery_stable_under_last_bit_changes():
             for key, value in table.entries.items()
         }
         study = VerificationStudy(dataclasses.replace(table, entries=entries), phi=PHI)
+        assert np.max(np.abs(study.factors - reference.factors)) <= 1e-7
         for seed, ref in zip(seeds, before):
             rec = study.run(10**6, seed).recovered_table.entries
             assert max(abs(rec[key] - ref[key]) for key in ref) <= 1e-9
