@@ -1,9 +1,11 @@
 """Canonical algebra of quadrature operator words over {X1, P1, X2, P2}.
 
 Canonical words are X1^p P1^q X2^r P2^s, keyed by the exponent tuple
-(p, q, r, s). Arbitrary words reduce to linear combinations of canonical
-words through [X_i, P_j] = i delta_ij; ladder words expand through
-b = (X + iP)/sqrt(2).
+(p, q, r, s). Letters of different modes commute, so every word is a
+mode-1 word times a mode-2 word, and each of those is a polynomial over
+X^a P^b built one letter at a time by the single-mode product rule
+(P^b X = X P^b - i b P^(b-1) from [X, P] = i). Every letter is a linear
+form cx X + cp P; ladder letters use b = (X + iP)/sqrt(2).
 """
 
 from __future__ import annotations
@@ -23,18 +25,16 @@ D_MAX = 8
 
 QUAD_LETTERS = ("X1", "P1", "X2", "P2")
 LADDER_LETTERS = ("b1", "b1d", "b2", "b2d")
-_RANK = {"X1": 0, "P1": 1, "X2": 2, "P2": 3}
+
+_S = 1 / math.sqrt(2)
+# letter: (mode index, X coefficient, P coefficient)
+_LETTERS = {
+    "X1": (0, 1.0, 0.0), "P1": (0, 0.0, 1.0), "b1": (0, _S, 1j * _S), "b1d": (0, _S, -1j * _S),
+    "X2": (1, 1.0, 0.0), "P2": (1, 0.0, 1.0), "b2": (1, _S, 1j * _S), "b2d": (1, _S, -1j * _S),
+}
 
 Key = tuple[int, int, int, int]
 Combo = dict[Key, complex]
-
-
-def word_key(word: tuple[str, ...]) -> Key | None:
-    """Exponent tuple of a word if it is already canonical, else None."""
-    ranks = [_RANK[c] for c in word]
-    if any(a > b for a, b in zip(ranks, ranks[1:])):
-        return None
-    return (word.count("X1"), word.count("P1"), word.count("X2"), word.count("P2"))
 
 
 def key_to_string(key: Key) -> str:
@@ -53,30 +53,46 @@ def _check_order(n: int, d_max: int):
         raise OrderOverflow(f"word order {n} exceeds d_max={d_max}")
 
 
+def mode_product(poly: np.ndarray, cx: complex, cp: complex) -> np.ndarray:
+    """Right product poly . (cx X + cp P) of X^a P^b coefficient arrays (*batch, a, b),
+    using P^b X = X P^b - i b P^(b-1); powers beyond the array are dropped."""
+    out = np.zeros_like(poly)
+    out[..., 1:, :] += cx * poly[..., :-1, :]
+    out[..., :-1] -= 1j * cx * np.arange(1, poly.shape[-1]) * poly[..., 1:]
+    out[..., 1:] += cp * poly[..., :-1]
+    return out
+
+
 @lru_cache(maxsize=None)
-def _canonicalize_cached(word: tuple[str, ...]) -> tuple[tuple[Key, complex], ...]:
-    # Bubble the leftmost out-of-order adjacent pair; AB = BA + [A, B].
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if _RANK[a] <= _RANK[b]:
-            continue
-        swapped = word[:i] + (b, a) + word[i + 2 :]
-        out = dict(_canonicalize_cached(swapped))
-        if a[1] == b[1]:  # same mode, necessarily P before X: [P, X] = -i
-            shorter = word[:i] + word[i + 2 :]
-            for k, c in _canonicalize_cached(shorter):
-                out[k] = out.get(k, 0.0) + (-1j) * c
-        return tuple(out.items())
-    return ((word_key(word), 1.0 + 0.0j),)  # already canonical
+def _expand(word: tuple[str, ...]) -> tuple[tuple[Key, complex], ...]:
+    # one polynomial per mode, letter by letter; the word is their product
+    n = len(word) + 1
+    polys = np.zeros((2, n, n), dtype=complex)
+    polys[:, 0, 0] = 1.0
+    for letter in word:
+        mode, cx, cp = _LETTERS[letter]
+        polys[mode] = mode_product(polys[mode], cx, cp)
+    prod = np.multiply.outer(polys[0], polys[1])
+    keys = np.argwhere(prod)
+    return tuple(zip(map(tuple, keys.tolist()), prod[tuple(keys.T)].tolist()))
+
+
+def _expand_checked(word: tuple[str, ...], letters: tuple[str, ...], d_max: int) -> Combo:
+    _check_order(len(word), d_max)
+    for c in word:
+        if c not in letters:
+            raise ValueError(f"unknown letter {c!r}")
+    return dict(_expand(tuple(word)))
 
 
 def canonicalize(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
     """Rewrite a quadrature word as {canonical key: coefficient}."""
-    _check_order(len(word), d_max)
-    for c in word:
-        if c not in _RANK:
-            raise ValueError(f"unknown letter {c!r}")
-    return dict(_canonicalize_cached(tuple(word)))
+    return _expand_checked(word, QUAD_LETTERS, d_max)
+
+
+def ladder_to_quadrature(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
+    """Expand a ladder word into canonical quadrature words."""
+    return _expand_checked(word, LADDER_LETTERS, d_max)
 
 
 def _interleavings(p: int, q: int) -> list[tuple[str, ...]]:
@@ -99,41 +115,8 @@ def symmetrized_expand(p: int, q: int, r: int, s: int, d_max: int = D_MAX) -> li
     return [w1 + w2 for w1 in m1 for w2 in m2]
 
 
-_LADDER_EXPANSION = {
-    "b1": (("X1", 1 / math.sqrt(2)), ("P1", 1j / math.sqrt(2))),
-    "b1d": (("X1", 1 / math.sqrt(2)), ("P1", -1j / math.sqrt(2))),
-    "b2": (("X2", 1 / math.sqrt(2)), ("P2", 1j / math.sqrt(2))),
-    "b2d": (("X2", 1 / math.sqrt(2)), ("P2", -1j / math.sqrt(2))),
-}
-
-
-@lru_cache(maxsize=None)
-def _ladder_to_quadrature_cached(word: tuple[str, ...]) -> tuple[tuple[Key, complex], ...]:
-    out: Combo = {(0, 0, 0, 0): 1.0 + 0.0j} if not word else {}
-    if not word:
-        return tuple(out.items())
-    head, rest = word[0], word[1:]
-    tail = dict(_ladder_to_quadrature_cached(rest))
-    # left-multiply the expanded head onto every canonical tail word
-    for letter, coeff in _LADDER_EXPANSION[head]:
-        for key, c in tail.items():
-            quad_word = (letter,) + _key_to_word(key)
-            for k2, c2 in _canonicalize_cached(quad_word):
-                out[k2] = out.get(k2, 0.0) + coeff * c * c2
-    return tuple(out.items())
-
-
 def _key_to_word(key: Key) -> tuple[str, ...]:
     return ("X1",) * key[0] + ("P1",) * key[1] + ("X2",) * key[2] + ("P2",) * key[3]
-
-
-def ladder_to_quadrature(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
-    """Expand a ladder word into canonical quadrature words."""
-    _check_order(len(word), d_max)
-    for c in word:
-        if c not in _LADDER_EXPANSION:
-            raise ValueError(f"unknown ladder letter {c!r}")
-    return dict(_ladder_to_quadrature_cached(tuple(word)))
 
 
 def keys_up_to_order(order_max: int) -> list[Key]:
@@ -188,15 +171,23 @@ def symmetrization_maps(order_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only single-mode maps of the symmetrized sums: row (p, q) adds up the
     canonical coefficients of every ordering of p X and q P letters and, for
     error propagation, their squared moduli ordering by ordering."""
+    _check_order(order_max, D_MAX)
     mkeys = mode_keys(order_max)
-    pos = {k: i for i, k in enumerate(mkeys)}
-    sym = np.zeros((len(mkeys), len(mkeys)), dtype=complex)
-    sym_sq = np.zeros((len(mkeys), len(mkeys)))
-    for row, (p, q) in enumerate(mkeys):
-        for word in symmetrized_expand(p, q, 0, 0):
-            for key, c in canonicalize(word).items():
-                sym[row, pos[key[:2]]] += c
-                sym_sq[row, pos[key[:2]]] += abs(c) ** 2
+    a_idx, b_idx = np.array(mkeys).T
+    n = order_max + 1
+    # polynomials of all orderings of p X and q P, stacked: each ends in X or in P
+    unit = np.zeros((1, n, n), dtype=complex)
+    unit[0, 0, 0] = 1.0
+    orderings = {(0, 0): unit}
+    for p, q in mkeys[1:]:
+        ends = []
+        if p:
+            ends.append(mode_product(orderings[p - 1, q], 1.0, 0.0))
+        if q:
+            ends.append(mode_product(orderings[p, q - 1], 0.0, 1.0))
+        orderings[p, q] = np.concatenate(ends)
+    sym = np.array([orderings[k].sum(axis=0)[a_idx, b_idx] for k in mkeys])
+    sym_sq = np.array([(np.abs(orderings[k]) ** 2).sum(axis=0)[a_idx, b_idx] for k in mkeys])
     for a in (sym, sym_sq):
         a.setflags(write=False)
     return sym, sym_sq
@@ -284,17 +275,13 @@ class MomentTable:
 # ---------------------------------------------------------------------------
 
 
-def _single_mode_word_matrices(cutoff: int, order_max: int) -> dict[tuple[int, int], np.ndarray]:
-    """X^a P^b products for a + b <= order_max on one mode."""
-    x = x_single(cutoff)
-    p = p_single(cutoff)
-    xp = {}
-    for a in range(order_max + 1):
-        xa = np.linalg.matrix_power(x, a) if a else np.eye(cutoff, dtype=complex)
-        for b in range(order_max + 1 - a):
-            pb = np.linalg.matrix_power(p, b) if b else np.eye(cutoff, dtype=complex)
-            xp[(a, b)] = xa @ pb
-    return xp
+def _word_matrices(cutoff: int, order_max: int) -> np.ndarray:
+    """X^a P^b over mode_keys(order_max) on one mode, each an earlier word times one letter."""
+    x, p = x_single(cutoff), p_single(cutoff)
+    words = {(0, 0): np.eye(cutoff, dtype=complex)}
+    for a, b in mode_keys(order_max)[1:]:
+        words[a, b] = words[a, b - 1] @ p if b else words[a - 1, b] @ x
+    return np.array(list(words.values()))
 
 
 def moments_from_state(
@@ -320,19 +307,16 @@ def moments_from_state(
 
 def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
     # <M1 x M2> = sum_{i,k} M1[i, k] S[i, k] with S[i, k] = sum_{j,x} conj(A[i, j, x]) (M2 A)[k, j, x],
-    # one S per mode-2 word
+    # one S per mode-2 word; the (mode-1 word, mode-2 word) grid is then one product
     a = state.factor
     c1 = a.shape[0]
-    m1 = _single_mode_word_matrices(c1, order_max)
-    m2 = _single_mode_word_matrices(a.shape[1], order_max)
+    m1 = _word_matrices(c1, order_max)
+    m2 = _word_matrices(a.shape[1], order_max)
     conj_rows = a.conj().reshape(c1, -1)
-    sandwiches: dict[tuple[int, int], np.ndarray] = {}
-    entries: dict[Key, complex] = {}
-    for p, q, r, s in keys_up_to_order(order_max):
-        if (r, s) not in sandwiches:
-            sandwiches[(r, s)] = conj_rows @ on_mode(m2[(r, s)], 2, a).reshape(c1, -1).T
-        entries[(p, q, r, s)] = complex(np.sum(m1[(p, q)] * sandwiches[(r, s)]))
-    return MomentTable(entries, order_max)
+    sandwiches = np.array([conj_rows @ on_mode(m, 2, a).reshape(c1, -1).T for m in m2])
+    grid = m1.reshape(len(m1), -1) @ sandwiches.reshape(len(m2), -1).T
+    i1, i2 = _grid_index(order_max)
+    return MomentTable(dict(zip(keys_up_to_order(order_max), grid[i1, i2].tolist())), order_max)
 
 
 def _reembed(state: TwoModeState) -> TwoModeState:

@@ -78,7 +78,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     if path:
         with open(path, encoding="utf-8") as fh:
-            cfg.read_file(fh)
+            try:
+                cfg.read_file(fh)
+            except configparser.Error as exc:
+                reason = " ".join(str(exc).split())
+                raise ValueError(f"config file {path} is malformed: {reason}") from None
     return cfg
 
 

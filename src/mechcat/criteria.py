@@ -262,8 +262,8 @@ def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple
     verification flag at every coupling of mu; the environments run along the
     last axis of mu (one broadcasts). S3 is evaluated only where a bracket is
     still growing or open."""
-    if np.any(np.asarray(mu) <= 0):
-        raise ValueError("mu must be positive")
+    if not np.all((np.asarray(mu) > 0) & np.isfinite(mu)):
+        raise ValueError("mu must be finite and positive")
     maps = _evolution_maps("S3", envs)
     shape = np.broadcast_shapes(np.shape(mu), (len(envs),))
     mus = np.broadcast_to(mu, shape).ravel()

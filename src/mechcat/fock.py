@@ -219,10 +219,10 @@ class TwoModeState:
         return self
 
 
-def state_from_vector(psi: np.ndarray, config: FockConfig, check: bool = True) -> TwoModeState:
+def state_from_vector(psi: np.ndarray, config: FockConfig) -> TwoModeState:
     psi = psi.astype(complex)
     norm = np.linalg.norm(psi)
-    if check and abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"state vector norm {norm:.12g}")
     return TwoModeState(config, (psi / norm).reshape(config.cutoff_1, config.cutoff_2, 1))
 

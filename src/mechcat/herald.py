@@ -49,10 +49,12 @@ class ProtocolParams:
     nbar_2: float = 0.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.nbar_1 < 0 or self.nbar_2 < 0:
-            raise ValueError("nbar must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and >= 0")
+        if not math.isfinite(self.phi):
+            raise ValueError("phi must be finite")
+        if not (0 <= self.nbar_1 < math.inf and 0 <= self.nbar_2 < math.inf):
+            raise ValueError("nbar must be finite and >= 0")
         if self.configuration not in (PARALLEL, SERIES):
             raise ValueError(f"unknown configuration {self.configuration!r}")
 
@@ -187,7 +189,7 @@ def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig
     truncation_loss = abs(np.vdot(psi, psi) - norm_sq)
     if truncation_loss > 1e-9 * norm_sq:
         raise fock.CutoffTooSmall(f"cat-state truncation loss {truncation_loss:.3g}")
-    return fock.state_from_vector(psi / math.sqrt(norm_sq), config, check=False)
+    return fock.state_from_vector(psi / math.sqrt(norm_sq), config)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +238,9 @@ def heralded_moments(mu, phi, nbar_1, nbar_2, order_max: int, outcome: ClickOutc
     if outcome.m + outcome.n != 1:
         raise ValueError("closed-form moments implemented for {1,0}/{0,1} only")
     mu, phi, n1, n2 = np.broadcast_arrays(*(np.asarray(a, float) for a in (mu, phi, nbar_1, nbar_2)))
-    if np.any(mu < 0) or np.any(np.minimum(n1, n2) < 0):
-        raise ValueError("mu and nbar must be >= 0")
+    finite = np.isfinite((mu, phi, n1, n2)).all()
+    if not (finite and (mu >= 0).all() and (np.minimum(n1, n2) >= 0).all()):
+        raise ValueError("mu, phi and nbar must be finite, mu and nbar >= 0")
     sigma = np.stack([n1, n2]) + 0.5
     # (gamma_t, x_t) terms of the measurement operator, x_t of shape (2, *batch)
     phase = (1.0 if outcome.m == 1 else -1.0) * np.exp(1j * phi)

@@ -27,6 +27,7 @@ from .algebra import (
     apply_mode_map,
     keys_up_to_order,
     mode_keys,
+    mode_product,
     table_vector,
 )
 from .errors import OrderOverflow
@@ -43,10 +44,11 @@ class EnvParams:
     nbar_bath: float = 0.0
 
     def __post_init__(self):
-        if self.omega_m <= 0 or self.q_factor <= 0:
-            raise ValueError("omega_m and q_factor must be positive")
-        if self.nbar_bath < 0:
-            raise ValueError("nbar_bath must be >= 0")
+        # q_factor = inf is the closed system
+        if not (0 < self.omega_m < math.inf and self.q_factor > 0):
+            raise ValueError("omega_m must be finite and positive, q_factor positive")
+        if not 0 <= self.nbar_bath < math.inf:
+            raise ValueError("nbar_bath must be finite and >= 0")
         if self.q_factor < Q_WARN:
             warnings.warn(
                 f"Q = {self.q_factor:.3g} is below the high-Q validity regime",
@@ -194,15 +196,6 @@ def _letter_substitution(env: EnvParams, t: float):
     return c_x, c_p, (g > 0.0 and t > 0.0)
 
 
-def _times(poly: np.ndarray, cx: complex, cp: complex) -> np.ndarray:
-    """Right product poly . (cx X + cp P) over X^a P^b, using P^b X = X P^b - i b P^(b-1)."""
-    out = np.zeros_like(poly)
-    out[1:] += cx * poly[:-1]
-    out[:, :-1] -= 1j * cx * np.arange(1, poly.shape[1]) * poly[:, 1:]
-    out[:, 1:] += cp * poly[:, :-1]
-    return out
-
-
 def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int) -> np.ndarray:
     """Single-mode map of the measured moments over mode_keys(order_max).
 
@@ -236,11 +229,11 @@ def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int)
     a_power[0, 0] = 1.0
     for p in range(n):
         if p:
-            a_power = _times(a_power, ax, bx)
+            a_power = mode_product(a_power, ax, bx)
         poly = a_power
         for q in range(n - p):
             if q:
-                poly = _times(poly, ap, bp)
+                poly = mode_product(poly, ap, bp)
             words[(p, q)] = poly[a_idx, b_idx]
     return np.array([
         sum(

@@ -16,12 +16,14 @@ class CavityParams:
     c_pulse: float = 2.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.omega_m <= 0:
-            raise ValueError("omega_m must be positive")
-        if self.g0 < 0:
-            raise ValueError("g0 must be >= 0")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be finite and positive")
+        if not 0 < self.omega_m < math.inf:
+            raise ValueError("omega_m must be finite and positive")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError("g0 must be finite and >= 0")
+        if not math.isfinite(self.c_pulse):
+            raise ValueError("c_pulse must be finite")
 
     @property
     def sideband_ratio(self) -> float:
@@ -41,8 +43,8 @@ def mu_effective(cav: CavityParams, t: float) -> tuple[float, float]:
     for verification-timing adjustments but is not fed into the heralding
     stage by default.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     theta = cav.omega_m * t
     mu_p = 2.0 * cav.g0 / cav.omega_m * math.sqrt(max(1.0 - math.cos(theta), 0.0))
     return mu_p, theta

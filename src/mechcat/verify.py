@@ -67,8 +67,8 @@ class Pathway:
         for s in self.pulses:
             if s not in SLOTS:
                 raise ValueError(f"unknown slot {s!r}")
-        if self.chi <= 0:
-            raise ValueError("chi must be positive")
+        if not 0 < self.chi < math.inf:
+            raise ValueError("chi must be finite and positive")
 
 
 def _port_bases(zetas, phi) -> np.ndarray:
@@ -525,8 +525,14 @@ class VerificationStudy:
         target_order: int = 4,
         phase_sets: list[PhaseSet] | None = None,
     ):
+        if not 0 < chi < math.inf:
+            raise ValueError(f"chi = {chi} must be finite and positive")
+        if target_order < 1:
+            raise ValueError(f"target_order = {target_order} must be >= 1")
         if phase_sets is None:
             phase_sets = default_phase_sets(target_order, phi=phi, chi=chi)
+        if not phase_sets:
+            raise ValueError("the study needs at least one phase set")
         self.table = table
         self.target_order = target_order
         self.channels = [
@@ -543,6 +549,8 @@ class VerificationStudy:
     ) -> list[HomodyneDataset]:
         """One dataset per channel: the exact moments plus, for finite n_samples,
         correlated estimation noise B z / sqrt(N) with z from the stream (seed, channel)."""
+        if n_samples is not None and n_samples < 1:
+            raise ValueError(f"n_samples = {n_samples} must be >= 1")
         order = self.target_order
         out = []
         for stream, (pathway, port) in enumerate(self.channels):

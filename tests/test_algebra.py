@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -39,6 +40,111 @@ def fock_word_matrix(word, cfg):
     for c in word:
         out = out @ mats[c]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Test-only references: the whole-word rewriting the per-mode product replaced.
+# A bubble sort of adjacent letters with AB = BA + [A, B], and ladder words
+# expanded letter by letter from the left onto canonical tails.
+
+_RANK = {"X1": 0, "P1": 1, "X2": 2, "P2": 3}
+_LADDER_EXPANSION = {
+    "b1": (("X1", 1 / math.sqrt(2)), ("P1", 1j / math.sqrt(2))),
+    "b1d": (("X1", 1 / math.sqrt(2)), ("P1", -1j / math.sqrt(2))),
+    "b2": (("X2", 1 / math.sqrt(2)), ("P2", 1j / math.sqrt(2))),
+    "b2d": (("X2", 1 / math.sqrt(2)), ("P2", -1j / math.sqrt(2))),
+}
+
+
+@lru_cache(maxsize=None)
+def _canonicalize_cached(word):
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if _RANK[a] <= _RANK[b]:
+            continue
+        out = dict(_canonicalize_cached(word[:i] + (b, a) + word[i + 2 :]))
+        if a[1] == b[1]:  # same mode, necessarily P before X: [P, X] = -i
+            for k, c in _canonicalize_cached(word[:i] + word[i + 2 :]):
+                out[k] = out.get(k, 0.0) + (-1j) * c
+        return tuple(out.items())
+    key = tuple(word.count(c) for c in ("X1", "P1", "X2", "P2"))
+    return ((key, 1.0 + 0.0j),)
+
+
+@lru_cache(maxsize=None)
+def _ladder_to_quadrature_cached(word):
+    if not word:
+        return (((0, 0, 0, 0), 1.0 + 0.0j),)
+    out = {}
+    tail = dict(_ladder_to_quadrature_cached(word[1:]))
+    for letter, coeff in _LADDER_EXPANSION[word[0]]:
+        for key, c in tail.items():
+            for k2, c2 in _canonicalize_cached((letter,) + algebra._key_to_word(key)):
+                out[k2] = out.get(k2, 0.0) + coeff * c * c2
+    return tuple(out.items())
+
+
+def _nonzero(pairs):
+    return {k: c for k, c in pairs if c != 0}
+
+
+def test_canonicalize_matches_word_rewriting_exactly():
+    for n in range(7):
+        for word in itertools.product(algebra.QUAD_LETTERS, repeat=n):
+            assert canonicalize(word) == _nonzero(_canonicalize_cached(word)), word
+
+
+def test_ladder_matches_word_rewriting():
+    for n in range(6):
+        for word in itertools.product(algebra.LADDER_LETTERS, repeat=n):
+            ref, got = _nonzero(_ladder_to_quadrature_cached(word)), ladder_to_quadrature(word)
+            for key in set(ref) | set(got):
+                assert abs(got.get(key, 0.0) - ref.get(key, 0.0)) <= 1e-15, (word, key)
+
+
+def test_unknown_letters_rejected():
+    with pytest.raises(ValueError):
+        canonicalize(("X1", "b1"))
+    with pytest.raises(ValueError):
+        ladder_to_quadrature(("b1", "X2"))
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_symmetrization_maps_match_word_loop(order):
+    mkeys = algebra.mode_keys(order)
+    pos = {k: i for i, k in enumerate(mkeys)}
+    sym = np.zeros((len(mkeys), len(mkeys)), dtype=complex)
+    sym_sq = np.zeros((len(mkeys), len(mkeys)))
+    for row, (p, q) in enumerate(mkeys):
+        for word in symmetrized_expand(p, q, 0, 0):
+            for key, c in _canonicalize_cached(word):
+                sym[row, pos[key[:2]]] += c
+                sym_sq[row, pos[key[:2]]] += abs(c) ** 2
+    got, got_sq = algebra.symmetrization_maps(order)
+    assert np.array_equal(got, sym)
+    assert np.array_equal(got_sq, sym_sq)
+
+
+@pytest.mark.parametrize("mu, phi, nbar", [(0.7, math.pi, 0.1), (1.2, 2.0, 0.3)])
+def test_moments_from_state_match_matrix_power_words(mu, phi, nbar):
+    # reference: per-key sandwiches of the factor with matrix_power word matrices
+    state, _ = herald.heralded_state(herald.ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar),
+                                     fock.FockConfig(24, 24))
+    a = state.factor
+    c1, c2 = a.shape[:2]
+
+    def word(cutoff, n_x, n_p):
+        power = np.linalg.matrix_power
+        return power(fock.x_single(cutoff), n_x) @ power(fock.p_single(cutoff), n_p)
+
+    table = algebra.moments_from_state(state, 8)
+    conj_rows = a.conj().reshape(c1, -1)
+    sandwiches = {}
+    for p, q, r, s in algebra.keys_up_to_order(8):
+        if (r, s) not in sandwiches:
+            sandwiches[r, s] = conj_rows @ fock.on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
+        ref = complex(np.sum(word(c1, p, q) * sandwiches[r, s]))
+        assert abs(table.value((p, q, r, s)) - ref) <= 1e-14 * (1 + abs(ref)), (p, q, r, s)
 
 
 def test_canonicalize_single_commutator():

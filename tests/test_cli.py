@@ -204,29 +204,47 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, named",
     [
-        ("map", "[grid]\nmu = -0.1, 0.5\nphi = 0, 1\n"),
-        ("cooling-map", "[grid]\nmu = 0.5\nnbar_bath = -5\n"),
-        ("map", "[grid]\nmu = 0:1\n"),
+        ("map --criterion S3", "[grid]\nmu = -0.1, 0.5\nphi = 0, 1\n", "mu"),
+        ("cooling-map", "[grid]\nmu = 0.5\nnbar_bath = -5\n", "nbar_bath"),
+        ("map --criterion S3", "[grid]\nmu = 0:1\n", "0:1"),
+        ("map --criterion S3", "[protocol]\nnbar = nan\n", "nbar"),
+        ("map --criterion D5", "[env]\nq_factor = nan\n", "q_factor"),
+        ("detector", "[protocol]\nmu = nan\n", "mu"),
+        ("map --criterion S3", "[grid]\nmu = inf\n", "mu"),
+        ("cooling-map", "[grid]\nmu = nan\n", "mu"),
+        ("map --criterion S3", "[grid]\nmu = 0.5\nmu = 1\n", "bad.ini"),
+        ("map --criterion S3", "mu = 0.5\n", "bad.ini"),
+        ("verify", "[verify]\nchi = 0\n", "chi"),
+        ("verify", "[verify]\nmax_phase_sets = 0\n", "phase set"),
+        ("verify", "[verify]\ntarget_order = 0\n", "target_order"),
+        ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
     ],
-    ids=["negative-mu", "negative-nbar-bath", "malformed-grid"],
+    ids=[
+        "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
+        "nan-detector-mu", "inf-grid-mu", "nan-cooling-mu", "duplicate-key", "no-section-header",
+        "zero-chi", "zero-phase-sets", "zero-target-order", "negative-n-samples",
+    ],
 )
-def test_bad_config_value_exits_3(tmp_path, capsys, command, config):
+def test_bad_config_value_exits_3(tmp_path, capsys, command, config, named):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(config)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
-    if command == "map":
-        argv += ["--criterion", "S3"]
+    argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError:")
+    assert named in err[0]
 
 
 @pytest.mark.parametrize(
     "rates",
-    [["--g0", "1", "--kappa", "1", "--omega-m", "0"], ["--g0", "-5", "--kappa", "1", "--omega-m", "-10"]],
-    ids=["zero-omega-m", "negative-g0-and-omega-m"],
+    [
+        ["--g0", "1", "--kappa", "1", "--omega-m", "0"],
+        ["--g0", "-5", "--kappa", "1", "--omega-m", "-10"],
+        ["--g0", "1", "--kappa", "nan", "--omega-m", "1"],
+    ],
+    ids=["zero-omega-m", "negative-g0-and-omega-m", "nan-kappa"],
 )
 def test_impossible_sideband_rates_exit_3(capsys, rates):
     assert cli.main(["sideband", *rates]) == cli.EXIT_ERROR
