@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CutoffTooSmall, MissingMoment, OrderOverflow
-from .fock import TwoModeState, on_mode, p_single, x_single
+from .fock import TwoModeState, p_single, x_single
 
 D_MAX = 8
 
@@ -306,14 +306,25 @@ def moments_from_state(
 
 
 def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
-    # <M1 x M2> = sum_{i,k} M1[i, k] S[i, k] with S[i, k] = sum_{j,x} conj(A[i, j, x]) (M2 A)[k, j, x],
-    # one S per mode-2 word; the (mode-1 word, mode-2 word) grid is then one product
+    # <M1 x M2> = sum_{i,k} M1[i, k] S[i, k] with
+    # S[i, k] = sum_{j,l} M2[j, l] sum_x conj(A[i, j, x]) A[k, l, x]. Mode-2 words of order <= n
+    # are banded (|j - l| <= n), so every S needs only the band slices
+    # B_d[j] = conj(A[:, j, :]) A[:, j + d, :]^T, with B_{-d}[j + d] = B_d[j]^dag; the
+    # (mode-1 word, mode-2 word) grid is then one product
     a = state.factor
-    c1 = a.shape[0]
+    c1, c2 = a.shape[:2]
     m1 = _word_matrices(c1, order_max)
-    m2 = _word_matrices(a.shape[1], order_max)
-    conj_rows = a.conj().reshape(c1, -1)
-    sandwiches = np.array([conj_rows @ on_mode(m, 2, a).reshape(c1, -1).T for m in m2])
+    m2 = _word_matrices(c2, order_max)
+    cols = a.transpose(1, 0, 2)
+    conj_cols = cols.conj()
+    upper = np.zeros((len(m2), c1, c1), dtype=complex)
+    lower = np.zeros_like(upper)  # conjugate transpose of the d < 0 part
+    for d in range(min(order_max, c2 - 1) + 1):
+        band = conj_cols[: c2 - d] @ cols[d:].transpose(0, 2, 1)
+        upper += np.tensordot(np.diagonal(m2, d, 1, 2), band, 1)
+        if d:
+            lower += np.tensordot(np.diagonal(m2, -d, 1, 2).conj(), band, 1)
+    sandwiches = upper + lower.conj().transpose(0, 2, 1)
     grid = m1.reshape(len(m1), -1) @ sandwiches.reshape(len(m2), -1).T
     i1, i2 = _grid_index(order_max)
     return MomentTable(dict(zip(keys_up_to_order(order_max), grid[i1, i2].tolist())), order_max)

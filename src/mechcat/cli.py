@@ -75,7 +75,7 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     if path:
         with open(path, encoding="utf-8") as fh:
             try:
@@ -329,6 +329,8 @@ def cmd_verify(args) -> int:
     n_samples = int(_cfg_float(cfg, "verify", "n_samples", 1e6))
     target_order = int(_cfg_float(cfg, "verify", "target_order", 4))
     n_seeds = int(_cfg_float(cfg, "verify", "n_seeds", 20))
+    if target_order < 1:
+        raise ValueError(f"[verify] target_order = {target_order} must be >= 1")
     env = env_from_config(cfg)
 
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)

@@ -147,6 +147,56 @@ def test_moments_from_state_match_matrix_power_words(mu, phi, nbar):
         assert abs(table.value((p, q, r, s)) - ref) <= 1e-14 * (1 + abs(ref)), (p, q, r, s)
 
 
+def _random_factor_state(cutoff_1, cutoff_2, rank, seed, decay=1.0):
+    # rho = A A^dag with Fock amplitudes damped as e^(-decay (i + j)), so truncation stays small
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(cutoff_1, cutoff_2, rank)) + 1j * rng.normal(size=(cutoff_1, cutoff_2, rank))
+    a *= np.exp(-decay * np.add.outer(np.arange(cutoff_1), np.arange(cutoff_2)))[..., None]
+    return fock.TwoModeState(fock.FockConfig(cutoff_1, cutoff_2), a / np.linalg.norm(a))
+
+
+def _matrix_power_moments(state, order):
+    # per-key sandwiches of the factor with matrix_power word matrices
+    a = state.factor
+    c1, c2 = a.shape[:2]
+
+    def word(cutoff, n_x, n_p):
+        power = np.linalg.matrix_power
+        return power(fock.x_single(cutoff), n_x) @ power(fock.p_single(cutoff), n_p)
+
+    conj_rows = a.conj().reshape(c1, -1)
+    out = {}
+    for p, q, r, s in algebra.keys_up_to_order(order):
+        sandwich = conj_rows @ fock.on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
+        out[p, q, r, s] = complex(np.sum(word(c1, p, q) * sandwich))
+    return out
+
+
+def _assert_moments_match(entries, ref):
+    assert entries.keys() == ref.keys()
+    for key, value in ref.items():
+        assert abs(entries[key] - value) <= 1e-14 * (1 + abs(value)), key
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+@pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])
+@pytest.mark.parametrize("cutoffs", [(12, 7), (7, 12), (12, 3), (3, 12)], ids=lambda c: "%dx%d" % c)
+def test_banded_moments_match_matrix_power_words(cutoffs, rank, order):
+    # a mode-2 cutoff of 3 clips the band loop at c2 - 1 = 2 at orders 4 and 8
+    state = _random_factor_state(*cutoffs, rank, seed=sum(cutoffs) + rank + order)
+    table = algebra.moments_from_state(state, order)
+    _assert_moments_match(table.entries, _matrix_power_moments(state, order))
+
+
+@pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])
+def test_banded_moments_on_reembedded_state(rank):
+    state = _random_factor_state(14, 10, rank, seed=rank, decay=2.0)
+    checked = algebra.moments_from_state(state, 4, check_convergence=True)
+    assert checked.entries == algebra.moments_from_state(state, 4).entries
+    big = algebra._reembed(state)
+    _assert_moments_match(algebra._moments_raw(big, 4).entries, _matrix_power_moments(big, 4))
+
+
 def test_canonicalize_single_commutator():
     combo = canonicalize(("P1", "X1"))
     assert combo == {(1, 1, 0, 0): pytest.approx(1.0), (0, 0, 0, 0): pytest.approx(-1j)}

@@ -216,15 +216,18 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ("cooling-map", "[grid]\nmu = nan\n", "mu"),
         ("map --criterion S3", "[grid]\nmu = 0.5\nmu = 1\n", "bad.ini"),
         ("map --criterion S3", "mu = 0.5\n", "bad.ini"),
+        ("map --criterion S3", "[grid]\nmu = 50%\n", "50%"),
         ("verify", "[verify]\nchi = 0\n", "chi"),
         ("verify", "[verify]\nmax_phase_sets = 0\n", "phase set"),
-        ("verify", "[verify]\ntarget_order = 0\n", "target_order"),
+        ("verify", "[verify]\ntarget_order = 0\n", "target_order = 0"),
+        ("verify", "[verify]\ntarget_order = -1\n", "target_order = -1"),
         ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
     ],
     ids=[
         "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
         "nan-detector-mu", "inf-grid-mu", "nan-cooling-mu", "duplicate-key", "no-section-header",
-        "zero-chi", "zero-phase-sets", "zero-target-order", "negative-n-samples",
+        "percent-value", "zero-chi", "zero-phase-sets", "zero-target-order", "negative-target-order",
+        "negative-n-samples",
     ],
 )
 def test_bad_config_value_exits_3(tmp_path, capsys, command, config, named):
