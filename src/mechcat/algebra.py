@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -152,11 +154,6 @@ def _grid_index(order_max: int) -> np.ndarray:
     return idx
 
 
-def table_vector(table: MomentTable, order_max: int) -> np.ndarray:
-    """Moments of the table over keys_up_to_order(order_max)."""
-    return np.array([table.value(k) for k in keys_up_to_order(order_max)], dtype=complex)
-
-
 def apply_mode_map(m: np.ndarray, vector: np.ndarray, order_max: int) -> np.ndarray:
     """Apply the single-mode map m to both modes of a moment vector; vectors may be
     stacked as (*batch, keys), and m may be a stack (*batch, n, n) broadcasting with them."""
@@ -196,24 +193,48 @@ def symmetrization_maps(order_max: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Map from canonical operator words to expectation values.
+    """Moment vector over keys_up_to_order(order_max), with derived key views.
 
-    `provenance` is "exact" for tables computed from a state or in closed
-    form, "recovered" for tables estimated by the verification pipeline
-    (then `n_samples` and `std_errors` are populated).
+    `values` and `errors` (standard errors in the same layout, or None) are
+    read-only copies; `entries` and `std_errors` are read-only mappings from
+    canonical keys, built on first use. `provenance` is "exact" for tables
+    computed from a state or in closed form, "recovered" for tables estimated
+    by the verification pipeline (then `n_samples` and `errors` are set).
     """
 
-    entries: dict[Key, complex]
+    values: np.ndarray
     order_max: int
     provenance: str = "exact"
     n_samples: int | None = None
-    std_errors: dict[Key, float] = field(default_factory=dict)
+    errors: np.ndarray | None = None
     evolved: bool = False  # open-system map applied (commutators no longer exact)
 
     def __post_init__(self):
-        self.entries.setdefault((0, 0, 0, 0), 1.0 + 0.0j)
+        size = math.comb(self.order_max + 4, 4)
+        for name, dtype in (("values", complex), ("errors", float)):
+            if (a := getattr(self, name)) is not None:
+                a = np.array(a, dtype=dtype)
+                if a.shape != (size,):
+                    raise ValueError(f"{name} has shape {a.shape}, order {self.order_max} needs ({size},)")
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+
+    @cached_property
+    def entries(self) -> Mapping[Key, complex]:
+        return MappingProxyType(dict(zip(keys_up_to_order(self.order_max), self.values.tolist())))
+
+    @cached_property
+    def std_errors(self) -> Mapping[Key, float]:
+        errors = [] if self.errors is None else self.errors.tolist()
+        return MappingProxyType(dict(zip(keys_up_to_order(self.order_max), errors)))
+
+    def moments(self, order: int) -> np.ndarray:
+        """The moments over keys_up_to_order(order), a read-only leading block of `values`."""
+        if order > self.order_max:
+            raise MissingMoment(f"table order {self.order_max} < requested {order}")
+        return self.values[: math.comb(order + 4, 4)]
 
     def value(self, key: Key) -> complex:
         try:
@@ -235,10 +256,9 @@ class MomentTable:
         """Hermitian-symmetric words (q and s paired as X^p P^q with the word
         equal to its own reversal) must have real expectation: spot-check the
         pure powers and the symmetrized sums."""
-        for key in self.entries:
+        for key, v in self.entries.items():
             p, q, r, s = key
             if q == 0 and s == 0 or p == 0 and r == 0:
-                v = self.entries[key]
                 if abs(v.imag) > tol * (1.0 + abs(v)):
                     raise ValueError(f"{key_to_string(key)} = {v} not real")
 
@@ -258,17 +278,14 @@ class MomentTable:
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
         payload = json.loads(text)
-        entries = {
-            string_to_key(k): complex(re, im)
-            for k, (re, im) in payload["entries"].items()
-        }
-        errors = {string_to_key(k): e for k, e in payload.get("std_errors", {}).items()}
+        names = [key_to_string(k) for k in keys_up_to_order(payload["order_max"])]
+        entries, errors = payload["entries"], payload.get("std_errors")
         return cls(
-            entries,
+            [complex(*entries[name]) for name in names],
             payload["order_max"],
             payload.get("provenance", "exact"),
             payload.get("n_samples"),
-            errors,
+            [errors[name] for name in names] if errors else None,
         )
 
 
@@ -294,14 +311,13 @@ def moments_from_state(
     _check_order(order_max, d_max)
     table = _moments_raw(state, order_max)
     if check_convergence:
-        big = _moments_raw(_reembed(state), order_max)
-        for key in table.entries:
-            if sum(key) == order_max:
-                drift = abs(table.entries[key] - big.entries[key])
-                if drift > 1e-8:
-                    raise CutoffTooSmall(
-                        f"moment {key_to_string(key)} drifts {drift:.3g} under cutoff doubling"
-                    )
+        top = order_slice(order_max)
+        drift = np.abs(table.values[top] - _moments_raw(_reembed(state), order_max).values[top])
+        if (bad := np.flatnonzero(drift > 1e-8)).size:
+            key = keys_up_to_order(order_max)[top][bad[0]]
+            raise CutoffTooSmall(
+                f"moment {key_to_string(key)} drifts {drift[bad[0]]:.3g} under cutoff doubling"
+            )
     return table
 
 
@@ -327,7 +343,7 @@ def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
     sandwiches = upper + lower.conj().transpose(0, 2, 1)
     grid = m1.reshape(len(m1), -1) @ sandwiches.reshape(len(m2), -1).T
     i1, i2 = _grid_index(order_max)
-    return MomentTable(dict(zip(keys_up_to_order(order_max), grid[i1, i2].tolist())), order_max)
+    return MomentTable(grid[i1, i2], order_max)
 
 
 def _reembed(state: TwoModeState) -> TwoModeState:

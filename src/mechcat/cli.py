@@ -327,10 +327,14 @@ def cmd_verify(args) -> int:
     nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
     chi = _cfg_float(cfg, "verify", "chi", 1.0)
     n_samples = int(_cfg_float(cfg, "verify", "n_samples", 1e6))
-    target_order = int(_cfg_float(cfg, "verify", "target_order", 4))
+    target_order = _cfg_float(cfg, "verify", "target_order", 4)
     n_seeds = int(_cfg_float(cfg, "verify", "n_seeds", 20))
-    if target_order < 1:
-        raise ValueError(f"[verify] target_order = {target_order} must be >= 1")
+    if target_order != 4:
+        raise ValueError(
+            f"[verify] target_order = {target_order:g} must be 4: the report's S3 needs order-4 "
+            "recovered moments and an exact table of order 2 x 4 = 8, the evolution's limit"
+        )
+    target_order = 4
     env = env_from_config(cfg)
 
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)

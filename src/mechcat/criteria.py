@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fock
 from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_quadrature,
-                      moments_from_state, table_vector)
+                      moments_from_state)
 from .errors import DegenerateHerald, NonPhysicalCovariance
 from .fock import TwoModeState
 from .herald import heralded_moments
@@ -119,7 +119,7 @@ def _build_criterion(table: MomentTable, name: str) -> CriterionResult:
     matrix is Hermitian for any physical moment set, so averaging the
     conjugate pairs is the natural estimator and keeps the determinant
     exactly real)."""
-    mat = criterion_matrices(name, table_vector(table, CRITERIA[name][1]))
+    mat = criterion_matrices(name, table.moments(CRITERIA[name][1]))
     if table.provenance == "exact" and not table.evolved:
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > 1e-9 * (1.0 + np.max(np.abs(mat))):
@@ -207,10 +207,10 @@ def non_gaussianity(state: TwoModeState) -> float:
 # cooling requirements
 
 
-def _evolution_maps(name: str, envs: list[EnvParams], schedule: MeasurementSchedule | None = None) -> np.ndarray:
+def _evolution_maps(name: str, envs: list[EnvParams]) -> np.ndarray:
     """Single-mode evolution maps of the named criterion's order, one per environment."""
     order = CRITERIA[name][1]
-    return np.stack([evolution_map(e, schedule or MeasurementSchedule.standard(e), order) for e in envs])
+    return np.stack([evolution_map(e, MeasurementSchedule.standard(e), order) for e in envs])
 
 
 def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
@@ -220,23 +220,21 @@ def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
     return _determinants(name, criterion_matrices(name, vectors))
 
 
-def evolved_criterion(name: str, envs: list[EnvParams], schedule: MeasurementSchedule | None = None):
+def evolved_criterion(name: str, envs: list[EnvParams]):
     """The function (mu, phi, nbar) -> D5 or S3 after the open-system verification
     delays, at every point of broadcast arrays. The evolution maps are built
     once; the environments run along the last batch axis (one broadcasts)."""
-    maps = _evolution_maps(name, envs, schedule)
+    maps = _evolution_maps(name, envs)
     return lambda mu, phi, nbar: _criterion_values(name, maps, mu, phi, nbar)
 
 
-def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi,
-               schedule: MeasurementSchedule | None = None) -> float:
+def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi) -> float:
     """S3 of the heralded state after the open-system verification delays."""
-    return float(evolved_criterion("S3", [env], schedule)(mu, phi, nbar)[0])
+    return float(evolved_criterion("S3", [env])(mu, phi, nbar)[0])
 
 
-def d5_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi,
-               schedule: MeasurementSchedule | None = None) -> float:
-    return float(evolved_criterion("D5", [env], schedule)(mu, phi, nbar)[0])
+def d5_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi) -> float:
+    return float(evolved_criterion("D5", [env])(mu, phi, nbar)[0])
 
 
 @dataclass(frozen=True)

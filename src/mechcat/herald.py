@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .algebra import MomentTable, _grid_index, keys_up_to_order, mode_keys
+from .algebra import MomentTable, _grid_index, mode_keys
 from .errors import HeraldImpossible, ZeroOperator
 from .fock import FockConfig, ModeOperator, TwoModeState
 
@@ -277,7 +277,7 @@ def heralded_moment_table(params: ProtocolParams, order_max: int,
     """
     p = params
     values = heralded_moments(p.mu, p.phi, p.nbar_1, p.nbar_2, order_max, outcome, p.configuration)
-    return MomentTable(dict(zip(keys_up_to_order(order_max), values.tolist())), order_max)
+    return MomentTable(values, order_max)
 
 
 def thermal_moment_table(nbar_1: float, nbar_2: float, order_max: int) -> MomentTable:

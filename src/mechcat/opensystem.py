@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    MomentTable,
-    apply_mode_map,
-    keys_up_to_order,
-    mode_keys,
-    mode_product,
-    table_vector,
-)
+from .algebra import MomentTable, apply_mode_map, mode_keys, mode_product
 from .errors import OrderOverflow
 
 Q_WARN = 10.0
@@ -254,12 +247,9 @@ def evolve_moments(
     if table.order_max > 8:
         raise OrderOverflow("evolution supported up to order 8")
     order = table.order_max
-    values = apply_mode_map(
-        evolution_map(env, schedule, order), table_vector(table, order), order
-    )
     return MomentTable(
-        dict(zip(keys_up_to_order(order), values.tolist())),
-        table.order_max,
+        apply_mode_map(evolution_map(env, schedule, order), table.values, order),
+        order,
         provenance=table.provenance,
         n_samples=table.n_samples,
         evolved=True,

@@ -320,24 +320,47 @@ def test_heralded_first_moment_inner_product_oracle():
 
 
 def test_missing_moment_error():
-    table = MomentTable({(0, 0, 0, 0): 1.0}, order_max=0)
+    table = MomentTable(np.array([1.0]), order_max=0)
     with pytest.raises(MissingMoment):
         table.value((1, 0, 0, 0))
+    with pytest.raises(MissingMoment):
+        table.moments(1)
 
 
 def test_json_round_trip():
     cfg = fock.FockConfig(16, 16)
-    table = algebra.moments_from_state(fock.thermal_state(0.2, 0.1, cfg), 3)
-    table.std_errors[(1, 0, 0, 0)] = 0.01
-    table.provenance = "recovered"
-    table.n_samples = 1000
+    exact = algebra.moments_from_state(fock.thermal_state(0.2, 0.1, cfg), 3)
+    errors = np.random.default_rng(3).uniform(0.0, 0.1, size=len(exact.values))
+    table = MomentTable(exact.values, 3, provenance="recovered", n_samples=1000, errors=errors)
     back = MomentTable.from_json(table.to_json())
     assert back.order_max == 3
     assert back.provenance == "recovered"
     assert back.n_samples == 1000
     for k, v in table.entries.items():
         assert abs(back.entries[k] - v) < 1e-15
-    assert back.std_errors[(1, 0, 0, 0)] == pytest.approx(0.01)
+    assert back.errors.tolist() == errors.tolist()
+    assert dict(back.std_errors) == dict(zip(algebra.keys_up_to_order(3), errors.tolist()))
+
+
+def test_moment_table_rejects_wrong_length():
+    with pytest.raises(ValueError, match="values"):
+        MomentTable(np.ones(14), order_max=2)
+    with pytest.raises(ValueError, match="errors"):
+        MomentTable(np.ones(15), order_max=2, errors=np.ones(5))
+
+
+def test_moment_table_is_read_only():
+    values = np.arange(15, dtype=complex)
+    table = MomentTable(values, order_max=2)
+    values[1] = 99.0  # the table keeps its own copy
+    assert table.value((0, 0, 0, 1)) == 1.0
+    with pytest.raises(ValueError):
+        table.values[1] = 5.0
+    with pytest.raises(TypeError):
+        table.entries[(0, 0, 0, 1)] = 5.0
+    with pytest.raises(TypeError):
+        table.std_errors[(0, 0, 0, 1)] = 5.0
+    assert table.entries is table.entries  # built once
 
 
 def test_cutoff_doubling_convergence_check():

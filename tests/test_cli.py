@@ -221,12 +221,16 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ("verify", "[verify]\nmax_phase_sets = 0\n", "phase set"),
         ("verify", "[verify]\ntarget_order = 0\n", "target_order = 0"),
         ("verify", "[verify]\ntarget_order = -1\n", "target_order = -1"),
+        ("verify", "[verify]\ntarget_order = 2.5\n", "target_order = 2.5"),
+        ("verify", "[verify]\ntarget_order = 3\n", "target_order = 3"),
+        ("verify", "[verify]\ntarget_order = 5\n", "target_order = 5"),
         ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
     ],
     ids=[
         "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
         "nan-detector-mu", "inf-grid-mu", "nan-cooling-mu", "duplicate-key", "no-section-header",
         "percent-value", "zero-chi", "zero-phase-sets", "zero-target-order", "negative-target-order",
+        "fractional-target-order", "target-order-3", "target-order-5",
         "negative-n-samples",
     ],
 )

@@ -147,16 +147,14 @@ def test_non_gaussianity_monotone_in_mu():
 
 
 def test_nonphysical_covariance_guard():
-    table = algebra.MomentTable(
-        {
-            (0, 0, 0, 0): 1.0,
-            (1, 0, 0, 0): 0.0, (0, 1, 0, 0): 0.0, (0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0,
-            (2, 0, 0, 0): 0.1, (0, 2, 0, 0): 0.1, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5,
-            (1, 1, 0, 0): 0.5j, (0, 0, 1, 1): 0.5j,
-            (1, 0, 1, 0): 0.0, (1, 0, 0, 1): 0.0, (0, 1, 1, 0): 0.0, (0, 1, 0, 1): 0.0,
-        },
-        order_max=2,
-    )
+    moments = {
+        (0, 0, 0, 0): 1.0,
+        (1, 0, 0, 0): 0.0, (0, 1, 0, 0): 0.0, (0, 0, 1, 0): 0.0, (0, 0, 0, 1): 0.0,
+        (2, 0, 0, 0): 0.1, (0, 2, 0, 0): 0.1, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5,
+        (1, 1, 0, 0): 0.5j, (0, 0, 1, 1): 0.5j,
+        (1, 0, 1, 0): 0.0, (1, 0, 0, 1): 0.0, (0, 1, 1, 0): 0.0, (0, 1, 0, 1): 0.0,
+    }
+    table = algebra.MomentTable([moments[k] for k in algebra.keys_up_to_order(2)], order_max=2)
     with pytest.raises(NonPhysicalCovariance):
         criteria.gaussian_reference_entropy(table)
 

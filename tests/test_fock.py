@@ -291,7 +291,7 @@ def ref_moments_checked(rho, cfg, order_max):
 
 
 def ref_delta(rho, cfg):
-    table = algebra.MomentTable(ref_moments(rho, cfg, 2), 2)
+    table = algebra.MomentTable(list(ref_moments(rho, cfg, 2).values()), 2)
     delta = criteria.gaussian_reference_entropy(table) - ref_entropy(rho)
     if delta < -1e-6:
         raise RuntimeError("negative non-Gaussianity")

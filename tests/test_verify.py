@@ -228,15 +228,26 @@ def test_seeded_recovery_stable_under_last_bit_changes():
     before = [reference.run(10**6, seed).recovered_table.entries for seed in seeds]
     for p in range(3):
         rng = np.random.default_rng(p)
-        entries = {
-            key: value * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0)) if any(key) else value
+        values = [
+            value * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0)) if any(key) else value
             for key, value in table.entries.items()
-        }
-        study = VerificationStudy(dataclasses.replace(table, entries=entries), phi=PHI)
+        ]
+        study = VerificationStudy(dataclasses.replace(table, values=values), phi=PHI)
         assert np.max(np.abs(study.factors - reference.factors)) <= 1e-7
         for seed, ref in zip(seeds, before):
             rec = study.run(10**6, seed).recovered_table.entries
             assert max(abs(rec[key] - ref[key]) for key in ref) <= 1e-9
+
+
+def test_max_abs_deviation_is_the_per_key_python_maximum():
+    # bit for bit: np.abs rounds complex moduli differently from Python's abs
+    from mechcat.presets import OMEGA_M_DEFAULT
+
+    env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
+    study = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI)
+    for run in [study.run(None)] + [study.run(10**6, (7, k)) for k in range(20)]:
+        exact, rec = run.exact_table.entries, run.recovered_table.entries
+        assert run.max_abs_deviation() == max(abs(rec[k] - exact[k]) for k in rec)
 
 
 def test_default_phase_sets_order1_minimal():
