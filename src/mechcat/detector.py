@@ -177,12 +177,47 @@ def _poisson_weights(mean: float, count: int) -> np.ndarray:
     return np.array([mean**j / math.factorial(j) for j in range(count + 1)])
 
 
-class LossOracle:
-    """Brute-force P_mnkl = tr(Y_mnkl rho Y_mnkl^dag) for every outcome with
-    m + n + k + l <= truncation, from one walk over the thermal state factor.
+def _loss_table(
+    det: DetectorParams,
+    protocol: ProtocolParams,
+    config: FockConfig,
+    truncation: int,
+    n_max: int,
+) -> np.ndarray:
+    """P[m, n, k, l] for every outcome with m + n + k + l <= truncation and
+    n <= n_max, from one walk over the thermal state factor; zero elsewhere.
 
     Each lost photon applies its interferometer arm, each click applies
-    arm_1 +- e^{i phi} arm_2; `table[m, n, k, l]` holds P_mnkl (zero beyond
+    arm_1 +- e^{i phi} arm_2. The walk order does not depend on n_max, so
+    every entry it fills is the same float for any n_max.
+    """
+    _require_coherent(protocol)
+    t = truncation
+    arm_1, arm_2 = interferometer_arms(protocol, config)
+    phase = np.exp(1j * protocol.phi)
+
+    def plus(a):
+        return arm_1(a) + phase * arm_2(a)
+
+    def minus(a):
+        return arm_1(a) - phase * arm_2(a)
+
+    norms = np.zeros((t + 1,) * 4)
+    factor = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).factor
+    for k, a_k in enumerate(_powers(arm_1, factor, t)):
+        for l, a_kl in enumerate(_powers(arm_2, a_k, t - k)):  # noqa: E741
+            for n, a_nkl in enumerate(_powers(minus, a_kl, min(n_max, t - k - l))):
+                for m, a in enumerate(_powers(plus, a_nkl, t - k - l - n)):
+                    norms[m, n, k, l] = np.vdot(a, a).real
+    a2 = abs(protocol.input.alpha) ** 2
+    click = _poisson_weights(det.eta * a2 / 4.0, t)
+    lost = _poisson_weights((1.0 - det.eta) * a2 / 2.0, t)
+    return math.exp(-a2) * np.einsum("m,n,k,l->mnkl", click, click, lost, lost) * norms
+
+
+class LossOracle:
+    """Brute-force P_mnkl = tr(Y_mnkl rho Y_mnkl^dag) for every outcome with
+    m + n + k + l <= truncation; `table[m, n, k, l]` holds P_mnkl (zero beyond
     the truncation).
     """
 
@@ -193,28 +228,8 @@ class LossOracle:
         config: FockConfig,
         truncation: int = LOSS_TRUNCATION,
     ):
-        _require_coherent(protocol)
-        t = self.truncation = truncation
-        arm_1, arm_2 = interferometer_arms(protocol, config)
-        phase = np.exp(1j * protocol.phi)
-
-        def plus(a):
-            return arm_1(a) + phase * arm_2(a)
-
-        def minus(a):
-            return arm_1(a) - phase * arm_2(a)
-
-        norms = np.zeros((t + 1,) * 4)
-        factor = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).factor
-        for k, a_k in enumerate(_powers(arm_1, factor, t)):
-            for l, a_kl in enumerate(_powers(arm_2, a_k, t - k)):  # noqa: E741
-                for n, a_nkl in enumerate(_powers(minus, a_kl, t - k - l)):
-                    for m, a in enumerate(_powers(plus, a_nkl, t - k - l - n)):
-                        norms[m, n, k, l] = np.vdot(a, a).real
-        a2 = abs(protocol.input.alpha) ** 2
-        click = _poisson_weights(det.eta * a2 / 4.0, t)
-        lost = _poisson_weights((1.0 - det.eta) * a2 / 2.0, t)
-        self.table = math.exp(-a2) * np.einsum("m,n,k,l->mnkl", click, click, lost, lost) * norms
+        self.truncation = truncation
+        self.table = _loss_table(det, protocol, config, truncation, n_max=truncation)
 
     def probability(self, outcome: LossOutcome) -> float:
         """P_mnkl of one outcome."""
@@ -237,7 +252,6 @@ def loss_outcome_probability(
 class OracleFractions:
     resolving: float
     nonresolving: float
-    probability_covered: float
 
 
 def fractions_from_oracle(
@@ -246,16 +260,16 @@ def fractions_from_oracle(
     config: FockConfig,
     truncation: int = LOSS_TRUNCATION,
 ) -> OracleFractions:
-    """Assemble both F values from brute-force P_mnkl sums (n = 0 clicks)."""
+    """Assemble both F values from brute-force P_mnkl sums (n = 0 clicks);
+    the walk visits only the n = 0 outcomes."""
     _check_truncation(LossOutcome(1, 0, 0, 0), truncation)
-    table = LossOracle(det, protocol, config, truncation).table
+    p = _loss_table(det, protocol, config, truncation, n_max=0)[:, 0]  # P_m0kl
     dark = det.dark_prob
-    p = table[:, 0]  # P_m0kl
     p1000 = p[1, 0, 0]
     sum_10kl, sum_00kl, sum_m0kl = p[1].sum(), p[0].sum(), p[1:].sum()
     res = (1.0 - dark) * p1000 / ((1.0 - dark) * sum_10kl + dark * sum_00kl)
     nonres = p1000 / (sum_m0kl + dark * sum_00kl)
-    return OracleFractions(float(res), float(nonres), float(table.sum()))
+    return OracleFractions(float(res), float(nonres))
 
 
 def total_probability_covered(

@@ -18,6 +18,7 @@ TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_TOL = 1e-8
 ENTROPY_EIG_FLOOR = 1e-14
+GRAM_IMAG_TOL = 1e-14  # ||Im G||_F / tr G below which G = A^dag A is taken as real
 THERMAL_TAIL_TOL = 1e-10
 THERMAL_DROP_TOL = 1e-16  # thermal-factor columns left out: below the rounding of a unit trace
 
@@ -340,9 +341,21 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 
 def von_neumann_entropy(state: TwoModeState) -> float:
     """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
-    from the rank x rank Gram matrix A^dag A (same nonzero spectrum as rho)."""
+    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho).
+
+    G is real for heralded thermal states (the thermal factor is real, the
+    arms are complex-symmetric and commute) and diagonal for state_from_rho
+    factors. By Weyl's inequality dropping Im G moves each eigenvalue by at
+    most ||Im G||_2 <= ||Im G||_F, so the real solve is taken when that bound
+    is at rounding level: at most GRAM_IMAG_TOL of tr G, the size of the
+    entropy's eigenvalue floor. Any other factor, such as A U for a unitary U
+    (the same rho), keeps the Hermitian solve.
+    """
     a = state.columns
-    return entropy_of_matrix(a.conj().T @ a)
+    gram = a.conj().T @ a
+    if np.linalg.norm(gram.imag) <= GRAM_IMAG_TOL * np.trace(gram).real:
+        gram = gram.real
+    return entropy_of_matrix(gram)
 
 
 def entanglement_entropy(state: TwoModeState) -> float:

@@ -196,6 +196,23 @@ def test_loss_oracle_matches_dense_reference(configuration, eta):
     assert oracle.table.sum() == pytest.approx(sum(reference.values()), abs=1e-12)
 
 
+@pytest.mark.parametrize("configuration", [PARALLEL, SERIES])
+@pytest.mark.parametrize("eta", [0.8, 1.0])
+def test_fractions_walk_matches_the_full_oracle_table(configuration, eta):
+    # the fractions walk only the n = 0 outcomes, in the order of the full walk
+    cfg = FockConfig(10, 10)
+    det = DetectorParams(eta=eta, dark_prob=1e-8)
+    p = ProtocolParams(mu=0.6, phi=2.1, input=CoherentInput(1.3), configuration=configuration,
+                       nbar_1=0.05, nbar_2=0.1)
+    m0kl = LossOracle(det, p, cfg).table[:, 0]
+    sum_10kl, sum_00kl, sum_m0kl = m0kl[1].sum(), m0kl[0].sum(), m0kl[1:].sum()
+    dark = det.dark_prob
+    resolving = (1.0 - dark) * m0kl[1, 0, 0] / ((1.0 - dark) * sum_10kl + dark * sum_00kl)
+    nonresolving = m0kl[1, 0, 0] / (sum_m0kl + dark * sum_00kl)
+    fractions = fractions_from_oracle(det, p, cfg)
+    assert (fractions.resolving, fractions.nonresolving) == (float(resolving), float(nonresolving))
+
+
 def test_loss_oracle_memory_stays_below_one_dense_matrix():
     cfg = FockConfig(24, 24)
     tracemalloc.start()

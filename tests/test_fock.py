@@ -142,6 +142,28 @@ def test_entropy_pure_and_thermal():
     assert abs(fock.von_neumann_entropy(th) - 2 * math.log(2)) < 1e-9
 
 
+def test_entropy_of_a_complex_gram_matrix_takes_the_hermitian_solve():
+    # A U with U unitary has the same rho as A, but a Gram matrix U^dag A^dag A U
+    # whose imaginary part is far above rounding: its real part has another spectrum
+    cfg = fock.FockConfig(5, 6)
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=(cfg.dim, 4)) + 1j * rng.normal(size=(cfg.dim, 4))
+    rho = b @ b.conj().T / np.linalg.norm(b) ** 2
+    base = fock.state_from_rho(rho, cfg)
+    assert not base.factor.flags.c_contiguous
+    r = base.factor.shape[2]
+    assert r > 1
+    u, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    state = fock.TwoModeState(cfg, (base.columns @ u).reshape(base.factor.shape))
+    a = state.columns
+    gram = a.conj().T @ a
+    assert np.linalg.norm(gram.imag) > 1e6 * fock.GRAM_IMAG_TOL
+    ref = fock.entropy_of_matrix(rho)
+    assert abs(fock.entropy_of_matrix(gram.real) - ref) > 0.1
+    for s in (base, state):
+        assert abs(fock.von_neumann_entropy(s) - ref) <= 1e-12 * ref
+
+
 def test_partial_trace_product_state():
     cfg = fock.FockConfig(20, 28)
     th = fock.thermal_state(0.3, 0.7, cfg)
@@ -351,6 +373,9 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
     assert rel_err(p, p_ref) < 1e-12
     assert rel_err(state.rho, rho) < 1e-12
     assert rel_err(fock.von_neumann_entropy(state), ref_entropy(rho)) < 1e-12
+    # G = A^dag A is real, so the entropy takes its real solve: max|Im G| <= ||Im G||_F
+    gram = state.columns.conj().T @ state.columns
+    assert np.linalg.norm(gram.imag) <= fock.GRAM_IMAG_TOL * np.trace(gram).real
     for keep in (1, 2):
         axes = "ikjk->ij" if keep == 1 else "kikj->ij"
         ref_reduced = np.einsum(axes, rho.reshape(cfg.cutoff_1, cfg.cutoff_2, cfg.cutoff_1, cfg.cutoff_2))
