@@ -322,26 +322,29 @@ def moments_from_state(
 
 
 def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
-    # <M1 x M2> = sum_{i,k} M1[i, k] S[i, k] with
-    # S[i, k] = sum_{j,l} M2[j, l] sum_x conj(A[i, j, x]) A[k, l, x]. Mode-2 words of order <= n
-    # are banded (|j - l| <= n), so every S needs only the band slices
-    # B_d[j] = conj(A[:, j, :]) A[:, j + d, :]^T, with B_{-d}[j + d] = B_d[j]^dag; the
-    # (mode-1 word, mode-2 word) grid is then one product
+    # <M1 x M2> = sum_{i,j,k,l} M1[i, k] M2[j, l] sum_x conj(A[i, j, x]) A[k, l, x]. Words of
+    # order <= n are banded on both modes, so with k = i + d1, l = j + d2 every moment of order
+    # <= n is a sum over |d1| + |d2| <= n of diag(M1, d1) O_d diag(M2, d2)^T with the shifted
+    # overlaps O_d[i, j] = sum_x conj(A[i, j, x]) A[i + d1, j + d2, x] (both indexed from the
+    # first valid row and column). O_{-d} is the conjugate of O_d in that indexing, so only
+    # the half plane (d1 > 0, or d1 = 0 and d2 >= 0) is computed
     a = state.factor
     c1, c2 = a.shape[:2]
     m1 = _word_matrices(c1, order_max)
     m2 = _word_matrices(c2, order_max)
-    cols = a.transpose(1, 0, 2)
-    conj_cols = cols.conj()
-    upper = np.zeros((len(m2), c1, c1), dtype=complex)
-    lower = np.zeros_like(upper)  # conjugate transpose of the d < 0 part
-    for d in range(min(order_max, c2 - 1) + 1):
-        band = conj_cols[: c2 - d] @ cols[d:].transpose(0, 2, 1)
-        upper += np.tensordot(np.diagonal(m2, d, 1, 2), band, 1)
-        if d:
-            lower += np.tensordot(np.diagonal(m2, -d, 1, 2).conj(), band, 1)
-    sandwiches = upper + lower.conj().transpose(0, 2, 1)
-    grid = m1.reshape(len(m1), -1) @ sandwiches.reshape(len(m2), -1).T
+
+    def part(d1, d2, overlap):
+        return np.diagonal(m1, d1, 1, 2) @ overlap @ np.diagonal(m2, d2, 1, 2).T
+
+    grid = 0
+    for d1 in range(min(order_max, c1 - 1) + 1):
+        reach = min(order_max - d1, c2 - 1)
+        for d2 in range(-reach if d1 else 0, reach + 1):
+            lo, hi = max(0, -d2), c2 - max(0, d2)
+            overlap = np.vecdot(a[: c1 - d1, lo:hi], a[d1:, lo + d2 : hi + d2])
+            grid = grid + part(d1, d2, overlap)
+            if d1 or d2:
+                grid = grid + part(-d1, -d2, overlap.conj())
     i1, i2 = _grid_index(order_max)
     return MomentTable(grid[i1, i2], order_max)
 

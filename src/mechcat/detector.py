@@ -16,7 +16,7 @@ import numpy as np
 from . import fock
 from .errors import DegenerateHerald, TruncationTooSmall
 from .fock import FockConfig
-from .herald import CoherentInput, ProtocolParams, heralding_probability, interferometer_arms
+from .herald import CoherentInput, ProtocolParams, click_step, heralding_probability, interferometer_arms
 
 LOSS_TRUNCATION = 8
 L_SUM_TERM_TOL = 1e-12
@@ -196,12 +196,7 @@ def _loss_table(
     arm_1, arm_2 = interferometer_arms(protocol, config)
     phase = np.exp(1j * protocol.phi)
 
-    def plus(a):
-        return arm_1(a) + phase * arm_2(a)
-
-    def minus(a):
-        return arm_1(a) - phase * arm_2(a)
-
+    plus, minus = click_step(arm_1, arm_2, phase), click_step(arm_1, arm_2, -phase)
     norms = np.zeros((t + 1,) * 4)
     factor = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).factor
     for k, a_k in enumerate(_powers(arm_1, factor, t)):

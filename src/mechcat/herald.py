@@ -125,17 +125,34 @@ def interferometer_arms(params: ProtocolParams, config: FockConfig):
     return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)
 
 
+def click_step(arm_1, arm_2, coef: complex):
+    """The map a -> arm_1(a) + coef arm_2(a) on state factors. It scales the
+    arms' own arrays in place and never writes to `a`: the series arm_2 is
+    the identity and returns `a` itself, so that product is a new array."""
+
+    def step(a: np.ndarray) -> np.ndarray:
+        b = arm_1(a)
+        c = arm_2(a)
+        b += coef * a if c is a else np.multiply(coef, c, out=c)
+        return b
+
+    return step
+
+
 def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig):
     """The click operator Y_mn as a map on state factors, applied mode by mode."""
     m, n = outcome.m, outcome.n
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
     arm_1, arm_2 = interferometer_arms(params, config)
     phase = np.exp(1j * params.phi)
+    steps = [click_step(arm_1, arm_2, sign * phase) for sign in (-1.0,) * n + (1.0,) * m]
 
     def apply(a: np.ndarray) -> np.ndarray:  # pref * plus^m minus^n a
-        for sign in (-1.0,) * n + (1.0,) * m:
-            a = arm_1(a) + sign * phase * arm_2(a)
-        return pref * a
+        if not steps:
+            return pref * a
+        for step in steps:
+            a = step(a)
+        return np.multiply(pref, a, out=a)  # a is the last step's own array
 
     return apply
 

@@ -182,10 +182,23 @@ def _assert_moments_match(entries, ref):
 @pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])
 @pytest.mark.parametrize("cutoffs", [(12, 7), (7, 12), (12, 3), (3, 12)], ids=lambda c: "%dx%d" % c)
 def test_banded_moments_match_matrix_power_words(cutoffs, rank, order):
-    # a mode-2 cutoff of 3 clips the band loop at c2 - 1 = 2 at orders 4 and 8
+    # a cutoff of 3 clips that mode's shift loop at c - 1 = 2 at orders 4 and 8
     state = _random_factor_state(*cutoffs, rank, seed=sum(cutoffs) + rank + order)
     table = algebra.moments_from_state(state, order)
     _assert_moments_match(table.entries, _matrix_power_moments(state, order))
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+@pytest.mark.parametrize("cutoffs", [(12, 7), (12, 3), (3, 12)], ids=lambda c: "%dx%d" % c)
+def test_moments_of_non_contiguous_factors(cutoffs, order):
+    # state_from_rho factors are views of the eigenvector matrix, and a factor
+    # stored mode-2 major is a transposed view: the overlaps read both as strided
+    state = _random_factor_state(*cutoffs, 4, seed=sum(cutoffs) + order)
+    from_rho = fock.state_from_rho(state.rho, state.config)
+    transposed = fock.TwoModeState(state.config, state.factor.transpose(1, 0, 2).copy().transpose(1, 0, 2))
+    for s in (from_rho, transposed):
+        assert not s.factor.flags.c_contiguous
+        _assert_moments_match(algebra.moments_from_state(s, order).entries, _matrix_power_moments(s, order))
 
 
 @pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])

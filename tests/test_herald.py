@@ -113,6 +113,66 @@ def test_series_equals_mapped_parallel():
     assert np.max(np.abs(mapped - ser.rho)) < 1e-8
 
 
+def _plain_click_map(params, outcome, cfg):
+    """pref (arm_1 + e^{i phi} arm_2)^m (arm_1 - e^{i phi} arm_2)^n as plain expressions."""
+    arm_1, arm_2 = herald.interferometer_arms(params, cfg)
+    phase = np.exp(1j * params.phi)
+
+    def apply(a):
+        for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m:
+            a = arm_1(a) + sign * phase * arm_2(a)
+        return herald.amplitude_prefactor(params, outcome) * a
+
+    return apply
+
+
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("outcome", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 0)])
+def test_click_map_is_the_plain_expression_and_leaves_its_input(configuration, outcome):
+    # the series arm_2 is the identity: a step that scaled arm_2(a) in place would scale a
+    params = ProtocolParams(mu=0.8, phi=2.3, input=CoherentInput(0.9 + 0.4j), configuration=configuration,
+                            nbar_1=0.2, nbar_2=0.1)
+    click = ClickOutcome(*outcome)
+    cfg = fock.FockConfig(16, 11)
+    rng = np.random.default_rng(sum(outcome))
+    inputs = [fock.thermal_state(0.2, 0.1, cfg).factor,
+              rng.normal(size=(16, 11, 3)) + 1j * rng.normal(size=(16, 11, 3))]
+    click_map = herald._click_map(params, click, cfg)
+    plain = _plain_click_map(params, click, cfg)
+    for a in inputs:
+        kept = a.copy()
+        a.setflags(write=False)
+        out = click_map(a)
+        assert a.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out, a)
+        assert out.tobytes() == plain(kept).tobytes()
+
+
+def test_heralded_factor_is_bit_identical_to_the_plain_click_expression():
+    for configuration in ("parallel", "series"):
+        params = ProtocolParams(mu=1.1, phi=0.7, configuration=configuration, nbar_1=0.3, nbar_2=0.05)
+        cfg = fock.FockConfig(16, 14)
+        state, p = herald.heralded_state(params, cfg)
+        a = _plain_click_map(params, ClickOutcome(1, 0), cfg)(fock.thermal_state(0.3, 0.05, cfg).factor)
+        p_plain = float(np.vdot(a, a).real)
+        assert p == p_plain
+        assert state.factor.tobytes() == (a / math.sqrt(p_plain)).tobytes()
+
+
+def test_click_step_is_the_plain_arm_sum():
+    # the loss oracle's plus and minus steps, as the plain expressions they replace
+    params = ProtocolParams(mu=0.6, phi=2.1, nbar_1=0.05, nbar_2=0.1)
+    cfg = fock.FockConfig(10, 10)
+    a = fock.thermal_state(0.05, 0.1, cfg).factor
+    for configuration in ("parallel", "series"):
+        arm_1, arm_2 = herald.interferometer_arms(
+            ProtocolParams(mu=params.mu, phi=params.phi, configuration=configuration), cfg)
+        phase = np.exp(1j * params.phi)
+        plus, minus = herald.click_step(arm_1, arm_2, phase), herald.click_step(arm_1, arm_2, -phase)
+        assert plus(a).tobytes() == (arm_1(a) + phase * arm_2(a)).tobytes()
+        assert np.array_equal(minus(a), arm_1(a) - phase * arm_2(a))
+
+
 def test_herald_impossible():
     with pytest.raises(HeraldImpossible):
         herald.heralded_state(ProtocolParams(mu=0.0, phi=math.pi), CFG)
