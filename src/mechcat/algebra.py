@@ -50,9 +50,9 @@ def string_to_key(s: str) -> Key:
     return tuple(int(p.split("^")[1]) for p in parts)  # type: ignore[return-value]
 
 
-def _check_order(n: int, d_max: int):
-    if n > d_max:
-        raise OrderOverflow(f"word order {n} exceeds d_max={d_max}")
+def _check_order(n: int):
+    if n > D_MAX:
+        raise OrderOverflow(f"word order {n} exceeds d_max={D_MAX}")
 
 
 def mode_product(poly: np.ndarray, cx: complex, cp: complex) -> np.ndarray:
@@ -79,22 +79,22 @@ def _expand(word: tuple[str, ...]) -> tuple[tuple[Key, complex], ...]:
     return tuple(zip(map(tuple, keys.tolist()), prod[tuple(keys.T)].tolist()))
 
 
-def _expand_checked(word: tuple[str, ...], letters: tuple[str, ...], d_max: int) -> Combo:
-    _check_order(len(word), d_max)
+def _expand_checked(word: tuple[str, ...], letters: tuple[str, ...]) -> Combo:
+    _check_order(len(word))
     for c in word:
         if c not in letters:
             raise ValueError(f"unknown letter {c!r}")
     return dict(_expand(tuple(word)))
 
 
-def canonicalize(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
+def canonicalize(word: tuple[str, ...]) -> Combo:
     """Rewrite a quadrature word as {canonical key: coefficient}."""
-    return _expand_checked(word, QUAD_LETTERS, d_max)
+    return _expand_checked(word, QUAD_LETTERS)
 
 
-def ladder_to_quadrature(word: tuple[str, ...], d_max: int = D_MAX) -> Combo:
+def ladder_to_quadrature(word: tuple[str, ...]) -> Combo:
     """Expand a ladder word into canonical quadrature words."""
-    return _expand_checked(word, LADDER_LETTERS, d_max)
+    return _expand_checked(word, LADDER_LETTERS)
 
 
 def _interleavings(p: int, q: int) -> list[tuple[str, ...]]:
@@ -105,13 +105,13 @@ def _interleavings(p: int, q: int) -> list[tuple[str, ...]]:
     ]
 
 
-def symmetrized_expand(p: int, q: int, r: int, s: int, d_max: int = D_MAX) -> list[tuple[str, ...]]:
+def symmetrized_expand(p: int, q: int, r: int, s: int) -> list[tuple[str, ...]]:
     """Distinct orderings of p X1, q P1, r X2, s P2 (cross-mode letters commute).
 
     Words are returned with all mode-1 letters before mode-2 letters; the
     count is C(p+q, p) * C(r+s, r).
     """
-    _check_order(p + q + r + s, d_max)
+    _check_order(p + q + r + s)
     m1 = [tuple(c + "1" for c in w) for w in _interleavings(p, q)]
     m2 = [tuple(c + "2" for c in w) for w in _interleavings(r, s)]
     return [w1 + w2 for w1 in m1 for w2 in m2]
@@ -168,7 +168,7 @@ def symmetrization_maps(order_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only single-mode maps of the symmetrized sums: row (p, q) adds up the
     canonical coefficients of every ordering of p X and q P letters and, for
     error propagation, their squared moduli ordering by ordering."""
-    _check_order(order_max, D_MAX)
+    _check_order(order_max)
     mkeys = mode_keys(order_max)
     a_idx, b_idx = np.array(mkeys).T
     n = order_max + 1
@@ -262,8 +262,9 @@ class MomentTable:
                 if abs(v.imag) > tol * (1.0 + abs(v)):
                     raise ValueError(f"{key_to_string(key)} = {v} not real")
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload of the table: entries as [re, im] and std_errors by word string."""
+        return {
             "order_max": self.order_max,
             "provenance": self.provenance,
             "n_samples": self.n_samples,
@@ -273,7 +274,9 @@ class MomentTable:
             },
             "std_errors": {key_to_string(k): e for k, e in sorted(self.std_errors.items())},
         }
-        return json.dumps(payload, indent=1)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "MomentTable":
@@ -301,14 +304,10 @@ def _word_matrices(cutoff: int, order_max: int) -> np.ndarray:
     return np.array(list(words.values()))
 
 
-def moments_from_state(
-    state: TwoModeState,
-    order_max: int,
-    d_max: int = D_MAX,
-    check_convergence: bool = False,
-) -> MomentTable:
+def moments_from_state(state: TwoModeState, order_max: int,
+                       check_convergence: bool = False) -> MomentTable:
     """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state."""
-    _check_order(order_max, d_max)
+    _check_order(order_max)
     table = _moments_raw(state, order_max)
     if check_convergence:
         top = order_slice(order_max)

@@ -63,15 +63,20 @@ def write_table(args, meta: list[str], columns: list[str], rows: list[tuple]):
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Grid syntax: 'start:stop:num' (inclusive linspace) or 'a, b, c'."""
+    """Grid syntax: 'start:stop:num' (inclusive linspace, num >= 1) or 'a, b, c'."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {spec!r} is not start:stop:num")
         start, stop, num = parts
+        if int(num) < 1:
+            raise ValueError(f"grid {spec!r} needs num >= 1")
         return [float(v) for v in np.linspace(float(start), float(stop), int(num))]
-    return [float(v) for v in spec.split(",") if v.strip()]
+    points = [float(v) for v in spec.split(",") if v.strip()]
+    if not points:
+        raise ValueError(f"grid {spec!r} has no point")
+    return points
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
@@ -88,6 +93,17 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 def _cfg_float(cfg, section, key, default):
     return cfg.getfloat(section, key, fallback=default)
+
+
+def _cfg_int(cfg, section, key, default: int, minimum: int) -> int:
+    """An integral value of at least `minimum`; float syntax such as 1e5 is accepted."""
+    try:
+        value = float(_cfg_float(cfg, section, key, default))
+    except ValueError:
+        value = math.nan
+    if not (value.is_integer() and value >= minimum):
+        raise ValueError(f"[{section}] {key} = {cfg.get(section, key)} must be an integer >= {minimum}")
+    return int(value)
 
 
 def env_from_config(cfg) -> EnvParams:
@@ -326,9 +342,9 @@ def cmd_verify(args) -> int:
     phi = _cfg_float(cfg, "protocol", "phi", PHI_DEFAULT)
     nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
     chi = _cfg_float(cfg, "verify", "chi", 1.0)
-    n_samples = int(_cfg_float(cfg, "verify", "n_samples", 1e6))
+    n_samples = _cfg_int(cfg, "verify", "n_samples", 10**6, minimum=1)
     target_order = _cfg_float(cfg, "verify", "target_order", 4)
-    n_seeds = int(_cfg_float(cfg, "verify", "n_seeds", 20))
+    n_seeds = _cfg_int(cfg, "verify", "n_seeds", 20, minimum=0)
     if target_order != 4:
         raise ValueError(
             f"[verify] target_order = {target_order:g} must be 4: the report's S3 needs order-4 "
@@ -341,7 +357,7 @@ def cmd_verify(args) -> int:
     table = evolve_moments(heralded_moment_table(params, 2 * target_order), env)
     phase_sets = verify.default_phase_sets(target_order, phi=phi, chi=chi)
     if cfg.has_option("verify", "max_phase_sets"):
-        phase_sets = phase_sets[: cfg.getint("verify", "max_phase_sets")]
+        phase_sets = phase_sets[: _cfg_int(cfg, "verify", "max_phase_sets", 1, minimum=1)]
     study = verify.VerificationStudy(
         table, phi=phi, chi=chi, target_order=target_order, phase_sets=phase_sets
     )
@@ -361,6 +377,7 @@ def cmd_verify(args) -> int:
         s3_signs += (s3_rec < 0) == (s3_exact < 0)
         runs.append({"seed": [args.seed, k], "S3": s3_rec, "D5": d5_rec,
                      "max_abs_moment_error": run.max_abs_deviation()})
+    recovered = last_recovered.to_dict() if last_recovered else None
     report = {
         "meta": "verification Monte-Carlo; hbar=1, Var_vac=1/2",
         "protocol": {"mu": mu, "phi": phi, "nbar": nbar, "chi": chi,
@@ -369,13 +386,9 @@ def cmd_verify(args) -> int:
                 "nbar_bath": env.nbar_bath},
         "noiseless_max_abs_deviation": noiseless.max_abs_deviation(),
         "exact": {"D5": d5_exact, "S3": s3_exact},
-        "exact_moments": json.loads(table.to_json())["entries"],
-        "recovered_moments_last_run": (
-            json.loads(last_recovered.to_json())["entries"] if last_recovered else None
-        ),
-        "recovered_errors_last_run": (
-            json.loads(last_recovered.to_json())["std_errors"] if last_recovered else None
-        ),
+        "exact_moments": table.to_dict()["entries"],
+        "recovered_moments_last_run": recovered["entries"] if recovered else None,
+        "recovered_errors_last_run": recovered["std_errors"] if recovered else None,
         "s3_sign_agreement": [s3_signs, n_seeds],
         "runs": runs,
     }
@@ -408,11 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, check=False):
+    def common(p, check=False, formats=("csv", "json")):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         if check:
             p.add_argument("--check", action="store_true",
@@ -431,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detector", help="true-positive fractions vs alpha")
     common(p)
     p = sub.add_parser("verify", help="verification Monte-Carlo report")
-    common(p)
+    common(p, formats=("json",))
+    p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("sideband", help="finite sideband-ratio corrections")
-    common(p)
+    common(p, formats=("json",))
     p.add_argument("--g0", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--omega-m", dest="omega_m", type=float, required=True)

@@ -10,7 +10,7 @@ class CutoffTooSmall(MechcatError):
 
 
 class DimensionMismatch(MechcatError):
-    """Operator and state live on different truncated spaces."""
+    """A state array does not match the truncated space it is declared on."""
 
 
 class ZeroOperator(MechcatError):

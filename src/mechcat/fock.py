@@ -1,4 +1,4 @@
-"""Truncated two-mode Fock space: states, elementary operators, expectations.
+"""Truncated two-mode Fock space: states held as factors, single-mode maps on them.
 
 Conventions: hbar = 1, X = (b + b^dag)/sqrt(2), P = -i(b - b^dag)/sqrt(2),
 so the vacuum quadrature variance is 1/2.
@@ -67,10 +67,6 @@ def destroy(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
 
 
-def create(cutoff: int) -> np.ndarray:
-    return destroy(cutoff).conj().T
-
-
 def x_single(cutoff: int) -> np.ndarray:
     a = destroy(cutoff)
     return (a + a.conj().T) / math.sqrt(2.0)
@@ -98,57 +94,6 @@ def coherent_vector(beta: complex, cutoff: int) -> np.ndarray:
     return amps * math.exp(-abs(beta) ** 2 / 2.0)
 
 
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """Dense operator on the truncated two-mode space."""
-
-    config: FockConfig
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.config.dim, self.config.dim):
-            raise DimensionMismatch(
-                f"operator {self.label!r}: shape {self.matrix.shape} vs dim {self.config.dim}"
-            )
-
-    def __matmul__(self, other: "ModeOperator") -> "ModeOperator":
-        if self.config != other.config:
-            raise DimensionMismatch("operator configs differ")
-        return ModeOperator(self.config, self.matrix @ other.matrix, f"{self.label}*{other.label}")
-
-
-def embed(single: np.ndarray, mode: int, config: FockConfig, label: str = "") -> ModeOperator:
-    """Lift a single-mode matrix to the two-mode space (identity on the other mode)."""
-    if mode == 1:
-        if single.shape[0] != config.cutoff_1:
-            raise DimensionMismatch("single-mode matrix does not match cutoff_1")
-        full = np.kron(single, np.eye(config.cutoff_2))
-    elif mode == 2:
-        if single.shape[0] != config.cutoff_2:
-            raise DimensionMismatch("single-mode matrix does not match cutoff_2")
-        full = np.kron(np.eye(config.cutoff_1), single)
-    else:
-        raise ValueError("mode must be 1 or 2")
-    return ModeOperator(config, full.astype(complex), label)
-
-
-def x_operator(mode: int, config: FockConfig) -> ModeOperator:
-    return embed(x_single(config.cutoff(mode)), mode, config, f"X{mode}")
-
-
-def p_operator(mode: int, config: FockConfig) -> ModeOperator:
-    return embed(p_single(config.cutoff(mode)), mode, config, f"P{mode}")
-
-
-def ladder_operator(mode: int, config: FockConfig, dagger: bool = False) -> ModeOperator:
-    m = create(config.cutoff(mode)) if dagger else destroy(config.cutoff(mode))
-    return embed(m, mode, config, f"b{mode}" + ("^dag" if dagger else ""))
-
-
 def checked_displacement(beta: complex, cutoff: int) -> np.ndarray:
     """Single-mode D(beta); CutoffTooSmall where the truncation spoils it."""
     if abs(beta) ** 2 > cutoff / 2.0:
@@ -160,19 +105,6 @@ def checked_displacement(beta: complex, cutoff: int) -> np.ndarray:
     if defect > 1e-6:
         raise CutoffTooSmall(f"displacement unitarity defect {defect:.3g}")
     return d
-
-
-def displacement(mode: int, beta: complex, config: FockConfig) -> ModeOperator:
-    """Displacement D(beta) on one mode; e^{i mu X} is D(i mu / sqrt 2)."""
-    d = checked_displacement(beta, config.cutoff(mode))
-    return embed(d, mode, config, f"D{mode}({beta:.4g})")
-
-
-def rotation(mode: int, theta: float, config: FockConfig) -> ModeOperator:
-    """Phase-space rotation exp(-i theta b^dag b) on one mode."""
-    cutoff = config.cutoff(mode)
-    d = np.diag(np.exp(-1j * theta * np.arange(cutoff)))
-    return embed(d, mode, config, f"R{mode}({theta:.4g})")
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +232,15 @@ def on_mode(single: np.ndarray, mode: int, factor: np.ndarray) -> np.ndarray:
 
 
 def apply_operator(
-    op: ModeOperator | Callable[[np.ndarray], np.ndarray], state: TwoModeState
+    op: Callable[[np.ndarray], np.ndarray], state: TwoModeState
 ) -> tuple[TwoModeState, float]:
-    """Return (K rho K^dag / p, p) with p = tr(K rho K^dag), for K a ModeOperator
-    or a map on factors (such as one made of on_mode steps)."""
-    if isinstance(op, ModeOperator):
-        if op.config != state.config:
-            raise DimensionMismatch("operator and state configs differ")
-        a = (op.matrix @ state.columns).reshape(state.factor.shape)
-    else:
-        a = op(state.factor)
+    """Return (K rho K^dag / p, p) with p = tr(K rho K^dag), for K given as a map
+    on factors (such as one made of on_mode steps)."""
+    a = op(state.factor)
     p = float(np.vdot(a, a).real)
     if p <= 0.0:
         return state, 0.0
     return TwoModeState(state.config, a / math.sqrt(p), state.truncation_loss), p
-
-
-def expectation(state: TwoModeState, op: ModeOperator) -> complex:
-    """tr(rho * matrix)."""
-    if op.config != state.config:
-        raise DimensionMismatch("operator and state configs differ")
-    a = state.columns
-    return complex(np.vdot(a, op.matrix @ a))
 
 
 def partial_trace(state: TwoModeState, keep_mode: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import fock
 from .algebra import MomentTable, _grid_index, mode_keys
 from .errors import HeraldImpossible, ZeroOperator
-from .fock import FockConfig, ModeOperator, TwoModeState
+from .fock import FockConfig, TwoModeState
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,10 @@ def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
 
 def measurement_operator(
     params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
-) -> ModeOperator:
-    """Fock-space matrix of the click operator Y_mn (its map on the identity)."""
+) -> np.ndarray:
+    """Dense dim x dim matrix of the click operator Y_mn (its map on the identity)."""
     eye = np.eye(config.dim, dtype=complex).reshape(config.cutoff_1, config.cutoff_2, config.dim)
-    mat = _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
-    return ModeOperator(config, mat, f"Y_{outcome.m}{outcome.n}")
+    return _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
 
 
 def herald(

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import letter_matrices
 from mechcat import algebra, criteria, detector, fock, herald, presets, sideband, verify
 from mechcat.criteria import build_d5, build_s3, mu_cutoff, non_gaussianity, s3_ground_closed_form
 from mechcat.herald import (
@@ -263,10 +264,7 @@ def test_criterion_10_structural_invariants():
     rng = np.random.default_rng(3)
     state, _ = heralded_state(ProtocolParams(mu=0.4, phi=1.0, nbar_1=0.1, nbar_2=0.1), cfg)
     table = algebra.moments_from_state(state, 4)
-    mats = {
-        "X1": fock.x_operator(1, cfg).matrix, "P1": fock.p_operator(1, cfg).matrix,
-        "X2": fock.x_operator(2, cfg).matrix, "P2": fock.p_operator(2, cfg).matrix,
-    }
+    mats = {k: m for k, m in letter_matrices(cfg).items() if k[0] in "XP"}
     comm_ok = True
     for _ in range(30):
         word = tuple(rng.choice(list(mats)) for _ in range(rng.integers(2, 5)))

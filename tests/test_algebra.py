@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from dense_reference import letter_matrices
 from mechcat import algebra, fock, herald
 from mechcat.algebra import MomentTable, canonicalize, ladder_to_quadrature, symmetrized_expand
 from mechcat.errors import MissingMoment, OrderOverflow
@@ -26,16 +27,7 @@ def random_state(cfg: fock.FockConfig, seed: int) -> fock.TwoModeState:
 
 
 def fock_word_matrix(word, cfg):
-    mats = {
-        "X1": fock.x_operator(1, cfg).matrix,
-        "P1": fock.p_operator(1, cfg).matrix,
-        "X2": fock.x_operator(2, cfg).matrix,
-        "P2": fock.p_operator(2, cfg).matrix,
-        "b1": fock.ladder_operator(1, cfg).matrix,
-        "b1d": fock.ladder_operator(1, cfg, dagger=True).matrix,
-        "b2": fock.ladder_operator(2, cfg).matrix,
-        "b2d": fock.ladder_operator(2, cfg, dagger=True).matrix,
-    }
+    mats = letter_matrices(cfg)
     out = np.eye(cfg.dim, dtype=complex)
     for c in word:
         out = out @ mats[c]

@@ -18,6 +18,7 @@ def run_cli(args):
 def test_parse_grid():
     assert cli.parse_grid("0:1:3") == [0.0, 0.5, 1.0]
     assert cli.parse_grid("0.1, 0.5, 2") == [0.1, 0.5, 2.0]
+    assert cli.parse_grid("0.3:0.7:1") == [0.3]
 
 
 def test_check_against_golden():
@@ -128,6 +129,23 @@ def test_verify_rank_deficient_exit_code(tmp_path):
     assert "RankDeficient" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sideband", "--g0", "1", "--kappa", "1", "--omega-m", "1", "--format", "csv"], "'csv'"),
+        (["verify", "--format", "csv"], "'csv'"),
+        (["map", "--criterion", "S3", "--seed", "1"], "--seed 1"),
+        (["table1", "--seed", "1"], "--seed 1"),
+    ],
+    ids=["sideband-csv", "verify-csv", "map-seed", "table1-seed"],
+)
+def test_options_a_command_ignores_are_rejected(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_check_failure_exit_code(monkeypatch, tmp_path, capsys):
     def fake_golden(name):
         return {("i", "D5"): (123.0, "abs", 1e-6)}
@@ -218,7 +236,18 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ("map --criterion S3", "mu = 0.5\n", "bad.ini"),
         ("map --criterion S3", "[grid]\nmu = 50%\n", "50%"),
         ("verify", "[verify]\nchi = 0\n", "chi"),
-        ("verify", "[verify]\nmax_phase_sets = 0\n", "phase set"),
+        ("verify", "[verify]\nmax_phase_sets = 0\n", "max_phase_sets = 0"),
+        ("verify", "[verify]\nmax_phase_sets = -3\n", "max_phase_sets = -3"),
+        ("verify", "[verify]\nn_seeds = -1\n", "n_seeds = -1"),
+        ("verify", "[verify]\nn_seeds = 1.7\n", "n_seeds = 1.7"),
+        ("verify", "[verify]\nn_seeds = two\n", "n_seeds = two"),
+        ("verify", "[verify]\nn_samples = 1000.9\n", "n_samples = 1000.9"),
+        ("verify", "[verify]\nn_samples = 0\n", "n_samples = 0"),
+        ("verify", "[verify]\nn_samples = inf\n", "n_samples = inf"),
+        ("map --criterion S3", "[grid]\nmu = 0.1:1:0\n", "'0.1:1:0'"),
+        ("cooling-map", "[grid]\nmu = 0.1:1:-2\n", "'0.1:1:-2'"),
+        ("map --criterion D5", "[grid]\nmu =\n", "grid '' has no point"),
+        ("detector", "[grid]\nalpha = ,\n", "grid ',' has no point"),
         ("verify", "[verify]\ntarget_order = 0\n", "target_order = 0"),
         ("verify", "[verify]\ntarget_order = -1\n", "target_order = -1"),
         ("verify", "[verify]\ntarget_order = 2.5\n", "target_order = 2.5"),
@@ -229,7 +258,10 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     ids=[
         "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
         "nan-detector-mu", "inf-grid-mu", "nan-cooling-mu", "duplicate-key", "no-section-header",
-        "percent-value", "zero-chi", "zero-phase-sets", "zero-target-order", "negative-target-order",
+        "percent-value", "zero-chi", "zero-phase-sets", "negative-phase-sets", "negative-n-seeds",
+        "fractional-n-seeds", "word-n-seeds", "fractional-n-samples", "zero-n-samples", "inf-n-samples",
+        "zero-point-grid", "negative-point-grid", "empty-grid", "commas-only-grid", "zero-target-order",
+        "negative-target-order",
         "fractional-target-order", "target-order-3", "target-order-5",
         "negative-n-samples",
     ],

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import lift
 from mechcat import fock
 from mechcat.detector import (
     LOSS_TRUNCATION,
@@ -159,8 +160,8 @@ def dense_loss_probabilities(det, p, cfg, truncation):
     """Every P_mnkl from Kronecker-embedded dim x dim displacements: the
     population-weighted column norms of plus^m minus^n arm_1^k arm_2^l."""
     beta = 1j * p.mu / math.sqrt(2.0)
-    d1 = fock.displacement(1, beta, cfg).matrix
-    d2 = fock.displacement(2, beta, cfg).matrix
+    d1 = lift(fock.checked_displacement(beta, cfg.cutoff_1), 1, cfg)
+    d2 = lift(fock.checked_displacement(beta, cfg.cutoff_2), 2, cfg)
     arm_1, arm_2 = (d1, d2) if p.configuration == PARALLEL else (d1 @ d2, np.eye(cfg.dim))
     phase = np.exp(1j * p.phi)
     powers = [[np.linalg.matrix_power(op, j) for j in range(truncation + 1)]

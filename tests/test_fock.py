@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import genlaguerre
 
+from dense_reference import letter_matrices, lift
 from mechcat import algebra, criteria, fock, herald, verify
-from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError
+from mechcat.errors import CutoffTooSmall, MechcatError
 
 
 CFG = fock.FockConfig(24, 24)
@@ -56,8 +57,9 @@ def test_thermal_populations_geometric():
 def test_thermal_mean_occupation():
     cfg = fock.FockConfig(24, 24)
     st = fock.thermal_state(0.29, 0.29, cfg)
-    n1 = fock.ladder_operator(1, cfg, dagger=True) @ fock.ladder_operator(1, cfg)
-    assert abs(fock.expectation(st, n1).real - 0.29) < 1e-6
+    b = fock.destroy(cfg.cutoff_1)
+    n1 = lift(b.conj().T @ b, 1, cfg)
+    assert abs(np.vdot(st.columns, n1 @ st.columns).real - 0.29) < 1e-6
 
 
 def test_thermal_tail_guard():
@@ -66,24 +68,26 @@ def test_thermal_tail_guard():
 
 
 def test_displacement_identity_at_zero():
-    d = fock.displacement(1, 0.0, CFG)
-    assert np.max(np.abs(d.matrix - np.eye(CFG.dim))) < 1e-14
+    d = fock.checked_displacement(0.0, CFG.cutoff_1)
+    assert np.max(np.abs(d - np.eye(CFG.cutoff_1))) < 1e-14
 
 
 def test_displacement_momentum_kick():
     mu = 0.9
     beta = 1j * mu / math.sqrt(2)
-    st, _ = fock.apply_operator(fock.displacement(1, beta, CFG), fock.ground_state(CFG))
-    x = fock.expectation(st, fock.x_operator(1, CFG))
-    p = fock.expectation(st, fock.p_operator(1, CFG))
+    d = fock.checked_displacement(beta, CFG.cutoff_1)
+    st, _ = fock.apply_operator(lambda a: fock.on_mode(d, 1, a), fock.ground_state(CFG))
+    mats = letter_matrices(CFG)
+    x = np.vdot(st.columns, mats["X1"] @ st.columns)
+    p = np.vdot(st.columns, mats["P1"] @ st.columns)
     assert abs(x) < 1e-10
     assert abs(p - mu) < 1e-10
 
 
 def test_displacement_vacuum_amplitude():
     # <0|D(i mu/sqrt2)|0> = e^{-mu^2/4}; 0.77880 at mu = 1
-    d = fock.displacement(1, 1j / math.sqrt(2), CFG)
-    amp = d.matrix[0, 0]
+    d = fock.checked_displacement(1j / math.sqrt(2), CFG.cutoff_1)
+    amp = d[0, 0]
     assert abs(amp - math.exp(-0.25)) < 1e-10
     assert abs(amp - 0.77880) < 1e-5
 
@@ -105,33 +109,25 @@ def test_displacement_matrix_elements_oracle():
 
 
 def test_displacement_inverse_and_unitarity():
-    cfg = fock.FockConfig(32, 32)
-    beta = math.sqrt(cfg.cutoff_1 / 4.0)  # boundary of the stated regime
-    d = fock.displacement(1, beta, cfg)
-    dm = fock.displacement(1, -beta, cfg)
-    assert np.max(np.abs((d @ dm).matrix - np.eye(cfg.dim))) < 1e-9
-    u = d.matrix
-    assert np.max(np.abs(u.conj().T @ u - np.eye(cfg.dim))) < 1e-9
+    cutoff = 32
+    beta = math.sqrt(cutoff / 4.0)  # boundary of the stated regime
+    d = fock.checked_displacement(beta, cutoff)
+    dm = fock.checked_displacement(-beta, cutoff)
+    assert np.max(np.abs(d @ dm - np.eye(cutoff))) < 1e-9
+    assert np.max(np.abs(d.conj().T @ d - np.eye(cutoff))) < 1e-9
 
 
 def test_displacement_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
-        fock.displacement(1, 5.0, fock.FockConfig(10, 10))
+        fock.checked_displacement(5.0, 10)
 
 
 def test_expectation_basics():
+    x = letter_matrices(CFG)["X1"]
     st = fock.ground_state(CFG)
-    assert abs(fock.expectation(st, fock.x_operator(1, CFG))) < 1e-14
+    assert abs(np.vdot(st.columns, x @ st.columns)) < 1e-14
     th = fock.thermal_state(0.4, 0.0, CFG)
-    x2 = fock.x_operator(1, CFG) @ fock.x_operator(1, CFG)
-    assert abs(fock.expectation(th, x2).real - 0.9) < 1e-9
-
-
-def test_expectation_dimension_mismatch():
-    st = fock.ground_state(CFG)
-    other = fock.x_operator(1, fock.FockConfig(10, 10))
-    with pytest.raises(DimensionMismatch):
-        fock.expectation(st, other)
+    assert abs(np.vdot(th.columns, x @ x @ th.columns).real - 0.9) < 1e-9
 
 
 def test_entropy_pure_and_thermal():
@@ -171,15 +167,6 @@ def test_partial_trace_product_state():
     r2 = fock.partial_trace(th, 2)
     assert np.max(np.abs(r1 - np.diag(fock.thermal_populations(0.3, 20)))) < 1e-12
     assert np.max(np.abs(r2 - np.diag(fock.thermal_populations(0.7, 28)))) < 1e-12
-
-
-def test_rotation_operator():
-    cfg = fock.FockConfig(8, 8)
-    r = fock.rotation(1, math.pi, cfg)
-    # pi rotation flips coherent amplitude: R X R^dag = -X
-    x = fock.x_operator(1, cfg)
-    back = r.matrix @ x.matrix @ r.matrix.conj().T
-    assert np.max(np.abs(back + x.matrix)) < 1e-12
 
 
 def test_validate_catches_bad_states():
@@ -249,8 +236,8 @@ def test_truncation_loss_is_the_left_out_mass():
 def ref_click_matrix(params, outcome, cfg):
     """Y_mn from Kronecker-embedded displacements and matrix powers."""
     beta = 1j * params.mu / math.sqrt(2.0)
-    e1 = fock.displacement(1, beta, cfg).matrix
-    e2 = fock.displacement(2, beta, cfg).matrix
+    e1 = lift(fock.checked_displacement(beta, cfg.cutoff_1), 1, cfg)
+    e2 = lift(fock.checked_displacement(beta, cfg.cutoff_2), 2, cfg)
     phase = np.exp(1j * params.phi)
     if params.configuration == herald.PARALLEL:
         plus, minus = e1 + phase * e2, e1 - phase * e2
@@ -321,9 +308,8 @@ def ref_delta(rho, cfg):
 
 
 def ref_port_spectrum(form, rho, cfg):
-    ops = {"X1": fock.x_operator(1, cfg), "P1": fock.p_operator(1, cfg),
-           "X2": fock.x_operator(2, cfg), "P2": fock.p_operator(2, cfg)}
-    y = sum(np.real(c) * ops[letter].matrix for letter, c in form.signal.items())
+    ops = letter_matrices(cfg)
+    y = sum(np.real(c) * ops[letter] for letter, c in form.signal.items())
     w, v = np.linalg.eigh(y)
     return w, np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho, v))
 
