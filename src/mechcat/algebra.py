@@ -43,13 +43,6 @@ def key_to_string(key: Key) -> str:
     return f"X1^{key[0]} P1^{key[1]} X2^{key[2]} P2^{key[3]}"
 
 
-def string_to_key(s: str) -> Key:
-    parts = s.split()
-    if len(parts) != 4:
-        raise ValueError(f"bad word string {s!r}")
-    return tuple(int(p.split("^")[1]) for p in parts)  # type: ignore[return-value]
-
-
 def _check_order(n: int):
     if n > D_MAX:
         raise OrderOverflow(f"word order {n} exceeds d_max={D_MAX}")

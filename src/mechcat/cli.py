@@ -65,18 +65,21 @@ def write_table(args, meta: list[str], columns: list[str], rows: list[tuple]):
 def parse_grid(spec: str) -> list[float]:
     """Grid syntax: 'start:stop:num' (inclusive linspace, num >= 1) or 'a, b, c'."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {spec!r} is not start:stop:num")
-        start, stop, num = parts
-        if int(num) < 1:
-            raise ValueError(f"grid {spec!r} needs num >= 1")
-        return [float(v) for v in np.linspace(float(start), float(stop), int(num))]
-    points = [float(v) for v in spec.split(",") if v.strip()]
-    if not points:
-        raise ValueError(f"grid {spec!r} has no point")
-    return points
+    parts = spec.split(":") if ":" in spec else [v for v in spec.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        raise ValueError(f"grid {spec!r} has a value that is not a number") from None
+    if ":" not in spec:
+        if not values:
+            raise ValueError(f"grid {spec!r} has no point")
+        return values
+    if len(values) != 3:
+        raise ValueError(f"grid {spec!r} is not start:stop:num")
+    start, stop, num = values
+    if not (num.is_integer() and num >= 1):
+        raise ValueError(f"grid {spec!r} needs an integral num >= 1")
+    return [float(v) for v in np.linspace(start, stop, int(num))]
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
@@ -421,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, check=False, formats=("csv", "json")):
-        p.add_argument("--config", default=None, help="INI config file")
+    def common(p, check=False, config=True, formats=("csv", "json")):
+        if config:
+            p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
@@ -431,9 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare against bundled golden values")
 
     p = sub.add_parser("table1", help="benchmark criteria and detector fractions")
-    common(p, check=True)
+    common(p, check=True, config=False)
     p = sub.add_parser("table2", help="sideband-ratio correction table")
-    common(p, check=True)
+    common(p, check=True, config=False)
     p = sub.add_parser("map", help="criterion over a (phi, mu) grid")
     common(p)
     p.add_argument("--criterion", choices=("D5", "S3", "delta"), required=True)
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("json",))
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("sideband", help="finite sideband-ratio corrections")
-    common(p, formats=("json",))
+    common(p, config=False, formats=("json",))
     p.add_argument("--g0", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--omega-m", dest="omega_m", type=float, required=True)

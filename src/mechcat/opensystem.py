@@ -72,100 +72,51 @@ def quarter_period(env: EnvParams) -> float:
     return (math.atan(-1.0 / eps) + math.pi) / env.omega_m
 
 
-@dataclass(frozen=True)
-class NoiseMoments:
-    var_dx: float
-    var_dp: float
-    cov_dxdp: float
+def _noise_cov(env: EnvParams, t1: float, t2: float) -> float:
+    """<DX(t1) DX(t2)> with both decay prefactors, from decaying exponentials only.
 
-
-def _exp_trig_integrals(gamma: float, omega: float, t: float):
-    """(I1, Ic2, Is2) = int_0^t e^{-g s} {1, cos 2ws, sin 2ws} ds."""
-    if gamma == 0.0:
-        return t, math.sin(2 * omega * t) / (2 * omega), (1 - math.cos(2 * omega * t)) / (2 * omega)
-    den = gamma * gamma + 4.0 * omega * omega
-    e = math.exp(-gamma * t)
-    i1 = (1.0 - e) / gamma
-    ic2 = (gamma - e * (gamma * math.cos(2 * omega * t) - 2 * omega * math.sin(2 * omega * t))) / den
-    is2 = (2 * omega - e * (gamma * math.sin(2 * omega * t) + 2 * omega * math.cos(2 * omega * t))) / den
-    return i1, ic2, is2
-
-
-def noise_covariances(env: EnvParams, t: float, damped: bool = True) -> NoiseMoments:
-    """Second moments of the Brownian terms DX(t), DP(t) in closed form.
-
-    With damped=True the e^{-gamma t} prefactor of the quadrature solution is
-    included (this is what enters measured moments); damped=False returns the
-    bare integrals.
+    With u = t_m - t', t_m = min(t1, t2), d = |t1 - t2| and z = -g + 2iw the
+    integral 2 g s e^{-g(t1+t2)/2} int_0^t_m e^{g t'} sin w(t1-t') sin w(t2-t') dt'
+    is e^{-gd/2} g s [cos(wd) (1 - e^{-g t_m})/g - Re(e^{iwd} (e^{z t_m} - 1)/z)];
+    expm1 keeps full precision on high-Q platforms.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    g, w, eps = env.gamma, env.omega_m, env.epsilon
-    if g == 0.0 or t == 0.0:
-        return NoiseMoments(0.0, 0.0, 0.0)
-    s = env.force_strength
-    i1, ic2, is2 = _exp_trig_integrals(g, w, t)
-    var_dx = 2.0 * g * s * 0.5 * (i1 - ic2)
-    var_dp = 2.0 * g * s * (0.5 * (i1 + ic2) - eps * is2 + eps * eps * 0.5 * (i1 - ic2))
-    cov = 2.0 * g * s * (0.5 * is2 - eps * 0.5 * (i1 - ic2))
-    if not damped:
-        scale = math.exp(g * t)
-        return NoiseMoments(var_dx * scale, var_dp * scale, cov * scale)
-    return NoiseMoments(var_dx, var_dp, cov)
+    g, w = env.gamma, env.omega_m
+    tm, d = min(t1, t2), abs(t1 - t2)
+    if g == 0.0 or tm == 0.0:
+        return 0.0
+    z = complex(-g, 2.0 * w)
+    osc = (complex(math.cos(w * d), math.sin(w * d)) * complex(np.expm1(z * tm)) / z).real
+    flat = -math.expm1(-g * tm) / g  # int_0^t_m e^{-g u} du
+    return math.exp(-g * d / 2.0) * g * env.force_strength * (math.cos(w * d) * flat - osc)
 
 
-def noise_covariances_quad(env: EnvParams, t: float, damped: bool = True) -> NoiseMoments:
-    """Adaptive-quadrature oracle for the same integrals."""
+def noise_covariances(env: EnvParams, t_x: float, t_p: float) -> tuple[float, float, float]:
+    """(<DX(t_x)^2>, <DX(t_p)^2>, <DX(t_x) DX(t_p)>) of the measured X noise.
+
+    Each entry carries its e^{-g t/2} decay prefactors; all vanish at g = 0 or t = 0.
+    """
+    if min(t_x, t_p) < 0:
+        raise ValueError("read-out times must be >= 0")
+    return _noise_cov(env, t_x, t_x), _noise_cov(env, t_p, t_p), _noise_cov(env, t_x, t_p)
+
+
+def noise_covariances_quad(env: EnvParams, t_x: float, t_p: float) -> tuple[float, float, float]:
+    """Adaptive-quadrature oracle for the same three entries."""
     from scipy.integrate import quad
 
-    g, w, eps = env.gamma, env.omega_m, env.epsilon
-    if g == 0.0 or t == 0.0:
-        return NoiseMoments(0.0, 0.0, 0.0)
-    s = env.force_strength
-    pref = math.exp(-g * t) if damped else 1.0
-
-    def fx(tp):
-        return math.exp(g * tp) * math.sin(w * (t - tp)) ** 2
-
-    def fp(tp):
-        c = math.cos(w * (t - tp)) - eps * math.sin(w * (t - tp))
-        return math.exp(g * tp) * c * c
-
-    def fxp(tp):
-        return (
-            math.exp(g * tp)
-            * math.sin(w * (t - tp))
-            * (math.cos(w * (t - tp)) - eps * math.sin(w * (t - tp)))
-        )
-
+    g, w, s = env.gamma, env.omega_m, env.force_strength
     period = 2 * math.pi / w
-    pts = min(int(t / period) * 4 + 50, 1000)
-    kw = dict(limit=max(200, pts), epsabs=1e-13, epsrel=1e-11)
-    vx = quad(fx, 0.0, t, **kw)[0]
-    vp = quad(fp, 0.0, t, **kw)[0]
-    cxp = quad(fxp, 0.0, t, **kw)[0]
-    return NoiseMoments(2 * g * s * vx * pref, 2 * g * s * vp * pref, 2 * g * s * cxp * pref)
 
+    def cov(t1, t2):
+        tm = min(t1, t2)
+        if g == 0.0 or tm == 0.0:
+            return 0.0
+        pts = min(int(tm / period) * 4 + 50, 1000)
+        val = quad(lambda tp: math.exp(g * tp) * math.sin(w * (t1 - tp)) * math.sin(w * (t2 - tp)),
+                   0.0, tm, limit=max(200, pts), epsabs=1e-13, epsrel=1e-11)[0]
+        return 2 * g * s * math.exp(-g * (t1 + t2) / 2) * val
 
-def noise_cross_cov(env: EnvParams, t1: float, t2: float) -> float:
-    """<DX(t1) DX(t2)> including both decay prefactors (t1, t2 >= 0)."""
-    g, w = env.gamma, env.omega_m
-    if g == 0.0 or min(t1, t2) == 0.0:
-        return 0.0
-    s = env.force_strength
-    tm = min(t1, t2)
-    tt = t1 + t2
-    # sin(w(t1-t'))sin(w(t2-t')) = [cos(w(t1-t2)) - cos(w tt - 2w t')]/2
-    first = math.cos(w * (t1 - t2)) * (math.exp(g * tm) - 1.0) / g
-
-    def anti(tp):
-        arg = w * tt - 2.0 * w * tp
-        return math.exp(g * tp) * (g * math.cos(arg) - 2.0 * w * math.sin(arg)) / (
-            g * g + 4.0 * w * w
-        )
-
-    second = anti(tm) - anti(0.0)
-    return math.exp(-g * tt / 2.0) * g * s * (first - second)
+    return cov(t_x, t_x), cov(t_p, t_p), cov(t_x, t_p)
 
 
 @dataclass(frozen=True)
@@ -181,12 +132,12 @@ class MeasurementSchedule:
 
 
 def _letter_substitution(env: EnvParams, t: float):
-    """Coefficients (c_x on X0, c_p on P0, has_noise) of the measured X(t)."""
+    """Coefficients (c_x on X0, c_p on P0) of the measured X(t)."""
     g, w, eps = env.gamma, env.omega_m, env.epsilon
     decay = math.exp(-g * t / 2.0)
     c_x = decay * (math.cos(w * t) + eps * math.sin(w * t))
     c_p = decay * math.sin(w * t)
-    return c_x, c_p, (g > 0.0 and t > 0.0)
+    return c_x, c_p
 
 
 def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int) -> np.ndarray:
@@ -198,12 +149,9 @@ def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int)
     moments E[N_x^i N_p^j] times the expansions of A^(p-i) B^(q-j).
     """
     t_x, t_p = schedule.t_x, schedule.t_p
-    ax, bx, noisy_x = _letter_substitution(env, t_x)
-    ap, bp, noisy_p = _letter_substitution(env, t_p)
-    # the decay prefactor is folded into the damped noise covariances
-    vx = noise_covariances(env, t_x).var_dx if noisy_x else 0.0
-    vp = noise_covariances(env, t_p).var_dx if noisy_p else 0.0
-    cxp = (vx if t_x == t_p else noise_cross_cov(env, t_x, t_p)) if noisy_x and noisy_p else 0.0
+    ax, bx = _letter_substitution(env, t_x)
+    ap, bp = _letter_substitution(env, t_p)
+    vx, vp, cxp = noise_covariances(env, t_x, t_p)
     n = order_max + 1
     gauss = np.zeros((n, n))  # Isserlis recursion on the first noise letter
     gauss[0, 0] = 1.0

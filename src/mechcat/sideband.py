@@ -8,12 +8,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Optomechanical rates; c_pulse is the order-unity pulse-shape constant."""
+    """Optomechanical rates g0, kappa and omega_m in rad/s."""
 
     g0: float
     kappa: float
     omega_m: float
-    c_pulse: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
@@ -22,8 +21,6 @@ class CavityParams:
             raise ValueError("omega_m must be finite and positive")
         if not 0 <= self.g0 < math.inf:
             raise ValueError("g0 must be finite and >= 0")
-        if not math.isfinite(self.c_pulse):
-            raise ValueError("c_pulse must be finite")
 
     @property
     def sideband_ratio(self) -> float:
@@ -53,8 +50,6 @@ def mu_effective(cav: CavityParams, t: float) -> tuple[float, float]:
 def percent_reduction(cav: CavityParams) -> float:
     """Second-order percentage reduction of mu, (omega_m / kappa)^2 / 6 * 100.
 
-    Valid for the long adiabatic pulse (c_pulse = 2).
+    Valid for the long adiabatic pulse (interaction time 2/kappa).
     """
-    if cav.c_pulse != 2.0:
-        raise ValueError("second-order reduction formula assumes c_pulse = 2")
     return 100.0 * cav.sideband_ratio**2 / 6.0

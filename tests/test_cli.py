@@ -19,6 +19,7 @@ def test_parse_grid():
     assert cli.parse_grid("0:1:3") == [0.0, 0.5, 1.0]
     assert cli.parse_grid("0.1, 0.5, 2") == [0.1, 0.5, 2.0]
     assert cli.parse_grid("0.3:0.7:1") == [0.3]
+    assert cli.parse_grid("0:0.9:1e1") == cli.parse_grid("0:0.9:10")
 
 
 def test_check_against_golden():
@@ -136,8 +137,12 @@ def test_verify_rank_deficient_exit_code(tmp_path):
         (["verify", "--format", "csv"], "'csv'"),
         (["map", "--criterion", "S3", "--seed", "1"], "--seed 1"),
         (["table1", "--seed", "1"], "--seed 1"),
+        (["table1", "--config", "t1.ini"], "--config t1.ini"),
+        (["table2", "--config", "t2.ini"], "--config t2.ini"),
+        (["sideband", "--g0", "1", "--kappa", "1", "--omega-m", "1", "--config", "s.ini"], "--config s.ini"),
     ],
-    ids=["sideband-csv", "verify-csv", "map-seed", "table1-seed"],
+    ids=["sideband-csv", "verify-csv", "map-seed", "table1-seed", "table1-config", "table2-config",
+         "sideband-config"],
 )
 def test_options_a_command_ignores_are_rejected(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
@@ -254,6 +259,8 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ("verify", "[verify]\ntarget_order = 3\n", "target_order = 3"),
         ("verify", "[verify]\ntarget_order = 5\n", "target_order = 5"),
         ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
+        ("map --criterion S3", "[grid]\nmu = 0:1:2.5\n", "'0:1:2.5'"),
+        ("map --criterion S3", "[grid]\nmu = a:1:3\n", "'a:1:3'"),
     ],
     ids=[
         "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
@@ -263,7 +270,7 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         "zero-point-grid", "negative-point-grid", "empty-grid", "commas-only-grid", "zero-target-order",
         "negative-target-order",
         "fractional-target-order", "target-order-3", "target-order-5",
-        "negative-n-samples",
+        "negative-n-samples", "fractional-grid-count", "word-grid-start",
     ],
 )
 def test_bad_config_value_exits_3(tmp_path, capsys, command, config, named):

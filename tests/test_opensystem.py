@@ -13,7 +13,6 @@ from mechcat.opensystem import (
     evolve_moments,
     noise_covariances,
     noise_covariances_quad,
-    noise_cross_cov,
     quarter_period,
 )
 
@@ -61,24 +60,19 @@ def test_quarter_period_monotone_in_damping():
 
 def test_noise_covariances_zero_cases():
     env = EnvParams(omega_m=OMEGA, q_factor=1e5, nbar_bath=100.0)
-    nm = noise_covariances(env, 0.0)
-    assert nm.var_dx == nm.var_dp == nm.cov_dxdp == 0.0
+    assert noise_covariances(env, 0.0, 0.0) == (0.0, 0.0, 0.0)
     env0 = EnvParams(omega_m=OMEGA, q_factor=math.inf, nbar_bath=100.0)
-    nm0 = noise_covariances(env0, 1.0)
-    assert nm0.var_dx == 0.0
+    assert noise_covariances(env0, 1.0, 1.0) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("q,nbar_b,cycles", [(1e5, 1000.0, 0.25), (50.0, 3.0, 0.25), (50.0, 3.0, 2.7)])
 def test_noise_closed_form_vs_quadrature(q, nbar_b, cycles):
     env = EnvParams(omega_m=OMEGA, q_factor=q, nbar_bath=nbar_b)
     t = cycles * 2 * math.pi / OMEGA
-    a = noise_covariances(env, t)
-    b = noise_covariances_quad(env, t)
-    for x, y in [(a.var_dx, b.var_dx), (a.var_dp, b.var_dp), (a.cov_dxdp, b.cov_dxdp)]:
+    a = noise_covariances(env, t, t + quarter_period(env))
+    b = noise_covariances_quad(env, t, t + quarter_period(env))
+    for x, y in zip(a, b):
         assert x == pytest.approx(y, rel=1e-8, abs=1e-14)
-    bare = noise_covariances(env, t, damped=False)
-    bare_q = noise_covariances_quad(env, t, damped=False)
-    assert bare.var_dx == pytest.approx(bare_q.var_dx, rel=1e-8)
 
 
 def test_noise_steady_state():
@@ -86,16 +80,16 @@ def test_noise_steady_state():
     # the equipartition value of the Brownian-force normalization in use
     env = EnvParams(omega_m=OMEGA, q_factor=100.0, nbar_bath=7.0)
     t = 20.0 / env.gamma
-    nm = noise_covariances(env, t)
-    assert nm.var_dx == pytest.approx(env.force_strength, rel=1e-3)
+    var_x, _, _ = noise_covariances(env, t, t)
+    assert var_x == pytest.approx(env.force_strength, rel=1e-3)
 
 
 def test_noise_cross_covariance_limits():
     env = EnvParams(omega_m=OMEGA, q_factor=200.0, nbar_bath=2.0)
     t = quarter_period(env)
-    same = noise_cross_cov(env, t, t)
-    assert same == pytest.approx(noise_covariances(env, t).var_dx, rel=1e-12)
-    assert noise_cross_cov(env, 0.0, t) == 0.0
+    var_x, _, same = noise_covariances(env, t, t)
+    assert same == pytest.approx(var_x, rel=1e-12)
+    assert noise_covariances(env, 0.0, t)[2] == 0.0
     # quadrature oracle for two different times
     t2 = 2.2 * t
     g, w, s = env.gamma, env.omega_m, env.force_strength
@@ -107,7 +101,39 @@ def test_noise_cross_covariance_limits():
         * quad(lambda tp: math.exp(g * tp) * math.sin(w * (t - tp)) * math.sin(w * (t2 - tp)),
                0.0, t, limit=400)[0]
     )
-    assert noise_cross_cov(env, t, t2) == pytest.approx(ref, rel=1e-8)
+    assert noise_covariances(env, t, t2)[2] == pytest.approx(ref, rel=1e-8)
+
+
+def _mpmath_noise_cov(env, t1, t2):
+    """<DX(t1) DX(t2)> as a 50-digit Gauss-Legendre integral, one period per panel."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        g, w, t1, t2 = (mp.mpf(v) for v in (env.gamma, env.omega_m, t1, t2))
+        tm = min(t1, t2)
+        panels = int(tm * w / (2 * mp.pi)) + 1
+        integral = mp.quad(
+            lambda tp: mp.exp(g * (tp - (t1 + t2) / 2)) * mp.sin(w * (t1 - tp)) * mp.sin(w * (t2 - tp)),
+            mp.linspace(0, tm, panels + 1),
+            method="gauss-legendre",
+        )
+        return float(2 * g * (2 * mp.mpf(env.nbar_bath) + 1) * integral)
+
+
+@pytest.mark.parametrize("q", [10.0, 1e3, 3.74e4, 1e5, 7.54e5, 1.03e9, 1e12, 1e15])
+def test_noise_covariances_match_mpmath(q):
+    # the variances fall to 1.8e-14 (Q = 1.03e9) and 1.8e-20 (Q = 1e15) at
+    # 0.01 tau, below the quad oracle's epsabs = 1e-13; the 50-digit integral is not
+    env = EnvParams(omega_m=OMEGA, q_factor=q, nbar_bath=3.0)
+    tau = quarter_period(env)
+    for c in (0.01, 0.37, 1.0, 3.3, 50.0):
+        t = c * tau
+        var_x, _, _ = noise_covariances(env, t, t)
+        ref = _mpmath_noise_cov(env, t, t)
+        assert abs(var_x - ref) <= (1e-11 if c < 0.37 else 1e-14) * ref
+    for c_x, c_p in ((3.3, 1.2), (50.0, 51.0)):
+        var_x, var_p, cross = noise_covariances(env, c_x * tau, c_p * tau)
+        assert abs(cross - _mpmath_noise_cov(env, c_x * tau, c_p * tau)) <= 1e-11 * math.sqrt(var_x * var_p)
 
 
 def test_evolution_identity_when_closed():
@@ -146,7 +172,7 @@ def test_second_moment_evolution_explicit():
     tq = quarter_period(env)
     s = math.exp(-env.gamma * tq / 2.0) * math.sin(OMEGA * tq)
     evolved = evolve_moments(table, env)
-    expect = s * s * table.value((0, 2, 0, 0)) + noise_covariances(env, tq).var_dx
+    expect = s * s * table.value((0, 2, 0, 0)) + noise_covariances(env, tq, tq)[0]
     assert evolved.value((0, 2, 0, 0)) == pytest.approx(expect, rel=1e-12)
 
 
@@ -168,7 +194,7 @@ def test_gaussian_noise_factorization_monte_carlo():
     table = thermal_moment_table(nbar, nbar, 4)
     tq = quarter_period(env)
     s = math.exp(-env.gamma * tq / 2.0) * math.sin(OMEGA * tq)
-    w = noise_covariances(env, tq).var_dx
+    w = noise_covariances(env, tq, tq)[0]
     evolved = evolve_moments(table, env)
     rng = np.random.default_rng(5)
     n = 10**6
@@ -225,8 +251,8 @@ def reference_evolve(table, env, schedule, keys):
         "X": (opensystem._letter_substitution(env, schedule.t_x), schedule.t_x),
         "P": (opensystem._letter_substitution(env, schedule.t_p), schedule.t_p),
     }
-    variance = {t: noise_covariances(env, t).var_dx for t in (schedule.t_x, schedule.t_p)}
-    cross = noise_cross_cov(env, schedule.t_x, schedule.t_p)
+    var_x, var_p, cross = noise_covariances(env, schedule.t_x, schedule.t_p)
+    variance = {schedule.t_x: var_x, schedule.t_p: var_p}
 
     def cov(a, b):
         (mode_a, ta), (mode_b, tb) = a, b
@@ -241,9 +267,9 @@ def reference_evolve(table, env, schedule, keys):
         )
         choices = []
         for quad_letter, mode in letters:
-            (c_x, c_p, noisy), t = sub[quad_letter]
+            (c_x, c_p), t = sub[quad_letter]
             opts = [(c_x, ("op", f"X{mode}")), (c_p, ("op", f"P{mode}"))]
-            if noisy:
+            if variance[t] != 0.0:
                 opts.append((1.0, ("noise", (mode, t))))
             choices.append([(c, tag) for c, tag in opts if c != 0.0])
         total = 0.0 + 0.0j

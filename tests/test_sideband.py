@@ -29,11 +29,6 @@ def test_percent_reduction_zero_frequency():
     assert percent_reduction(CavityParams(g0=1.0, kappa=1.0, omega_m=1e-9)) == pytest.approx(0.0, abs=1e-16)
 
 
-def test_percent_reduction_requires_standard_pulse():
-    with pytest.raises(ValueError):
-        percent_reduction(CavityParams(g0=1.0, kappa=1.0, omega_m=0.1, c_pulse=1.0))
-
-
 def test_effective_coupling_small_time():
     cav = CavityParams(g0=2.0, kappa=100.0, omega_m=1.0)
     t = 1e-4
