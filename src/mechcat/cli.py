@@ -95,7 +95,10 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _cfg_float(cfg, section, key, default):
-    return cfg.getfloat(section, key, fallback=default)
+    try:
+        return cfg.getfloat(section, key, fallback=default)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {cfg.get(section, key)} is not a number") from None
 
 
 def _cfg_int(cfg, section, key, default: int, minimum: int) -> int:
@@ -120,7 +123,7 @@ def env_from_config(cfg) -> EnvParams:
 def detector_from_config(cfg, resolving=True) -> detector.DetectorParams:
     dark = None
     if cfg.has_option("detector", "dark_prob"):
-        dark = cfg.getfloat("detector", "dark_prob")
+        dark = _cfg_float(cfg, "detector", "dark_prob", None)
     elif cfg.has_option("detector", "dark_rate_hz") or cfg.has_option("detector", "window_s"):
         dark = detector.dark_prob_from_rate(
             _cfg_float(cfg, "detector", "dark_rate_hz", 1.0),

@@ -202,23 +202,26 @@ def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeState:
-    """Product of single-mode thermal states, renormalized after truncation.
-
-    The factor has one column sqrt(p1_i p2_j) |i, j> per Fock product; the
-    smallest products are left out while their total mass stays at or below
-    THERMAL_DROP_TOL.
-    """
+def thermal_columns(nbar_1: float, nbar_2: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The truncated product thermal state as basis columns sqrt(p1_i p2_j) |i, j>:
+    kept flat indices i * cutoff_2 + j (ascending), weights p1_i p2_j, and the
+    truncation loss, each mode's tail beyond its cutoff plus the smallest
+    products, left out while their total mass stays at or below THERMAL_DROP_TOL."""
     c1, c2 = config.cutoff_1, config.cutoff_2
     w = np.outer(thermal_populations(nbar_1, c1), thermal_populations(nbar_2, c2)).ravel()
     by_size = np.argsort(w, kind="stable")
     n_drop = int(np.searchsorted(np.cumsum(w[by_size]), THERMAL_DROP_TOL, side="right"))
     kept = np.sort(by_size[n_drop:])
-    a = np.zeros((config.dim, kept.size), dtype=complex)
-    a[kept, np.arange(kept.size)] = np.sqrt(w[kept])
     tails = sum((nbar / (nbar + 1.0)) ** c for nbar, c in ((nbar_1, c1), (nbar_2, c2)))
-    loss = tails + float(w[by_size[:n_drop]].sum())
-    return TwoModeState(config, a.reshape(c1, c2, -1), loss).validate()
+    return kept, w[kept], tails + float(w[by_size[:n_drop]].sum())
+
+
+def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeState:
+    """Product of single-mode thermal states, one factor column per thermal_columns entry."""
+    kept, w, loss = thermal_columns(nbar_1, nbar_2, config)
+    a = np.zeros((config.dim, kept.size), dtype=complex)
+    a[kept, np.arange(kept.size)] = np.sqrt(w)
+    return TwoModeState(config, a.reshape(config.cutoff_1, config.cutoff_2, -1), loss).validate()
 
 
 def on_mode(single: np.ndarray, mode: int, factor: np.ndarray) -> np.ndarray:
@@ -260,7 +263,8 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 
 def von_neumann_entropy(state: TwoModeState) -> float:
     """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
-    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho).
+    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho),
+    summed from the blocks of W = V^T V, V the factor's float view (dim x 2 rank).
 
     G is real for heralded thermal states (the thermal factor is real, the
     arms are complex-symmetric and commute) and diagonal for state_from_rho
@@ -270,11 +274,11 @@ def von_neumann_entropy(state: TwoModeState) -> float:
     entropy's eigenvalue floor. Any other factor, such as A U for a unitary U
     (the same rho), keeps the Hermitian solve.
     """
-    a = state.columns
-    gram = a.conj().T @ a
-    if np.linalg.norm(gram.imag) <= GRAM_IMAG_TOL * np.trace(gram).real:
-        gram = gram.real
-    return entropy_of_matrix(gram)
+    v = np.ascontiguousarray(state.columns, dtype=complex).view(np.float64)
+    w = v.T @ v  # Re and Im of each column interleaved on both axes
+    gram, imag = w[::2, ::2] + w[1::2, 1::2], w[::2, 1::2] - w[1::2, ::2]
+    real = np.linalg.norm(imag) <= GRAM_IMAG_TOL * np.trace(gram)
+    return entropy_of_matrix(gram if real else gram + 1j * imag)
 
 
 def entanglement_entropy(state: TwoModeState) -> float:

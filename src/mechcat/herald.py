@@ -114,12 +114,16 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
-def interferometer_arms(params: ProtocolParams, config: FockConfig):
+def _displacements(params: ProtocolParams, config: FockConfig) -> list[np.ndarray]:
+    """D = e^{i mu X} on mode 1 and on mode 2."""
+    beta = 1j * params.mu / math.sqrt(2.0)
+    return [fock.checked_displacement(beta, c) for c in (config.cutoff_1, config.cutoff_2)]
+
+
+def interferometer_arms(params: ProtocolParams, config: FockConfig, displacements=None):
     """The two interferometer arms as maps on state factors, applied mode by mode:
     D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series (D = e^{i mu X})."""
-    beta = 1j * params.mu / math.sqrt(2.0)
-    d1 = fock.checked_displacement(beta, config.cutoff_1)
-    d2 = fock.checked_displacement(beta, config.cutoff_2)
+    d1, d2 = displacements or _displacements(params, config)
     if params.configuration == PARALLEL:
         return (lambda a: fock.on_mode(d1, 1, a)), (lambda a: fock.on_mode(d2, 2, a))
     return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)
@@ -139,13 +143,18 @@ def click_step(arm_1, arm_2, coef: complex):
     return step
 
 
+def _click_steps(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig, displacements=None):
+    """Y_mn = pref plus^m minus^n: pref, the c of each step a -> arm_1(a) + c arm_2(a), the steps."""
+    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
+    arms = interferometer_arms(params, config, displacements)
+    phase = np.exp(1j * params.phi)
+    coefs = [sign * phase for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m]
+    return pref, coefs, [click_step(*arms, coef) for coef in coefs]
+
+
 def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig):
     """The click operator Y_mn as a map on state factors, applied mode by mode."""
-    m, n = outcome.m, outcome.n
-    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
-    arm_1, arm_2 = interferometer_arms(params, config)
-    phase = np.exp(1j * params.phi)
-    steps = [click_step(arm_1, arm_2, sign * phase) for sign in (-1.0,) * n + (1.0,) * m]
+    pref, _, steps = _click_steps(params, outcome, config)
 
     def apply(a: np.ndarray) -> np.ndarray:  # pref * plus^m minus^n a
         if not steps:
@@ -165,23 +174,36 @@ def measurement_operator(
     return _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
 
 
-def herald(
-    state_in: TwoModeState, params: ProtocolParams, outcome: ClickOutcome = ClickOutcome(1, 0)
-) -> tuple[TwoModeState, float]:
-    """Post-measurement state and probability for a click event."""
-    state, p = fock.apply_operator(_click_map(params, outcome, state_in.config), state_in)
-    if p < 1e-15:
-        raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
-    return state.validate(), p
-
-
 def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
                    outcome: ClickOutcome = ClickOutcome(1, 0)) -> tuple[TwoModeState, float]:
-    """Thermal input + herald, with the default cutoff heuristic."""
+    """State Y rho Y^dag / p and probability p of a click on the thermal input (default
+    cutoffs when config is None). Its columns s_x |k1_x, k2_x> (fock.thermal_columns) make
+    the first click step a gather of displacement columns, D1|k1>|k2> + c|k1>D2|k2> or
+    D1 D2|k1 k2> + c|k1 k2>, with no dense thermal factor and the click map's floats."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
-    rho_in = fock.thermal_state(params.nbar_1, params.nbar_2, config)
-    return herald(rho_in, params, outcome)
+    kept, w, loss = fock.thermal_columns(params.nbar_1, params.nbar_2, config)
+    (k1, k2), s, x = np.divmod(kept, config.cutoff_2), np.sqrt(w), np.arange(kept.size)
+    d1, d2 = displacements = _displacements(params, config)
+    pref, coefs, steps = _click_steps(params, outcome, config, displacements)
+    a = np.zeros((config.cutoff_1, config.cutoff_2, kept.size), dtype=complex)
+    if not steps:
+        a[k1, k2, x] = s
+    elif params.configuration == PARALLEL:
+        a[:, k2, x] = d1[:, k1] * s
+        a[k1, :, x] += (coefs[0] * (d2[:, k2] * s)).T
+    else:
+        a[k1, :, x] = (d2[:, k2] * s).T
+        a = fock.on_mode(d1, 1, a)
+        a[k1, k2, x] += coefs[0] * s
+    for step in steps[1:]:
+        a = step(a)
+    np.multiply(pref, a, out=a)
+    p = float(np.vdot(a, a).real)
+    if p < 1e-15:
+        raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
+    a /= math.sqrt(p)
+    return TwoModeState(config, a, loss).validate(), p
 
 
 def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig) -> TwoModeState:

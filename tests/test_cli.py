@@ -261,6 +261,8 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
         ("map --criterion S3", "[grid]\nmu = 0:1:2.5\n", "'0:1:2.5'"),
         ("map --criterion S3", "[grid]\nmu = a:1:3\n", "'a:1:3'"),
+        ("map --criterion S3", "[env]\nq_factor = abc\n", "[env] q_factor = abc"),
+        ("detector", "[detector]\ndark_prob = x\n", "[detector] dark_prob = x"),
     ],
     ids=[
         "negative-mu", "negative-nbar-bath", "malformed-grid", "nan-nbar", "nan-q-factor",
@@ -270,7 +272,7 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
         "zero-point-grid", "negative-point-grid", "empty-grid", "commas-only-grid", "zero-target-order",
         "negative-target-order",
         "fractional-target-order", "target-order-3", "target-order-5",
-        "negative-n-samples", "fractional-grid-count", "word-grid-start",
+        "negative-n-samples", "fractional-grid-count", "word-grid-start", "word-q-factor", "word-dark-prob",
     ],
 )
 def test_bad_config_value_exits_3(tmp_path, capsys, command, config, named):

@@ -215,7 +215,7 @@ def test_truncation_loss_on_default_cutoffs(nbar, mu):
     assert th.truncation_loss <= fock.THERMAL_TAIL_TOL + fock.THERMAL_DROP_TOL
     if nbar == 0.0:
         assert th.truncation_loss == 0.0
-    heralded, _ = herald.herald(th, herald.ProtocolParams(mu=mu, phi=0.3, nbar_1=nbar, nbar_2=nbar))
+    heralded, _ = herald.heralded_state(herald.ProtocolParams(mu=mu, phi=0.3, nbar_1=nbar, nbar_2=nbar), cfg)
     assert heralded.truncation_loss == th.truncation_loss
 
 
@@ -266,6 +266,33 @@ def ref_entropy(rho):
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > fock.ENTROPY_EIG_FLOOR]
     return float(-np.sum(lam * np.log(lam)))
+
+
+@pytest.mark.parametrize("configuration", [herald.PARALLEL, herald.SERIES])
+def test_float_view_entropy_matches_the_dense_spectrum(configuration):
+    # W = V^T V over the factor's float view, against eigvalsh of the dense rho.
+    # The same rho from a factor A U (complex G: the Hermitian solve) and from
+    # state_from_rho (a strided factor) gives the entropy of the complex product
+    # A^dag A; against rho these two move by the eigenvalues near the floor.
+    cfg = fock.FockConfig(18, 16)
+    rng = np.random.default_rng(5)
+    for mu, phi, nbar_1, nbar_2 in [(0.8, 0.4, 0.2, 0.05), (1.3, math.pi, 0.1, 0.3), (0.5, 2.0, 0.0, 0.15)]:
+        params = herald.ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar_1, nbar_2=nbar_2)
+        state, _ = herald.heralded_state(params, cfg)
+        ref = ref_entropy(state.rho)
+        assert abs(fock.von_neumann_entropy(state) - ref) <= 1e-13
+        r = state.factor.shape[2]
+        u, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+        rotated = fock.TwoModeState(cfg, (state.columns @ u).reshape(state.factor.shape))
+        gram = rotated.columns.conj().T @ rotated.columns
+        assert np.linalg.norm(gram.imag) > 1e6 * fock.GRAM_IMAG_TOL * np.trace(gram).real
+        assert abs(fock.entropy_of_matrix(gram.real) - ref) > 1e-3
+        from_rho = fock.state_from_rho(state.rho, cfg)
+        assert not from_rho.factor.flags.c_contiguous
+        for other in (rotated, from_rho):
+            a = other.columns
+            assert abs(fock.von_neumann_entropy(other) - fock.entropy_of_matrix(a.conj().T @ a)) <= 1e-13
+            assert abs(fock.von_neumann_entropy(other) - ref) <= 1e-12
 
 
 def ref_word_matrices(cutoff, order_max, size):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -152,14 +153,21 @@ def test_click_map_is_the_plain_expression_and_leaves_its_input(configuration, o
 
 
 def test_heralded_factor_is_bit_identical_to_the_plain_click_expression():
-    for configuration in ("parallel", "series"):
-        params = ProtocolParams(mu=1.1, phi=0.7, configuration=configuration, nbar_1=0.3, nbar_2=0.05)
-        cfg = fock.FockConfig(16, 14)
-        state, p = herald.heralded_state(params, cfg)
-        a = _plain_click_map(params, ClickOutcome(1, 0), cfg)(fock.thermal_state(0.3, 0.05, cfg).factor)
+    # heralded_state starts from the thermal basis columns; the plain click map
+    # runs over the dense thermal factor. Cases: a zero occupation on either
+    # mode, unequal cutoffs, and outcomes with no, one and two click steps.
+    cases = [((0.3, 0.05), (16, 14)), ((0.0, 0.2), (9, 15)), ((0.25, 0.0), (17, 7))]
+    for ((nbar_1, nbar_2), cutoffs), configuration, outcome in itertools.product(
+            cases, ("parallel", "series"), [(1, 0), (0, 1), (2, 0), (1, 1), (0, 0)]):
+        params = ProtocolParams(mu=1.1, phi=0.7, configuration=configuration, nbar_1=nbar_1, nbar_2=nbar_2)
+        cfg = fock.FockConfig(*cutoffs)
+        thermal = fock.thermal_state(nbar_1, nbar_2, cfg)
+        state, p = herald.heralded_state(params, cfg, ClickOutcome(*outcome))
+        a = _plain_click_map(params, ClickOutcome(*outcome), cfg)(thermal.factor)
         p_plain = float(np.vdot(a, a).real)
         assert p == p_plain
         assert state.factor.tobytes() == (a / math.sqrt(p_plain)).tobytes()
+        assert state.truncation_loss == thermal.truncation_loss
 
 
 def test_click_step_is_the_plain_arm_sum():
