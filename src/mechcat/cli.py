@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import criteria, detector, presets, sideband, verify
-from .errors import MechcatError
+from .errors import GridTooLarge, MechcatError
 from .herald import CoherentInput, ProtocolParams, heralded_moment_table, heralded_state
 from .opensystem import EnvParams, evolve_moments
 from .presets import ALPHA_DEFAULT, OMEGA_M_DEFAULT, PHI_DEFAULT
@@ -27,6 +27,11 @@ from .presets import ALPHA_DEFAULT, OMEGA_M_DEFAULT, PHI_DEFAULT
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_ERROR = 3
+
+GRID_MEMORY_LIMIT = 2e9  # bytes
+# peak memory per point of the array evaluations, measured on 2e4-point grids
+# (12.3, 3.4 and 16.0 kB) and rounded up
+GRID_BYTES_PER_POINT = {"S3": 13e3, "D5": 4e3, "cooling-map": 17e3}
 
 
 def _fmt(x) -> str:
@@ -62,8 +67,20 @@ def write_table(args, meta: list[str], columns: list[str], rows: list[tuple]):
         write_csv(args.out, meta, columns, rows)
 
 
-def parse_grid(spec: str) -> list[float]:
-    """Grid syntax: 'start:stop:num' (inclusive linspace, num >= 1) or 'a, b, c'."""
+def max_grid_points(evaluation: str) -> int:
+    """Most grid points the named evaluation may hold within GRID_MEMORY_LIMIT."""
+    return int(GRID_MEMORY_LIMIT // GRID_BYTES_PER_POINT[evaluation])
+
+
+def check_grid_size(points: int, limit: int | None) -> None:
+    if limit is not None and points > limit:
+        raise GridTooLarge(f"grid of {points} points is above the limit of {limit} points "
+                           f"({GRID_MEMORY_LIMIT / 1e9:g} GB)")
+
+
+def parse_grid(spec: str, max_points: int | None = None) -> list[float]:
+    """Grid syntax: 'start:stop:num' (inclusive linspace, num >= 1) or 'a, b, c'.
+    A range of more than max_points points is rejected before it is built."""
     spec = spec.strip()
     parts = spec.split(":") if ":" in spec else [v for v in spec.split(",") if v.strip()]
     try:
@@ -79,6 +96,7 @@ def parse_grid(spec: str) -> list[float]:
     start, stop, num = values
     if not (num.is_integer() and num >= 1):
         raise ValueError(f"grid {spec!r} needs an integral num >= 1")
+    check_grid_size(int(num), max_points)
     return [float(v) for v in np.linspace(start, stop, int(num))]
 
 
@@ -179,8 +197,7 @@ def check_against_golden(computed: dict[tuple[str, str], float], golden) -> list
 # subcommands
 
 
-def _benchmark_row_values(row: presets.BenchmarkRow) -> dict[str, float]:
-    env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=row.q_factor, nbar_bath=row.nbar_bath)
+def _detector_fractions(row: presets.BenchmarkRow) -> dict[str, float]:
     protocol = ProtocolParams(
         mu=row.mu, phi=PHI_DEFAULT, input=CoherentInput(ALPHA_DEFAULT),
         nbar_1=row.nbar, nbar_2=row.nbar,
@@ -188,8 +205,6 @@ def _benchmark_row_values(row: presets.BenchmarkRow) -> dict[str, float]:
     det_r = presets.default_detector(resolving=True)
     det_n = presets.default_detector(resolving=False)
     return {
-        "D5": criteria.d5_evolved(row.mu, row.nbar, env, PHI_DEFAULT),
-        "S3": criteria.s3_evolved(row.mu, row.nbar, env, PHI_DEFAULT),
         "F_resolving": 100 * detector.true_positive_fraction_resolving(det_r, protocol),
         "F_nonresolving": 100 * detector.true_positive_fraction_nonresolving(det_n, protocol),
         "F_resolving_opt": 100 * detector.optimize_alpha(det_r, protocol).fraction,
@@ -216,10 +231,16 @@ def _check(args, computed: dict[tuple[str, str], float], name: str) -> int:
 
 
 def cmd_table1(args) -> int:
+    rows = presets.BENCHMARK_ROWS
+    envs = [EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=r.q_factor, nbar_bath=r.nbar_bath) for r in rows]
+    # one evaluation per criterion: row k's point meets row k's environment
+    mus, nbars = [r.mu for r in rows], [r.nbar for r in rows]
+    determinants = {name: criteria.evolved_criterion(name, envs)(mus, PHI_DEFAULT, nbars).tolist()
+                    for name in ("D5", "S3")}
     rows_out = []
     computed = {}
-    for row in presets.BENCHMARK_ROWS:
-        vals = _benchmark_row_values(row)
+    for k, row in enumerate(rows):
+        vals = {name: column[k] for name, column in determinants.items()} | _detector_fractions(row)
         for q in QUANTITIES_T1:
             computed[(row.name, q)] = vals[q]
         rows_out.append(
@@ -262,8 +283,11 @@ def cmd_map(args) -> int:
     cfg = load_config(args.config)
     env = env_from_config(cfg)
     nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
-    phis = parse_grid(cfg.get("grid", "phi", fallback="0:6.283185307179586:41"))
-    mus = parse_grid(cfg.get("grid", "mu", fallback="0.05:2.0:40"))
+    # the delta map holds one Fock state at a time
+    limit = None if args.criterion == "delta" else max_grid_points(args.criterion)
+    phis = parse_grid(cfg.get("grid", "phi", fallback="0:6.283185307179586:41"), limit)
+    mus = parse_grid(cfg.get("grid", "mu", fallback="0.05:2.0:40"), limit)
+    check_grid_size(len(mus) * len(phis), limit)
     grid_mu, grid_phi = (a.ravel().tolist() for a in np.meshgrid(mus, phis, indexing="ij"))
     if args.criterion == "delta":  # non-Gaussianity of the closed-system heralded state
         states = (heralded_state(ProtocolParams(mu=m, phi=p, nbar_1=nbar, nbar_2=nbar))[0]
@@ -301,8 +325,10 @@ def cmd_map(args) -> int:
 def cmd_cooling_map(args) -> int:
     cfg = load_config(args.config)
     env = env_from_config(cfg)
-    mus = parse_grid(cfg.get("grid", "mu", fallback="0.2:4.2:21"))
-    baths = parse_grid(cfg.get("grid", "nbar_bath", fallback="0:2000:9"))
+    limit = max_grid_points("cooling-map")
+    mus = parse_grid(cfg.get("grid", "mu", fallback="0.2:4.2:21"), limit)
+    baths = parse_grid(cfg.get("grid", "nbar_bath", fallback="0:2000:9"), limit)
+    check_grid_size(len(mus) * len(baths), limit)
     envs = [EnvParams(omega_m=env.omega_m, q_factor=env.q_factor, nbar_bath=nb) for nb in baths]
     nbar_max, ok = criteria.cooled_occupations(np.array(mus)[:, None], envs, PHI_DEFAULT)
     grid_mu, grid_nb = (a.ravel().tolist() for a in np.meshgrid(mus, baths, indexing="ij"))

@@ -21,7 +21,7 @@ from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_q
 from .errors import DegenerateHerald, NonPhysicalCovariance
 from .fock import TwoModeState
 from .herald import heralded_moments
-from .opensystem import EnvParams, MeasurementSchedule, evolution_map
+from .opensystem import EnvParams, evolution_map
 
 LadderWord = tuple[str, ...]
 Label = tuple[LadderWord, LadderWord]  # (mode-1 letters, mode-2 letters)
@@ -209,8 +209,7 @@ def non_gaussianity(state: TwoModeState) -> float:
 
 def _evolution_maps(name: str, envs: list[EnvParams]) -> np.ndarray:
     """Single-mode evolution maps of the named criterion's order, one per environment."""
-    order = CRITERIA[name][1]
-    return np.stack([evolution_map(e, MeasurementSchedule.standard(e), order) for e in envs])
+    return evolution_map(envs, CRITERIA[name][1])
 
 
 def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
@@ -243,15 +242,34 @@ class CoolingResult:
     verification_possible: bool
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Midpoints of brackets with f(lo) < 0 <= f(hi), all narrowed at once until
-    hi - lo <= 1e-10 hi (or 1e-15, the floor for a bracket at zero). f(x, at)
-    evaluates at the flat indices `at` of the brackets still open."""
-    lo, hi = np.array(lo, float).ravel(), np.array(hi, float).ravel()
-    while (at := np.flatnonzero(hi - lo > np.maximum(1e-10 * np.abs(hi), 1e-15))).size:
-        mid = 0.5 * (lo[at] + hi[at])
-        neg = f(mid, at) < 0.0
-        lo[at[neg]], hi[at[~neg]] = mid[neg], mid[~neg]
+def _false_position(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Midpoints of brackets with f(lo) = f_lo < 0 <= f(hi) = f_hi, all narrowed at once
+    until hi - lo <= tol = max(1e-10 hi, 1e-15) (1e-15 is the floor for a bracket at
+    zero). f(x, at) evaluates at the flat indices `at` of the brackets still open.
+
+    Each step is the Illinois false position (Dowell & Jarratt, BIT 11, 168 (1971)):
+    the end kept on two steps running has its value halved. The point is held tol/2
+    inside the bracket, so a side that has converged closes it on the next step. A
+    bracket that has not halved over the last three steps, or whose false position is
+    not inside it, takes the midpoint instead, so every bracket halves at least once
+    in four steps.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, float).ravel() for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
+    moved = np.zeros(lo.size)  # +1 where lo moved last, -1 where hi did
+    widths = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
+    while (at := np.flatnonzero(hi - lo > (tol := np.maximum(1e-10 * np.abs(hi), 1e-15)))).size:
+        a, b, fa, w = lo[at], hi[at], f_lo[at], hi[at] - lo[at]
+        x = a - fa * w / (f_hi[at] - fa)
+        mid = ~((a < x) & (x < b)) | (w > 0.5 * widths[2, at])
+        x = np.where(mid, 0.5 * (a + b), np.clip(x, a + 0.5 * tol[at], b - 0.5 * tol[at]))
+        fx = f(x, at)
+        widths[:, at] = w, widths[0, at], widths[1, at]
+        neg = fx < 0.0
+        up, down = at[neg], at[~neg]
+        f_hi[up[moved[up] > 0]] *= 0.5
+        f_lo[down[moved[down] < 0]] *= 0.5
+        lo[up], f_lo[up], moved[up] = x[neg], fx[neg], 1.0
+        hi[down], f_hi[down], moved[down] = x[~neg], fx[~neg], -1.0
     return 0.5 * (lo + hi)
 
 
@@ -270,14 +288,19 @@ def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple
     def s3(nbar, at):
         return _criterion_values("S3", maps[env_index[at]], mus[at], phi, nbar)
 
-    ok = s3(0.0, np.arange(mus.size)) < 0.0
-    lo, hi = np.zeros(mus.size), np.where(ok, 0.5, 0.0)
+    f_lo = s3(0.0, np.arange(mus.size))
+    ok = f_lo < 0.0
+    lo, hi, f_hi = np.zeros(mus.size), np.where(ok, 0.5, 0.0), np.zeros(mus.size)
     up = np.flatnonzero(ok)
-    while (up := up[s3(hi[up], up) < 0.0]).size:
-        lo[up], hi[up] = hi[up], 2.0 * hi[up]
+    while up.size:
+        f_up = s3(hi[up], up)
+        grow = f_up < 0.0
+        f_hi[up[~grow]] = f_up[~grow]
+        up = up[grow]
+        lo[up], f_lo[up], hi[up] = hi[up], f_up[grow], 2.0 * hi[up]
         if np.any(hi > 1e9):
             raise RuntimeError("S3 stayed negative up to nbar = 1e9")
-    return np.where(ok, _bisect(s3, lo, hi), 0.0).reshape(shape), ok.reshape(shape)
+    return np.where(ok, _false_position(s3, lo, hi, f_lo, f_hi), 0.0).reshape(shape), ok.reshape(shape)
 
 
 def max_cooled_occupation(mu: float, env: EnvParams, phi: float = math.pi) -> CoolingResult:
@@ -291,9 +314,10 @@ def mu_cutoff(env: EnvParams, phi: float = math.pi, mu_lo: float = 0.5, mu_hi: f
     s3 = evolved_criterion("S3", [env])
     scan = np.arange(mu_lo, mu_hi + 0.25, 0.25)
     scan = scan[scan <= mu_hi]
-    nonneg = np.flatnonzero(s3(scan, phi, 0.0) >= 0.0)
+    values = s3(scan, phi, 0.0)
+    nonneg = np.flatnonzero(values >= 0.0)
     if not nonneg.size:
         raise RuntimeError(f"no S3 sign change found below mu = {mu_hi}")
-    if nonneg[0] == 0:
+    if (k := nonneg[0]) == 0:
         raise RuntimeError("S3 already non-negative at mu_lo")
-    return float(_bisect(lambda m, at: s3(m, phi, 0.0), scan[nonneg[0] - 1], scan[nonneg[0]])[0])
+    return float(_false_position(lambda m, at: s3(m, phi, 0.0), scan[k - 1], scan[k], values[k - 1], values[k])[0])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,26 +62,32 @@ def true_positive_fraction_resolving(det: DetectorParams, protocol: ProtocolPara
     return 1.0 / inv
 
 
-def click_sum(eta: float, a2: float, mu: float, phi: float, nbar_1: float, nbar_2: float) -> float:
-    """L = sum_m sum_k C(2m,k) (eta|a|^2/4)^m / m! e^{-i(m-k)phi} lam^{(m-k)^2}.
+@lru_cache(maxsize=1)
+def _binomials() -> np.ndarray:
+    """C(2m, m - j) for m = 1..L_SUM_M_CAP (rows) and j = 1..L_SUM_M_CAP (columns), 0 for j > m."""
+    cap = L_SUM_M_CAP
+    return np.array([[math.comb(2 * m, m - j) if j <= m else 0 for j in range(1, cap + 1)]
+                     for m in range(1, cap + 1)], dtype=float)
 
-    Truncated once a whole m-term falls below the tolerance; m is capped
+
+def click_sum(eta: float, a2: float, mu: float, phi: float, nbar_1: float, nbar_2: float) -> float:
+    """L = sum_m sum_k C(2m,k) (eta|a|^2/4)^m / m! e^{-i(m-k)phi} lam^{(m-k)^2}, lam = e^{-x}
+    with x = mu^2 (1 + nbar_1 + nbar_2) / 2.
+
+    By the binomial theorem the m-term's inner sum is
+    T_m = (2 cos(phi/2))^{2m} + 2 sum_{j=1..m} C(2m, m-j) cos(j phi) expm1(-j^2 x),
+    which keeps full precision where the alternating sum cancels (phi near pi, small
+    mu). The sum runs up to the first m-term below the tolerance; m is capped
     because the entangling pulse is weak.
     """
-    lam = math.exp(-mu * mu * (1.0 + nbar_1 + nbar_2) / 2.0)
-    base = eta * a2 / 4.0
-    total = 0.0
-    for m in range(1, L_SUM_M_CAP + 1):
-        weight = base**m / math.factorial(m)
-        term = sum(
-            math.comb(2 * m, k) * (np.exp(-1j * (m - k) * phi) * lam ** ((m - k) ** 2)).real
-            for k in range(2 * m + 1)
-        )
-        contrib = weight * term
-        total += contrib
-        if abs(contrib) < L_SUM_TERM_TOL:
-            break
-    return total
+    x = mu * mu * (1.0 + nbar_1 + nbar_2) / 2.0
+    m = np.arange(1, L_SUM_M_CAP + 1)
+    t = (2.0 * math.cos(phi / 2.0)) ** (2 * m) + 2.0 * (
+        _binomials() @ (np.cos(m * phi) * np.expm1(-(m * m) * x))
+    )
+    contrib = np.cumprod(eta * a2 / 4.0 / m) * t
+    below = np.flatnonzero(np.abs(contrib) < L_SUM_TERM_TOL)
+    return float(contrib[: below[0] + 1 if below.size else None].sum())
 
 
 def true_positive_fraction_nonresolving(det: DetectorParams, protocol: ProtocolParams) -> float:

@@ -51,3 +51,7 @@ class IllConditioned(MechcatError):
 
 class TruncationTooSmall(MechcatError):
     """Photon-number truncation too small for the requested outcome."""
+
+
+class GridTooLarge(MechcatError):
+    """A CLI grid has more points than its evaluation can hold in memory."""

@@ -300,9 +300,8 @@ def heralded_moments(mu, phi, nbar_1, nbar_2, order_max: int, outcome: ClickOutc
     if np.any(np.abs(norm) < 1e-15):
         raise HeraldImpossible("heralded-state normalization vanishes")
     i1, i2 = _grid_index(order_max)
-    t1 = _mode_table(beta_x[:, 0], beta_p[:, 0], sigma[0], order_max)
-    t2 = _mode_table(beta_x[:, 1], beta_p[:, 1], sigma[1], order_max)
-    parts = w * (scale * (t1[i1] * t2[i2]))  # (keys, sandwich, *batch)
+    tables = _mode_table(beta_x, beta_p, sigma, order_max)  # (mode keys, sandwich, mode, *batch)
+    parts = w * (scale * (tables[i1, :, 0] * tables[i2, :, 1]))  # (keys, sandwich, *batch)
     return np.moveaxis(sum(np.moveaxis(parts, 1, 0)) / norm, 0, -1)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,20 +141,27 @@ def _letter_substitution(env: EnvParams, t: float):
     return c_x, c_p
 
 
-def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int) -> np.ndarray:
-    """Single-mode map of the measured moments over mode_keys(order_max).
+def evolution_map(envs: list[EnvParams], order_max: int,
+                  schedules: list[MeasurementSchedule] | None = None) -> np.ndarray:
+    """Single-mode maps of the measured moments over mode_keys(order_max), one per
+    environment (standard schedules by default), stacked as (len(envs), n, n).
 
     Row (p, q) holds E[(A + N_x)^p (B + N_p)^q] over the canonical words
     X^a P^b, with A = a_x X + b_x P and B = a_p X + b_p P. The noise letters
     commute with everything, so the row is the binomial sum of the Gaussian
-    moments E[N_x^i N_p^j] times the expansions of A^(p-i) B^(q-j).
+    moments E[N_x^i N_p^j] times the expansions of A^(p-i) B^(q-j). Only the
+    seven substitution and noise scalars are taken environment by environment;
+    everything after them runs on a leading environment axis.
     """
-    t_x, t_p = schedule.t_x, schedule.t_p
-    ax, bx = _letter_substitution(env, t_x)
-    ap, bp = _letter_substitution(env, t_p)
-    vx, vp, cxp = noise_covariances(env, t_x, t_p)
+    if schedules is None:
+        schedules = [MeasurementSchedule.standard(e) for e in envs]
+    ax, bx, ap, bp, vx, vp, cxp = np.array([
+        (*_letter_substitution(e, s.t_x), *_letter_substitution(e, s.t_p),
+         *noise_covariances(e, s.t_x, s.t_p))
+        for e, s in zip(envs, schedules, strict=True)
+    ]).T
     n = order_max + 1
-    gauss = np.zeros((n, n))  # Isserlis recursion on the first noise letter
+    gauss = np.zeros((n, n, len(envs)))  # Isserlis recursion on the first noise letter
     gauss[0, 0] = 1.0
     for i in range(n):
         for j in range(n - i):
@@ -165,9 +173,10 @@ def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int)
                 gauss[i, j] = (j - 1) * vp * gauss[i, j - 2]
     mkeys = mode_keys(order_max)
     a_idx, b_idx = np.array(mkeys).T
-    words = {}
-    a_power = np.zeros((n, n), dtype=complex)
-    a_power[0, 0] = 1.0
+    ax, bx, ap, bp = (c[:, None, None] for c in (ax, bx, ap, bp))
+    words = []  # A^p B^q over the canonical words, in mode_keys order by (p, q)
+    a_power = np.zeros((len(envs), n, n), dtype=complex)
+    a_power[:, 0, 0] = 1.0
     for p in range(n):
         if p:
             a_power = mode_product(a_power, ax, bx)
@@ -175,15 +184,30 @@ def evolution_map(env: EnvParams, schedule: MeasurementSchedule, order_max: int)
         for q in range(n - p):
             if q:
                 poly = mode_product(poly, ap, bp)
-            words[(p, q)] = poly[a_idx, b_idx]
-    return np.array([
-        sum(
-            math.comb(p, i) * math.comb(q, j) * gauss[i, j] * words[(p - i, q - j)]
-            for i in range(p + 1)
-            for j in range(q + 1)
-        )
-        for p, q in mkeys
-    ])
+            words.append(poly[:, a_idx, b_idx])
+    words = np.stack(words, axis=1)
+    # the binomial sums, one term position of every row at a time; padding adds zeros
+    coef, g_at, w_at = _row_terms(order_max)
+    gauss = gauss.reshape(n * n, len(envs)).T
+    rows = 0
+    for c, g, w in zip(coef.T, g_at.T, w_at.T):
+        rows = rows + (c * gauss[:, g])[..., None] * words[:, w]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _row_terms(order_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms C(p, i) C(q, j) E[N_x^i N_p^j] A^(p-i) B^(q-j) of every row (p, q) of the
+    evolution map, in (i, j) order: coefficients, flat Isserlis-table indices and
+    indices of the (p-i, q-j) words, zero-padded to the longest row."""
+    n = order_max + 1
+    word_at = {(p, q): k for k, (p, q) in enumerate((p, q) for p in range(n) for q in range(n - p))}
+    rows = [[(math.comb(p, i) * math.comb(q, j), i * n + j, word_at[p - i, q - j])
+             for i in range(p + 1) for j in range(q + 1)]
+            for p, q in mode_keys(order_max)]
+    width = max(map(len, rows))
+    table = np.array([row + [(0, 0, 0)] * (width - len(row)) for row in rows])
+    return table[..., 0].astype(float), table[..., 1], table[..., 2]
 
 
 def evolve_moments(
@@ -196,7 +220,7 @@ def evolve_moments(
         raise OrderOverflow("evolution supported up to order 8")
     order = table.order_max
     return MomentTable(
-        apply_mode_map(evolution_map(env, schedule, order), table.values, order),
+        apply_mode_map(evolution_map([env], order, [schedule])[0], table.values, order),
         order,
         provenance=table.provenance,
         n_samples=table.n_samples,

@@ -325,3 +325,40 @@ def test_default_cooling_roots_bracket_s3_sign_change(tmp_path):
             assert s3_evolved(mu, root * (1 - 1e-6), env) < 0 < s3_evolved(mu, root * (1 + 1e-6), env)
         else:
             assert s3_evolved(mu, 0.0, env) >= 0
+
+
+def test_table1_batched_criteria_match_one_point_evaluations(tmp_path):
+    from mechcat.criteria import d5_evolved, s3_evolved
+    from mechcat.opensystem import EnvParams
+    from mechcat.presets import BENCHMARK_ROWS, OMEGA_M_DEFAULT, PHI_DEFAULT
+
+    out = tmp_path / "t1.json"
+    assert cli.main(["table1", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["row"] for r in rows] == [row.name for row in BENCHMARK_ROWS]
+    for got, row in zip(rows, BENCHMARK_ROWS):
+        env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=row.q_factor, nbar_bath=row.nbar_bath)
+        for name, one_point in (("D5", d5_evolved), ("S3", s3_evolved)):
+            ref = one_point(row.mu, row.nbar, env, PHI_DEFAULT)
+            assert abs(got[name] - ref) <= 1e-12 * abs(ref), (row.name, name)
+
+
+@pytest.mark.parametrize(
+    "command, grid, points, limit",
+    [
+        ("map --criterion S3", "mu = 0.5\nphi = 0:1:4e5\n", 400000, cli.max_grid_points("S3")),
+        ("map --criterion S3", "mu = 0:1:1000\nphi = 0:1:1000\n", 1000000, cli.max_grid_points("S3")),
+        ("map --criterion D5", "mu = 0:1:1000\nphi = 0:1:1000\n", 1000000, cli.max_grid_points("D5")),
+        ("cooling-map", "mu = 0.2:3:400\nnbar_bath = 0:2000:400\n", 160000, cli.max_grid_points("cooling-map")),
+    ],
+    ids=["map-one-axis", "map-product", "map-d5", "cooling-map"],
+)
+def test_grid_above_the_memory_limit_exits_3(tmp_path, capsys, command, grid, points, limit):
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[grid]\n" + grid)
+    argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: GridTooLarge:")
+    assert f"{points} points" in err[0] and f"{limit} points" in err[0]
+    assert not (tmp_path / "out.csv").exists()

@@ -102,6 +102,45 @@ def test_click_sum_mu_zero_is_poisson():
     assert lsum == pytest.approx(math.exp(mean) - 1.0, rel=1e-10)
 
 
+def _mpmath_click_sums(eta, a2s, mu, phi, nbar_1, nbar_2, dps=60, m_max=100):
+    """Reference: the defining double sum in 60-digit arithmetic for each |a|^2 of a2s,
+    summed over m until the terms are negligible (no tolerance-based truncation).
+    Pairing k with 2m - k, the inner sum is sum_{|j| <= m} C(2m, m - j) cos(j phi) lam^(j^2)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x = mp.mpf(mu) ** 2 * (1 + mp.mpf(nbar_1) + mp.mpf(nbar_2)) / 2
+        g = [mp.cos(j * mp.mpf(phi)) * mp.exp(-(j * j) * x) for j in range(m_max + 1)]
+        inner = [None] + [g[0] * math.comb(2 * m, m) + 2 * mp.fsum(math.comb(2 * m, m - j) * g[j]
+                                                                 for j in range(1, m + 1))
+                          for m in range(1, m_max + 1)]
+        sums = []
+        for a2 in a2s:
+            base = mp.mpf(eta) * mp.mpf(a2) / 4
+            total, weight = mp.mpf(0), mp.mpf(1)
+            for m in range(1, m_max + 1):
+                weight *= base / m
+                total += (term := weight * inner[m])
+                if m > 4 * base + 4 and abs(term) < mp.mpf(10) ** -30 * abs(total):
+                    break
+            else:
+                raise AssertionError("reference sum did not converge")
+            sums.append(total)
+        return sums
+
+
+@pytest.mark.parametrize("mu", [2.26e-5, 1.29e-4, 1e-3, 1e-2, 0.1, 1.0])
+def test_click_sum_matches_mpmath(mu):
+    # the dark fringe at the couplings of real platforms is where the alternating
+    # sum cancelled (2.1e-9 relative at the membrane row before the expm1 form)
+    a2s = (0.01, 1.0, 4.0, 16.0)
+    worst = 0.0
+    for phi, nbar in itertools.product((0.0, math.pi / 2, 3 * math.pi / 4, math.pi), (0.0, 0.29, 5.3)):
+        for a2, ref in zip(a2s, _mpmath_click_sums(DET.eta, a2s, mu, phi, nbar, nbar)):
+            worst = max(worst, float(abs((click_sum(DET.eta, a2, mu, phi, nbar, nbar) - ref) / ref)))
+    assert worst <= 1e-10
+
+
 def test_dark_count_dominated_limit():
     # mu -> 0 at phi = pi: both detector types collapse to the same
     # dark-count-dominated fraction eta P10 e^{eta a} / D

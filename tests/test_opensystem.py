@@ -322,3 +322,18 @@ def test_evolution_map_matches_letter_reference(order, schedule_name, q):
     new = evolve_moments(table, env, schedule)
     worst = max(abs(new.value(k) - ref[k]) / (1.0 + abs(ref[k])) for k in keys)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_batched_evolution_map_matches_per_environment_builds(order):
+    # the closed system, the membrane row's Q = 1.03e9, and low-Q and hot baths
+    envs = [EnvParams(OMEGA, q, nb) for q, nb in
+            [(math.inf, 0.0), (1.03e9, 1e5), (1.03e9, 1e3), (1e5, 1000.0), (50.0, 3.0), (1e5, 0.0)]]
+    batch = opensystem.evolution_map(envs, order)
+    n = (order + 1) * (order + 2) // 2
+    assert batch.shape == (len(envs), n, n)
+    for env, m in zip(envs, batch):
+        assert np.array_equal(m, opensystem.evolution_map([env], order)[0])
+    # an explicit schedule list gives the same maps as the standard default
+    schedules = [MeasurementSchedule.standard(e) for e in envs]
+    assert np.array_equal(opensystem.evolution_map(envs, order, schedules), batch)
