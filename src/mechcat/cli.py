@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import importlib.resources as resources
 import json
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import criteria, detector, presets, sideband, verify
 from .errors import GridTooLarge, MechcatError
-from .herald import CoherentInput, ProtocolParams, heralded_moment_table, heralded_state
+from .herald import ProtocolParams, heralded_moment_table, heralded_state
 from .opensystem import EnvParams, evolve_moments
 from .presets import ALPHA_DEFAULT, OMEGA_M_DEFAULT, PHI_DEFAULT
 
@@ -197,21 +198,6 @@ def check_against_golden(computed: dict[tuple[str, str], float], golden) -> list
 # subcommands
 
 
-def _detector_fractions(row: presets.BenchmarkRow) -> dict[str, float]:
-    protocol = ProtocolParams(
-        mu=row.mu, phi=PHI_DEFAULT, input=CoherentInput(ALPHA_DEFAULT),
-        nbar_1=row.nbar, nbar_2=row.nbar,
-    )
-    det_r = presets.default_detector(resolving=True)
-    det_n = presets.default_detector(resolving=False)
-    return {
-        "F_resolving": 100 * detector.true_positive_fraction_resolving(det_r, protocol),
-        "F_nonresolving": 100 * detector.true_positive_fraction_nonresolving(det_n, protocol),
-        "F_resolving_opt": 100 * detector.optimize_alpha(det_r, protocol).fraction,
-        "F_nonresolving_opt": 100 * detector.optimize_alpha(det_n, protocol).fraction,
-    }
-
-
 QUANTITIES_T1 = (
     "D5", "S3", "F_resolving", "F_nonresolving", "F_resolving_opt", "F_nonresolving_opt",
 )
@@ -234,19 +220,19 @@ def cmd_table1(args) -> int:
     rows = presets.BENCHMARK_ROWS
     envs = [EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=r.q_factor, nbar_bath=r.nbar_bath) for r in rows]
     # one evaluation per criterion: row k's point meets row k's environment
-    mus, nbars = [r.mu for r in rows], [r.nbar for r in rows]
-    determinants = {name: criteria.evolved_criterion(name, envs)(mus, PHI_DEFAULT, nbars).tolist()
-                    for name in ("D5", "S3")}
+    mus, nbars = np.array([r.mu for r in rows]), np.array([r.nbar for r in rows])
+    values = {name: criteria.evolved_criterion(name, envs)(mus, PHI_DEFAULT, nbars)
+              for name in ("D5", "S3")}
+    for kind, resolving in (("resolving", True), ("nonresolving", False)):
+        det = presets.default_detector(resolving)
+        fraction = detector.fraction_of_amplitude(det, mus, PHI_DEFAULT, nbars, nbars)
+        values[f"F_{kind}"] = 100 * fraction(ALPHA_DEFAULT)
+        values[f"F_{kind}_opt"] = 100 * detector.optimize_alpha(det, mus, PHI_DEFAULT, nbars, nbars).fraction
     rows_out = []
     computed = {}
-    for k, row in enumerate(rows):
-        vals = {name: column[k] for name, column in determinants.items()} | _detector_fractions(row)
-        for q in QUANTITIES_T1:
-            computed[(row.name, q)] = vals[q]
-        rows_out.append(
-            (row.name, row.mu, row.q_factor, row.nbar, row.nbar_bath)
-            + tuple(vals[q] for q in QUANTITIES_T1)
-        )
+    for row, vals in zip(rows, np.column_stack([values[q] for q in QUANTITIES_T1]).tolist()):
+        computed |= {(row.name, q): v for q, v in zip(QUANTITIES_T1, vals)}
+        rows_out.append((row.name, row.mu, row.q_factor, row.nbar, row.nbar_bath, *vals))
     meta = [
         "benchmark criteria and true-positive fractions; hbar=1, Var_vac=1/2",
         f"phi=pi, alpha={ALPHA_DEFAULT}, eta={presets.ETA_DEFAULT}, "
@@ -347,22 +333,13 @@ def cmd_detector(args) -> int:
     phi = _cfg_float(cfg, "protocol", "phi", PHI_DEFAULT)
     nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
     alphas = parse_grid(cfg.get("grid", "alpha", fallback="0.05:3.0:60"))
-    det_r = detector_from_config(cfg, resolving=True)
-    det_n = detector_from_config(cfg, resolving=False)
-    rows = []
-    for alpha in alphas:
-        protocol = ProtocolParams(mu=mu, phi=phi, input=CoherentInput(alpha),
-                                  nbar_1=nbar, nbar_2=nbar)
-        rows.append(
-            (
-                alpha,
-                100 * detector.true_positive_fraction_resolving(det_r, protocol),
-                100 * detector.true_positive_fraction_nonresolving(det_n, protocol),
-            )
-        )
+    dets = [detector_from_config(cfg, resolving) for resolving in (True, False)]
+    ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)  # rejects an invalid point
+    columns = [100 * detector.fraction_of_amplitude(det, mu, phi, nbar, nbar)(alphas) for det in dets]
+    rows = list(zip(alphas, *(c.tolist() for c in columns)))
     meta = [
         f"true-positive fractions vs entangling amplitude; mu={mu}, phi={phi}, nbar={nbar}",
-        f"eta={det_r.eta}, dark_prob={det_r.dark_prob}; F columns in percent",
+        f"eta={dets[0].eta}, dark_prob={dets[0].dark_prob}; F columns in percent",
     ]
     write_table(args, meta, ["alpha", "F_resolving", "F_nonresolving"], rows)
     return EXIT_OK
@@ -446,6 +423,7 @@ def cmd_sideband(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mechcat",

@@ -129,8 +129,9 @@ def test_criterion_4_detector_fractions():
                                   nbar_1=row.nbar, nbar_2=row.nbar)
         fr = 100 * detector.true_positive_fraction_resolving(det_r, protocol)
         fn = 100 * detector.true_positive_fraction_nonresolving(det_n, protocol)
-        fro = 100 * detector.optimize_alpha(det_r, protocol).fraction
-        fno = 100 * detector.optimize_alpha(det_n, protocol).fraction
+        point = (row.mu, PHI_DEFAULT, row.nbar, row.nbar)
+        fro = 100 * detector.optimize_alpha(det_r, *point).fraction
+        fno = 100 * detector.optimize_alpha(det_n, *point).fraction
         refs = reference[row.name]
         ok_tol &= all(abs(v - r) <= 5.0 for v, r in zip((fr, fn, fro, fno), refs))
         # slack covers the O(D^2) asymmetry of the printed formulas (the

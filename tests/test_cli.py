@@ -184,6 +184,42 @@ def test_detector_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_detector_command_equals_the_scalar_fractions(tmp_path):
+    from mechcat.detector import DetectorParams, true_positive_fraction_nonresolving, true_positive_fraction_resolving
+    from mechcat.herald import CoherentInput, ProtocolParams
+
+    cfg = tmp_path / "d.ini"
+    cfg.write_text("[protocol]\nmu = 2.26e-5\nphi = 2.5\nnbar = 0.29\n[detector]\neta = 0.9\n"
+                   "[grid]\nalpha = 0.05:3.0:25\n")
+    out = tmp_path / "d.json"
+    assert cli.main(["detector", "--config", str(cfg), "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["alpha"] for r in rows] == cli.parse_grid("0.05:3.0:25")
+    for r in rows:
+        p = ProtocolParams(mu=2.26e-5, phi=2.5, input=CoherentInput(r["alpha"]), nbar_1=0.29, nbar_2=0.29)
+        assert r["F_resolving"] == 100 * true_positive_fraction_resolving(DetectorParams(0.9, 1e-8), p)
+        assert r["F_nonresolving"] == 100 * true_positive_fraction_nonresolving(
+            DetectorParams(0.9, 1e-8, resolving=False), p)
+
+
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        ("[grid]\nalpha = 1.0, 30.0\n", "error: DegenerateHerald: P10 vanishes; F undefined"),
+        ("[protocol]\nphi = 0\n[grid]\nalpha = 1.0, 10.0\n", "error: TruncationTooSmall: click sum"),
+    ],
+    ids=["p10-underflow", "click-sum-beyond-cap"],
+)
+def test_detector_alpha_out_of_range_exits_3(tmp_path, capsys, config, line):
+    cfg = tmp_path / "d.ini"
+    cfg.write_text(config)
+    out = tmp_path / "d.csv"
+    assert cli.main(["detector", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+    assert not out.exists()
+
+
 def test_cooling_map_command(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[env]\nq_factor = 1e5\n[grid]\nmu = 0.5, 5.0\nnbar_bath = 0\n")
@@ -341,6 +377,52 @@ def test_table1_batched_criteria_match_one_point_evaluations(tmp_path):
         for name, one_point in (("D5", d5_evolved), ("S3", s3_evolved)):
             ref = one_point(row.mu, row.nbar, env, PHI_DEFAULT)
             assert abs(got[name] - ref) <= 1e-12 * abs(ref), (row.name, name)
+
+
+def test_table1_opt_columns_equal_one_point_searches(tmp_path):
+    from mechcat.detector import optimize_alpha
+    from mechcat.presets import BENCHMARK_ROWS, PHI_DEFAULT, default_detector
+
+    out = tmp_path / "t1.json"
+    assert cli.main(["table1", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    for got, row in zip(json.loads(out.read_text())["rows"], BENCHMARK_ROWS):
+        for name, resolving in (("F_resolving_opt", True), ("F_nonresolving_opt", False)):
+            one = optimize_alpha(default_detector(resolving), row.mu, PHI_DEFAULT, row.nbar, row.nbar)
+            assert got[name] == 100 * one.fraction, (row.name, name)
+
+
+def test_consecutive_main_calls_write_what_fresh_processes_write(tmp_path, capsys):
+    # one parser serves every call of a process; no option may carry over to the next call
+    assert cli.build_parser() is cli.build_parser()
+    (tmp_path / "map.ini").write_text("[grid]\nmu = 0.5, 1.0\nphi = 0:6.283185307179586:7\n")
+    (tmp_path / "verify.ini").write_text("[verify]\nn_samples = 1e4\nn_seeds = 2\n")
+    (tmp_path / "bad.ini").write_text("[protocol]\nmu = nan\n")
+    map_argv = ["map", "--criterion", "S3", "--config", str(tmp_path / "map.ini")]
+    verify_argv = ["verify", "--config", str(tmp_path / "verify.ini")]
+
+    def calls(d):
+        return [
+            (map_argv + ["--out", f"{d}/map1.csv", "--contour-out", f"{d}/contour.csv"], 0),
+            (map_argv + ["--out", f"{d}/map2.csv"], 0),
+            (verify_argv + ["--seed", "1", "--out", f"{d}/v1.json"], 0),
+            (verify_argv + ["--out", f"{d}/v2.json"], 0),
+            (["detector", "--config", str(tmp_path / "bad.ini"), "--out", f"{d}/d1.csv"], 3),
+            (["detector", "--out", f"{d}/d2.csv"], 0),
+        ]
+
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for d in (fresh, reused):
+        d.mkdir()
+    for (fresh_argv, code), (argv, _) in zip(calls(fresh), calls(reused)):
+        r = run_cli(fresh_argv)
+        assert r.returncode == code, r.stderr
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err == r.stderr
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in reused.iterdir())
+    assert "map2.csv.contour.csv" in names and "d1.csv" not in names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import lift
+from golden_section_reference import golden_section_alpha
 from mechcat import fock
 from mechcat.detector import (
     LOSS_TRUNCATION,
@@ -14,6 +15,7 @@ from mechcat.detector import (
     LossOracle,
     LossOutcome,
     click_sum,
+    click_terms,
     dark_prob_from_rate,
     fractions_from_oracle,
     loss_outcome_probability,
@@ -36,7 +38,7 @@ def protocol(mu, nbar=0.1, alpha=1.0, phi=math.pi):
 def test_perfect_detector():
     det = DetectorParams(eta=1.0, dark_prob=0.0)
     assert true_positive_fraction_resolving(det, protocol(0.5)) == pytest.approx(1.0)
-    opt = optimize_alpha(det, protocol(0.5))
+    opt = optimize_alpha(det, 0.5, math.pi, 0.1, 0.1)
     assert opt.flat_objective
     assert opt.fraction == pytest.approx(1.0)
 
@@ -49,8 +51,6 @@ def test_requires_coherent_input():
     p = ProtocolParams(mu=0.5, phi=math.pi, input=SinglePhotonInput())
     with pytest.raises(ValueError):
         true_positive_fraction_resolving(DET, p)
-    with pytest.raises(ValueError):
-        optimize_alpha(DET, p)
 
 
 def test_benchmark_fractions():
@@ -63,8 +63,8 @@ def test_benchmark_fractions():
 
 def test_optimized_fractions():
     # row (ii) optimum reaches 98%; row (i) optimum sits below alpha = 1
-    assert 100 * optimize_alpha(DET, protocol(1e-2)).fraction == pytest.approx(98, abs=5)
-    opt_i = optimize_alpha(DET, protocol(1e-3))
+    assert 100 * optimize_alpha(DET, 1e-2, math.pi, 0.1, 0.1).fraction == pytest.approx(98, abs=5)
+    opt_i = optimize_alpha(DET, 1e-3, math.pi, 0.1, 0.1)
     assert 100 * opt_i.fraction == pytest.approx(84, abs=5)
     assert opt_i.alpha < 1.0
 
@@ -97,9 +97,34 @@ def test_monotone_in_eta():
 def test_click_sum_mu_zero_is_poisson():
     # lambda = 1 collapses L to the bright-port Poisson click distribution
     eta, a2, phi = 0.8, 1.3, 0.9
-    lsum = click_sum(eta, a2, 0.0, phi, 0.0, 0.0)
+    lsum = click_sum(eta, a2, click_terms(0.0, phi, 0.0, 0.0))
     mean = eta * a2 * math.cos(phi / 2.0) ** 2
     assert lsum == pytest.approx(math.exp(mean) - 1.0, rel=1e-10)
+
+
+def test_click_sum_poisson_inside_the_cap():
+    # mu = 0, phi = 0: L = e^{eta |a|^2} - 1, up to |a|^2 = 16 (alpha = 4, the search's hi)
+    a2 = np.array([0.01, 1.0, 4.0, 9.0, 16.0])
+    assert np.allclose(click_sum(0.8, a2, click_terms(0.0, 0.0, 0.0, 0.0)), np.expm1(0.8 * a2), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a2", [36.0, 100.0])
+def test_click_sum_beyond_the_cap_raises(a2):
+    # no term of m <= 60 falls below the tolerance: the capped sum would be too small
+    with pytest.raises(TruncationTooSmall):
+        click_sum(0.8, a2, click_terms(0.0, 0.0, 0.0, 0.0))
+    det_n = DetectorParams(eta=0.8, dark_prob=1e-8, resolving=False)
+    with pytest.raises(TruncationTooSmall):
+        true_positive_fraction_nonresolving(det_n, protocol(1e-2, alpha=math.sqrt(a2), phi=0.0))
+
+
+def test_click_sum_of_a_batch_equals_its_points():
+    a2 = np.array([[0.01], [2.0], [9.0]])
+    mu, phi = np.array([2.26e-5, 0.1, 1.0, 2.0]), np.array([0.0, 1.0, math.pi, 3.0])
+    batch = click_sum(0.8, a2, click_terms(mu, phi, 0.29, 5.3))
+    assert batch.shape == (3, 4)
+    for i, j in itertools.product(range(3), range(4)):
+        assert batch[i, j] == click_sum(0.8, a2[i, 0], click_terms(mu[j], phi[j], 0.29, 5.3))
 
 
 def _mpmath_click_sums(eta, a2s, mu, phi, nbar_1, nbar_2, dps=60, m_max=100):
@@ -137,8 +162,48 @@ def test_click_sum_matches_mpmath(mu):
     worst = 0.0
     for phi, nbar in itertools.product((0.0, math.pi / 2, 3 * math.pi / 4, math.pi), (0.0, 0.29, 5.3)):
         for a2, ref in zip(a2s, _mpmath_click_sums(DET.eta, a2s, mu, phi, nbar, nbar)):
-            worst = max(worst, float(abs((click_sum(DET.eta, a2, mu, phi, nbar, nbar) - ref) / ref)))
+            lsum = click_sum(DET.eta, a2, click_terms(mu, phi, nbar, nbar))
+            worst = max(worst, float(abs((lsum - ref) / ref)))
     assert worst <= 1e-10
+
+
+def _search_grid(seed, size):
+    """Seeded points: mu 1e-5..2, nbar 0..20 (a fifth at 0), phi uniform with 0 and pi;
+    three etas spread over 0.5..1."""
+    rng = np.random.default_rng(seed)
+    mu = 10.0 ** rng.uniform(-5.0, math.log10(2.0), size)
+    nbar = np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.0, 20.0, size))
+    phi = rng.uniform(0.0, 2 * math.pi, size)
+    phi[:4] = (0.0, math.pi, 0.0, math.pi)
+    return mu, phi, nbar, 0.5 + 0.5 * (np.arange(3) + rng.random(3)) / 3
+
+
+@pytest.mark.parametrize("resolving", [True, False])
+def test_batched_search_matches_scalar_golden_section(resolving):
+    mu, phi, nbar, etas = _search_grid(18, 12)
+    # the perfect detector has a flat resolving objective
+    for det in [DetectorParams(eta, 1e-8, resolving) for eta in etas] + [DetectorParams(1.0, 0.0, resolving)]:
+        ok = []
+        for k in range(mu.size):
+            try:
+                ok.append((k, golden_section_alpha(det, protocol(mu[k], nbar[k], phi=phi[k]))))
+            except TruncationTooSmall:
+                # alpha -> 4 at phi near 0 and eta > 0.91 passes the click sum's cap
+                with pytest.raises(TruncationTooSmall):
+                    optimize_alpha(det, mu[k], phi[k], nbar[k], nbar[k])
+        idx = [k for k, _ in ok]
+        opt = optimize_alpha(det, mu[idx], phi[idx], nbar[idx], nbar[idx])
+        for j, (k, (_, fraction, flat)) in enumerate(ok):
+            assert abs(opt.fraction[j] - fraction) <= 1e-14 * fraction, (det, k)
+            assert opt.flat_objective[j] == flat, (det, k)
+    assert opt.flat_objective.all() == resolving  # the perfect detector's search, the last one
+
+
+def test_search_of_one_point_takes_zero_d_values():
+    opt = optimize_alpha(DET, 1e-2, math.pi, 0.1, 0.1)
+    assert opt.alpha.shape == opt.fraction.shape == opt.flat_objective.shape == ()
+    alpha, fraction, flat = golden_section_alpha(DET, protocol(1e-2))
+    assert (opt.alpha, opt.fraction, opt.flat_objective) == (alpha, fraction, flat)
 
 
 def test_dark_count_dominated_limit():
