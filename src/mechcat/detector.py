@@ -77,9 +77,9 @@ def click_terms(mu, phi, nbar_1, nbar_2) -> np.ndarray:
 
 def click_sum(eta: float, a2, terms: np.ndarray) -> np.ndarray:
     """L = sum_m (eta|a|^2/4)^m / m! T_m over `click_terms`, up to the first m-term below
-    L_SUM_TERM_TOL, each point's terms summed as their own slice. m is capped at L_SUM_M_CAP
-    because the entangling pulse is weak; no term below the tolerance within the cap raises
-    TruncationTooSmall instead of returning the truncated sum.
+    L_SUM_TERM_TOL; each point's terms are summed as their own slice, so L does not depend on the
+    batch. m is capped at L_SUM_M_CAP because the entangling pulse is weak; no term below the
+    tolerance within the cap raises TruncationTooSmall instead of returning the truncated sum.
     """
     m = np.arange(1, L_SUM_M_CAP + 1)
     contrib = np.cumprod(eta * np.asarray(a2)[..., None] / 4.0 / m, axis=-1) * terms

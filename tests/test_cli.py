@@ -185,7 +185,8 @@ def test_detector_command(tmp_path):
 
 
 def test_detector_command_equals_the_scalar_fractions(tmp_path):
-    from mechcat.detector import DetectorParams, true_positive_fraction_nonresolving, true_positive_fraction_resolving
+    from mechcat.detector import (DetectorParams, true_positive_fraction_nonresolving,
+                                  true_positive_fraction_resolving)
     from mechcat.herald import CoherentInput, ProtocolParams
 
     cfg = tmp_path / "d.ini"

@@ -105,7 +105,8 @@ def test_click_sum_mu_zero_is_poisson():
 def test_click_sum_poisson_inside_the_cap():
     # mu = 0, phi = 0: L = e^{eta |a|^2} - 1, up to |a|^2 = 16 (alpha = 4, the search's hi)
     a2 = np.array([0.01, 1.0, 4.0, 9.0, 16.0])
-    assert np.allclose(click_sum(0.8, a2, click_terms(0.0, 0.0, 0.0, 0.0)), np.expm1(0.8 * a2), rtol=1e-12, atol=0)
+    lsum = click_sum(0.8, a2, click_terms(0.0, 0.0, 0.0, 0.0))
+    assert np.allclose(lsum, np.expm1(0.8 * a2), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("a2", [36.0, 100.0])
@@ -197,6 +198,16 @@ def test_batched_search_matches_scalar_golden_section(resolving):
             assert abs(opt.fraction[j] - fraction) <= 1e-14 * fraction, (det, k)
             assert opt.flat_objective[j] == flat, (det, k)
     assert opt.flat_objective.all() == resolving  # the perfect detector's search, the last one
+
+
+def test_each_point_of_a_search_stops_at_its_own_width():
+    # rounding leaves the brackets of rows (i) and (iv) 1.3287163713737726e-06 and
+    # 1.3287163714223449e-06 wide after 31 steps: this tol stops only the first there
+    tol = 1.3287163714e-06
+    opt = optimize_alpha(DET, np.array([1e-3, 1.0]), math.pi, 0.1, 0.1, tol=tol)
+    for k, mu in enumerate((1e-3, 1.0)):
+        alpha, fraction, _ = golden_section_alpha(DET, protocol(mu), tol=tol)
+        assert (opt.alpha[k], opt.fraction[k]) == (alpha, fraction)
 
 
 def test_search_of_one_point_takes_zero_d_values():
