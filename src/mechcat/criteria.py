@@ -18,7 +18,7 @@ import numpy as np
 from . import fock
 from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_quadrature,
                       moments_from_state)
-from .errors import DegenerateHerald, NonPhysicalCovariance
+from .errors import DegenerateHerald, NegativeNonGaussianity, NoSignChange, NonPhysicalCovariance
 from .fock import TwoModeState
 from .herald import heralded_moments
 from .opensystem import EnvParams, evolution_map
@@ -199,7 +199,7 @@ def non_gaussianity(state: TwoModeState) -> float:
     table = moments_from_state(state, 2)
     delta = gaussian_reference_entropy(table) - fock.von_neumann_entropy(state)
     if delta < -1e-6:
-        raise RuntimeError(f"non-Gaussianity came out negative: {delta:.3g}")
+        raise NegativeNonGaussianity(f"non-Gaussianity came out negative: {delta:.3g}")
     return max(delta, 0.0)
 
 
@@ -299,7 +299,7 @@ def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple
         up = up[grow]
         lo[up], f_lo[up], hi[up] = hi[up], f_up[grow], 2.0 * hi[up]
         if np.any(hi > 1e9):
-            raise RuntimeError("S3 stayed negative up to nbar = 1e9")
+            raise NoSignChange("S3 stayed negative up to nbar = 1e9")
     return np.where(ok, _false_position(s3, lo, hi, f_lo, f_hi), 0.0).reshape(shape), ok.reshape(shape)
 
 
@@ -317,7 +317,7 @@ def mu_cutoff(env: EnvParams, phi: float = math.pi, mu_lo: float = 0.5, mu_hi: f
     values = s3(scan, phi, 0.0)
     nonneg = np.flatnonzero(values >= 0.0)
     if not nonneg.size:
-        raise RuntimeError(f"no S3 sign change found below mu = {mu_hi}")
+        raise NoSignChange(f"no S3 sign change found below mu = {mu_hi}")
     if (k := nonneg[0]) == 0:
-        raise RuntimeError("S3 already non-negative at mu_lo")
+        raise NoSignChange("S3 already non-negative at mu_lo")
     return float(_false_position(lambda m, at: s3(m, phi, 0.0), scan[k - 1], scan[k], values[k - 1], values[k])[0])

@@ -55,3 +55,11 @@ class TruncationTooSmall(MechcatError):
 
 class GridTooLarge(MechcatError):
     """A CLI grid has more points than its evaluation can hold in memory."""
+
+
+class NegativeNonGaussianity(MechcatError):
+    """The Fock-path non-Gaussianity came out negative beyond its rounding floor."""
+
+
+class NoSignChange(MechcatError, RuntimeError):
+    """A root search found no sign change of its criterion within its range."""

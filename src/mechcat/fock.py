@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,12 +77,24 @@ def p_single(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T) / math.sqrt(2.0)
 
 
-def displacement_single(beta: complex, cutoff: int) -> np.ndarray:
-    """exp(beta a^dag - beta* a) via eigendecomposition of the Hermitian generator."""
+def _generator_eigh(beta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the Hermitian generator h, D(beta) = exp(-i h)."""
     a = destroy(cutoff)
     h = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
-    w, v = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def displacement_single(beta: complex, cutoff: int) -> np.ndarray:
+    """exp(beta a^dag - beta* a) via eigendecomposition of the Hermitian generator."""
+    w, v = _generator_eigh(beta, cutoff)
     return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def displacement_minus_identity(beta: complex, cutoff: int) -> np.ndarray:
+    """E = D(beta) - I from the same eigendecomposition, with expm1 in place of exp:
+    where D is near I its entries are O(|beta|) with no O(1) terms cancelled."""
+    w, v = _generator_eigh(beta, cutoff)
+    return (v * np.expm1(-1j * w)) @ v.conj().T
 
 
 def coherent_vector(beta: complex, cutoff: int) -> np.ndarray:
@@ -118,16 +130,25 @@ class TwoModeState:
 
     `truncation_loss` is the probability mass of the thermal input left out of
     the factor: its tail beyond the cutoffs plus the dropped columns.
+
+    `gram`, when given, is the rank x rank Gram matrix A^dag A of the factor,
+    built by its producer (herald.heralded_state) and read by
+    von_neumann_entropy in place of the product over the factor. It belongs
+    to this factor: a state made from another factor passes gram=None.
     """
 
     config: FockConfig
     factor: np.ndarray
     truncation_loss: float = 0.0
+    gram: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         shape = (self.config.cutoff_1, self.config.cutoff_2)
         if self.factor.ndim != 3 or self.factor.shape[:2] != shape:
             raise DimensionMismatch(f"factor shape {self.factor.shape} vs cutoffs {shape}")
+        rank = self.factor.shape[2]
+        if self.gram is not None and self.gram.shape != (rank, rank):
+            raise DimensionMismatch(f"Gram shape {self.gram.shape} vs rank {rank}")
 
     @property
     def columns(self) -> np.ndarray:
@@ -145,10 +166,15 @@ class TwoModeState:
         return self.columns[:, 0] if self.factor.shape[2] == 1 else None
 
     def validate(self) -> "TwoModeState":
-        """Unit trace; Hermiticity and positivity need no check (see state_from_rho)."""
+        """Unit trace of the factor and of a carried Gram; Hermiticity and
+        positivity need no check (see state_from_rho)."""
         tr = float(np.vdot(self.factor, self.factor).real)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
+        if self.gram is not None:
+            tr = float(np.trace(self.gram).real)
+            if not abs(tr - 1.0) <= TRACE_TOL:
+                raise ValueError(f"trace of the carried Gram = {tr:.12g}, not 1")
         return self
 
 
@@ -263,8 +289,12 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 
 def von_neumann_entropy(state: TwoModeState) -> float:
     """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
-    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho),
-    summed from the blocks of W = V^T V, V the factor's float view (dim x 2 rank).
+    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho).
+
+    A heralded state carries G (herald.heralded_state builds it from c x c
+    blocks of E = D - I per mode, written in E so that no O(1) terms cancel
+    at the dark fringe). Any other state's G is summed from the blocks of
+    W = V^T V, V the factor's float view (dim x 2 rank).
 
     G is real for heralded thermal states (the thermal factor is real, the
     arms are complex-symmetric and commute) and diagonal for state_from_rho
@@ -274,9 +304,12 @@ def von_neumann_entropy(state: TwoModeState) -> float:
     entropy's eigenvalue floor. Any other factor, such as A U for a unitary U
     (the same rho), keeps the Hermitian solve.
     """
-    v = np.ascontiguousarray(state.columns, dtype=complex).view(np.float64)
-    w = v.T @ v  # Re and Im of each column interleaved on both axes
-    gram, imag = w[::2, ::2] + w[1::2, 1::2], w[::2, 1::2] - w[1::2, ::2]
+    if state.gram is None:
+        v = np.ascontiguousarray(state.columns, dtype=complex).view(np.float64)
+        w = v.T @ v  # Re and Im of each column interleaved on both axes
+        gram, imag = w[::2, ::2] + w[1::2, 1::2], w[::2, 1::2] - w[1::2, ::2]
+    else:
+        gram, imag = state.gram.real, state.gram.imag
     real = np.linalg.norm(imag) <= GRAM_IMAG_TOL * np.trace(gram)
     return entropy_of_matrix(gram if real else gram + 1j * imag)
 

@@ -233,6 +233,30 @@ def test_cooling_map_command(tmp_path):
     assert table[5.0][1] == 0  # beyond the S3 cutoff coupling
 
 
+@pytest.mark.parametrize(
+    "argv, config, patch, line",
+    [
+        (["map", "--criterion", "delta"], "[grid]\nmu = 0.5\nphi = 1.0\n",
+         ("gaussian_reference_entropy", lambda table: -1.0),
+         "error: NegativeNonGaussianity: non-Gaussianity came out negative"),
+        (["cooling-map"], "[grid]\nmu = 0.5\nnbar_bath = 0\n",
+         ("_criterion_values", lambda name, maps, mu, phi, nbar: np.full(np.shape(mu), -1.0)),
+         "error: NoSignChange: S3 stayed negative up to nbar = 1e9"),
+    ],
+    ids=["map-delta", "cooling-map"],
+)
+def test_numerical_failures_exit_3_with_one_error_line(monkeypatch, tmp_path, capsys, argv, config, patch, line):
+    # neither failure is reachable with ordinary inputs: the patched criterion forces it
+    monkeypatch.setattr(cli.criteria, *patch)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    out = tmp_path / "c.csv"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy():
     r = subprocess.run(
         [sys.executable, "-c",

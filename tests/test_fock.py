@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.special import genlaguerre
 
 from dense_reference import letter_matrices, lift
 from mechcat import algebra, criteria, fock, herald, verify
-from mechcat.errors import CutoffTooSmall, MechcatError
+from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError, NegativeNonGaussianity
 
 
 CFG = fock.FockConfig(24, 24)
@@ -330,7 +332,7 @@ def ref_delta(rho, cfg):
     table = algebra.MomentTable(list(ref_moments(rho, cfg, 2).values()), 2)
     delta = criteria.gaussian_reference_entropy(table) - ref_entropy(rho)
     if delta < -1e-6:
-        raise RuntimeError("negative non-Gaussianity")
+        raise NegativeNonGaussianity("negative non-Gaussianity")
     return max(delta, 0.0)
 
 
@@ -419,3 +421,32 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
     w_ref, probs_ref = ref_port_spectrum(form, rho, cfg)
     for k in range(5):
         assert rel_err(np.sum(probs * w**k), np.sum(probs_ref * w_ref**k)) < 1e-12
+
+
+def test_a_carried_gram_is_checked():
+    cfg = fock.FockConfig(12, 14)
+    params = herald.ProtocolParams(mu=0.8, phi=1.0, nbar_1=0.1, nbar_2=0.2)
+    state, _ = herald.heralded_state(params, cfg)
+    r = state.factor.shape[2]
+    with pytest.raises(DimensionMismatch):
+        fock.TwoModeState(cfg, state.factor, gram=np.eye(r + 1))
+    with pytest.raises(DimensionMismatch):  # a new factor of another rank and the stale Gram
+        dataclasses.replace(state, factor=state.factor[:, :, 1:])
+    with pytest.raises(ValueError):
+        dataclasses.replace(state, gram=1.1 * state.gram).validate()
+    bare = dataclasses.replace(state, factor=state.factor[:, :, 1:], gram=None)
+    assert bare.gram is None and "gram" not in repr(bare)
+
+
+def test_heralded_entropy_forms_no_dim_by_2r_product():
+    # the (2, 0.4) heralded state carries its Gram: the entropy's peak stays below one
+    # 2r x 2r float block, the size of V^T V over the factor's float view
+    state, _ = herald.heralded_state(herald.ProtocolParams(mu=2.0, phi=1.0, nbar_1=0.4, nbar_2=0.4))
+    r = state.factor.shape[2]
+    tracemalloc.start()
+    try:
+        fock.von_neumann_entropy(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2 * r) ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -404,3 +405,76 @@ def test_moments_match_50_digit_generating_function(mu, phi, n1, n2, order, outc
     ref = mpmath_moments(mu, phi, n1, n2, order, outcome, configuration)
     got = herald.heralded_moments(mu, phi, n1, n2, order, outcome, configuration)
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the Gram matrix a heralded state carries, from per-mode E = D - I blocks
+
+
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("outcome", [(1, 0), (0, 1), (2, 1), (0, 0)])
+def test_carried_gram_is_the_factors_gram(configuration, outcome):
+    for phi, (mu, nbar) in itertools.product((0.0, math.pi / 2, math.pi),
+                                             [(0.01, 0.1), (0.05, 0.1), (1.0, 0.2), (2.0, 0.4)]):
+        params = ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar, nbar_2=nbar)
+        state, _ = herald.heralded_state(params, outcome=ClickOutcome(*outcome))
+        # the carried Gram has its own unit trace; the factor's (np.vdot) is off by up to
+        # 1e-13 at (2, 0.4), so the factor is compared at its own trace
+        a = state.columns
+        trace = np.trace(a.conj().T @ a).real
+        assert abs(trace - 1.0) <= fock.TRACE_TOL
+        a = a / math.sqrt(trace)
+        gram = a.conj().T @ a
+        assert np.max(np.abs(state.gram - gram)) <= 1e-13 * np.max(np.abs(gram))
+        plain = dataclasses.replace(state, factor=a.reshape(state.factor.shape), gram=None)
+        assert abs(fock.von_neumann_entropy(state) - fock.von_neumann_entropy(plain)) <= 1e-13
+
+
+def mpmath_heralded_gram(params, cfg, dps=50):
+    """A^dag A of the {1, 0} heralded factor at `dps` digits, each mode's D = expm(i mu X) of the
+    truncated generator: A_x = sum_t g_t (U_t |k1_x>)(V_t |k2_x>) s_x / sqrt(p) with (g, U, V) =
+    (1, D1, 1), (c, 1, D2) in parallel and (1, D1, D2), (c, 1, 1) in series, c = e^{i phi} as
+    rounded to double (the prefactor cancels in the normalisation)."""
+    import mpmath as mp
+
+    kept, w, _ = fock.thermal_columns(params.nbar_1, params.nbar_2, cfg)
+    k1, k2 = np.divmod(kept, cfg.cutoff_2)
+    with mp.workdps(dps):
+        def displacement(cutoff):
+            x = mp.matrix(cutoff, cutoff)
+            for n in range(1, cutoff):
+                x[n - 1, n] = x[n, n - 1] = mp.sqrt(n) / mp.sqrt(2)
+            return mp.expm(1j * mp.mpf(params.mu) * x)
+
+        def as_objects(m):
+            return np.array(m.tolist(), dtype=object)
+
+        c = complex(np.exp(1j * params.phi))
+        d1, d2 = displacement(cfg.cutoff_1), displacement(cfg.cutoff_2)
+        i1, i2 = mp.eye(cfg.cutoff_1), mp.eye(cfg.cutoff_2)
+        terms = [(mp.mpc(1), d1, i2), (mp.mpc(c.real, c.imag), i1, d2)]
+        if params.configuration == herald.SERIES:
+            terms = [(mp.mpc(1), d1, d2), (mp.mpc(c.real, c.imag), i1, i2)]
+        gram = 0
+        for (g, u, v), (g2, u2, v2) in itertools.product(terms, terms):
+            m1, m2 = as_objects(u.H * u2), as_objects(v.H * v2)
+            gram = gram + mp.conj(g) * g2 * m1[np.ix_(k1, k1)] * m2[np.ix_(k2, k2)]
+        s = np.array([mp.sqrt(mp.mpf(float(v))) for v in w], dtype=object)
+        gram = gram * s[:, None] * s[None, :]
+        gram = gram / sum(np.diagonal(gram))
+        return np.array([[complex(v) for v in row] for row in gram])
+
+
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("mu", [0.01, 0.05])
+def test_carried_gram_at_the_dark_fringe_against_50_digits(configuration, mu):
+    # at phi = pi the heralded factor is O(mu) made from O(1) columns; E = D - I is O(mu) itself
+    params = ProtocolParams(mu=mu, phi=math.pi, configuration=configuration, nbar_1=0.1, nbar_2=0.1)
+    cfg = fock.FockConfig(10, 10)
+    ref = mpmath_heralded_gram(params, cfg)
+    state, _ = herald.heralded_state(params, cfg)
+    a = state.columns
+    scale = np.max(np.abs(ref))
+    carried = np.max(np.abs(state.gram - ref)) / scale
+    product = np.max(np.abs(a.conj().T @ a - ref)) / scale
+    assert carried <= product
