@@ -299,9 +299,14 @@ def _word_matrices(cutoff: int, order_max: int) -> np.ndarray:
 
 def moments_from_state(state: TwoModeState, order_max: int,
                        check_convergence: bool = False) -> MomentTable:
-    """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state."""
+    """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state.
+
+    A heralded state's come from its click columns: the word sums of fock.ClickColumns over
+    the single-mode word matrices, divided by the identity word's sum (the columns' trace).
+    Any other state's come from shifted overlaps of its factor (_moments_raw). The doubling
+    check compares with the factor zero-padded into the doubled-cutoff space."""
     _check_order(order_max)
-    table = _moments_raw(state, order_max)
+    table = _moments_raw(state, order_max) if state.clicks is None else _click_moments(state, order_max)
     if check_convergence:
         top = order_slice(order_max)
         drift = np.abs(table.values[top] - _moments_raw(_reembed(state), order_max).values[top])
@@ -311,6 +316,13 @@ def moments_from_state(state: TwoModeState, order_max: int,
                 f"moment {key_to_string(key)} drifts {drift[bad[0]]:.3g} under cutoff doubling"
             )
     return table
+
+
+def _click_moments(state: TwoModeState, order_max: int) -> MomentTable:
+    c1, c2 = state.factor.shape[:2]
+    grid = state.clicks.word_sums(_word_matrices(c1, order_max), _word_matrices(c2, order_max))
+    i1, i2 = _grid_index(order_max)
+    return MomentTable(grid[i1, i2] / grid[0, 0].real, order_max)
 
 
 def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:

@@ -1,8 +1,8 @@
 """Optical loss, detector inefficiency, and dark counts in the heralding stage.
 
 Closed-form true-positive fractions F for number-resolving and non-resolving
-detectors, an amplitude optimizer, and an independent Fock-space oracle that
-brute-forces the loss-channel outcome probabilities P_mnkl.
+detectors, an amplitude optimizer, and an independent Fock-space oracle for
+the loss-channel outcome probabilities P_mnkl.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import fock
 from .errors import DegenerateHerald, TruncationTooSmall
 from .fock import FockConfig
-from .herald import CoherentInput, ProtocolParams, click_step, interferometer_arms
+from .herald import ARM_POLYNOMIALS, CoherentInput, ProtocolParams, mode_displacements, polynomial_step
 
 LOSS_TRUNCATION = 8
 L_SUM_TERM_TOL = 1e-12
@@ -193,16 +193,16 @@ def _check_truncation(outcome: LossOutcome, truncation: int) -> None:
         raise TruncationTooSmall(f"outcome {outcome} beyond truncation {truncation}")
 
 
-def _powers(step, a: np.ndarray, count: int):
-    """a, step(a), ..., step^count(a)."""
-    yield a
-    for _ in range(count):
-        a = step(a)
-        yield a
-
-
 def _poisson_weights(mean: float, count: int) -> np.ndarray:
     return np.array([mean**j / math.factorial(j) for j in range(count + 1)])
+
+
+def _walk(step: np.ndarray, f: np.ndarray, count: int):
+    """f, step f, ..., step^count f as E-polynomials (herald.polynomial_step)."""
+    yield f
+    for _ in range(count):
+        f = polynomial_step(f, step)
+        yield f
 
 
 def _loss_table(
@@ -213,25 +213,39 @@ def _loss_table(
     n_max: int,
 ) -> np.ndarray:
     """P[m, n, k, l] for every outcome with m + n + k + l <= truncation and
-    n <= n_max, from one walk over the thermal state factor; zero elsewhere.
+    n <= n_max, from one walk over the outcomes' click operators; zero elsewhere.
 
     Each lost photon applies its interferometer arm, each click applies
-    arm_1 +- e^{i phi} arm_2. The walk order does not depend on n_max, so
-    every entry it fills is the same float for any n_max.
+    arm_1 +- e^{i phi} arm_2, all as coefficient arrays f of
+    Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode (herald.ARM_POLYNOMIALS).
+    On the thermal columns w_x |k1_x, k2_x> (fock.thermal_columns), tr(Y rho Y^dag) = f^dag T f with
+    T[(a, b), (a', b')] = sum_x w_x (E1^a^dag E1^a')[k1_x, k1_x] (E2^b^dag E2^b')[k2_x, k2_x],
+    one product over the columns. The walk order does not depend on n_max, and each entry
+    is its own f^dag T f, so every entry it fills is the same float for any n_max.
     """
     _require_coherent(protocol)
     t = truncation
-    arm_1, arm_2 = interferometer_arms(protocol, config)
-    phase = np.exp(1j * protocol.phi)
+    (_, e1), (_, e2) = mode_displacements(protocol, config)
+    kept, w, _ = fock.thermal_columns(protocol.nbar_1, protocol.nbar_2, config)
+    k1, k2 = np.divmod(kept, config.cutoff_2)
+    size = (t + 1) ** 2
+    mode_1 = fock.pair_diagonals(fock.powers(e1, t + 1), np.eye(config.cutoff_1)[None])[..., 0, k1]
+    mode_2 = fock.pair_diagonals(fock.powers(e2, t + 1), np.eye(config.cutoff_2)[None])[..., 0, k2]
+    quad = ((mode_1.reshape(size, -1) * w) @ mode_2.reshape(size, -1).T).reshape((t + 1,) * 4)
+    quad = quad.transpose(0, 2, 1, 3).reshape(size, size)
 
-    plus, minus = click_step(arm_1, arm_2, phase), click_step(arm_1, arm_2, -phase)
+    arm_1, arm_2 = ARM_POLYNOMIALS[protocol.configuration]
+    phase = np.exp(1j * protocol.phi)
+    plus, minus = arm_1 + phase * arm_2, arm_1 - phase * arm_2
+    unit = np.zeros((t + 1, t + 1), dtype=complex)
+    unit[0, 0] = 1.0
     norms = np.zeros((t + 1,) * 4)
-    factor = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).factor
-    for k, a_k in enumerate(_powers(arm_1, factor, t)):
-        for l, a_kl in enumerate(_powers(arm_2, a_k, t - k)):  # noqa: E741
-            for n, a_nkl in enumerate(_powers(minus, a_kl, min(n_max, t - k - l))):
-                for m, a in enumerate(_powers(plus, a_nkl, t - k - l - n)):
-                    norms[m, n, k, l] = np.vdot(a, a).real
+    for k, f_k in enumerate(_walk(arm_1, unit, t)):
+        for l, f_kl in enumerate(_walk(arm_2, f_k, t - k)):  # noqa: E741
+            for n, f_nkl in enumerate(_walk(minus, f_kl, min(n_max, t - k - l))):
+                for m, f in enumerate(_walk(plus, f_nkl, t - k - l - n)):
+                    f = f.ravel()
+                    norms[m, n, k, l] = np.vdot(f, quad @ f).real
     a2 = abs(protocol.input.alpha) ** 2
     click = _poisson_weights(det.eta * a2 / 4.0, t)
     lost = _poisson_weights((1.0 - det.eta) * a2 / 2.0, t)
@@ -239,9 +253,11 @@ def _loss_table(
 
 
 class LossOracle:
-    """Brute-force P_mnkl = tr(Y_mnkl rho Y_mnkl^dag) for every outcome with
+    """Fock-space P_mnkl = tr(Y_mnkl rho Y_mnkl^dag) for every outcome with
     m + n + k + l <= truncation; `table[m, n, k, l]` holds P_mnkl (zero beyond
-    the truncation).
+    the truncation). Each Y_mnkl is walked as its coefficients over E1^a x E2^b
+    (E = D - I per mode) and read against one matrix over the thermal columns
+    (_loss_table); no factor is built.
     """
 
     def __init__(
@@ -283,8 +299,9 @@ def fractions_from_oracle(
     config: FockConfig,
     truncation: int = LOSS_TRUNCATION,
 ) -> OracleFractions:
-    """Assemble both F values from brute-force P_mnkl sums (n = 0 clicks);
-    the walk visits only the n = 0 outcomes."""
+    """Assemble both F values from the oracle's P_mnkl sums (n = 0 clicks);
+    the coefficient walk visits only the n = 0 outcomes, and each entry is the
+    float the full LossOracle table holds."""
     _check_truncation(LossOutcome(1, 0, 0, 0), truncation)
     p = _loss_table(det, protocol, config, truncation, n_max=0)[:, 0]  # P_m0kl
     dark = det.dark_prob

@@ -11,7 +11,7 @@ follows from a quadratic generating function).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,16 +114,17 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
-def _displacements(params: ProtocolParams, config: FockConfig) -> list[np.ndarray]:
-    """D = e^{i mu X} on mode 1 and on mode 2."""
+def mode_displacements(params: ProtocolParams, config: FockConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(D, E = D - I) with D = e^{i mu X} on mode 1 and on mode 2, one eigendecomposition per cutoff."""
     beta = 1j * params.mu / math.sqrt(2.0)
-    return [fock.checked_displacement(beta, c) for c in (config.cutoff_1, config.cutoff_2)]
+    pairs = {c: fock.displacement_pair(beta, c) for c in dict.fromkeys((config.cutoff_1, config.cutoff_2))}
+    return [pairs[config.cutoff_1], pairs[config.cutoff_2]]
 
 
 def interferometer_arms(params: ProtocolParams, config: FockConfig, displacements=None):
     """The two interferometer arms as maps on state factors, applied mode by mode:
     D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series (D = e^{i mu X})."""
-    d1, d2 = displacements or _displacements(params, config)
+    d1, d2 = displacements or [d for d, _ in mode_displacements(params, config)]
     if params.configuration == PARALLEL:
         return (lambda a: fock.on_mode(d1, 1, a)), (lambda a: fock.on_mode(d2, 2, a))
     return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)
@@ -174,53 +175,31 @@ def measurement_operator(
     return _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
 
 
+# E-polynomials of the arms, sum_ab p[a, b] E1^a x E2^b with E = D - I per mode: I + E1 and I + E2
+# in parallel, (I + E1)(I + E2) and I in series
+ARM_POLYNOMIALS = {PARALLEL: (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])),
+                   SERIES: (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))}
+
+
+def polynomial_step(f: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The coefficients of (sum_ab step[a, b] E1^a x E2^b)(sum_ab f[a, b] E1^a x E2^b) on the
+    shape of f; powers beyond it are dropped."""
+    g = np.zeros(f.shape, dtype=complex)
+    for (a, b), coef in np.ndenumerate(step):
+        if coef:
+            g[a:, b:] += coef * f[: f.shape[0] - a, : f.shape[1] - b]
+    return g
+
+
 def _click_polynomial(coefs: list[complex], configuration: str) -> np.ndarray:
-    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b, E = D - I per mode. A click step is
+    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b: a click step arm_1 + c arm_2 is
     (1 + c) I + E1 x 1 + c 1 x E2 in parallel, (1 + c) I + E1 x 1 + 1 x E2 + E1 x E2 in series."""
-    f = np.ones((1, 1), dtype=complex)
+    arm_1, arm_2 = ARM_POLYNOMIALS[configuration]
+    f = np.zeros((len(coefs) + 1,) * 2, dtype=complex)
+    f[0, 0] = 1.0
     for c in coefs:
-        step = [[1.0 + c, c], [1.0, 0.0]] if configuration == PARALLEL else [[1.0 + c, 1.0], [1.0, 1.0]]
-        g = np.zeros((f.shape[0] + 1, f.shape[1] + 1), dtype=complex)
-        for (a, b), coef in np.ndenumerate(step):
-            g[a:a + f.shape[0], b:b + f.shape[1]] += coef * f
-        f = g
+        f = polynomial_step(f, arm_1 + c * arm_2)
     return f
-
-
-def _heralded_gram(f: np.ndarray, e1: np.ndarray, e2: np.ndarray, k1: np.ndarray, k2: np.ndarray,
-                   s: np.ndarray) -> np.ndarray:
-    """G = A^dag A of the heralded factor A_x = Y s_x |k1_x k2_x> / sqrt(p), Y = pref sum_ab f[a, b] E1^a x E2^b:
-    G[x, x'] = s_x s_x' sum_{a, a'} M_aa'[k1_x, k1_x'] B_aa'[k2_x, k2_x'] / p with the c x c blocks
-    M_aa' = (E1^a)^dag E1^a' and B_aa' = F_a^dag F_a', F_a = sum_b f[a, b] E2^b, and p = tr of the sum
-    (|pref|^2 cancels).
-
-    The kept columns ascend in k1, so G is filled one row block of equal k1 at a time, from
-    the columns M_aa'[:, k1] and B_aa'[:, k2]. M_00 = I adds only the block's diagonal part.
-    p comes first, from the diagonal alone, so the column factor s_x' / p is folded into
-    those columns."""
-    n = f.shape[0]  # f is n x n
-    pow1, pow2 = [np.eye(len(e1), dtype=complex)], [np.eye(len(e2), dtype=complex)]
-    for _ in range(1, n):
-        pow1.append(e1 @ pow1[-1])
-        pow2.append(e2 @ pow2[-1])
-    big_f = [sum(f[a, b] * pow2[b] for b in range(n)) for a in range(n)]
-    pairs = [(a, a2) for a in range(n) for a2 in range(n)][1:]
-    m_cols = [(pow1[a].conj().T @ pow1[a2])[:, k1] for a, a2 in pairs]
-    b_cols = [(big_f[a].conj().T @ big_f[a2])[:, k2] for a, a2 in pairs]
-    b_00 = big_f[0].conj().T @ big_f[0]
-    x = np.arange(k1.size)
-    diag = b_00[k2, k2] + sum(m[k1, x] * b[k2, x] for m, b in zip(m_cols, b_cols))
-    cols = s / np.dot(s * s, diag.real)
-    m_cols = [m * cols for m in m_cols]
-    gram = np.zeros((k1.size, k1.size), dtype=complex)
-    starts = np.flatnonzero(np.diff(k1, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], k1.size]):
-        rows, block = k2[lo:hi], gram[lo:hi]
-        block[:, lo:hi] = b_00[rows][:, rows] * cols[lo:hi]
-        for m, b in zip(m_cols, b_cols):
-            block += b[rows] * m[k1[lo]]
-        block *= s[lo:hi, None]
-    return gram
 
 
 def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
@@ -230,15 +209,17 @@ def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
     the first click step a gather of displacement columns, D1|k1>|k2> + c|k1>D2|k2> or
     D1 D2|k1 k2> + c|k1 k2>, with no dense thermal factor and the click map's floats.
 
-    The state carries its Gram matrix A^dag A from _heralded_gram, for the entropy. It is
-    normalised by its own trace, not by p: p is the factor's np.vdot, whose long sum is off
-    by up to 1e-13 at dim 1936 x rank 527, and by ~1e-15 at the dark fringe at small mu."""
+    The state also carries the factor as fock.ClickColumns, Y = pref sum_ab f[a, b] E1^a x E2^b
+    on the same columns (E = D - I from the displacement's eigendecomposition), for the
+    entropy and the moments. The columns are normalised by their own trace, not by p: p is
+    the factor's np.vdot, whose long sum is off by up to 1e-13 at dim 1936 x rank 527, and
+    by ~1e-15 at the dark fringe at small mu."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
     kept, w, loss = fock.thermal_columns(params.nbar_1, params.nbar_2, config)
     (k1, k2), s, x = np.divmod(kept, config.cutoff_2), np.sqrt(w), np.arange(kept.size)
-    d1, d2 = displacements = _displacements(params, config)
-    pref, coefs, steps = _click_steps(params, outcome, config, displacements)
+    (d1, e1), (d2, e2) = mode_displacements(params, config)
+    pref, coefs, steps = _click_steps(params, outcome, config, (d1, d2))
     a = np.zeros((config.cutoff_1, config.cutoff_2, kept.size), dtype=complex)
     if not steps:
         a[k1, k2, x] = s
@@ -256,10 +237,9 @@ def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
     a /= math.sqrt(p)
-    beta = 1j * params.mu / math.sqrt(2.0)
-    e1, e2 = (fock.displacement_minus_identity(beta, c) for c in (config.cutoff_1, config.cutoff_2))
-    gram = _heralded_gram(_click_polynomial(coefs, params.configuration), e1, e2, k1, k2, s)
-    return TwoModeState(config, a, loss, gram).validate(), p
+    clicks = fock.ClickColumns(_click_polynomial(coefs, params.configuration), e1, e2, k1, k2, s)
+    clicks = replace(clicks, s=s / math.sqrt(clicks.trace()))
+    return TwoModeState(config, a, loss, clicks).validate(), p
 
 
 def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig) -> TwoModeState:

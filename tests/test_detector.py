@@ -329,6 +329,66 @@ def test_fractions_walk_matches_the_full_oracle_table(configuration, eta):
     assert (fractions.resolving, fractions.nonresolving) == (float(resolving), float(nonresolving))
 
 
+def mpmath_loss_table(det, p, cfg, truncation, dps=50):
+    """Every P_mnkl at `dps` digits: each mode's D = expm(i mu X) of the truncated generator,
+    the thermal columns of fock.thermal_columns, and e^{i phi} as rounded to double; each
+    column is walked through its arms and click steps as a (cutoff_1, cutoff_2) array."""
+    import mpmath as mp
+
+    kept, w, _ = fock.thermal_columns(p.nbar_1, p.nbar_2, cfg)
+    k1, k2 = np.divmod(kept, cfg.cutoff_2)
+    with mp.workdps(dps):
+        def displacement(cutoff):
+            x = mp.matrix(cutoff, cutoff)
+            for n in range(1, cutoff):
+                x[n - 1, n] = x[n, n - 1] = mp.sqrt(n) / mp.sqrt(2)
+            return np.array(mp.expm(1j * mp.mpf(p.mu) * x).tolist(), dtype=object)
+
+        d1, d2 = displacement(cfg.cutoff_1), displacement(cfg.cutoff_2)
+        c = complex(np.exp(1j * p.phi))
+        c = mp.mpc(c.real, c.imag)
+        if p.configuration == PARALLEL:
+            arm_1, arm_2 = (lambda a: d1 @ a), (lambda a: a @ d2.T)
+        else:
+            arm_1, arm_2 = (lambda a: d1 @ a @ d2.T), (lambda a: a)
+        steps = [lambda a: arm_1(a) + c * arm_2(a), lambda a: arm_1(a) - c * arm_2(a), arm_1, arm_2]
+        a2 = mp.mpf(abs(p.input.alpha)) ** 2
+        click, lost = mp.mpf(det.eta) * a2 / 4, (1 - mp.mpf(det.eta)) * a2 / 2
+        norms = {}
+        for x in range(kept.size):
+            a = np.full((cfg.cutoff_1, cfg.cutoff_2), mp.mpc(0), dtype=object)
+            a[k1[x], k2[x]] = mp.sqrt(mp.mpf(float(w[x])))
+            nodes = {(0, 0, 0, 0): a}
+            for total in range(1, truncation + 1):
+                for key in itertools.product(range(total + 1), repeat=4):
+                    if sum(key) == total:
+                        i = next(j for j in range(4) if key[j])
+                        parent = tuple(v - (j == i) for j, v in enumerate(key))
+                        nodes[key] = steps[i](nodes[parent])
+            for key, node in nodes.items():
+                norms[key] = norms.get(key, 0) + sum(abs(v) ** 2 for v in node.ravel())
+        out = {}
+        for (m, n, k, l), norm in norms.items():  # noqa: E741
+            weight = (click ** (m + n) / (mp.factorial(m) * mp.factorial(n))
+                      * lost ** (k + l) / (mp.factorial(k) * mp.factorial(l)))
+            out[m, n, k, l] = float(mp.exp(-a2) * weight * norm)
+        return out
+
+
+@pytest.mark.parametrize("configuration", [PARALLEL, SERIES])
+@pytest.mark.parametrize("mu", [0.02, 0.3])
+def test_loss_table_at_the_dark_fringe_against_50_digits(configuration, mu):
+    # at phi = pi every click operator with m >= 1 is small, made from O(1) arms
+    p = dataclasses.replace(protocol(mu, nbar=0.01), configuration=configuration)
+    cfg = FockConfig(6, 6)
+    table = LossOracle(DET, p, cfg, truncation=3).table
+    reference = mpmath_loss_table(DET, p, cfg, 3)
+    assert len(reference) == 35
+    for (m, n, k, l), ref in reference.items():  # noqa: E741
+        if m >= 1:
+            assert abs(table[m, n, k, l] - ref) <= 1e-13 * ref, (m, n, k, l)
+
+
 def test_loss_oracle_memory_stays_below_one_dense_matrix():
     cfg = FockConfig(24, 24)
     tracemalloc.start()

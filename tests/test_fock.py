@@ -424,18 +424,27 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
 
 
 def test_a_carried_gram_is_checked():
+    # the Gram matrix, the moments and the trace check read the carried click columns
     cfg = fock.FockConfig(12, 14)
     params = herald.ProtocolParams(mu=0.8, phi=1.0, nbar_1=0.1, nbar_2=0.2)
     state, _ = herald.heralded_state(params, cfg)
-    r = state.factor.shape[2]
+    clicks = state.clicks
+    extra = dataclasses.replace(clicks, k1=np.append(clicks.k1, 0), k2=np.append(clicks.k2, 0),
+                                s=np.append(clicks.s, 0.0))
     with pytest.raises(DimensionMismatch):
-        fock.TwoModeState(cfg, state.factor, gram=np.eye(r + 1))
-    with pytest.raises(DimensionMismatch):  # a new factor of another rank and the stale Gram
+        fock.TwoModeState(cfg, state.factor, clicks=extra)
+    with pytest.raises(DimensionMismatch):  # a new factor of another rank and the stale columns
         dataclasses.replace(state, factor=state.factor[:, :, 1:])
-    with pytest.raises(ValueError):
-        dataclasses.replace(state, gram=1.1 * state.gram).validate()
-    bare = dataclasses.replace(state, factor=state.factor[:, :, 1:], gram=None)
-    assert bare.gram is None and "gram" not in repr(bare)
+    for off, ok in ((0.5 * fock.TRACE_TOL, True), (2.0 * fock.TRACE_TOL, False), (-2.0 * fock.TRACE_TOL, False)):
+        scaled = dataclasses.replace(clicks, s=clicks.s * math.sqrt((1.0 + off) / clicks.trace()))
+        checked = dataclasses.replace(state, clicks=scaled)
+        if ok:
+            checked.validate()
+        else:
+            with pytest.raises(ValueError, match="carried"):
+                checked.validate()
+    bare = dataclasses.replace(state, factor=state.factor[:, :, 1:], clicks=None)
+    assert bare.clicks is None and "clicks" not in repr(bare)
 
 
 def test_heralded_entropy_forms_no_dim_by_2r_product():
