@@ -304,7 +304,8 @@ def moments_from_state(state: TwoModeState, order_max: int,
     A heralded state's come from its click columns: the word sums of fock.ClickColumns over
     the single-mode word matrices, divided by the identity word's sum (the columns' trace).
     Any other state's come from shifted overlaps of its factor (_moments_raw). The doubling
-    check compares with the factor zero-padded into the doubled-cutoff space."""
+    check compares with the factor (built from the click columns of a heralded state)
+    zero-padded into the doubled-cutoff space."""
     _check_order(order_max)
     table = _moments_raw(state, order_max) if state.clicks is None else _click_moments(state, order_max)
     if check_convergence:
@@ -319,8 +320,8 @@ def moments_from_state(state: TwoModeState, order_max: int,
 
 
 def _click_moments(state: TwoModeState, order_max: int) -> MomentTable:
-    c1, c2 = state.factor.shape[:2]
-    grid = state.clicks.word_sums(_word_matrices(c1, order_max), _word_matrices(c2, order_max))
+    cfg = state.config
+    grid = state.clicks.word_sums(_word_matrices(cfg.cutoff_1, order_max), _word_matrices(cfg.cutoff_2, order_max))
     i1, i2 = _grid_index(order_max)
     return MomentTable(grid[i1, i2] / grid[0, 0].real, order_max)
 

@@ -20,7 +20,7 @@ from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_q
                       moments_from_state)
 from .errors import DegenerateHerald, NegativeNonGaussianity, NoSignChange, NonPhysicalCovariance
 from .fock import TwoModeState
-from .herald import heralded_moments
+from .herald import fringe, heralded_moments
 from .opensystem import EnvParams, evolution_map
 
 LadderWord = tuple[str, ...]
@@ -139,15 +139,11 @@ def build_s3(table: MomentTable) -> CriterionResult:
     return _build_criterion(table, "S3")
 
 
-# 2 cos^2(phi/2) at the double nearest pi: the resolution of the dark fringe
-_DARK_FRINGE_FLOOR = 2.0 * math.cos(math.pi / 2.0) ** 2
-
-
 def s3_ground_closed_form(mu: float, phi: float) -> float:
     """Closed-system S3 of the ground-state cat: -mu^6 e^{-mu^2} / [64 (1 + e^{-mu^2/2} cos phi)^3],
     with the denominator free of cancellation at the dark fringe."""
-    den = 2.0 * math.cos(phi / 2.0) ** 2 + math.cos(phi) * math.expm1(-mu * mu / 2.0)
-    if den <= _DARK_FRINGE_FLOOR:
+    den = fringe(mu * mu / 2.0, phi)
+    if den == 0.0:
         raise DegenerateHerald("heralding probability vanishes at this (mu, phi)")
     return -(mu**6) * math.exp(-mu * mu) / (64.0 * den**3)
 

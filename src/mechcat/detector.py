@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fock
+from . import fock, herald
 from .errors import DegenerateHerald, TruncationTooSmall
 from .fock import FockConfig
 from .herald import ARM_POLYNOMIALS, CoherentInput, ProtocolParams, mode_displacements, polynomial_step
@@ -52,6 +52,8 @@ def _require_coherent(protocol: ProtocolParams) -> None:
 # numpy's exp and x * x round unlike math.exp and x ** 2 for ~5 % and ~0.1 % of arguments;
 # math.exp elementwise and np.float_power (libm pow) keep F's scalar closed-form values
 _exp = np.vectorize(math.exp, otypes=[float])
+# the fringe of herald.heralding_probability, elementwise
+_fringe = np.vectorize(herald.fringe, otypes=[float])
 
 
 @lru_cache(maxsize=1)
@@ -99,11 +101,11 @@ def fraction_of_amplitude(det: DetectorParams, mu, phi, nbar_1, nbar_2):
         resolving      F = [e^{(1-eta)|a|^2} + e^{-eta|a|^2} D / (eta P10 (1-D))]^-1
         non-resolving  F = [e^{-eta|a|^2} (L + D) / (eta P10)]^-1
 
-    with P10 = e^{-|a|^2} |a|^2/2 (1 + lam cos phi) of `herald.heralding_probability`;
-    the alpha-independent lam and click terms are computed once.
+    with P10 = e^{-|a|^2} |a|^2/2 (1 + lam cos phi) of `herald.heralding_probability`, its
+    fringe in expm1 form; the alpha-independent fringe and click terms are computed once.
     """
     eta, dark = det.eta, det.dark_prob
-    fringe = 1.0 + _exp(-np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0) * np.cos(phi)
+    fringe = _fringe(np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0, phi)
     terms = None if det.resolving else click_terms(mu, phi, nbar_1, nbar_2)
 
     def fraction(alpha) -> np.ndarray:
@@ -225,7 +227,7 @@ def _loss_table(
     """
     _require_coherent(protocol)
     t = truncation
-    (_, e1), (_, e2) = mode_displacements(protocol, config)
+    e1, e2 = mode_displacements(protocol, config)
     kept, w, _ = fock.thermal_columns(protocol.nbar_1, protocol.nbar_2, config)
     k1, k2 = np.divmod(kept, config.cutoff_2)
     size = (t + 1) ** 2

@@ -1,4 +1,5 @@
-"""Truncated two-mode Fock space: states held as factors, single-mode maps on them.
+"""Truncated two-mode Fock space: states held as factors or as heralded click columns,
+single-mode maps on them.
 
 Conventions: hbar = 1, X = (b + b^dag)/sqrt(2), P = -i(b - b^dag)/sqrt(2),
 so the vacuum quadrature variance is 1/2.
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -140,11 +141,12 @@ def pair_diagonals(blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClickColumns:
-    """A heralded thermal factor in per-mode blocks: column x is
+    """A heralded thermal state in per-mode blocks: column x of its factor is
     sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each mode
     (herald.heralded_state). Its heralding normalisation is folded into s, so
-    the columns' trace is 1 up to rounding; `gram` and `word_sums` are read off
-    c x c blocks per mode at the kept levels k1, k2, with no factor.
+    its trace is 1 up to rounding; `trace`, `gram` and `word_sums` are read off
+    c x c blocks per mode at the kept levels k1, k2, and `factor` builds the
+    (c1, c2, r) factor for the readers that need it.
     """
 
     f: np.ndarray
@@ -176,8 +178,15 @@ class ClickColumns:
         right = pair_diagonals(mode_2, words_2).reshape(-1, len(words_2), len(self.e2))
         return (left @ weights @ right.swapaxes(1, 2)).sum(axis=0)
 
+    @cached_property
     def trace(self) -> float:
+        """sum_x <A_x|A_x>, the identity word's sum."""
         return float(self.word_sums(np.eye(len(self.e1))[None], np.eye(len(self.e2))[None])[0, 0].real)
+
+    def factor(self) -> np.ndarray:
+        """The factor A (c1, c2, r): column x is sum_a E1^a[:, k1_x] x F_a[:, k2_x] s_x."""
+        mode_1, mode_2 = self._blocks
+        return np.einsum("aix,ajx->ijx", mode_1[:, :, self.k1], mode_2[:, :, self.k2] * self.s)
 
     def gram(self) -> np.ndarray:
         """G = A^dag A normalised by its own trace: G[x, x'] = s_x s_x' sum_{a, a'}
@@ -193,7 +202,7 @@ class ClickColumns:
         # G before the gathered columns: freed, they leave one block that the entropy's
         # real copy of G reuses (the other order raised the fock round's peak by 1 MB)
         gram = np.zeros((k1.size, k1.size), dtype=complex)
-        cols = s / self.trace()
+        cols = s / self.trace
         m_cols = [(mode_1[a].conj().T @ mode_1[a2])[:, k1] * cols for a, a2 in pairs]
         b_cols = [(mode_2[a].conj().T @ mode_2[a2])[:, k2] for a, a2 in pairs]
         b_00 = mode_2[0].conj().T @ mode_2[0]
@@ -210,32 +219,41 @@ class ClickColumns:
 @dataclass(frozen=True)
 class TwoModeState:
     """Density operator rho = sum_x A_x A_x^dag on the truncated two-mode space,
-    held as its factor A of shape (cutoff_1, cutoff_2, rank); a pure state has
-    rank 1. rho is Hermitian and positive semidefinite by construction.
+    held as one payload: its factor A of shape (cutoff_1, cutoff_2, rank), or
+    the ClickColumns of a heralded state (herald.heralded_state). A pure state
+    has rank 1. rho is Hermitian and positive semidefinite by construction.
+
+    von_neumann_entropy reads a heralded state's Gram matrix and
+    algebra.moments_from_state its word sums, with no factor. Its `factor` is
+    built from the click columns on first read, by the readers that need it
+    (partial_trace, fidelity_to_pure, the port spectra of verify and the
+    moments' cutoff-doubling check), and kept.
 
     `truncation_loss` is the probability mass of the thermal input left out of
-    the factor: its tail beyond the cutoffs plus the dropped columns.
-
-    `clicks`, when given, is the same factor as ClickColumns, built by its
-    producer (herald.heralded_state): von_neumann_entropy reads its Gram matrix
-    and algebra.moments_from_state its word sums in place of the products over
-    the factor. It belongs to this factor: a state made from another factor
-    passes clicks=None.
+    the state: its tail beyond the cutoffs plus the dropped columns.
     """
 
     config: FockConfig
-    factor: np.ndarray
+    payload: np.ndarray | ClickColumns
     truncation_loss: float = 0.0
-    clicks: ClickColumns | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         shape = (self.config.cutoff_1, self.config.cutoff_2)
-        if self.factor.ndim != 3 or self.factor.shape[:2] != shape:
-            raise DimensionMismatch(f"factor shape {self.factor.shape} vs cutoffs {shape}")
-        rank = self.factor.shape[2]
-        if self.clicks is not None and (self.clicks.s.size, len(self.clicks.e1), len(self.clicks.e2)) != (rank, *shape):
-            raise DimensionMismatch(f"{self.clicks.s.size} carried columns on {len(self.clicks.e1)} x "
-                                    f"{len(self.clicks.e2)} levels vs rank {rank}, cutoffs {shape}")
+        if self.clicks is not None:
+            if (len(self.clicks.e1), len(self.clicks.e2)) != shape:
+                raise DimensionMismatch(f"click columns on {len(self.clicks.e1)} x {len(self.clicks.e2)} "
+                                        f"levels vs cutoffs {shape}")
+        elif self.payload.ndim != 3 or self.payload.shape[:2] != shape:
+            raise DimensionMismatch(f"factor shape {self.payload.shape} vs cutoffs {shape}")
+
+    @property
+    def clicks(self) -> ClickColumns | None:
+        return self.payload if isinstance(self.payload, ClickColumns) else None
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """A of shape (cutoff_1, cutoff_2, rank): rho = sum_x A[:, :, x] A[:, :, x]^dag."""
+        return self.payload if self.clicks is None else self.clicks.factor()
 
     @property
     def columns(self) -> np.ndarray:
@@ -253,15 +271,11 @@ class TwoModeState:
         return self.columns[:, 0] if self.factor.shape[2] == 1 else None
 
     def validate(self) -> "TwoModeState":
-        """Unit trace of the factor and of carried click columns; Hermiticity and
-        positivity need no check (see state_from_rho)."""
-        tr = float(np.vdot(self.factor, self.factor).real)
+        """Unit trace of the payload; Hermiticity and positivity need no check
+        (see state_from_rho)."""
+        tr = self.clicks.trace if self.clicks is not None else float(np.vdot(self.payload, self.payload).real)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
-        if self.clicks is not None:
-            tr = self.clicks.trace()
-            if not abs(tr - 1.0) <= TRACE_TOL:
-                raise ValueError(f"trace of the carried click columns = {tr:.12g}, not 1")
         return self
 
 

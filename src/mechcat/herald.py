@@ -3,9 +3,11 @@
 A click event {m, n} after the interferometer applies a measurement operator
 built from pulsed-interaction phase factors e^{i mu X}; the {1, 0} event
 heralds the two-mode cat state. Two independent computation paths are
-provided: a truncated-Fock path and a closed-form moment path (the heralded
-state is a superposition of displaced Gaussians, so every canonical moment
-follows from a quadratic generating function).
+provided: a truncated-Fock path, where a heralded state is held as its click
+columns (per-mode E = D - I blocks on the kept thermal columns,
+fock.ClickColumns), and a closed-form moment path (the heralded state is a
+superposition of displaced Gaussians, so every canonical moment follows from
+a quadratic generating function).
 """
 
 from __future__ import annotations
@@ -69,9 +71,17 @@ class ClickOutcome:
             raise ValueError("photon counts must be >= 0")
 
 
-def coherence_factor(params: ProtocolParams) -> float:
-    """lambda = exp(-mu^2 (1 + nbar_1 + nbar_2) / 2), the interference contrast."""
-    return math.exp(-params.mu**2 * (1.0 + params.nbar_1 + params.nbar_2) / 2.0)
+# 2 cos^2(phi/2) at the double nearest pi: the resolution of the dark fringe
+DARK_FRINGE_FLOOR = 2.0 * math.cos(math.pi / 2.0) ** 2
+
+
+def fringe(x: float, phi: float, sign: float = 1.0) -> float:
+    """1 + sign e^{-x} cos(phi), written 2 cos^2(phi/2) + cos(phi) expm1(-x) for sign = 1 and
+    2 sin^2(phi/2) - cos(phi) expm1(-x) for sign = -1, so that no O(1) terms cancel at the
+    dark fringe; 0 at or below DARK_FRINGE_FLOOR."""
+    half = math.cos(phi / 2.0) if sign > 0 else math.sin(phi / 2.0)
+    value = 2.0 * half**2 + sign * math.cos(phi) * math.expm1(-x)
+    return value if value > DARK_FRINGE_FLOOR else 0.0
 
 
 def prefactor_probability(params: ProtocolParams, outcome: ClickOutcome) -> float:
@@ -92,11 +102,11 @@ def prefactor_probability(params: ProtocolParams, outcome: ClickOutcome) -> floa
 
 
 def heralding_probability(params: ProtocolParams, outcome: ClickOutcome = ClickOutcome(1, 0)) -> float:
-    """Closed-form P_10 (or P_01 via phi -> phi + pi)."""
-    lam = coherence_factor(params)
+    """Closed-form P_10 = pref (1 + lam cos phi), or P_01 with -lam, from the interference
+    contrast lam = exp(-x), x = mu^2 (1 + nbar_1 + nbar_2) / 2 (`fringe`)."""
     pref = prefactor_probability(params, outcome)
-    sign = 1.0 if outcome.m == 1 else -1.0
-    return pref * (1.0 + sign * lam * math.cos(params.phi))
+    x = params.mu**2 * (1.0 + params.nbar_1 + params.nbar_2) / 2.0
+    return pref * fringe(x, params.phi, 1.0 if outcome.m == 1 else -1.0)
 
 
 def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> complex:
@@ -114,65 +124,11 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
-def mode_displacements(params: ProtocolParams, config: FockConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(D, E = D - I) with D = e^{i mu X} on mode 1 and on mode 2, one eigendecomposition per cutoff."""
+def mode_displacements(params: ProtocolParams, config: FockConfig) -> list[np.ndarray]:
+    """E = D - I with D = e^{i mu X} on mode 1 and on mode 2, one eigendecomposition per cutoff."""
     beta = 1j * params.mu / math.sqrt(2.0)
-    pairs = {c: fock.displacement_pair(beta, c) for c in dict.fromkeys((config.cutoff_1, config.cutoff_2))}
-    return [pairs[config.cutoff_1], pairs[config.cutoff_2]]
-
-
-def interferometer_arms(params: ProtocolParams, config: FockConfig, displacements=None):
-    """The two interferometer arms as maps on state factors, applied mode by mode:
-    D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series (D = e^{i mu X})."""
-    d1, d2 = displacements or [d for d, _ in mode_displacements(params, config)]
-    if params.configuration == PARALLEL:
-        return (lambda a: fock.on_mode(d1, 1, a)), (lambda a: fock.on_mode(d2, 2, a))
-    return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)
-
-
-def click_step(arm_1, arm_2, coef: complex):
-    """The map a -> arm_1(a) + coef arm_2(a) on state factors. It scales the
-    arms' own arrays in place and never writes to `a`: the series arm_2 is
-    the identity and returns `a` itself, so that product is a new array."""
-
-    def step(a: np.ndarray) -> np.ndarray:
-        b = arm_1(a)
-        c = arm_2(a)
-        b += coef * a if c is a else np.multiply(coef, c, out=c)
-        return b
-
-    return step
-
-
-def _click_steps(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig, displacements=None):
-    """Y_mn = pref plus^m minus^n: pref, the c of each step a -> arm_1(a) + c arm_2(a), the steps."""
-    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
-    arms = interferometer_arms(params, config, displacements)
-    phase = np.exp(1j * params.phi)
-    coefs = [sign * phase for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m]
-    return pref, coefs, [click_step(*arms, coef) for coef in coefs]
-
-
-def _click_map(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig):
-    """The click operator Y_mn as a map on state factors, applied mode by mode."""
-    pref, _, steps = _click_steps(params, outcome, config)
-
-    def apply(a: np.ndarray) -> np.ndarray:  # pref * plus^m minus^n a
-        if not steps:
-            return pref * a
-        for step in steps:
-            a = step(a)
-        return np.multiply(pref, a, out=a)  # a is the last step's own array
-
-    return apply
-
-
-def measurement_operator(
-    params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
-) -> np.ndarray:
-    """Dense dim x dim matrix of the click operator Y_mn (its map on the identity)."""
-    eye = np.eye(config.dim, dtype=complex).reshape(config.cutoff_1, config.cutoff_2, config.dim)
-    return _click_map(params, outcome, config)(eye).reshape(config.dim, config.dim)
+    blocks = {c: fock.displacement_pair(beta, c)[1] for c in dict.fromkeys((config.cutoff_1, config.cutoff_2))}
+    return [blocks[config.cutoff_1], blocks[config.cutoff_2]]
 
 
 # E-polynomials of the arms, sum_ab p[a, b] E1^a x E2^b with E = D - I per mode: I + E1 and I + E2
@@ -191,55 +147,54 @@ def polynomial_step(f: np.ndarray, step: np.ndarray) -> np.ndarray:
     return g
 
 
-def _click_polynomial(coefs: list[complex], configuration: str) -> np.ndarray:
-    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b: a click step arm_1 + c arm_2 is
-    (1 + c) I + E1 x 1 + c 1 x E2 in parallel, (1 + c) I + E1 x 1 + 1 x E2 + E1 x E2 in series."""
-    arm_1, arm_2 = ARM_POLYNOMIALS[configuration]
-    f = np.zeros((len(coefs) + 1,) * 2, dtype=complex)
+def _click_polynomial(params: ProtocolParams, outcome: ClickOutcome) -> np.ndarray:
+    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b, a product of m steps arm_1 + c arm_2 and
+    n steps arm_1 - c arm_2, c = e^{i phi}: a step arm_1 + c arm_2 is (1 + c) I + E1 x 1 + c 1 x E2
+    in parallel, (1 + c) I + E1 x 1 + 1 x E2 + E1 x E2 in series."""
+    arm_1, arm_2 = ARM_POLYNOMIALS[params.configuration]
+    phase = np.exp(1j * params.phi)
+    f = np.zeros((outcome.m + outcome.n + 1,) * 2, dtype=complex)
     f[0, 0] = 1.0
-    for c in coefs:
-        f = polynomial_step(f, arm_1 + c * arm_2)
+    for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m:
+        f = polynomial_step(f, arm_1 + sign * phase * arm_2)
     return f
+
+
+def _click_columns(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig,
+                   kept: np.ndarray, s: np.ndarray) -> tuple[complex, fock.ClickColumns]:
+    """pref and Y_mn / pref on the columns s_x |k1_x, k2_x> at the flat indices `kept`."""
+    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
+    k1, k2 = np.divmod(kept, config.cutoff_2)
+    return pref, fock.ClickColumns(_click_polynomial(params, outcome), *mode_displacements(params, config), k1, k2, s)
+
+
+def measurement_operator(
+    params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
+) -> np.ndarray:
+    """Dense dim x dim matrix of the click operator Y_mn = pref sum_ab f[a, b] E1^a x E2^b, its
+    click columns on every basis vector."""
+    pref, y = _click_columns(params, outcome, config, np.arange(config.dim), np.ones(config.dim))
+    return pref * y.factor().reshape(config.dim, config.dim)
 
 
 def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
                    outcome: ClickOutcome = ClickOutcome(1, 0)) -> tuple[TwoModeState, float]:
     """State Y rho Y^dag / p and probability p of a click on the thermal input (default
-    cutoffs when config is None). Its columns s_x |k1_x, k2_x> (fock.thermal_columns) make
-    the first click step a gather of displacement columns, D1|k1>|k2> + c|k1>D2|k2> or
-    D1 D2|k1 k2> + c|k1 k2>, with no dense thermal factor and the click map's floats.
+    cutoffs when config is None), held as its fock.ClickColumns: Y = pref sum_ab f[a, b]
+    E1^a x E2^b with E = D - I per mode, on the thermal input's columns s_x |k1_x, k2_x>
+    (fock.thermal_columns, s = sqrt(w)), with no factor and no dense thermal state.
 
-    The state also carries the factor as fock.ClickColumns, Y = pref sum_ab f[a, b] E1^a x E2^b
-    on the same columns (E = D - I from the displacement's eigendecomposition), for the
-    entropy and the moments. The columns are normalised by their own trace, not by p: p is
-    the factor's np.vdot, whose long sum is off by up to 1e-13 at dim 1936 x rank 527, and
-    by ~1e-15 at the dark fringe at small mu."""
+    p = |pref|^2 times the trace of the unnormalised columns, and the normalisation is folded
+    into s. Written in E, no O(1) terms cancel at the dark fringe."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
     kept, w, loss = fock.thermal_columns(params.nbar_1, params.nbar_2, config)
-    (k1, k2), s, x = np.divmod(kept, config.cutoff_2), np.sqrt(w), np.arange(kept.size)
-    (d1, e1), (d2, e2) = mode_displacements(params, config)
-    pref, coefs, steps = _click_steps(params, outcome, config, (d1, d2))
-    a = np.zeros((config.cutoff_1, config.cutoff_2, kept.size), dtype=complex)
-    if not steps:
-        a[k1, k2, x] = s
-    elif params.configuration == PARALLEL:
-        a[:, k2, x] = d1[:, k1] * s
-        a[k1, :, x] += (coefs[0] * (d2[:, k2] * s)).T
-    else:
-        a[k1, :, x] = (d2[:, k2] * s).T
-        a = fock.on_mode(d1, 1, a)
-        a[k1, k2, x] += coefs[0] * s
-    for step in steps[1:]:
-        a = step(a)
-    np.multiply(pref, a, out=a)
-    p = float(np.vdot(a, a).real)
+    pref, clicks = _click_columns(params, outcome, config, kept, np.sqrt(w))
+    p = abs(pref) ** 2 * clicks.trace
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
-    a /= math.sqrt(p)
-    clicks = fock.ClickColumns(_click_polynomial(coefs, params.configuration), e1, e2, k1, k2, s)
-    clicks = replace(clicks, s=s / math.sqrt(clicks.trace()))
-    return TwoModeState(config, a, loss, clicks).validate(), p
+    clicks = replace(clicks, s=clicks.s / math.sqrt(clicks.trace))
+    return TwoModeState(config, clicks, loss).validate(), p
 
 
 def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig) -> TwoModeState:
@@ -257,7 +212,7 @@ def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig
         psi = np.kron(c1, c2) + np.exp(1j * phi) * np.kron(v1, v2)
     else:
         raise ValueError(f"unknown configuration {configuration!r}")
-    norm_sq = 2.0 * (1.0 + math.exp(-mu**2 / 2.0) * math.cos(phi))
+    norm_sq = 2.0 * fringe(mu**2 / 2.0, phi)
     if norm_sq < 1e-15:
         raise HeraldImpossible("cat state norm vanishes (dark fringe at mu -> 0)")
     truncation_loss = abs(np.vdot(psi, psi) - norm_sq)

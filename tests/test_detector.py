@@ -168,6 +168,20 @@ def test_click_sum_matches_mpmath(mu):
     assert worst <= 1e-10
 
 
+def test_resolving_fraction_at_the_membrane_row_against_50_digits():
+    # P10's fringe 1 + lam cos phi in expm1 form: formed directly, F was 9.1e-8 off here
+    import mpmath as mp
+
+    mu, nbar, alpha = 2.26e-5, 0.1, 1.0
+    with mp.workdps(50):
+        a2, eta, dark = mp.mpf(alpha) ** 2, mp.mpf(DET.eta), mp.mpf(DET.dark_prob)
+        lam = mp.exp(-mp.mpf(mu) ** 2 * (1 + 2 * mp.mpf(nbar)) / 2)
+        p10 = mp.exp(-a2) * a2 / 2 * (1 + lam * mp.cos(mp.mpf(math.pi)))
+        ref = 1 / (mp.exp((1 - eta) * a2) + mp.exp(-eta * a2) * dark / (eta * p10 * (1 - dark)))
+        got = true_positive_fraction_resolving(DET, protocol(mu, nbar, alpha))
+        assert abs(got - ref) <= 1e-14 * ref
+
+
 def _search_grid(seed, size):
     """Seeded points: mu 1e-5..2, nbar 0..20 (a fifth at 0), phi uniform with 0 and pi;
     three etas spread over 0.5..1."""

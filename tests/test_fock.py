@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import genlaguerre
 
-from dense_reference import letter_matrices, lift
+from dense_reference import letter_matrices, lift, plain_heralded_factor
 from mechcat import algebra, criteria, fock, herald, verify
 from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError, NegativeNonGaussianity
 
@@ -424,34 +424,35 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
 
 
 def test_a_carried_gram_is_checked():
-    # the Gram matrix, the moments and the trace check read the carried click columns
+    # a heralded state holds its click columns alone: their levels are checked against the
+    # cutoffs, validate checks their trace, and the factor is built once, on first read
     cfg = fock.FockConfig(12, 14)
     params = herald.ProtocolParams(mu=0.8, phi=1.0, nbar_1=0.1, nbar_2=0.2)
     state, _ = herald.heralded_state(params, cfg)
     clicks = state.clicks
-    extra = dataclasses.replace(clicks, k1=np.append(clicks.k1, 0), k2=np.append(clicks.k2, 0),
-                                s=np.append(clicks.s, 0.0))
     with pytest.raises(DimensionMismatch):
-        fock.TwoModeState(cfg, state.factor, clicks=extra)
-    with pytest.raises(DimensionMismatch):  # a new factor of another rank and the stale columns
-        dataclasses.replace(state, factor=state.factor[:, :, 1:])
+        fock.TwoModeState(fock.FockConfig(12, 15), clicks)
     for off, ok in ((0.5 * fock.TRACE_TOL, True), (2.0 * fock.TRACE_TOL, False), (-2.0 * fock.TRACE_TOL, False)):
-        scaled = dataclasses.replace(clicks, s=clicks.s * math.sqrt((1.0 + off) / clicks.trace()))
-        checked = dataclasses.replace(state, clicks=scaled)
+        scaled = dataclasses.replace(clicks, s=clicks.s * math.sqrt((1.0 + off) / clicks.trace))
+        checked = fock.TwoModeState(cfg, scaled)
         if ok:
             checked.validate()
         else:
-            with pytest.raises(ValueError, match="carried"):
+            with pytest.raises(ValueError, match="trace"):
                 checked.validate()
-    bare = dataclasses.replace(state, factor=state.factor[:, :, 1:], clicks=None)
-    assert bare.clicks is None and "clicks" not in repr(bare)
+    assert "factor" not in vars(state)
+    assert state.factor is state.factor and state.factor.shape == (12, 14, clicks.s.size)
+    bare = fock.TwoModeState(cfg, state.factor[:, :, 1:])
+    assert bare.clicks is None and bare.factor is bare.payload
+    with pytest.raises(DimensionMismatch):
+        fock.TwoModeState(cfg, state.factor[:, 1:])
 
 
 def test_heralded_entropy_forms_no_dim_by_2r_product():
     # the (2, 0.4) heralded state carries its Gram: the entropy's peak stays below one
     # 2r x 2r float block, the size of V^T V over the factor's float view
     state, _ = herald.heralded_state(herald.ProtocolParams(mu=2.0, phi=1.0, nbar_1=0.4, nbar_2=0.4))
-    r = state.factor.shape[2]
+    r = state.clicks.s.size
     tracemalloc.start()
     try:
         fock.von_neumann_entropy(state)
@@ -459,3 +460,24 @@ def test_heralded_entropy_forms_no_dim_by_2r_product():
     finally:
         tracemalloc.stop()
     assert peak < 8 * (2 * r) ** 2
+
+
+def test_heralding_entropy_and_moments_build_no_factor():
+    # at (2, 0.4), dim 1936: heralding, non-Gaussianity and order-4 moments read the click
+    # columns alone, so the peak stays below one complex dim x r array
+    params = herald.ProtocolParams(mu=2.0, phi=1.0, nbar_1=0.4, nbar_2=0.4)
+    tracemalloc.start()
+    try:
+        state, _ = herald.heralded_state(params)
+        criteria.non_gaussianity(state)
+        algebra.moments_from_state(state, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.config.dim == 1936
+    assert "factor" not in vars(state)
+    assert peak < 16 * state.config.dim * state.clicks.s.size
+    a, _ = plain_heralded_factor(params, herald.ClickOutcome(1, 0), state.config)
+    for keep in (1, 2):
+        ref = fock.partial_trace(fock.TwoModeState(state.config, a), keep)
+        assert np.max(np.abs(fock.partial_trace(state, keep) - ref)) <= 1e-13 * np.max(np.abs(ref))

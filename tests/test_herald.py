@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import lift
+from dense_reference import lift, plain_arms, plain_click_map, plain_heralded_factor
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
 from mechcat.herald import (
@@ -47,6 +46,30 @@ def test_single_photon_outcome_guard():
 
 def test_heralding_probability_dark_fringe():
     assert heralding_probability(ProtocolParams(mu=0.0, phi=math.pi)) == 0.0
+
+
+def test_heralding_probability_at_the_membrane_row_against_50_digits():
+    # 1 +- lam cos phi in expm1 form; formed directly it was 9.2e-8 off at phi = pi
+    import mpmath as mp
+
+    mu, nbar = 2.26e-5, 0.1
+    for phi, outcome in ((math.pi, ClickOutcome(1, 0)), (0.0, ClickOutcome(0, 1)), (2.0, ClickOutcome(1, 0))):
+        params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
+        sign = 1 if outcome.m == 1 else -1
+        with mp.workdps(50):
+            lam = mp.exp(-mp.mpf(mu) ** 2 * (1 + 2 * mp.mpf(nbar)) / 2)
+            ref = herald.prefactor_probability(params, outcome) * (1 + sign * lam * mp.cos(mp.mpf(phi)))
+            assert abs(heralding_probability(params, outcome) - ref) <= 1e-14 * ref
+
+
+def test_pure_cat_at_the_membrane_row_is_the_bell_state():
+    # the norm 2 (1 + e^{-mu^2/2} cos phi) formed directly was 1e-7 off here, beyond the
+    # 1e-8 check of state_from_vector
+    cfg = fock.FockConfig(6, 6)
+    cat = pure_cat_state(2.26e-5, math.pi, "parallel", cfg)
+    bell = np.zeros(cfg.dim, dtype=complex)
+    bell[1], bell[cfg.cutoff_2] = 1 / math.sqrt(2), -1 / math.sqrt(2)  # |0,1>, |1,0>
+    assert fock.fidelity_to_pure(cat, bell) > 1 - 1e-9
 
 
 def test_heralding_probability_alpha_argmax():
@@ -119,23 +142,11 @@ def test_series_equals_mapped_parallel():
     assert np.max(np.abs(mapped - ser.rho)) < 1e-8
 
 
-def _plain_click_map(params, outcome, cfg):
-    """pref (arm_1 + e^{i phi} arm_2)^m (arm_1 - e^{i phi} arm_2)^n as plain expressions."""
-    arm_1, arm_2 = herald.interferometer_arms(params, cfg)
-    phase = np.exp(1j * params.phi)
-
-    def apply(a):
-        for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m:
-            a = arm_1(a) + sign * phase * arm_2(a)
-        return herald.amplitude_prefactor(params, outcome) * a
-
-    return apply
-
-
 @pytest.mark.parametrize("configuration", ["parallel", "series"])
 @pytest.mark.parametrize("outcome", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 0)])
 def test_click_map_is_the_plain_expression_and_leaves_its_input(configuration, outcome):
-    # the series arm_2 is the identity: a step that scaled arm_2(a) in place would scale a
+    # the dense click operator pref sum_ab f[a, b] E1^a x E2^b (measurement_operator), applied
+    # to read-only factors, against the D-form expression
     params = ProtocolParams(mu=0.8, phi=2.3, input=CoherentInput(0.9 + 0.4j), configuration=configuration,
                             nbar_1=0.2, nbar_2=0.1)
     click = ClickOutcome(*outcome)
@@ -143,47 +154,55 @@ def test_click_map_is_the_plain_expression_and_leaves_its_input(configuration, o
     rng = np.random.default_rng(sum(outcome))
     inputs = [fock.thermal_state(0.2, 0.1, cfg).factor,
               rng.normal(size=(16, 11, 3)) + 1j * rng.normal(size=(16, 11, 3))]
-    click_map = herald._click_map(params, click, cfg)
-    plain = _plain_click_map(params, click, cfg)
+    y = measurement_operator(params, click, cfg)
+    plain = plain_click_map(params, click, cfg)
     for a in inputs:
         kept = a.copy()
         a.setflags(write=False)
-        out = click_map(a)
+        out = (y @ a.reshape(cfg.dim, -1)).reshape(a.shape)
         assert a.tobytes() == kept.tobytes()
-        assert not np.shares_memory(out, a)
-        assert out.tobytes() == plain(kept).tobytes()
+        ref = plain(kept)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_heralded_factor_is_bit_identical_to_the_plain_click_expression():
-    # heralded_state starts from the thermal basis columns; the plain click map
-    # runs over the dense thermal factor. Cases: a zero occupation on either
-    # mode, unequal cutoffs, and outcomes with no, one and two click steps.
+def test_heralded_factor_matches_the_plain_click_expression():
+    # heralded_state holds E-form click columns on the thermal basis columns; the D-form
+    # oracle runs the plain click map over the dense thermal factor and normalises it by
+    # np.vdot. Cases: a zero occupation on either mode, unequal cutoffs, and outcomes with
+    # no, one and two click steps. Measured: factor 1.6e-15 of max|A|, p 3.5e-15 relative.
     cases = [((0.3, 0.05), (16, 14)), ((0.0, 0.2), (9, 15)), ((0.25, 0.0), (17, 7))]
     for ((nbar_1, nbar_2), cutoffs), configuration, outcome in itertools.product(
             cases, ("parallel", "series"), [(1, 0), (0, 1), (2, 0), (1, 1), (0, 0)]):
         params = ProtocolParams(mu=1.1, phi=0.7, configuration=configuration, nbar_1=nbar_1, nbar_2=nbar_2)
         cfg = fock.FockConfig(*cutoffs)
-        thermal = fock.thermal_state(nbar_1, nbar_2, cfg)
         state, p = herald.heralded_state(params, cfg, ClickOutcome(*outcome))
-        a = _plain_click_map(params, ClickOutcome(*outcome), cfg)(thermal.factor)
-        p_plain = float(np.vdot(a, a).real)
-        assert p == p_plain
-        assert state.factor.tobytes() == (a / math.sqrt(p_plain)).tobytes()
-        assert state.truncation_loss == thermal.truncation_loss
+        a, p_plain = plain_heralded_factor(params, ClickOutcome(*outcome), cfg)
+        assert abs(p - p_plain) <= 1e-14 * p_plain
+        assert np.max(np.abs(state.factor - a)) <= 1e-14 * np.max(np.abs(a))
+        assert state.truncation_loss == fock.thermal_state(nbar_1, nbar_2, cfg).truncation_loss
 
 
 def test_click_step_is_the_plain_arm_sum():
-    # the loss oracle's plus and minus steps, as the plain expressions they replace
-    params = ProtocolParams(mu=0.6, phi=2.1, nbar_1=0.05, nbar_2=0.1)
+    # the E-polynomials of the plus and minus steps (herald.ARM_POLYNOMIALS, polynomial_step),
+    # as dense operators, against the D-form arm sums they stand for; f is left as it was
     cfg = fock.FockConfig(10, 10)
-    a = fock.thermal_state(0.05, 0.1, cfg).factor
+    eye = np.eye(cfg.dim, dtype=complex).reshape(cfg.cutoff_1, cfg.cutoff_2, cfg.dim)
     for configuration in ("parallel", "series"):
-        arm_1, arm_2 = herald.interferometer_arms(
-            ProtocolParams(mu=params.mu, phi=params.phi, configuration=configuration), cfg)
+        params = ProtocolParams(mu=0.6, phi=2.1, configuration=configuration)
+        e1, e2 = herald.mode_displacements(params, cfg)
+        arm_1, arm_2 = herald.ARM_POLYNOMIALS[configuration]
         phase = np.exp(1j * params.phi)
-        plus, minus = herald.click_step(arm_1, arm_2, phase), herald.click_step(arm_1, arm_2, -phase)
-        assert plus(a).tobytes() == (arm_1(a) + phase * arm_2(a)).tobytes()
-        assert np.array_equal(minus(a), arm_1(a) - phase * arm_2(a))
+        d_1, d_2 = (arm(eye).reshape(cfg.dim, cfg.dim) for arm in plain_arms(params, cfg))
+        f = np.zeros((3, 3), dtype=complex)
+        f[0, 0] = 1.0
+        kept = f.copy()
+        for sign in (1.0, -1.0):
+            g = herald.polynomial_step(f, arm_1 + sign * phase * arm_2)
+            assert f.tobytes() == kept.tobytes()
+            step = sum(g[i, j] * np.kron(np.linalg.matrix_power(e1, i), np.linalg.matrix_power(e2, j))
+                       for i, j in np.ndindex(g.shape))
+            ref = d_1 + sign * phase * d_2
+            assert np.max(np.abs(step - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_herald_impossible():
@@ -419,23 +438,25 @@ def test_carried_gram_is_the_factors_gram(configuration, outcome):
                                              [(0.01, 0.1), (0.05, 0.1), (1.0, 0.2), (2.0, 0.4)]):
         params = ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar, nbar_2=nbar)
         state, _ = herald.heralded_state(params, outcome=ClickOutcome(*outcome))
-        # the carried Gram has its own unit trace; the factor's (np.vdot) is off by up to
-        # 1e-13 at (2, 0.4), so the factor is compared at its own trace
-        a = state.columns
+        # the carried Gram has its own unit trace; the D-form factor's (np.vdot) is off by up
+        # to 1e-13 at (2, 0.4), so that factor is compared at its own trace
+        a, _ = plain_heralded_factor(params, ClickOutcome(*outcome), state.config)
+        a = a.reshape(state.config.dim, -1)
         trace = np.trace(a.conj().T @ a).real
         assert abs(trace - 1.0) <= fock.TRACE_TOL
         a = a / math.sqrt(trace)
         gram = a.conj().T @ a
         assert np.max(np.abs(state.clicks.gram() - gram)) <= 1e-13 * np.max(np.abs(gram))
-        plain = dataclasses.replace(state, factor=a.reshape(state.factor.shape), clicks=None)
+        plain = fock.TwoModeState(state.config, a.reshape(state.config.cutoff_1, state.config.cutoff_2, -1))
         assert abs(fock.von_neumann_entropy(state) - fock.von_neumann_entropy(plain)) <= 1e-13
 
 
 def mpmath_heralded_gram(params, cfg, dps=50):
-    """A^dag A of the {1, 0} heralded factor at `dps` digits, each mode's D = expm(i mu X) of the
-    truncated generator: A_x = sum_t g_t (U_t |k1_x>)(V_t |k2_x>) s_x / sqrt(p) with (g, U, V) =
-    (1, D1, 1), (c, 1, D2) in parallel and (1, D1, D2), (c, 1, 1) in series, c = e^{i phi} as
-    rounded to double (the prefactor cancels in the normalisation)."""
+    """(A^dag A, p) of the {1, 0} heralded factor at `dps` digits, each mode's D = expm(i mu X)
+    of the truncated generator: A_x = sum_t g_t (U_t |k1_x>)(V_t |k2_x>) s_x / sqrt(p) with
+    (g, U, V) = (1, D1, 1), (c, 1, D2) in parallel and (1, D1, D2), (c, 1, 1) in series,
+    c = e^{i phi} as rounded to double. p = |pref|^2 tr is the trace before that normalisation
+    times the prefactor as rounded to double, which cancels in A^dag A."""
     import mpmath as mp
 
     kept, w, _ = fock.thermal_columns(params.nbar_1, params.nbar_2, cfg)
@@ -462,8 +483,9 @@ def mpmath_heralded_gram(params, cfg, dps=50):
             gram = gram + mp.conj(g) * g2 * m1[np.ix_(k1, k1)] * m2[np.ix_(k2, k2)]
         s = np.array([mp.sqrt(mp.mpf(float(v))) for v in w], dtype=object)
         gram = gram * s[:, None] * s[None, :]
-        gram = gram / sum(np.diagonal(gram))
-        return np.array([[complex(v) for v in row] for row in gram])
+        trace = mp.re(sum(np.diagonal(gram)))
+        p = trace * mp.mpf(abs(herald.amplitude_prefactor(params, ClickOutcome(1, 0))) ** 2)
+        return np.array([[complex(v) for v in row] for row in gram / trace]), p
 
 
 @pytest.mark.parametrize("configuration", ["parallel", "series"])
@@ -472,32 +494,49 @@ def test_carried_gram_at_the_dark_fringe_against_50_digits(configuration, mu):
     # at phi = pi the heralded factor is O(mu) made from O(1) columns; E = D - I is O(mu) itself
     params = ProtocolParams(mu=mu, phi=math.pi, configuration=configuration, nbar_1=0.1, nbar_2=0.1)
     cfg = fock.FockConfig(10, 10)
-    ref = mpmath_heralded_gram(params, cfg)
+    ref, _ = mpmath_heralded_gram(params, cfg)
     state, _ = herald.heralded_state(params, cfg)
-    a = state.columns
+    a = plain_heralded_factor(params, ClickOutcome(1, 0), cfg)[0].reshape(cfg.dim, -1)
     scale = np.max(np.abs(ref))
     carried = np.max(np.abs(state.clicks.gram() - ref)) / scale
     product = np.max(np.abs(a.conj().T @ a - ref)) / scale
     assert carried <= product
 
 
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("mu", [0.01, 0.05])
+def test_heralding_probability_of_the_click_columns_at_the_dark_fringe_against_50_digits(configuration, mu):
+    # p from the click columns' trace against the D-form factor's np.vdot; measured on 10 x 10
+    # levels: 5.1e-16 / 1.5e-15 (mu = 0.01 / 0.05) relative against 8.2e-16 / 2.3e-15 (parallel)
+    # and 5.1e-16 / 2.1e-15 (series)
+    params = ProtocolParams(mu=mu, phi=math.pi, configuration=configuration, nbar_1=0.1, nbar_2=0.1)
+    cfg = fock.FockConfig(10, 10)
+    _, ref = mpmath_heralded_gram(params, cfg)
+    _, p = herald.heralded_state(params, cfg)
+    _, p_plain = plain_heralded_factor(params, ClickOutcome(1, 0), cfg)
+    carried, plain = (float(abs(v - ref) / ref) for v in (p, p_plain))
+    assert carried <= 1e-14
+    assert carried <= plain
+
+
 # ---------------------------------------------------------------------------
 # moments of a heralded state from its click columns, against the factor path
 
 
-def factor_moments(state, order):
-    """The factor path's moments at the factor's own trace, its (0, 0, 0, 0) entry: the factor
-    is normalised by np.vdot, which is off by up to 1e-13 at dim 1936. A state without click
-    columns takes the factor path, bit for bit."""
-    bare = dataclasses.replace(state, clicks=None)
+def factor_moments(params, outcome, cfg, order):
+    """The factor path's moments of the D-form oracle factor at its own trace, its (0, 0, 0, 0)
+    entry: the factor is normalised by np.vdot, which is off by up to 1e-13 at dim 1936. A
+    state without click columns takes the factor path, bit for bit."""
+    bare = fock.TwoModeState(cfg, plain_heralded_factor(params, outcome, cfg)[0])
     values = algebra.moments_from_state(bare, order).values
     assert values.tobytes() == algebra._moments_raw(bare, order).values.tobytes()
     return values / values[0].real
 
 
-def assert_carried_moments_match(state):
+def assert_carried_moments_match(params, outcome):
+    state, _ = herald.heralded_state(params, outcome=outcome)
     for order in (2, 4):
-        ref = factor_moments(state, order)
+        ref = factor_moments(params, outcome, state.config, order)
         carried = algebra.moments_from_state(state, order).values
         assert np.max(np.abs(carried - ref) / (1.0 + np.abs(ref))) <= 1e-13
 
@@ -509,8 +548,7 @@ def test_carried_moments_are_the_factors_moments(configuration, outcome):
     # long-double evaluation (series, phi = pi/2); the property below covers one click up to it
     for phi, (mu, nbar) in itertools.product((0.0, math.pi / 2, math.pi), [(0.01, 0.1), (0.05, 0.1), (1.0, 0.2)]):
         params = ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar, nbar_2=nbar)
-        state, _ = herald.heralded_state(params, outcome=ClickOutcome(*outcome))
-        assert_carried_moments_match(state)
+        assert_carried_moments_match(params, ClickOutcome(*outcome))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -529,5 +567,4 @@ def test_carried_moments_property(mu, nbar, phi, configuration, outcome):
     params = ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar, nbar_2=nbar)
     click = ClickOutcome(*outcome)
     assume(heralding_probability(params, click) / herald.prefactor_probability(params, click) >= 1e-2)
-    state, _ = herald.heralded_state(params, outcome=click)
-    assert_carried_moments_match(state)
+    assert_carried_moments_match(params, click)
