@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -301,16 +301,15 @@ def moments_from_state(state: TwoModeState, order_max: int,
                        check_convergence: bool = False) -> MomentTable:
     """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state.
 
-    A heralded state's come from its click columns: the word sums of fock.ClickColumns over
-    the single-mode word matrices, divided by the identity word's sum (the columns' trace).
-    Any other state's come from shifted overlaps of its factor (_moments_raw). The doubling
-    check compares with the factor (built from the click columns of a heralded state)
-    zero-padded into the doubled-cutoff space."""
+    Click columns give them as the word sums of fock.ClickColumns over the single-mode word
+    matrices, divided by the identity word's sum (the columns' trace); a factor gives them as
+    shifted overlaps (_moments_raw). The doubling check compares the top order with the
+    moments of the same state zero-padded into the doubled-cutoff space (_reembed)."""
     _check_order(order_max)
     table = _moments_raw(state, order_max) if state.clicks is None else _click_moments(state, order_max)
     if check_convergence:
         top = order_slice(order_max)
-        drift = np.abs(table.values[top] - _moments_raw(_reembed(state), order_max).values[top])
+        drift = np.abs(table.values[top] - moments_from_state(_reembed(state), order_max).values[top])
         if (bad := np.flatnonzero(drift > 1e-8)).size:
             key = keys_up_to_order(order_max)[top][bad[0]]
             raise CutoffTooSmall(
@@ -355,8 +354,11 @@ def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
 
 
 def _reembed(state: TwoModeState) -> TwoModeState:
-    """Embed the state in a doubled-cutoff space (zero-padded)."""
-    cfg, big = state.config, state.config.doubled()
-    a = np.zeros((big.cutoff_1, big.cutoff_2, state.factor.shape[2]), dtype=complex)
-    a[: cfg.cutoff_1, : cfg.cutoff_2] = state.factor
-    return TwoModeState(big, a)
+    """Embed the state in a doubled-cutoff space: zero-pad its click columns' E blocks (their
+    kept levels stay), which zero-pads their factor without building it, or its factor."""
+    cfg, clicks = state.config, state.clicks
+    if clicks is None:
+        payload = np.pad(state.factor, ((0, cfg.cutoff_1), (0, cfg.cutoff_2), (0, 0)))
+    else:
+        payload = replace(clicks, e1=np.pad(clicks.e1, (0, cfg.cutoff_1)), e2=np.pad(clicks.e2, (0, cfg.cutoff_2)))
+    return TwoModeState(cfg.doubled(), payload)

@@ -220,21 +220,16 @@ def _loss_table(
     Each lost photon applies its interferometer arm, each click applies
     arm_1 +- e^{i phi} arm_2, all as coefficient arrays f of
     Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode (herald.ARM_POLYNOMIALS).
-    On the thermal columns w_x |k1_x, k2_x> (fock.thermal_columns), tr(Y rho Y^dag) = f^dag T f with
-    T[(a, b), (a', b')] = sum_x w_x (E1^a^dag E1^a')[k1_x, k1_x] (E2^b^dag E2^b')[k2_x, k2_x],
-    one product over the columns. The walk order does not depend on n_max, and each entry
-    is its own f^dag T f, so every entry it fills is the same float for any n_max.
+    On the thermal state's columns (fock.thermal_state) with these E, tr(Y rho Y^dag) = f^dag T f
+    with T their quadratic form (fock.ClickColumns.quadratic_form). The walk order does not
+    depend on n_max, and each entry is its own f^dag T f, so every entry it fills is the same
+    float for any n_max.
     """
     _require_coherent(protocol)
     t = truncation
     e1, e2 = mode_displacements(protocol, config)
-    kept, w, _ = fock.thermal_columns(protocol.nbar_1, protocol.nbar_2, config)
-    k1, k2 = np.divmod(kept, config.cutoff_2)
-    size = (t + 1) ** 2
-    mode_1 = fock.pair_diagonals(fock.powers(e1, t + 1), np.eye(config.cutoff_1)[None])[..., 0, k1]
-    mode_2 = fock.pair_diagonals(fock.powers(e2, t + 1), np.eye(config.cutoff_2)[None])[..., 0, k2]
-    quad = ((mode_1.reshape(size, -1) * w) @ mode_2.reshape(size, -1).T).reshape((t + 1,) * 4)
-    quad = quad.transpose(0, 2, 1, 3).reshape(size, size)
+    thermal = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).clicks
+    quad = dataclasses.replace(thermal, e1=e1, e2=e2).quadratic_form(t + 1)
 
     arm_1, arm_2 = ARM_POLYNOMIALS[protocol.configuration]
     phase = np.exp(1j * protocol.phi)

@@ -1,5 +1,5 @@
-"""Truncated two-mode Fock space: states held as factors or as heralded click columns,
-single-mode maps on them.
+"""Truncated two-mode Fock space: states held as click columns (thermal and heralded)
+or as factors (a caller's psi or rho), single-mode maps on them.
 
 Conventions: hbar = 1, X = (b + b^dag)/sqrt(2), P = -i(b - b^dag)/sqrt(2),
 so the vacuum quadrature variance is 1/2.
@@ -22,7 +22,7 @@ PSD_TOL = 1e-8
 ENTROPY_EIG_FLOOR = 1e-14
 GRAM_IMAG_TOL = 1e-14  # ||Im G||_F / tr G below which G = A^dag A is taken as real
 THERMAL_TAIL_TOL = 1e-10
-THERMAL_DROP_TOL = 1e-16  # thermal-factor columns left out: below the rounding of a unit trace
+THERMAL_DROP_TOL = 1e-16  # thermal columns left out: below the rounding of a unit trace
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,6 @@ def p_single(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T) / math.sqrt(2.0)
 
 
-def _generator_eigh(beta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Hermitian generator h, D(beta) = exp(-i h)."""
-    a = destroy(cutoff)
-    h = 1j * (beta * a.conj().T - np.conj(beta) * a)  # Hermitian
-    return np.linalg.eigh(h)
-
-
-def displacement_single(beta: complex, cutoff: int) -> np.ndarray:
-    """exp(beta a^dag - beta* a) via eigendecomposition of the Hermitian generator."""
-    w, v = _generator_eigh(beta, cutoff)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def coherent_vector(beta: complex, cutoff: int) -> np.ndarray:
     """Coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!), truncated."""
     amps = np.zeros(cutoff, dtype=complex)
@@ -109,7 +96,8 @@ def displacement_pair(beta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarra
         raise CutoffTooSmall(
             f"|beta|^2 = {abs(beta) ** 2:.3g} too large for cutoff {cutoff}"
         )
-    w, v = _generator_eigh(beta, cutoff)
+    a = destroy(cutoff)
+    w, v = np.linalg.eigh(1j * (beta * a.conj().T - np.conj(beta) * a))  # D = exp(-i h), h Hermitian
     d = (v * np.exp(-1j * w)) @ v.conj().T
     defect = np.max(np.abs(d.conj().T @ d - np.eye(cutoff)))
     if defect > 1e-6:
@@ -141,12 +129,13 @@ def pair_diagonals(blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClickColumns:
-    """A heralded thermal state in per-mode blocks: column x of its factor is
-    sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each mode
-    (herald.heralded_state). Its heralding normalisation is folded into s, so
-    its trace is 1 up to rounding; `trace`, `gram` and `word_sums` are read off
-    c x c blocks per mode at the kept levels k1, k2, and `factor` builds the
-    (c1, c2, r) factor for the readers that need it.
+    """A thermal state, or a click operator applied to one, in per-mode blocks: column x
+    of its factor is sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each
+    mode. thermal_state has f = [[1]], E = 0 and s = sqrt(w) on its kept levels k1, k2;
+    herald.heralded_state sets its own f and E and folds the heralding normalisation into
+    s, so its trace is 1 up to rounding. `trace`, `gram` and `word_sums` are read off
+    c x c blocks per mode at the kept levels, and `factor` builds the (c1, c2, r) factor
+    for the readers that need it.
     """
 
     f: np.ndarray
@@ -178,9 +167,22 @@ class ClickColumns:
         right = pair_diagonals(mode_2, words_2).reshape(-1, len(words_2), len(self.e2))
         return (left @ weights @ right.swapaxes(1, 2)).sum(axis=0)
 
+    def quadratic_form(self, count: int) -> np.ndarray:
+        """T over the coefficient pairs (a, b), (a', b') < count, flattened row-major:
+        T[(a, b), (a', b')] = sum_x s_x^2 (E1^a^dag E1^a')[k1_x, k1_x] (E2^b^dag E2^b')[k2_x, k2_x].
+        For any g of shape (count, count), the columns with g in place of f have trace g^dag T g."""
+        mode_1 = pair_diagonals(powers(self.e1, count), np.eye(len(self.e1))[None])[..., 0, self.k1]
+        mode_2 = pair_diagonals(powers(self.e2, count), np.eye(len(self.e2))[None])[..., 0, self.k2]
+        size = count * count
+        form = (mode_1.reshape(size, -1) * (self.s * self.s)) @ mode_2.reshape(size, -1).T
+        return form.reshape((count,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
+
     @cached_property
     def trace(self) -> float:
-        """sum_x <A_x|A_x>, the identity word's sum."""
+        """sum_x <A_x|A_x>, the identity word's sum. Not f^dag T f (quadratic_form): that form
+        cancels between f's coefficients after squaring, not within the blocks F_a, and at
+        (mu, nbar) = (2, 0.4) with three series clicks it was up to 2.2e-13 off an exactly
+        summed D-form trace, where this sum stays within 7.9e-15."""
         return float(self.word_sums(np.eye(len(self.e1))[None], np.eye(len(self.e2))[None])[0, 0].real)
 
     def factor(self) -> np.ndarray:
@@ -219,15 +221,16 @@ class ClickColumns:
 @dataclass(frozen=True)
 class TwoModeState:
     """Density operator rho = sum_x A_x A_x^dag on the truncated two-mode space,
-    held as one payload: its factor A of shape (cutoff_1, cutoff_2, rank), or
-    the ClickColumns of a heralded state (herald.heralded_state). A pure state
-    has rank 1. rho is Hermitian and positive semidefinite by construction.
+    held as one payload: the ClickColumns of every state the library builds
+    (thermal_state, ground_state, herald.heralded_state), or the factor A of
+    shape (cutoff_1, cutoff_2, rank) of a caller's psi or rho (state_from_vector,
+    state_from_rho, apply_operator). A pure state has rank 1. rho is Hermitian
+    and positive semidefinite by construction.
 
-    von_neumann_entropy reads a heralded state's Gram matrix and
-    algebra.moments_from_state its word sums, with no factor. Its `factor` is
+    von_neumann_entropy reads the click columns' Gram matrix and
+    algebra.moments_from_state their word sums, with no factor. The `factor` is
     built from the click columns on first read, by the readers that need it
-    (partial_trace, fidelity_to_pure, the port spectra of verify and the
-    moments' cutoff-doubling check), and kept.
+    (partial_trace, fidelity_to_pure and the port spectra of verify), and kept.
 
     `truncation_loss` is the probability mass of the thermal input left out of
     the state: its tail beyond the cutoffs plus the dropped columns.
@@ -305,12 +308,6 @@ def state_from_rho(rho: np.ndarray, config: FockConfig) -> TwoModeState:
     return TwoModeState(config, a.reshape(config.cutoff_1, config.cutoff_2, -1))
 
 
-def ground_state(config: FockConfig) -> TwoModeState:
-    psi = np.zeros(config.dim, dtype=complex)
-    psi[0] = 1.0
-    return state_from_vector(psi, config)
-
-
 def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
     """Geometric populations p_n = nbar^n / (nbar+1)^(n+1), tail-checked."""
     if nbar < 0:
@@ -329,26 +326,25 @@ def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
     return p / p.sum()
 
 
-def thermal_columns(nbar_1: float, nbar_2: float, config: FockConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """The truncated product thermal state as basis columns sqrt(p1_i p2_j) |i, j>:
-    kept flat indices i * cutoff_2 + j (ascending), weights p1_i p2_j, and the
-    truncation loss, each mode's tail beyond its cutoff plus the smallest
-    products, left out while their total mass stays at or below THERMAL_DROP_TOL."""
+def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeState:
+    """Product of single-mode thermal states as click columns with f = [[1]] and E = 0:
+    one column sqrt(p1_i p2_j) |i, j> per Fock product, less the smallest products while
+    their total mass stays at or below THERMAL_DROP_TOL, kept in ascending flat index
+    i * cutoff_2 + j. The truncation loss is each mode's tail beyond its cutoff plus the
+    dropped mass; the populations are normalised, so the trace is 1 less the dropped mass."""
     c1, c2 = config.cutoff_1, config.cutoff_2
     w = np.outer(thermal_populations(nbar_1, c1), thermal_populations(nbar_2, c2)).ravel()
     by_size = np.argsort(w, kind="stable")
     n_drop = int(np.searchsorted(np.cumsum(w[by_size]), THERMAL_DROP_TOL, side="right"))
     kept = np.sort(by_size[n_drop:])
     tails = sum((nbar / (nbar + 1.0)) ** c for nbar, c in ((nbar_1, c1), (nbar_2, c2)))
-    return kept, w[kept], tails + float(w[by_size[:n_drop]].sum())
+    columns = ClickColumns(np.ones((1, 1), dtype=complex), np.zeros((c1, c1), dtype=complex),
+                           np.zeros((c2, c2), dtype=complex), *np.divmod(kept, c2), np.sqrt(w[kept]))
+    return TwoModeState(config, columns, tails + float(w[by_size[:n_drop]].sum()))
 
 
-def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeState:
-    """Product of single-mode thermal states, one factor column per thermal_columns entry."""
-    kept, w, loss = thermal_columns(nbar_1, nbar_2, config)
-    a = np.zeros((config.dim, kept.size), dtype=complex)
-    a[kept, np.arange(kept.size)] = np.sqrt(w)
-    return TwoModeState(config, a.reshape(config.cutoff_1, config.cutoff_2, -1), loss).validate()
+def ground_state(config: FockConfig) -> TwoModeState:
+    return thermal_state(0.0, 0.0, config)
 
 
 def on_mode(single: np.ndarray, mode: int, factor: np.ndarray) -> np.ndarray:
@@ -392,28 +388,25 @@ def von_neumann_entropy(state: TwoModeState) -> float:
     """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
     from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho).
 
-    A heralded state's G comes from its click columns (c x c blocks of
-    E = D - I per mode, written in E so that no O(1) terms cancel at the dark
-    fringe). Any other state's G is summed from the blocks of W = V^T V, V the
-    factor's float view (dim x 2 rank).
+    Click columns give G from c x c blocks of E = D - I per mode
+    (ClickColumns.gram, written in E so that no O(1) terms cancel at the dark
+    fringe); a factor gives it as the plain product A^dag A.
 
-    G is real for heralded thermal states (the thermal factor is real, the
-    arms are complex-symmetric and commute) and diagonal for state_from_rho
-    factors. By Weyl's inequality dropping Im G moves each eigenvalue by at
-    most ||Im G||_2 <= ||Im G||_F, so the real solve is taken when that bound
-    is at rounding level: at most GRAM_IMAG_TOL of tr G, the size of the
-    entropy's eigenvalue floor. Any other factor, such as A U for a unitary U
-    (the same rho), keeps the Hermitian solve.
+    G is real for thermal and heralded thermal states (the thermal columns are
+    real, the arms are complex-symmetric and commute) and diagonal for
+    state_from_rho factors. By Weyl's inequality dropping Im G moves each
+    eigenvalue by at most ||Im G||_2 <= ||Im G||_F, so the real solve is taken
+    when that bound is at rounding level: at most GRAM_IMAG_TOL of tr G, the
+    size of the entropy's eigenvalue floor. Any other factor, such as A U for a
+    unitary U (the same rho), keeps the Hermitian solve.
     """
     if state.clicks is None:
-        v = np.ascontiguousarray(state.columns, dtype=complex).view(np.float64)
-        w = v.T @ v  # Re and Im of each column interleaved on both axes
-        gram, imag = w[::2, ::2] + w[1::2, 1::2], w[::2, 1::2] - w[1::2, ::2]
+        a = state.columns
+        g = a.conj().T @ a
     else:
         g = state.clicks.gram()
-        gram, imag = g.real, g.imag
-    real = np.linalg.norm(imag) <= GRAM_IMAG_TOL * np.trace(gram)
-    return entropy_of_matrix(gram if real else gram + 1j * imag)
+    real = np.linalg.norm(g.imag) <= GRAM_IMAG_TOL * np.trace(g.real)
+    return entropy_of_matrix(g.real if real else g)
 
 
 def entanglement_entropy(state: TwoModeState) -> float:

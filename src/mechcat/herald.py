@@ -85,20 +85,15 @@ def fringe(x: float, phi: float, sign: float = 1.0) -> float:
 
 
 def prefactor_probability(params: ProtocolParams, outcome: ClickOutcome) -> float:
-    """Probability-level prefactor of the click distribution.
-
-    For the coherent input this is 2 |N_mn|^2 with the amplitude prefactor
-    N_mn = e^{-|a|^2/2} (a/2)^{m+n} / sqrt(m! n!); the factor 2 makes the
-    closed form match tr(Y rho Y^dag) exactly (checked against the Fock
-    path and against the detector working point where the interferometer is
-    transparent and the count statistics are Poissonian).
+    """Probability-level prefactor of the click distribution, 2 |N_mn|^2 with the
+    amplitude prefactor N_mn (`amplitude_prefactor`); the factor 2 makes the closed
+    form match tr(Y rho Y^dag) exactly (checked against the Fock path and against
+    the detector working point where the interferometer is transparent and the
+    count statistics are Poissonian).
     """
     if outcome.m + outcome.n != 1:
         raise ValueError("closed-form prefactor implemented for {1,0}/{0,1} only")
-    if isinstance(params.input, SinglePhotonInput):
-        return 0.5
-    a2 = abs(params.input.alpha) ** 2
-    return math.exp(-a2) * a2 / 2.0
+    return 2.0 * abs(amplitude_prefactor(params, outcome)) ** 2
 
 
 def heralding_probability(params: ProtocolParams, outcome: ClickOutcome = ClickOutcome(1, 0)) -> float:
@@ -161,10 +156,9 @@ def _click_polynomial(params: ProtocolParams, outcome: ClickOutcome) -> np.ndarr
 
 
 def _click_columns(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig,
-                   kept: np.ndarray, s: np.ndarray) -> tuple[complex, fock.ClickColumns]:
-    """pref and Y_mn / pref on the columns s_x |k1_x, k2_x> at the flat indices `kept`."""
+                   k1: np.ndarray, k2: np.ndarray, s: np.ndarray) -> tuple[complex, fock.ClickColumns]:
+    """pref and Y_mn / pref on the columns s_x |k1_x, k2_x>."""
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
-    k1, k2 = np.divmod(kept, config.cutoff_2)
     return pref, fock.ClickColumns(_click_polynomial(params, outcome), *mode_displacements(params, config), k1, k2, s)
 
 
@@ -173,28 +167,30 @@ def measurement_operator(
 ) -> np.ndarray:
     """Dense dim x dim matrix of the click operator Y_mn = pref sum_ab f[a, b] E1^a x E2^b, its
     click columns on every basis vector."""
-    pref, y = _click_columns(params, outcome, config, np.arange(config.dim), np.ones(config.dim))
+    levels = np.divmod(np.arange(config.dim), config.cutoff_2)
+    pref, y = _click_columns(params, outcome, config, *levels, np.ones(config.dim))
     return pref * y.factor().reshape(config.dim, config.dim)
 
 
 def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
                    outcome: ClickOutcome = ClickOutcome(1, 0)) -> tuple[TwoModeState, float]:
     """State Y rho Y^dag / p and probability p of a click on the thermal input (default
-    cutoffs when config is None), held as its fock.ClickColumns: Y = pref sum_ab f[a, b]
-    E1^a x E2^b with E = D - I per mode, on the thermal input's columns s_x |k1_x, k2_x>
-    (fock.thermal_columns, s = sqrt(w)), with no factor and no dense thermal state.
+    cutoffs when config is None), held as fock.ClickColumns and with no factor: the thermal
+    state's columns s_x |k1_x, k2_x> (fock.thermal_state) with the f and E = D - I per mode of
+    Y = pref sum_ab f[a, b] E1^a x E2^b in place of its f = [[1]] and E = 0.
 
     p = |pref|^2 times the trace of the unnormalised columns, and the normalisation is folded
     into s. Written in E, no O(1) terms cancel at the dark fringe."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
-    kept, w, loss = fock.thermal_columns(params.nbar_1, params.nbar_2, config)
-    pref, clicks = _click_columns(params, outcome, config, kept, np.sqrt(w))
+    thermal = fock.thermal_state(params.nbar_1, params.nbar_2, config)
+    columns = thermal.clicks
+    pref, clicks = _click_columns(params, outcome, config, columns.k1, columns.k2, columns.s)
     p = abs(pref) ** 2 * clicks.trace
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
     clicks = replace(clicks, s=clicks.s / math.sqrt(clicks.trace))
-    return TwoModeState(config, clicks, loss).validate(), p
+    return TwoModeState(config, clicks, thermal.truncation_loss).validate(), p
 
 
 def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig) -> TwoModeState:

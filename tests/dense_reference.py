@@ -24,6 +24,25 @@ def letter_matrices(cfg):
             for mode in (1, 2) for name, make in singles.items()}
 
 
+def thermal_columns(nbar_1, nbar_2, cfg):
+    """The kept thermal columns, independent of fock.ClickColumns: flat indices i * cutoff_2 + j
+    (ascending) and weights p1_i p2_j of every Fock product, less the smallest products while
+    their total mass stays at or below fock.THERMAL_DROP_TOL."""
+    pops = (fock.thermal_populations(nbar, cfg.cutoff(mode)) for mode, nbar in ((1, nbar_1), (2, nbar_2)))
+    w = np.outer(*pops).ravel()
+    by_size = np.argsort(w, kind="stable")
+    kept = np.sort(by_size[np.cumsum(w[by_size]) > fock.THERMAL_DROP_TOL])
+    return kept, w[kept]
+
+
+def dense_thermal_factor(nbar_1, nbar_2, cfg):
+    """The thermal factor (c1, c2, r) as a dense array: column x is sqrt(w_x) at kept index x."""
+    kept, w = thermal_columns(nbar_1, nbar_2, cfg)
+    a = np.zeros((cfg.dim, kept.size), dtype=complex)
+    a[kept, np.arange(kept.size)] = np.sqrt(w)
+    return a.reshape(cfg.cutoff_1, cfg.cutoff_2, -1)
+
+
 def plain_arms(params, cfg):
     """The interferometer arms as maps on state factors (c1, c2, r), in D form:
     D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series, D = e^{i mu X}."""
@@ -50,6 +69,6 @@ def plain_click_map(params, outcome, cfg):
 
 def plain_heralded_factor(params, outcome, cfg):
     """(A, p): the D-form click map on the dense thermal factor, normalised by np.vdot."""
-    a = plain_click_map(params, outcome, cfg)(fock.thermal_state(params.nbar_1, params.nbar_2, cfg).factor)
+    a = plain_click_map(params, outcome, cfg)(dense_thermal_factor(params.nbar_1, params.nbar_2, cfg))
     p = float(np.vdot(a, a).real)
     return a / np.sqrt(p), p

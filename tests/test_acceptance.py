@@ -59,7 +59,7 @@ def test_criterion_2_heralding_probability():
         )
         eye = np.eye(cutoff)
         for mu in (0.1, 0.5, 1.0, 1.5, 2.0):
-            d = fock.displacement_single(1j * mu / math.sqrt(2.0), cutoff)
+            d = fock.checked_displacement(1j * mu / math.sqrt(2.0), cutoff)
             e1 = np.kron(d, eye)
             e2 = np.kron(eye, d)
             for phi in (0.0, math.pi / 2, math.pi):

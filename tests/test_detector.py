@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import lift
+from dense_reference import lift, thermal_columns
 from golden_section_reference import golden_section_alpha
 from mechcat import fock
 from mechcat.detector import (
@@ -254,6 +254,22 @@ def test_loss_oracle_no_loss_channel():
         loss_outcome_probability(det, protocol(0.3), LossOutcome(5, 4, 3, 2), cfg)
 
 
+@pytest.mark.parametrize("configuration", [PARALLEL, SERIES])
+def test_loss_oracle_at_unit_efficiency_is_the_heralding(configuration):
+    # with no loss the oracle's P_1000 is the heralded state's p: both are traces of the
+    # thermal state's columns under the same click polynomial, on the default cutoffs
+    from mechcat.herald import heralded_state
+
+    det = DetectorParams(eta=1.0, dark_prob=0.0)
+    for mu, phi, nbar in [(0.01, math.pi, 0.0), (0.01, math.pi, 0.1), (0.3, 0.0, 0.05), (0.6, 2.1, 0.1),
+                          (2.0, 1.0, 0.4)]:
+        p = dataclasses.replace(protocol(mu, nbar, alpha=1.3, phi=phi), configuration=configuration)
+        cfg = fock.default_config(nbar, nbar, mu)
+        _, heralded = heralded_state(p, cfg)
+        p1000 = LossOracle(det, p, cfg).probability(LossOutcome(1, 0, 0, 0))
+        assert abs(p1000 - heralded) <= 2e-15 * heralded, (mu, phi, nbar)
+
+
 def test_fractions_need_the_herald_outcome_in_the_truncation():
     with pytest.raises(TruncationTooSmall):
         fractions_from_oracle(DET, protocol(0.3, nbar=0.0), FockConfig(8, 8), truncation=0)
@@ -345,11 +361,11 @@ def test_fractions_walk_matches_the_full_oracle_table(configuration, eta):
 
 def mpmath_loss_table(det, p, cfg, truncation, dps=50):
     """Every P_mnkl at `dps` digits: each mode's D = expm(i mu X) of the truncated generator,
-    the thermal columns of fock.thermal_columns, and e^{i phi} as rounded to double; each
+    the thermal columns of dense_reference.thermal_columns, and e^{i phi} as rounded to double; each
     column is walked through its arms and click steps as a (cutoff_1, cutoff_2) array."""
     import mpmath as mp
 
-    kept, w, _ = fock.thermal_columns(p.nbar_1, p.nbar_2, cfg)
+    kept, w = thermal_columns(p.nbar_1, p.nbar_2, cfg)
     k1, k2 = np.divmod(kept, cfg.cutoff_2)
     with mp.workdps(dps):
         def displacement(cutoff):

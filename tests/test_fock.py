@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import genlaguerre
 
-from dense_reference import letter_matrices, lift, plain_heralded_factor
+from dense_reference import dense_thermal_factor, letter_matrices, lift, plain_heralded_factor
 from mechcat import algebra, criteria, fock, herald, verify
 from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError, NegativeNonGaussianity
 
@@ -98,7 +98,7 @@ def test_displacement_matrix_elements_oracle():
     # associated-Laguerre closed form for <m|D(beta)|n>, m >= n
     beta = 0.3 + 0.4j
     cutoff = 30
-    d = fock.displacement_single(beta, cutoff)
+    d = fock.checked_displacement(beta, cutoff)
     for m, n in [(0, 0), (1, 0), (2, 1), (3, 3), (5, 2)]:
         lag = genlaguerre(n, m - n)(abs(beta) ** 2)
         ref = (
@@ -193,7 +193,7 @@ def test_coherent_vector_matches_displacement_column():
     beta = 0.7 - 0.2j
     cutoff = 25
     vec = fock.coherent_vector(beta, cutoff)
-    col = fock.displacement_single(beta, cutoff)[:, 0]
+    col = fock.checked_displacement(beta, cutoff)[:, 0]
     assert np.max(np.abs(vec - col)) < 1e-9
 
 
@@ -207,6 +207,27 @@ def test_thermal_factor_rank_rule():
         dropped = cfg.dim - rank
         assert w[:dropped].sum() <= fock.THERMAL_DROP_TOL < w[: dropped + 1].sum()
     assert fock.thermal_state(0.0, 0.0, CFG).factor.shape == (24, 24, 1)
+
+
+def test_thermal_state_is_click_columns_and_builds_no_factor():
+    # f = [[1]], E = 0 on the kept thermal columns: below one complex dim x r array at
+    # (2, 0.4), dim 1936 x rank 527, and the factor built from them is the dense one
+    big = fock.default_config(0.4, 0.4, 2.0)
+    tracemalloc.start()
+    try:
+        th = fock.thermal_state(0.4, 0.4, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * big.dim * th.factor.shape[2]
+    for (nbar_1, nbar_2), cfg in [((0.4, 0.4), big), ((0.3, 0.0), fock.FockConfig(20, 7)), ((0.0, 0.0), CFG)]:
+        th = fock.thermal_state(nbar_1, nbar_2, cfg)
+        clicks = th.clicks
+        assert clicks.f.tolist() == [[1.0]] and not clicks.e1.any() and not clicks.e2.any()
+        assert np.array_equal(th.factor, dense_thermal_factor(nbar_1, nbar_2, cfg))
+    ground = fock.ground_state(CFG)
+    assert ground.clicks is not None and ground.truncation_loss == 0.0
+    assert np.array_equal(ground.vector, np.eye(CFG.dim)[0])
 
 
 @pytest.mark.parametrize("nbar", [0.0, 0.05, 0.2, 0.4, 0.5, 1.0, 2.0])
@@ -271,11 +292,11 @@ def ref_entropy(rho):
 
 
 @pytest.mark.parametrize("configuration", [herald.PARALLEL, herald.SERIES])
-def test_float_view_entropy_matches_the_dense_spectrum(configuration):
-    # W = V^T V over the factor's float view, against eigvalsh of the dense rho.
-    # The same rho from a factor A U (complex G: the Hermitian solve) and from
-    # state_from_rho (a strided factor) gives the entropy of the complex product
-    # A^dag A; against rho these two move by the eigenvalues near the floor.
+def test_factor_entropy_matches_the_dense_spectrum(configuration):
+    # the click columns' Gram, against eigvalsh of the dense rho. The same rho from
+    # a factor A U (complex G: the Hermitian solve) and from state_from_rho (a
+    # strided factor) gives the entropy of the plain product A^dag A; against rho
+    # these two move by the eigenvalues near the floor.
     cfg = fock.FockConfig(18, 16)
     rng = np.random.default_rng(5)
     for mu, phi, nbar_1, nbar_2 in [(0.8, 0.4, 0.2, 0.05), (1.3, math.pi, 0.1, 0.3), (0.5, 2.0, 0.0, 0.15)]:
@@ -481,3 +502,26 @@ def test_heralding_entropy_and_moments_build_no_factor():
     for keep in (1, 2):
         ref = fock.partial_trace(fock.TwoModeState(state.config, a), keep)
         assert np.max(np.abs(fock.partial_trace(state, keep) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cutoff_doubling_check_builds_no_factor():
+    # at (2, 0.4), dim 1936: the doubling pads the click columns' E blocks, so the check peaks
+    # below one complex dim x r array, and the padded columns' moments are those of the
+    # zero-padded D-form oracle factor
+    params = herald.ProtocolParams(mu=2.0, phi=1.0, nbar_1=0.4, nbar_2=0.4)
+    state, _ = herald.heralded_state(params)
+    tracemalloc.start()
+    try:
+        checked = algebra.moments_from_state(state, 4, check_convergence=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cfg = state.config
+    assert "factor" not in vars(state)
+    assert peak < 16 * cfg.dim * state.clicks.s.size
+    assert checked.entries == algebra.moments_from_state(state, 4).entries
+    a, _ = plain_heralded_factor(params, herald.ClickOutcome(1, 0), cfg)
+    padded = fock.TwoModeState(cfg.doubled(), np.pad(a, ((0, cfg.cutoff_1), (0, cfg.cutoff_2), (0, 0))))
+    ref = algebra._moments_raw(padded, 4).values
+    doubled = algebra.moments_from_state(algebra._reembed(state), 4).values
+    assert rel_err(doubled, ref / ref[0].real) <= 1e-14

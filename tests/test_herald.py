@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import lift, plain_arms, plain_click_map, plain_heralded_factor
+from dense_reference import (dense_thermal_factor, lift, plain_arms, plain_click_map, plain_heralded_factor,
+                             thermal_columns)
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
 from mechcat.herald import (
@@ -152,7 +153,7 @@ def test_click_map_is_the_plain_expression_and_leaves_its_input(configuration, o
     click = ClickOutcome(*outcome)
     cfg = fock.FockConfig(16, 11)
     rng = np.random.default_rng(sum(outcome))
-    inputs = [fock.thermal_state(0.2, 0.1, cfg).factor,
+    inputs = [dense_thermal_factor(0.2, 0.1, cfg),
               rng.normal(size=(16, 11, 3)) + 1j * rng.normal(size=(16, 11, 3))]
     y = measurement_operator(params, click, cfg)
     plain = plain_click_map(params, click, cfg)
@@ -459,7 +460,7 @@ def mpmath_heralded_gram(params, cfg, dps=50):
     times the prefactor as rounded to double, which cancels in A^dag A."""
     import mpmath as mp
 
-    kept, w, _ = fock.thermal_columns(params.nbar_1, params.nbar_2, cfg)
+    kept, w = thermal_columns(params.nbar_1, params.nbar_2, cfg)
     k1, k2 = np.divmod(kept, cfg.cutoff_2)
     with mp.workdps(dps):
         def displacement(cutoff):
