@@ -5,12 +5,18 @@ A pathway sends verification pulses into up to four slots (mode 1 or 2,
 read-out time 0 or the damped quarter period), so the slots carry the
 letters X1, P1, X2, P2. Each beam-splitter port measures a linear form over
 the slot signals with phase coefficients e^{i zeta}; unused slots still
-inject vacuum noise, so every port carries one unit of input noise. Sample
-moments <P^d> are synthesized semi-analytically with the exact estimator
-covariance, and the recovery solves weighted least-squares systems for the
-symmetrized sums of each order, unlocking individual moments through the
-canonical commutation relations. Port moments are linear in the symmetrized
-sums, and the sums are a per-mode linear map of the moment vector.
+inject vacuum noise, so every port carries one unit of input noise. A
+channel, a (pathway, port) pair, is therefore two coefficient rows over
+(X1, P1, X2, P2): the signal row, chi included and 0 on unpulsed slots, and
+the noise row (`_channel_signals`). Port moments, phase-set selection, the
+per-shot sampler and the recovery all read those two rows.
+
+Port moments are linear in the symmetrized sums, and the sums are a per-mode
+linear map of the moment vector. Sample moments <P^d> are synthesized
+semi-analytically with the exact estimator covariance. The recovery solves
+one weighted least-squares system per order for its symmetrized sums, through
+one SVD, and unlocks individual moments through the canonical commutation
+relations.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from . import fock
 from .fock import TwoModeState
 
 SLOTS = ("m1_t0", "m1_tp", "m2_t0", "m2_tp")
-SLOT_LETTER = {"m1_t0": "X1", "m1_tp": "P1", "m2_t0": "X2", "m2_tp": "P2"}
 PORTS = ("A", "B", "C", "D")
 
 COND_LIMIT = 1e8
@@ -80,54 +85,23 @@ def _port_bases(zetas, phi) -> np.ndarray:
     return 0.5 * np.stack([np.stack(c, axis=-1) for c in ports], axis=-2)
 
 
-def _port_index(port: str) -> int:
-    if port not in PORTS:
-        raise ValueError(f"unknown port {port!r}")
-    return PORTS.index(port)
-
-
-def _zetas(phases: PhaseSet) -> tuple[float, float, float, float]:
-    return (phases.zeta_1, phases.zeta_2, phases.zeta_3, phases.zeta_4)
-
-
-def port_base_coefficients(phases: PhaseSet, phi: float, port: str) -> np.ndarray:
-    """Transfer coefficients of the four slots into one output port."""
-    return _port_bases(_zetas(phases), phi)[_port_index(port)]
-
-
-@dataclass(frozen=True)
-class PortForm:
-    """Signal coefficients per slot letter and the input-noise linear form."""
-
-    signal: dict[str, complex]  # letter -> coefficient (chi included)
-    noise_coeffs: np.ndarray  # per slot, vacuum variance 1/2 each
-
-    @property
-    def noise_variance(self) -> complex:
-        """Formal second moment of the noise form (complex for complex zetas)."""
-        return complex(np.sum(self.noise_coeffs**2) / 2.0)
-
-
-def port_observable(pathway: Pathway, port: str) -> PortForm:
-    base = port_base_coefficients(pathway.phases, pathway.phi, port)
-    signal = {
-        SLOT_LETTER[s]: pathway.chi * base[i]
-        for i, s in enumerate(SLOTS)
-        if s in pathway.pulses
-    }
-    return PortForm(signal=signal, noise_coeffs=base)
-
-
 def _channel_signals(channels: list[tuple[Pathway, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """Signal coefficients over (X1, P1, X2, P2) and port noise variances, one row per channel."""
+    """The two coefficient rows of each channel over (X1, P1, X2, P2): the signal,
+    chi times the port's transfer coefficient on pulsed slots and 0 elsewhere, and
+    the input noise, the transfer coefficients themselves (vacuum variance 1/2 per
+    slot, so nu = sum(noise^2) / 2)."""
+    for _, port in channels:
+        if port not in PORTS:
+            raise ValueError(f"unknown port {port!r}")
     pathways = [pathway for pathway, _ in channels]
-    zetas = np.reshape([_zetas(p.phases) for p in pathways], (-1, 4))
-    ports = [_port_index(port) for _, port in channels]
-    bases = _port_bases(zetas, [p.phi for p in pathways])[np.arange(len(channels)), ports]
+    zetas = np.reshape(
+        [(p.phases.zeta_1, p.phases.zeta_2, p.phases.zeta_3, p.phases.zeta_4) for p in pathways], (-1, 4)
+    )
+    ports = [PORTS.index(port) for _, port in channels]
+    noise = _port_bases(zetas, [p.phi for p in pathways])[np.arange(len(channels)), ports]
     pulsed = np.array([[s in p.pulses for s in SLOTS] for p in pathways], dtype=bool)
     chi = np.array([p.chi for p in pathways], dtype=float)
-    kappa = np.where(pulsed, chi[:, None] * bases, 0.0)
-    return kappa, np.sum(bases**2, axis=-1) / 2.0
+    return np.where(pulsed, chi[:, None] * noise, 0.0), noise
 
 
 def _coefficient_rows(kappa: np.ndarray, keys, order: int) -> np.ndarray:
@@ -142,24 +116,25 @@ def _coefficient_rows(kappa: np.ndarray, keys, order: int) -> np.ndarray:
     return rows
 
 
-def _noise_powers(nu: np.ndarray, d_max: int) -> np.ndarray:
-    """Gaussian port-noise moments <N^m> = (m-1)!! nu^(m/2), m = 0..d_max, per channel."""
+def _noise_powers(noise: np.ndarray, d_max: int) -> np.ndarray:
+    """Gaussian port-noise moments <N^m> = (m-1)!! nu^(m/2), m = 0..d_max, per noise row."""
+    nu = np.sum(noise**2, axis=-1) / 2.0
     out = np.zeros((len(nu), d_max + 1), dtype=complex)
     for m in range(0, d_max + 1, 2):
         out[:, m] = math.prod(range(m - 1, 0, -2)) * nu ** (m // 2)
     return out
 
 
-def _port_moments(kappa: np.ndarray, nu: np.ndarray, table: MomentTable, d_max: int) -> np.ndarray:
+def _port_moments(kappa: np.ndarray, noise: np.ndarray, table: MomentTable, d_max: int) -> np.ndarray:
     """<P^d> for d = 1..d_max, one row per channel, from the table's symmetrized sums."""
     sums = apply_mode_map(symmetrization_maps(d_max)[0], table.moments(d_max), d_max)
-    mech = np.ones((len(nu), d_max + 1), dtype=complex)
+    mech = np.ones((len(kappa), d_max + 1), dtype=complex)
     for j in range(1, d_max + 1):
         mech[:, j] = _coefficient_rows(kappa, _order_keys(j), j) @ sums[order_slice(j)]
-    noise = _noise_powers(nu, d_max)
-    out = np.empty((len(nu), d_max), dtype=complex)
+    noise_moments = _noise_powers(noise, d_max)
+    out = np.empty((len(kappa), d_max), dtype=complex)
     for d in range(1, d_max + 1):
-        out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * noise[:, d - j] for j in range(d + 1))
+        out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * noise_moments[:, d - j] for j in range(d + 1))
     return out
 
 
@@ -277,16 +252,15 @@ def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
     return b
 
 
-def _port_spectrum(form: PortForm, state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the real port signal Y1 x 1 + 1 x Y2 and the state's
-    probability on each eigenvector, from the single-mode eigenbases."""
-    cfg = state.config
-    singles = {"X": fock.x_single, "P": fock.p_single}
-    y = {mode: np.zeros((cfg.cutoff(mode),) * 2, dtype=complex) for mode in (1, 2)}
-    for letter, c in form.signal.items():
-        mode = int(letter[1])
-        y[mode] = y[mode] + np.real(c) * singles[letter[0]](cfg.cutoff(mode))
-    (w1, v1), (w2, v2) = np.linalg.eigh(y[1]), np.linalg.eigh(y[2])
+def _port_spectrum(signal: np.ndarray, state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the real port signal Y1 x 1 + 1 x Y2, for a signal row over
+    (X1, P1, X2, P2), and the state's probability on each eigenvector, from the
+    single-mode eigenbases."""
+    y = [
+        np.real(signal[2 * k]) * fock.x_single(c) + np.real(signal[2 * k + 1]) * fock.p_single(c)
+        for k, c in enumerate((state.config.cutoff_1, state.config.cutoff_2))
+    ]
+    (w1, v1), (w2, v2) = map(np.linalg.eigh, y)
     amps = fock.on_mode(v1.conj().T, 1, fock.on_mode(v2.conj().T, 2, state.factor))
     return np.add.outer(w1, w2).ravel(), np.sum(np.abs(amps) ** 2, axis=2).ravel()
 
@@ -301,19 +275,19 @@ def sample_port_shots(
     """Per-shot homodyne record for real-coefficient pathways (closed system).
 
     The port observable is Hermitian only when every phase coefficient is
-    real (zetas and phi multiples of pi); samples are drawn from its exact
-    spectral measure plus the Gaussian input noise of the port.
+    real (zetas and phi multiples of pi), the noise row's included: an
+    unpulsed slot still injects vacuum noise. Samples are drawn from the
+    signal's exact spectral measure plus the Gaussian input noise of the port.
     """
-    form = port_observable(pathway, port)
-    coeffs = list(form.signal.values()) + list(form.noise_coeffs)
-    if max(abs(np.imag(c)) for c in coeffs) > 1e-12:
+    (signal,), (noise,) = _channel_signals([(pathway, port)])
+    if np.max(np.abs(np.imag([signal, noise]))) > 1e-12:
         raise ValueError("per-shot sampling requires a real-coefficient pathway")
-    w, probs = _port_spectrum(form, state)
+    w, probs = _port_spectrum(signal, state)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(w), size=n_samples, p=probs)
-    noise_sigma = math.sqrt(max(float(np.real(form.noise_variance)), 0.0))
+    noise_sigma = math.sqrt(np.real(np.sum(noise**2)) / 2.0)
     return w[idx] + rng.normal(0.0, noise_sigma, size=n_samples)
 
 
@@ -323,10 +297,6 @@ def sample_port_shots(
 
 def _order_keys(order: int) -> list[Key]:
     return keys_up_to_order(order)[order_slice(order)]
-
-
-def _coefficient_row(pathway: Pathway, port: str, keys: list[Key], order: int) -> np.ndarray:
-    return _coefficient_rows(_channel_signals([(pathway, port)])[0], keys, order)[0]
 
 
 def _greedy_rows(rows: np.ndarray, rank: int) -> list[int]:
@@ -397,18 +367,22 @@ def default_phase_sets(
     return [PhaseSet(*map(float, zetas[i])) for i in selected]
 
 
-def _missing_directions(a_stacked: np.ndarray, keys: list[Key], tol: float) -> list[Key]:
-    _, s, vt = np.linalg.svd(a_stacked, full_matrices=True)
-    rank = int(np.sum(s > tol))
-    null = vt[rank:]
-    missing = []
-    for row in null:
-        missing.append(keys[int(np.argmax(np.abs(row)))])
-    return sorted(set(missing))
+def _missing_directions(a_w: np.ndarray, keys: list[Key], tol: float) -> list[Key]:
+    """The key of each null direction's largest component (a full SVD: with fewer
+    rows than unknowns the reduced V^H has no null rows)."""
+    _, s, vh = np.linalg.svd(a_w, full_matrices=True)
+    null = vh[int(np.sum(s > tol)) :]
+    return sorted({keys[int(np.argmax(np.abs(row)))] for row in null})
 
 
 def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> MomentTable:
     """Iterative order-by-order least-squares recovery of canonical moments.
+
+    Each order is one weighted solve A_w x = b_w for its symmetrized sums
+    (weights 1/se, lower orders moved to b). One reduced SVD A_w = U diag(s) V^H
+    gives the rank and condition number, the solution V diag(1/s) U^H b_w and
+    the sums' standard errors as the row norms of V diag(1/s); forming
+    (A_w^H A_w)^-1 instead would square the condition number.
 
     Solved in complex arithmetic: for an evolved table the symmetrized
     sums carry small imaginary parts (the decoherence map does not preserve
@@ -418,8 +392,8 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
     """
     if not datasets:
         raise ValueError("no datasets supplied")
-    kappa, nu = _channel_signals([(ds.pathway, ds.port) for ds in datasets])
-    noise = _noise_powers(nu, target_order)
+    kappa, noise = _channel_signals([(ds.pathway, ds.port) for ds in datasets])
+    noise_moments = _noise_powers(noise, target_order)
     covered = np.array([ds.d_max for ds in datasets])
     # recovered <(sum_s kappa_s L_s)^j> of every channel, order by order
     mech = np.ones((len(datasets), target_order + 1), dtype=complex)
@@ -433,7 +407,7 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         if not use.size:
             raise RankDeficient(f"no datasets cover order {order}", keys)
         known = sum(
-            math.comb(order, j) * mech[use, j] * noise[use, order - j] for j in range(order)
+            math.comb(order, j) * mech[use, j] * noise_moments[use, order - j] for j in range(order)
         )
         a = _coefficient_rows(kappa[use], keys, order)
         b = np.array([datasets[i].sample_moments[order - 1] for i in use]) - known
@@ -443,8 +417,7 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         w[pos] = 1.0 / se[pos]
         w[~pos] = w[pos].max() * 10.0 if pos.any() else 1.0
         a_w = a * w[:, None]
-        b_w = b * w
-        svals = np.linalg.svd(a_w, compute_uv=False)
+        u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
         tol = svals[0] * max(a_w.shape) * np.finfo(float).eps
         rank = int(np.sum(svals > tol))
         if rank < len(keys):
@@ -455,9 +428,9 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         cond = svals[0] / svals[-1]
         if cond > COND_LIMIT:
             raise IllConditioned(f"order {order}: condition number {cond:.3g}")
-        sol, *_ = np.linalg.lstsq(a_w, b_w, rcond=None)
-        gram_inv = np.linalg.inv(a_w.conj().T @ a_w)
-        sum_errors = np.sqrt(np.clip(np.real(np.diag(gram_inv)), 0.0, None))
+        v_scaled = vh.conj().T / svals
+        sol = v_scaled @ (u.conj().T @ (b * w))
+        sum_errors = np.linalg.norm(v_scaled, axis=1)
         mech[use, order] = a @ sol
         # unlock individual canonical moments through the commutators (the
         # entries of this order are still zero: the maps give the lower part)

@@ -357,9 +357,10 @@ def ref_delta(rho, cfg):
     return max(delta, 0.0)
 
 
-def ref_port_spectrum(form, rho, cfg):
+def ref_port_spectrum(signal, rho, cfg):
+    """Spectral measure of the real port signal for a signal row over (X1, P1, X2, P2)."""
     ops = letter_matrices(cfg)
-    y = sum(np.real(c) * ops[letter] for letter, c in form.signal.items())
+    y = sum(np.real(c) * ops[letter] for letter, c in zip(("X1", "P1", "X2", "P2"), signal))
     w, v = np.linalg.eigh(y)
     return w, np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho, v))
 
@@ -437,9 +438,9 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
         assert checked.entries == table.entries
 
     # per-shot sampler: the spectral measure of a real-coefficient port signal
-    form = verify.port_observable(verify.Pathway(chi=1.2, phi=math.pi), "A")
-    w, probs = verify._port_spectrum(form, state)
-    w_ref, probs_ref = ref_port_spectrum(form, rho, cfg)
+    (signal,), _ = verify._channel_signals([(verify.Pathway(chi=1.2, phi=math.pi), "A")])
+    w, probs = verify._port_spectrum(signal, state)
+    w_ref, probs_ref = ref_port_spectrum(signal, rho, cfg)
     for k in range(5):
         assert rel_err(np.sum(probs * w**k), np.sum(probs_ref * w_ref**k)) < 1e-12
 

@@ -16,7 +16,6 @@ from mechcat.verify import (
     VerificationStudy,
     default_phase_sets,
     exact_port_moments,
-    port_observable,
     recover_moments,
     sample_port_shots,
 )
@@ -36,34 +35,35 @@ def port_datasets(table, port, n_samples, seeds, phases=PhaseSet(), chi=1.0):
     return [study.datasets(n_samples, seed)[PORTS.index(port)] for seed in seeds]
 
 
+def channel_rows(pathway, port):
+    """The signal and noise coefficient rows of one channel over (X1, P1, X2, P2)."""
+    (signal,), (noise,) = verify._channel_signals([(pathway, port)])
+    return signal, noise
+
+
 def test_port_coefficients_single_pulse():
     pathway = Pathway(pulses=frozenset({"m1_t0"}), chi=2.0, phi=0.7)
-    form = port_observable(pathway, "A")
-    assert form.signal == {"X1": pytest.approx(2.0 * 0.5)}
+    signal, noise = channel_rows(pathway, "A")
+    assert signal[0] == pytest.approx(2.0 * 0.5)
+    assert np.all(signal[1:] == 0)
     # every port carries exactly one unit of vacuum noise
-    assert np.sum(np.abs(form.noise_coeffs) ** 2) == pytest.approx(1.0)
+    assert np.sum(np.abs(noise) ** 2) == pytest.approx(1.0)
 
 
 def test_port_coefficients_full_pathway():
     phi = 1.3
     pathway = Pathway(phases=PhaseSet(), chi=1.0, phi=phi)
-    form_a = port_observable(pathway, "A")
+    signal_a, _ = channel_rows(pathway, "A")
     e = np.exp(1j * phi)
-    assert form_a.signal["X1"] == pytest.approx(0.5)
-    assert form_a.signal["P1"] == pytest.approx(0.5)
-    assert form_a.signal["X2"] == pytest.approx(0.5 * e)
-    assert form_a.signal["P2"] == pytest.approx(0.5 * e)
-    form_c = port_observable(pathway, "C")
-    signs = np.sign(
-        [form_c.noise_coeffs[0].real, form_c.noise_coeffs[1].real,
-         (form_c.noise_coeffs[2] / e).real, (form_c.noise_coeffs[3] / e).real]
-    )
+    assert signal_a[0] == pytest.approx(0.5)
+    assert signal_a[1] == pytest.approx(0.5)
+    assert signal_a[2] == pytest.approx(0.5 * e)
+    assert signal_a[3] == pytest.approx(0.5 * e)
+    _, noise_c = channel_rows(pathway, "C")
+    signs = np.sign([noise_c[0].real, noise_c[1].real, (noise_c[2] / e).real, (noise_c[3] / e).real])
     assert list(signs) == [1, -1, -1, -1]
-    form_d = port_observable(pathway, "D")
-    signs_d = np.sign(
-        [form_d.noise_coeffs[0].real, form_d.noise_coeffs[1].real,
-         (form_d.noise_coeffs[2] / e).real, (form_d.noise_coeffs[3] / e).real]
-    )
+    _, noise_d = channel_rows(pathway, "D")
+    signs_d = np.sign([noise_d[0].real, noise_d[1].real, (noise_d[2] / e).real, (noise_d[3] / e).real])
     assert list(signs_d) == [1, -1, 1, -1]
 
 
@@ -81,16 +81,15 @@ def test_exact_third_moment_single_pulse_structure():
     table = evolved_table(mu=0.8, phi=2.0, order=6)
     chi = 1.3
     pathway = Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=2.0)
-    form = port_observable(pathway, "A")
-    nu = form.noise_variance
+    nu = np.sum(channel_rows(pathway, "A")[1] ** 2) / 2.0
     m = exact_port_moments(pathway, "A", table, 3)
     x1 = table.value((1, 0, 0, 0))
     x3 = table.value((3, 0, 0, 0))
     expect = (chi / 2) ** 3 * x3 + 3 * (chi / 2) * x1 * nu
     assert m[2] == pytest.approx(expect, rel=1e-12)
     # real pathway (phi = pi): the port noise variance is the full vacuum 1/2
-    form_pi = port_observable(Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=PHI), "A")
-    assert form_pi.noise_variance == pytest.approx(0.5)
+    _, noise_pi = channel_rows(Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=PHI), "A")
+    assert np.sum(noise_pi**2) / 2.0 == pytest.approx(0.5)
 
 
 def test_odd_port_moments_vanish_on_ground_state():
@@ -162,6 +161,17 @@ def test_per_shot_requires_real_pathway():
     cfg = fock.FockConfig(10, 10)
     state = fock.ground_state(cfg)
     pathway = Pathway(phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
+    with pytest.raises(ValueError):
+        sample_port_shots(pathway, "A", state, 10, seed=0)
+
+
+def test_per_shot_requires_a_real_noise_row():
+    # the one pulsed slot's signal is real, but the unpulsed P1 slot still injects
+    # noise through the complex coefficient e^{i (zeta_3 + zeta_1)} / 2
+    state = fock.ground_state(fock.FockConfig(10, 10))
+    pathway = Pathway(pulses=frozenset({"m1_t0"}), phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
+    signal, noise = channel_rows(pathway, "A")
+    assert np.all(signal.imag == 0) and np.max(np.abs(noise.imag)) > 0.1
     with pytest.raises(ValueError):
         sample_port_shots(pathway, "A", state, 10, seed=0)
 
@@ -257,13 +267,10 @@ def test_default_phase_sets_order1_minimal():
 
 def test_default_phase_sets_span_order4():
     sets = default_phase_sets(4, phi=PHI)
-    keys = [k for k in verify._order_keys(4)]
-    rows = []
-    for ps in sets:
-        pathway = Pathway(phases=ps, chi=1.0, phi=PHI)
-        for port in PORTS:
-            rows.append(verify._coefficient_row(pathway, port, keys, 4))
-    rank = np.linalg.matrix_rank(np.array(rows))
+    keys = verify._order_keys(4)
+    channels = [(Pathway(phases=ps, chi=1.0, phi=PHI), port) for ps in sets for port in PORTS]
+    rows = verify._coefficient_rows(verify._channel_signals(channels)[0], keys, 4)
+    rank = np.linalg.matrix_rank(rows)
     assert rank == len(keys) == 35
 
 
@@ -300,7 +307,9 @@ def test_rank_deficient_single_phase_set():
     study = VerificationStudy(table, phi=PHI, target_order=2, phase_sets=[PhaseSet()])
     with pytest.raises(RankDeficient) as err:
         study.run(None)
-    assert err.value.missing_directions
+    # four channels against ten unknowns: the reduced SVD has no null rows, so
+    # the null directions come from the full one
+    assert err.value.missing_directions == [(0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)]
 
 
 def test_ill_conditioned_family():
@@ -325,6 +334,36 @@ def test_recovered_errors_scale_and_realness():
     bigger = study.run(10**8, seed=2).recovered_table
     for key in [(2, 0, 0, 0), (0, 0, 0, 4)]:
         assert rec.std_errors[key] / bigger.std_errors[key] == pytest.approx(10.0, rel=0.05)
+
+
+def test_recovered_errors_against_50_digit_gram_inverse():
+    # the `mechcat verify` defaults, last run of --seed 7: the order-4 weighted
+    # matrix has condition number ~1.5e6, so (A_w^H A_w)^-1 in doubles loses ~1e-6
+    import mpmath as mp
+
+    from mechcat.algebra import apply_mode_map, order_slice, symmetrization_maps
+    from mechcat.presets import OMEGA_M_DEFAULT
+
+    env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
+    datasets = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI).datasets(10**6, (7, 19))
+    rec = recover_moments(datasets, 4)
+    kappa, _ = verify._channel_signals([(ds.pathway, ds.port) for ds in datasets])
+    sym_sq = symmetrization_maps(4)[1]
+    errors = np.zeros(len(keys_up_to_order(4)))
+    with mp.workdps(50):
+        for order in range(1, 5):
+            keys = verify._order_keys(order)
+            se = np.array([ds.standard_errors[order - 1] for ds in datasets])
+            assert np.all(se > 0)
+            a_w = mp.matrix((verify._coefficient_rows(kappa, keys, order) / se[:, None]).tolist())
+            gram_inv = mp.inverse(a_w.H * a_w)
+            sum_var = np.array([float(mp.re(gram_inv[i, i])) for i in range(len(keys))])
+            block = order_slice(order)
+            lower_var = apply_mode_map(sym_sq, errors**2, 4)[block].real
+            n_words = np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
+            errors[block] = np.sqrt(sum_var + lower_var) / n_words
+    for key, ref in zip(verify._order_keys(4), errors[order_slice(4)]):
+        assert abs(rec.std_errors[key] - ref) <= 1e-9 * ref
 
 
 def test_sign_stability_small():
@@ -373,15 +412,15 @@ def test_dataset_json_round_trip():
 
 
 def _reference_port_moments(pathway, port, table, d_max):
-    form = port_observable(pathway, port)
+    signal, noise = channel_rows(pathway, port)
 
     def mech_coefficient(key, order):
         c = math.comb(order, key[0] + key[1])
-        for letter, e in zip(("X1", "P1", "X2", "P2"), key):
+        for coefficient, e in zip(signal, key):
             if e:
-                if letter not in form.signal:
+                if coefficient == 0:  # an unpulsed slot
                     return 0.0
-                c = c * form.signal[letter] ** e
+                c = c * coefficient**e
         return c
 
     def mech_moment(order):
@@ -395,7 +434,7 @@ def _reference_port_moments(pathway, port, table, d_max):
     def noise_moment(m):
         if m % 2:
             return 0.0
-        return math.prod(range(m - 1, 0, -2)) * form.noise_variance ** (m // 2)
+        return math.prod(range(m - 1, 0, -2)) * (np.sum(noise**2) / 2.0) ** (m // 2)
 
     mech = [mech_moment(j) for j in range(d_max + 1)]
     return np.array([
@@ -467,7 +506,8 @@ def _reference_phase_sets(target_order, phi, chi, margin):
             for port in PORTS:
                 if len(bases[d]) >= len(keys[d]):
                     break
-                vec = verify._coefficient_row(pathway, port, keys[d], d)
+                kappa, _ = verify._channel_signals([(pathway, port)])
+                vec = verify._coefficient_rows(kappa, keys[d], d)[0]
                 norm0 = np.linalg.norm(vec)
                 if norm0 < 1e-12:
                     continue
