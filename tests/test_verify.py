@@ -418,9 +418,7 @@ def _reference_port_moments(pathway, port, table, d_max):
         c = math.comb(order, key[0] + key[1])
         for coefficient, e in zip(signal, key):
             if e:
-                if coefficient == 0:  # an unpulsed slot
-                    return 0.0
-                c = c * coefficient**e
+                c = c * coefficient**e  # 0 for an unpulsed slot
         return c
 
     def mech_moment(order):
