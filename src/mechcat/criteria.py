@@ -243,8 +243,9 @@ def _false_position(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     until hi - lo <= tol = max(1e-10 hi, 1e-15) (1e-15 is the floor for a bracket at
     zero). f(x, at) evaluates at the flat indices `at` of the brackets still open.
 
-    Each step is the Illinois false position (Dowell & Jarratt, BIT 11, 168 (1971)):
-    the end kept on two steps running has its value halved. The point is held tol/2
+    Each step is the Anderson-Bjorck false position (BIT 13, 253 (1973)): the end kept on
+    two steps running has its value scaled by 1 - f_new/f_old of the end that moved, or halved
+    where that factor is not positive (the Illinois rule). The point is held tol/2
     inside the bracket, so a side that has converged closes it on the next step. A
     bracket that has not halved over the last three steps, or whose false position is
     not inside it, takes the midpoint instead, so every bracket halves at least once
@@ -261,9 +262,13 @@ def _false_position(f, lo, hi, f_lo, f_hi) -> np.ndarray:
         fx = f(x, at)
         widths[:, at] = w, widths[0, at], widths[1, at]
         neg = fx < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 1.0 - fx / np.where(neg, f_lo[at], f_hi[at])  # f_old of the end that moves
+        twice = np.where(neg, moved[at] > 0, moved[at] < 0)
+        scale = np.where(twice, np.where(scale > 0.0, scale, 0.5), 1.0)
         up, down = at[neg], at[~neg]
-        f_hi[up[moved[up] > 0]] *= 0.5
-        f_lo[down[moved[down] < 0]] *= 0.5
+        f_hi[up] *= scale[neg]
+        f_lo[down] *= scale[~neg]
         lo[up], f_lo[up], moved[up] = x[neg], fx[neg], 1.0
         hi[down], f_hi[down], moved[down] = x[~neg], fx[~neg], -1.0
     return 0.5 * (lo + hi)

@@ -52,6 +52,7 @@ def _require_coherent(protocol: ProtocolParams) -> None:
 # numpy's exp and x * x round unlike math.exp and x ** 2 for ~5 % and ~0.1 % of arguments;
 # math.exp elementwise and np.float_power (libm pow) keep F's scalar closed-form values
 _exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 # the fringe of herald.heralding_probability, elementwise
 _fringe = np.vectorize(herald.fringe, otypes=[float])
 
@@ -77,21 +78,53 @@ def click_terms(mu, phi, nbar_1, nbar_2) -> np.ndarray:
     return (2.0 * np.cos(phi / 2.0)) ** (2 * m) + 2.0 * (_binomials() @ wave[..., None])[..., 0]
 
 
+# m^p for the click series' moments p = 0, 1, 2 (rows) over m = 1..L_SUM_M_CAP
+_M_POWERS = np.arange(1, L_SUM_M_CAP + 1) ** np.arange(3)[:, None]
+
+
+def _click_moments(eta: float, a2, terms: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_m m^p c_m for p = 0..order on a leading axis, with c_m = (eta|a|^2/4)^m / m! T_m the
+    terms of the click sum, each point's summed as its own slice up to its first term below
+    L_SUM_TERM_TOL; and where such a term lies within the cap m <= L_SUM_M_CAP (elsewhere the
+    sums stop at the cap and are too small)."""
+    m = np.arange(1, L_SUM_M_CAP + 1)
+    contrib = np.cumprod(eta * np.asarray(a2)[..., None] / 4.0 / m, axis=-1) * terms
+    below = np.abs(contrib) < L_SUM_TERM_TOL
+    inside = below.any(axis=-1)
+    stop = np.where(inside, below.argmax(axis=-1) + 1, L_SUM_M_CAP)
+    rows = (contrib[..., None, :] * _M_POWERS[: order + 1]).reshape(-1, order + 1, L_SUM_M_CAP)
+    sums = np.array([np.add.reduce(row[:, :k], axis=-1) for row, k in zip(rows, stop.ravel())])
+    return sums.T.reshape((order + 1,) + stop.shape), inside
+
+
 def click_sum(eta: float, a2, terms: np.ndarray) -> np.ndarray:
     """L = sum_m (eta|a|^2/4)^m / m! T_m over `click_terms`, up to the first m-term below
     L_SUM_TERM_TOL; each point's terms are summed as their own slice, so L does not depend on the
     batch. m is capped at L_SUM_M_CAP because the entangling pulse is weak; no term below the
     tolerance within the cap raises TruncationTooSmall instead of returning the truncated sum.
     """
-    m = np.arange(1, L_SUM_M_CAP + 1)
-    contrib = np.cumprod(eta * np.asarray(a2)[..., None] / 4.0 / m, axis=-1) * terms
-    below = np.abs(contrib) < L_SUM_TERM_TOL
-    if not below.any(axis=-1).all():
+    (lsum,), inside = _click_moments(eta, a2, terms, 0)
+    if not inside.all():
         raise TruncationTooSmall(f"click sum has no term below {L_SUM_TERM_TOL:g} up to m = "
                                  f"{L_SUM_M_CAP}; |alpha|^2 up to {np.max(a2):g} is too large")
-    stop = below.argmax(axis=-1) + 1
-    rows = contrib.reshape(-1, L_SUM_M_CAP)
-    return np.array([np.add.reduce(row[:k]) for row, k in zip(rows, stop.ravel())]).reshape(stop.shape)
+    return lsum
+
+
+def _fraction_parts(det: DetectorParams, mu, phi, nbar_1, nbar_2):
+    """The alpha-independent parts of F: P10's fringe and, for a non-resolving detector, the click terms."""
+    fringe = _fringe(np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0, phi)
+    return fringe, None if det.resolving else click_terms(mu, phi, nbar_1, nbar_2)
+
+
+def _inverse_fraction(det: DetectorParams, fringe, a2, lsum=None) -> np.ndarray:
+    """1/F at |alpha|^2 = a2 from the parts of `_fraction_parts` (and the click sum L if non-resolving)."""
+    eta, dark = det.eta, det.dark_prob
+    p10 = _exp(-a2) * a2 / 2.0 * fringe
+    if np.any(p10 < 1e-300):
+        raise DegenerateHerald("P10 vanishes; F undefined")
+    if det.resolving:
+        return _exp((1.0 - eta) * a2) + _exp(-eta * a2) * dark / (eta * p10 * (1.0 - dark))
+    return _exp(-eta * a2) * (lsum + dark) / (eta * p10)
 
 
 def fraction_of_amplitude(det: DetectorParams, mu, phi, nbar_1, nbar_2):
@@ -104,20 +137,12 @@ def fraction_of_amplitude(det: DetectorParams, mu, phi, nbar_1, nbar_2):
     with P10 = e^{-|a|^2} |a|^2/2 (1 + lam cos phi) of `herald.heralding_probability`, its
     fringe in expm1 form; the alpha-independent fringe and click terms are computed once.
     """
-    eta, dark = det.eta, det.dark_prob
-    fringe = _fringe(np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0, phi)
-    terms = None if det.resolving else click_terms(mu, phi, nbar_1, nbar_2)
+    fringe, terms = _fraction_parts(det, mu, phi, nbar_1, nbar_2)
 
     def fraction(alpha) -> np.ndarray:
         a2 = np.float_power(np.abs(alpha), 2)
-        p10 = _exp(-a2) * a2 / 2.0 * fringe
-        if np.any(p10 < 1e-300):
-            raise DegenerateHerald("P10 vanishes; F undefined")
-        if det.resolving:
-            inv = _exp((1.0 - eta) * a2) + _exp(-eta * a2) * dark / (eta * p10 * (1.0 - dark))
-        else:
-            inv = _exp(-eta * a2) * (click_sum(eta, a2, terms) + dark) / (eta * p10)
-        return 1.0 / inv
+        lsum = None if det.resolving else click_sum(det.eta, a2, terms)
+        return 1.0 / _inverse_fraction(det, fringe, a2, lsum)
 
     return fraction
 
@@ -146,30 +171,105 @@ class AlphaOptimum:
     flat_objective: np.ndarray
 
 
+# Newton steps in u = ln|alpha|^2 stop below this size, and a bracket narrower than it is closed;
+# the step after one of this size is off by ~U_TOL^2
+U_TOL = 1e-4
+
+
+def _click_slope(det: DetectorParams, x, terms: np.ndarray):
+    """h = x d ln(1/F)/dx = (1-eta) x + S1/(L+D) - 1 of a non-resolving detector and dh/du, u = ln x,
+    from one click-series evaluation: L, S1 = x L' and S2 = x (x L')' are its sums of c_m, m c_m and
+    m^2 c_m, so dh/du = (1-eta) x + S2/(L+D) - (S1/(L+D))^2 >= 0. Also L, and where the series
+    lies inside its cap."""
+    (lsum, s1, s2), inside = _click_moments(det.eta, x, terms, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # L + D = 0 only where P10 vanishes
+        ratio, curve = s1 / (lsum + det.dark_prob), s2 / (lsum + det.dark_prob)
+    return (1.0 - det.eta) * x + ratio - 1.0, (1.0 - det.eta) * x + curve - ratio * ratio, lsum, inside
+
+
+def _newton_click_optimum(det: DetectorParams, terms: np.ndarray, u, a, b, capped) -> np.ndarray:
+    """The root of h (`_click_slope`) in u at every point, by safeguarded Newton steps from u inside
+    the bracket [a, b] with h(a) < 0 <= h(b); capped marks a b whose series reaches the cap. A step
+    that leaves the bracket bisects it instead; a trial whose series reaches the cap closes the
+    bracket from above, and a bracket that closes there raises TruncationTooSmall. Points that have
+    converged keep their u while the others step.
+    """
+    live = np.ones(u.shape, dtype=bool)
+    while live.any():
+        h, dh, _, inside = _click_slope(det, _exp(u), terms)
+        lower = live & inside & (h < 0.0)
+        upper = live & ~lower
+        a, b, capped = np.where(lower, u, a), np.where(upper, u, b), np.where(upper, ~inside, capped)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = u - h / dh
+        converged = inside & (a <= newton) & (newton <= b) & (np.abs(newton - u) <= U_TOL)
+        step = converged | (inside & (a < newton) & (newton < b))
+        closed = ~converged & (b - a <= U_TOL)
+        if np.any(stuck := live & closed & capped):
+            raise TruncationTooSmall(f"click sum has no term below {L_SUM_TERM_TOL:g} up to m = "
+                                     f"{L_SUM_M_CAP}; the search for the optimum closes at |alpha|^2 = "
+                                     f"{np.min(_exp(b[stuck])):g}, which is too large")
+        u = np.where(live, np.where(step, newton, 0.5 * (a + b)), u)
+        live &= ~(converged | closed)
+    return u
+
+
 def optimize_alpha(det: DetectorParams, mu, phi, nbar_1, nbar_2,
-                   lo: float = 1e-4, hi: float = 4.0, tol: float = 1e-6) -> AlphaOptimum:
-    """Golden-section maximum of F over real alpha in [lo, hi] at every broadcast point
-    (mu, phi, nbar_1, nbar_2) at once: each point narrows its own bracket to at most tol and
-    ends at its midpoint, or at hi if F spreads less than 1e-12 over lo, hi and the first probes.
+                   lo: float = 1e-4, hi: float = 4.0) -> AlphaOptimum:
+    """Maximum of F over real alpha in [lo, hi] at every broadcast point (mu, phi, nbar_1, nbar_2),
+    as the minimum of ln(1/F) over x = |alpha|^2; each point's arithmetic is its own, so a batch
+    gives the values of its points one at a time.
+
+    Resolving: ln(1/F) = (1-eta) x + ln(1 + C/x), C = 2D / (eta (1-D) fringe), is convex, and its
+    minimum is the positive root of x^2 + C x - C/(1-eta), x* = 2 / (s + sqrt(s^2 + 4 s/C)) with
+    s = 1 - eta (hi^2 at eta = 1), clipped to [lo^2, hi^2]: one F evaluation. Non-resolving:
+    safeguarded Newton steps on x d ln(1/F)/dx in u = ln x (`_newton_click_optimum`), bracketed by
+    the probes below and started at the root of the click sum cut to its first two terms; each
+    step is one click-series evaluation.
+
+    F is flat where it spreads less than 1e-12 over lo, hi and the two golden-section points
+    between them (the probes); alpha is then hi.
     """
     points = np.broadcast_arrays(mu, phi, nbar_1, nbar_2)
-    f = fraction_of_amplitude(det, *(np.ravel(v) for v in points))
+    shape = points[0].shape
+    fringe, terms = _fraction_parts(det, *(np.ravel(v) for v in points))
+    eta, dark, s = det.eta, det.dark_prob, 1.0 - det.eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 2.0 * dark / (eta * (1.0 - dark) * fringe)
+        x = 2.0 / (s + np.sqrt(s * s + 4.0 * s / c))
+    x = np.fmin(np.fmax(x, lo * lo), hi * hi)  # fmax takes nan (D = 0 at eta = 1) to lo^2
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.full(points[0].size, lo), np.full(points[0].size, hi)
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    probes = np.stack([f(a), fc, fd, f(b)])
-    flat = probes.max(axis=0) - probes.min(axis=0) < 1e-12
-    while (live := b - a > tol).any():
-        left, right = live & (fc > fd), live & ~(fc > fd)
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        c[left] = b[left] - inv_phi * (b[left] - a[left])
-        d[right] = a[right] + inv_phi * (b[right] - a[right])
-        f_new = f(np.where(left, c, d))
-        fc[left], fd[right] = f_new[left], f_new[right]
-    alpha = np.where(flat, hi, 0.5 * (a + b))
-    return AlphaOptimum(*(v.reshape(points[0].shape) for v in (alpha, f(alpha), flat)))
+    probes = np.array([lo, hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo), hi])[:, None]
+    if det.resolving:
+        a2 = np.float_power(np.concatenate([np.broadcast_to(probes, (4, x.size)), np.sqrt(x)[None]]), 2)
+        f = 1.0 / _inverse_fraction(det, fringe, a2)
+        flat = np.ptp(f[:4], axis=0) < 1e-12
+        alpha, fraction = np.where(flat, hi, np.sqrt(x)), np.where(flat, f[3], f[4])
+        return AlphaOptimum(*(v.reshape(shape) for v in (alpha, fraction, flat)))
+    a2 = np.float_power(probes, 2)
+    h, _, lsum, inside = _click_slope(det, a2, terms)
+    flat = inside.all(axis=0) & (np.ptp(1.0 / _inverse_fraction(det, fringe, a2, lsum), axis=0) < 1e-12)
+    # h rises with u: the probes below the root bracket it, an end probe where none or all are
+    below = (inside & (h < 0.0)).sum(axis=0)
+    u_probes = _log(a2[:, 0])
+    a, b = u_probes[np.maximum(below - 1, 0)], u_probes[np.minimum(below, 3)]
+    capped = ~inside[np.minimum(below, 3), np.arange(x.size)]
+    # start at the root of the two-term click model L = c_1 + c_2, a cubic
+    # p(x) = s k x^3 + (s + k) x^2 + s C x - C with C = 2D / (eta fringe), k = eta T_2 / (16 fringe),
+    # by Newton steps from above its root (below x* and sqrt(C/k)), where they fall monotonically
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c, k = 2.0 * dark / (eta * fringe), eta * terms[:, 1] / (16.0 * fringe)
+        x = np.fmin(x, np.sqrt(c / k))
+        for _ in range(4):
+            x = x - (((s * k * x + s + k) * x + s * c) * x - c) / ((3.0 * s * k * x + 2.0 * (s + k)) * x + s * c)
+    u = np.fmin(np.fmax(_log(np.fmax(x, lo * lo)), a), b)
+    todo = np.flatnonzero(~flat)
+    u = _newton_click_optimum(det, terms[todo], u[todo], a[todo], b[todo], capped[todo])
+    alpha = np.full(x.size, hi)
+    alpha[todo] = np.clip(np.sqrt(_exp(u)), lo, hi)
+    a2 = np.float_power(alpha, 2)
+    fraction = 1.0 / _inverse_fraction(det, fringe, a2, click_sum(eta, a2, terms))
+    return AlphaOptimum(*(v.reshape(shape) for v in (alpha, fraction, flat)))
 
 
 # ---------------------------------------------------------------------------

@@ -367,12 +367,26 @@ def default_phase_sets(
     return [PhaseSet(*map(float, zetas[i])) for i in selected]
 
 
-def _missing_directions(a_w: np.ndarray, keys: list[Key], tol: float) -> list[Key]:
-    """The key of each null direction's largest component (a full SVD: with fewer
-    rows than unknowns the reduced V^H has no null rows)."""
+def _null_space(a_w: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the null space of a_w (a full SVD: with fewer rows than
+    unknowns the reduced V^H has no null rows)."""
     _, s, vh = np.linalg.svd(a_w, full_matrices=True)
-    null = vh[int(np.sum(s > tol)) :]
-    return sorted({keys[int(np.argmax(np.abs(row)))] for row in null})
+    return vh[int(np.sum(s > tol)) :]
+
+
+def _missing_directions(null: np.ndarray, keys: list[Key]) -> list[Key]:
+    """One key per null direction, sorted: greedy pivots on the diagonal of the null-space
+    projector N^H N, deflated after each pivot. The projector does not depend on the basis
+    the rows of N give it, and a diagonal entry within 1e-9 relative of the largest goes to
+    the key listed first."""
+    proj = null.conj().T @ null
+    picked = []
+    for _ in range(len(null)):
+        diag = proj.diagonal().real
+        k = int(np.argmax(diag >= (1.0 - 1e-9) * diag.max()))
+        picked.append(keys[k])
+        proj = proj - np.outer(proj[:, k], proj[k]) / diag[k]
+    return sorted(picked)
 
 
 def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> MomentTable:
@@ -380,9 +394,10 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
 
     Each order is one weighted solve A_w x = b_w for its symmetrized sums
     (weights 1/se, lower orders moved to b). One reduced SVD A_w = U diag(s) V^H
-    gives the rank and condition number, the solution V diag(1/s) U^H b_w and
-    the sums' standard errors as the row norms of V diag(1/s); forming
-    (A_w^H A_w)^-1 instead would square the condition number.
+    gives the rank and condition number, the solution V diag(1/s) U^H b_w, refined
+    by one step on its residual (x += V diag(1/s) U^H (b_w - A_w x), about a digit
+    for noiseless data), and the sums' standard errors as the row norms of
+    V diag(1/s); forming (A_w^H A_w)^-1 instead would square the condition number.
 
     Solved in complex arithmetic: for an evolved table the symmetrized
     sums carry small imaginary parts (the decoherence map does not preserve
@@ -423,13 +438,15 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         if rank < len(keys):
             raise RankDeficient(
                 f"order {order}: rank {rank} < {len(keys)} unknowns",
-                _missing_directions(a_w, keys, tol),
+                _missing_directions(_null_space(a_w, tol), keys),
             )
         cond = svals[0] / svals[-1]
         if cond > COND_LIMIT:
             raise IllConditioned(f"order {order}: condition number {cond:.3g}")
         v_scaled = vh.conj().T / svals
-        sol = v_scaled @ (u.conj().T @ (b * w))
+        b_w = b * w
+        sol = v_scaled @ (u.conj().T @ b_w)
+        sol += v_scaled @ (u.conj().T @ (b_w - a_w @ sol))
         sum_errors = np.linalg.norm(v_scaled, axis=1)
         mech[use, order] = a @ sol
         # unlock individual canonical moments through the commutators (the

@@ -1,5 +1,5 @@
-"""Scalar golden-section search over alpha, one protocol point at a time, for
-test oracles: the search `detector.optimize_alpha` runs on arrays of points."""
+"""Scalar golden-section search over alpha, one protocol point at a time: the test
+oracle for the closed-form and Newton optimum of `detector.optimize_alpha`."""
 
 import dataclasses
 import math

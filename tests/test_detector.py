@@ -8,7 +8,7 @@ import pytest
 
 from dense_reference import lift, thermal_columns
 from golden_section_reference import golden_section_alpha
-from mechcat import fock
+from mechcat import detector, fock
 from mechcat.detector import (
     LOSS_TRUNCATION,
     DetectorParams,
@@ -17,6 +17,7 @@ from mechcat.detector import (
     click_sum,
     click_terms,
     dark_prob_from_rate,
+    fraction_of_amplitude,
     fractions_from_oracle,
     loss_outcome_probability,
     optimize_alpha,
@@ -72,6 +73,9 @@ def test_optimized_fractions():
 def test_degenerate_herald():
     with pytest.raises(DegenerateHerald):
         true_positive_fraction_resolving(DET, protocol(0.0))
+    for resolving in (True, False):
+        with pytest.raises(DegenerateHerald):
+            optimize_alpha(DetectorParams(0.8, 0.0, resolving), 0.0, math.pi, 0.0, 0.0)
 
 
 def test_resolving_dominates_nonresolving():
@@ -193,42 +197,89 @@ def _search_grid(seed, size):
     return mu, phi, nbar, 0.5 + 0.5 * (np.arange(3) + rng.random(3)) / 3
 
 
+def _search_detectors(etas, resolving):
+    # the perfect detector has a flat resolving objective
+    return [DetectorParams(eta, 1e-8, resolving) for eta in etas] + [DetectorParams(1.0, 0.0, resolving)]
+
+
 @pytest.mark.parametrize("resolving", [True, False])
 def test_batched_search_matches_scalar_golden_section(resolving):
     mu, phi, nbar, etas = _search_grid(18, 12)
-    # the perfect detector has a flat resolving objective
-    for det in [DetectorParams(eta, 1e-8, resolving) for eta in etas] + [DetectorParams(1.0, 0.0, resolving)]:
-        ok = []
+    for det in _search_detectors(etas, resolving):
+        opt = optimize_alpha(det, mu, phi, nbar, nbar)
         for k in range(mu.size):
+            one = optimize_alpha(det, mu[k], phi[k], nbar[k], nbar[k])
+            assert (one.alpha, one.fraction, one.flat_objective) == (opt.alpha[k], opt.fraction[k],
+                                                                     opt.flat_objective[k])
             try:
-                ok.append((k, golden_section_alpha(det, protocol(mu[k], nbar[k], phi=phi[k]))))
+                alpha, fraction, flat = golden_section_alpha(det, protocol(mu[k], nbar[k], phi=phi[k]))
             except TruncationTooSmall:
-                # alpha -> 4 at phi near 0 and eta > 0.91 passes the click sum's cap
-                with pytest.raises(TruncationTooSmall):
-                    optimize_alpha(det, mu[k], phi[k], nbar[k], nbar[k])
-        idx = [k for k, _ in ok]
-        opt = optimize_alpha(det, mu[idx], phi[idx], nbar[idx], nbar[idx])
-        for j, (k, (_, fraction, flat)) in enumerate(ok):
-            assert abs(opt.fraction[j] - fraction) <= 1e-14 * fraction, (det, k)
-            assert opt.flat_objective[j] == flat, (det, k)
+                continue  # alpha -> 4 at phi near 0 and eta > 0.91 passes the click sum's cap
+            assert opt.fraction[k] >= fraction * (1.0 - 1e-15), (det, k)
+            assert opt.flat_objective[k] == flat, (det, k)
+            # without dark counts F is 1 to rounding over a range of alpha above lo, where the
+            # golden-section point is arbitrary
+            if not flat and det.dark_prob > 0.0:
+                assert abs(opt.alpha[k] - alpha) <= 1e-6, (det, k)
     assert opt.flat_objective.all() == resolving  # the perfect detector's search, the last one
 
 
-def test_each_point_of_a_search_stops_at_its_own_width():
-    # rounding leaves the brackets of rows (i) and (iv) 1.3287163713737726e-06 and
-    # 1.3287163714223449e-06 wide after 31 steps: this tol stops only the first there
-    tol = 1.3287163714e-06
-    opt = optimize_alpha(DET, np.array([1e-3, 1.0]), math.pi, 0.1, 0.1, tol=tol)
-    for k, mu in enumerate((1e-3, 1.0)):
-        alpha, fraction, _ = golden_section_alpha(DET, protocol(mu), tol=tol)
-        assert (opt.alpha[k], opt.fraction[k]) == (alpha, fraction)
+def test_search_stays_inside_the_click_sums_cap():
+    # where the golden-section reference probes alpha = 4 past the cap, the search still
+    # finds the best F of the alphas whose click sum the cap holds
+    mu, phi, nbar, etas = _search_grid(18, 12)
+    alphas = np.linspace(1e-4, 4.0, 200)
+    seen = 0
+    for det in _search_detectors(etas, resolving=False):
+        opt = optimize_alpha(det, mu, phi, nbar, nbar)
+        for k in range(mu.size):
+            p = protocol(mu[k], nbar[k], phi=phi[k])
+            try:
+                golden_section_alpha(det, p)
+                continue
+            except TruncationTooSmall:
+                seen += 1
+            fraction = fraction_of_amplitude(det, mu[k], phi[k], nbar[k], nbar[k])
+            grid = []
+            for alpha in alphas:
+                try:
+                    grid.append(float(fraction(alpha)))
+                except TruncationTooSmall:
+                    break
+            assert opt.fraction[k] >= max(grid), (det, k)
+    assert seen >= 4
+
+
+def test_search_raises_where_its_bracket_closes_at_the_cap():
+    # alpha in [4.5, 5] at phi = 0 lies past the cap (|alpha|^2 = 18.5 at eta = 0.8)
+    det = DetectorParams(eta=0.8, dark_prob=1e-8, resolving=False)
+    with pytest.raises(TruncationTooSmall, match=r"\|alpha\|\^2"):
+        optimize_alpha(det, np.array([1e-3, 0.5]), np.array([math.pi, 0.0]), 0.0, 0.0, lo=4.5, hi=5.0)
+    # from 3.9 the optimum is lo, inside the cap, though hi is past it
+    opt = optimize_alpha(det, 1e-3, 0.0, 0.0, 0.0, lo=3.9, hi=5.0)
+    assert opt.alpha == 3.9 and not opt.flat_objective
+
+
+@pytest.mark.parametrize("resolving, most", [(True, 1), (False, 3)])
+def test_search_needs_few_evaluations(monkeypatch, resolving, most):
+    # resolving: F at the closed-form optimum; non-resolving: click series per Newton step
+    name = "_inverse_fraction" if resolving else "_click_moments"
+    calls = []
+    evaluate = getattr(detector, name)
+    monkeypatch.setattr(detector, name, lambda *a: calls.append(a) or evaluate(*a))
+    mu, phi, nbar, etas = _search_grid(18, 12)
+    for det in _search_detectors(etas, resolving):
+        calls.clear()
+        optimize_alpha(det, mu, phi, nbar, nbar)
+        assert len(calls) <= most, det
 
 
 def test_search_of_one_point_takes_zero_d_values():
     opt = optimize_alpha(DET, 1e-2, math.pi, 0.1, 0.1)
     assert opt.alpha.shape == opt.fraction.shape == opt.flat_objective.shape == ()
-    alpha, fraction, flat = golden_section_alpha(DET, protocol(1e-2))
-    assert (opt.alpha, opt.fraction, opt.flat_objective) == (alpha, fraction, flat)
+    batch = optimize_alpha(DET, np.array([1.0, 1e-2]), math.pi, 0.1, 0.1)
+    assert (opt.alpha, opt.fraction, opt.flat_objective) == (batch.alpha[1], batch.fraction[1],
+                                                             batch.flat_objective[1])
 
 
 def test_dark_count_dominated_limit():

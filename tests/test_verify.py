@@ -281,6 +281,19 @@ def test_noiseless_recovery_exact(configuration):
     assert run.max_abs_deviation() < 1e-8
 
 
+@pytest.mark.parametrize("mu, nbar, configuration, env", [
+    (1e-3, 0.1, "parallel", ENV),
+    (0.1, 0.05, "series", ENV),
+    (1.0, 0.0, "parallel", EnvParams(omega_m=2 * math.pi * 1e6, q_factor=1e6, nbar_bath=100.0)),
+])
+def test_noiseless_recovery_to_rounding(mu, nbar, configuration, env):
+    # one refinement step on the SVD solution's residual; the solution alone was ~1e-14 off
+    table = evolved_table(mu=mu, nbar=nbar, configuration=configuration, env=env)
+    recovered = VerificationStudy(table, phi=PHI, target_order=4).run(None).recovered_table
+    exact = table.moments(4)
+    assert np.max(np.abs(recovered.values - exact) / (1.0 + np.abs(exact))) <= 3e-15
+
+
 def test_recovered_commutator_identity():
     # <X1^2 P1 X2> = S/3 + i <X1 X2> inside the recovered table
     table = evolved_table()
@@ -309,7 +322,20 @@ def test_rank_deficient_single_phase_set():
         study.run(None)
     # four channels against ten unknowns: the reduced SVD has no null rows, so
     # the null directions come from the full one
-    assert err.value.missing_directions == [(0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0)]
+    # the null space is six-dimensional: one key per direction
+    assert err.value.missing_directions == [(0, 0, 0, 2), (0, 0, 1, 1), (0, 0, 2, 0), (0, 1, 0, 1), (0, 2, 0, 0),
+                                            (1, 1, 0, 0)]
+
+
+def test_missing_directions_do_not_depend_on_the_null_basis():
+    kappa, _ = verify._channel_signals([(Pathway(phases=PhaseSet(), phi=PHI), port) for port in PORTS])
+    keys = verify._order_keys(2)
+    null = verify._null_space(verify._coefficient_rows(kappa, keys, 2), 1e-12)
+    assert len(null) == 6
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        assert verify._missing_directions(q @ null, keys) == verify._missing_directions(null, keys)
 
 
 def test_ill_conditioned_family():
