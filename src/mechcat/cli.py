@@ -364,7 +364,7 @@ def cmd_verify(args) -> int:
 
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
     table = evolve_moments(heralded_moment_table(params, 2 * target_order), env)
-    phase_sets = verify.default_phase_sets(target_order, phi=phi, chi=chi)
+    phase_sets = verify.default_phase_sets(target_order)
     if cfg.has_option("verify", "max_phase_sets"):
         phase_sets = phase_sets[: _cfg_int(cfg, "verify", "max_phase_sets", 1, minimum=1)]
     study = verify.VerificationStudy(

@@ -240,8 +240,9 @@ class CoolingResult:
 
 def _false_position(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Midpoints of brackets with f(lo) = f_lo < 0 <= f(hi) = f_hi, all narrowed at once
-    until hi - lo <= tol = max(1e-10 hi, 1e-15) (1e-15 is the floor for a bracket at
-    zero). f(x, at) evaluates at the flat indices `at` of the brackets still open.
+    until hi - lo <= tol = max(1e-10 hi, 1e-300), so every root is resolved to 10 digits
+    (1e-300 only stops a bracket that closes on zero). f(x, at) evaluates at the flat
+    indices `at` of the brackets still open.
 
     Each step is the Anderson-Bjorck false position (BIT 13, 253 (1973)): the end kept on
     two steps running has its value scaled by 1 - f_new/f_old of the end that moved, or halved
@@ -254,7 +255,7 @@ def _false_position(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     lo, hi, f_lo, f_hi = (np.array(v, float).ravel() for v in np.broadcast_arrays(lo, hi, f_lo, f_hi))
     moved = np.zeros(lo.size)  # +1 where lo moved last, -1 where hi did
     widths = np.full((3, lo.size), np.inf)  # bracket widths one, two and three steps back
-    while (at := np.flatnonzero(hi - lo > (tol := np.maximum(1e-10 * np.abs(hi), 1e-15)))).size:
+    while (at := np.flatnonzero(hi - lo > (tol := np.maximum(1e-10 * np.abs(hi), 1e-300)))).size:
         a, b, fa, w = lo[at], hi[at], f_lo[at], hi[at] - lo[at]
         x = a - fa * w / (f_hi[at] - fa)
         mid = ~((a < x) & (x < b)) | (w > 0.5 * widths[2, at])

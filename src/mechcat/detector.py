@@ -17,7 +17,7 @@ import numpy as np
 from . import fock, herald
 from .errors import DegenerateHerald, TruncationTooSmall
 from .fock import FockConfig
-from .herald import ARM_POLYNOMIALS, CoherentInput, ProtocolParams, mode_displacements, polynomial_step
+from .herald import ARM_POLYNOMIALS, CoherentInput, ProtocolParams, polynomial_step
 
 LOSS_TRUNCATION = 8
 L_SUM_TERM_TOL = 1e-12
@@ -317,23 +317,26 @@ def _loss_table(
     """P[m, n, k, l] for every outcome with m + n + k + l <= truncation and
     n <= n_max, from one walk over the outcomes' click operators; zero elsewhere.
 
-    Each lost photon applies its interferometer arm, each click applies
-    arm_1 +- e^{i phi} arm_2, all as coefficient arrays f of
-    Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode (herald.ARM_POLYNOMIALS).
-    On the thermal state's columns (fock.thermal_state) with these E, tr(Y rho Y^dag) = f^dag T f
-    with T their quadratic form (fock.ClickColumns.quadratic_form). The walk order does not
-    depend on n_max, and each entry is its own f^dag T f, so every entry it fills is the same
-    float for any n_max.
+    Each lost photon applies its interferometer arm, each click the plus or minus step,
+    all as coefficient arrays f of Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode
+    (herald.ARM_POLYNOMIALS, herald.click_inputs). On the thermal columns with these E,
+    tr(Y rho Y^dag) = f^dag T f with T[(a, b), (a', b')] the word sum of
+    (E1^a)^dag E1^a' x (E2^b)^dag E2^b' (fock.ClickColumns.word_sums). The walk order does
+    not depend on n_max, and each entry is its own f^dag T f, so every entry it fills is the
+    same float for any n_max.
     """
     _require_coherent(protocol)
     t = truncation
-    e1, e2 = mode_displacements(protocol, config)
-    thermal = fock.thermal_state(protocol.nbar_1, protocol.nbar_2, config).clicks
-    quad = dataclasses.replace(thermal, e1=e1, e2=e2).quadratic_form(t + 1)
+    thermal, (plus, minus) = herald.click_inputs(protocol, config)
+    clicks = thermal.clicks
+    words = []
+    for e in (clicks.e1, clicks.e2):
+        powers = fock.powers(e, t + 1)
+        words.append((powers.conj().swapaxes(1, 2)[:, None] @ powers).reshape(-1, len(e), len(e)))
+    size = (t + 1) ** 2
+    quad = clicks.word_sums(*words).reshape((t + 1,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
 
     arm_1, arm_2 = ARM_POLYNOMIALS[protocol.configuration]
-    phase = np.exp(1j * protocol.phi)
-    plus, minus = arm_1 + phase * arm_2, arm_1 - phase * arm_2
     unit = np.zeros((t + 1, t + 1), dtype=complex)
     unit[0, 0] = 1.0
     norms = np.zeros((t + 1,) * 4)

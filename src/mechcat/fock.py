@@ -88,26 +88,22 @@ def coherent_vector(beta: complex, cutoff: int) -> np.ndarray:
     return amps * math.exp(-abs(beta) ** 2 / 2.0)
 
 
-def displacement_pair(beta: complex, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode D(beta) and E = D(beta) - I from one eigendecomposition of the
-    generator, E with expm1 in place of exp: where D is near I its entries are
-    O(|beta|) with no O(1) terms cancelled. CutoffTooSmall where the truncation spoils D."""
+def displacement_minus_identity(beta: complex, cutoff: int) -> np.ndarray:
+    """Single-mode E = D(beta) - I from one eigendecomposition of the generator, with expm1
+    in place of exp: where D is near I its entries are O(|beta|) with no O(1) terms
+    cancelled. CutoffTooSmall where the truncation spoils D, whose unitarity defect
+    D^dag D - I is E + E^dag + E^dag E."""
     if abs(beta) ** 2 > cutoff / 2.0:
         raise CutoffTooSmall(
             f"|beta|^2 = {abs(beta) ** 2:.3g} too large for cutoff {cutoff}"
         )
     a = destroy(cutoff)
     w, v = np.linalg.eigh(1j * (beta * a.conj().T - np.conj(beta) * a))  # D = exp(-i h), h Hermitian
-    d = (v * np.exp(-1j * w)) @ v.conj().T
-    defect = np.max(np.abs(d.conj().T @ d - np.eye(cutoff)))
+    e = (v * np.expm1(-1j * w)) @ v.conj().T
+    defect = np.max(np.abs(e + e.conj().T + e.conj().T @ e))
     if defect > 1e-6:
         raise CutoffTooSmall(f"displacement unitarity defect {defect:.3g}")
-    return d, (v * np.expm1(-1j * w)) @ v.conj().T
-
-
-def checked_displacement(beta: complex, cutoff: int) -> np.ndarray:
-    """Single-mode D(beta); CutoffTooSmall where the truncation spoils it."""
-    return displacement_pair(beta, cutoff)[0]
+    return e
 
 
 def powers(e: np.ndarray, count: int) -> np.ndarray:
@@ -132,9 +128,10 @@ class ClickColumns:
     """A thermal state, or a click operator applied to one, in per-mode blocks: column x
     of its factor is sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each
     mode. thermal_state has f = [[1]], E = 0 and s = sqrt(w) on its kept levels k1, k2;
-    herald.heralded_state sets its own f and E and folds the heralding normalisation into
-    s, so its trace is 1 up to rounding. `trace`, `gram` and `word_sums` are read off
-    c x c blocks per mode at the kept levels, and `factor` builds the (c1, c2, r) factor
+    herald.click_inputs sets a protocol's E, and herald.heralded_state its f, folding the
+    heralding normalisation into s, so its trace is 1 up to rounding. `trace`, `gram` and
+    `word_sums` are read off c x c blocks per mode at the kept levels (`word_sums` also gives
+    the loss oracle's T, detector._loss_table), and `factor` builds the (c1, c2, r) factor
     for the readers that need it.
     """
 
@@ -167,22 +164,12 @@ class ClickColumns:
         right = pair_diagonals(mode_2, words_2).reshape(-1, len(words_2), len(self.e2))
         return (left @ weights @ right.swapaxes(1, 2)).sum(axis=0)
 
-    def quadratic_form(self, count: int) -> np.ndarray:
-        """T over the coefficient pairs (a, b), (a', b') < count, flattened row-major:
-        T[(a, b), (a', b')] = sum_x s_x^2 (E1^a^dag E1^a')[k1_x, k1_x] (E2^b^dag E2^b')[k2_x, k2_x].
-        For any g of shape (count, count), the columns with g in place of f have trace g^dag T g."""
-        mode_1 = pair_diagonals(powers(self.e1, count), np.eye(len(self.e1))[None])[..., 0, self.k1]
-        mode_2 = pair_diagonals(powers(self.e2, count), np.eye(len(self.e2))[None])[..., 0, self.k2]
-        size = count * count
-        form = (mode_1.reshape(size, -1) * (self.s * self.s)) @ mode_2.reshape(size, -1).T
-        return form.reshape((count,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
-
     @cached_property
     def trace(self) -> float:
-        """sum_x <A_x|A_x>, the identity word's sum. Not f^dag T f (quadratic_form): that form
-        cancels between f's coefficients after squaring, not within the blocks F_a, and at
-        (mu, nbar) = (2, 0.4) with three series clicks it was up to 2.2e-13 off an exactly
-        summed D-form trace, where this sum stays within 7.9e-15."""
+        """sum_x <A_x|A_x>, the identity word's sum. Not f^dag T f (the loss oracle's form,
+        detector._loss_table): that form cancels between f's coefficients after squaring, not
+        within the blocks F_a, and at (mu, nbar) = (2, 0.4) with three series clicks it was up
+        to 2.2e-13 off an exactly summed D-form trace, where this sum stays within 7.9e-15."""
         return float(self.word_sums(np.eye(len(self.e1))[None], np.eye(len(self.e2))[None])[0, 0].real)
 
     def factor(self) -> np.ndarray:

@@ -119,13 +119,6 @@ def amplitude_prefactor(params: ProtocolParams, outcome: ClickOutcome) -> comple
     )
 
 
-def mode_displacements(params: ProtocolParams, config: FockConfig) -> list[np.ndarray]:
-    """E = D - I with D = e^{i mu X} on mode 1 and on mode 2, one eigendecomposition per cutoff."""
-    beta = 1j * params.mu / math.sqrt(2.0)
-    blocks = {c: fock.displacement_pair(beta, c)[1] for c in dict.fromkeys((config.cutoff_1, config.cutoff_2))}
-    return [blocks[config.cutoff_1], blocks[config.cutoff_2]]
-
-
 # E-polynomials of the arms, sum_ab p[a, b] E1^a x E2^b with E = D - I per mode: I + E1 and I + E2
 # in parallel, (I + E1)(I + E2) and I in series
 ARM_POLYNOMIALS = {PARALLEL: (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])),
@@ -142,33 +135,43 @@ def polynomial_step(f: np.ndarray, step: np.ndarray) -> np.ndarray:
     return g
 
 
-def _click_polynomial(params: ProtocolParams, outcome: ClickOutcome) -> np.ndarray:
-    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b, a product of m steps arm_1 + c arm_2 and
-    n steps arm_1 - c arm_2, c = e^{i phi}: a step arm_1 + c arm_2 is (1 + c) I + E1 x 1 + c 1 x E2
-    in parallel, (1 + c) I + E1 x 1 + 1 x E2 + E1 x E2 in series."""
+def click_inputs(params: ProtocolParams, config: FockConfig) -> tuple[TwoModeState, tuple[np.ndarray, np.ndarray]]:
+    """What every click operator of the protocol acts with: the thermal input (fock.thermal_state)
+    whose click columns carry E = D - I with D = e^{i mu X} on each mode (one eigendecomposition
+    per cutoff; with f = [[1]] the columns are still the thermal state), and the E-polynomials of
+    the click steps arm_1 + c arm_2 and arm_1 - c arm_2, c = e^{i phi}. A step is
+    (1 + c) I + E1 x 1 + c 1 x E2 in parallel, (1 + c) I + E1 x 1 + 1 x E2 + E1 x E2 in series.
+    heralded_state and the loss oracle (detector._loss_table) both start here."""
+    thermal = fock.thermal_state(params.nbar_1, params.nbar_2, config)
+    beta = 1j * params.mu / math.sqrt(2.0)
+    e = {c: fock.displacement_minus_identity(beta, c) for c in {config.cutoff_1, config.cutoff_2}}
+    columns = replace(thermal.clicks, e1=e[config.cutoff_1], e2=e[config.cutoff_2])
     arm_1, arm_2 = ARM_POLYNOMIALS[params.configuration]
     phase = np.exp(1j * params.phi)
+    return replace(thermal, payload=columns), (arm_1 + phase * arm_2, arm_1 - phase * arm_2)
+
+
+def _click_polynomial(steps: tuple[np.ndarray, np.ndarray], outcome: ClickOutcome) -> np.ndarray:
+    """f with Y_mn = pref sum_ab f[a, b] E1^a x E2^b: the product of m plus steps and n minus
+    steps (click_inputs)."""
+    plus, minus = steps
     f = np.zeros((outcome.m + outcome.n + 1,) * 2, dtype=complex)
     f[0, 0] = 1.0
-    for sign in (-1.0,) * outcome.n + (1.0,) * outcome.m:
-        f = polynomial_step(f, arm_1 + sign * phase * arm_2)
+    for step in (minus,) * outcome.n + (plus,) * outcome.m:
+        f = polynomial_step(f, step)
     return f
-
-
-def _click_columns(params: ProtocolParams, outcome: ClickOutcome, config: FockConfig,
-                   k1: np.ndarray, k2: np.ndarray, s: np.ndarray) -> tuple[complex, fock.ClickColumns]:
-    """pref and Y_mn / pref on the columns s_x |k1_x, k2_x>."""
-    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
-    return pref, fock.ClickColumns(_click_polynomial(params, outcome), *mode_displacements(params, config), k1, k2, s)
 
 
 def measurement_operator(
     params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
 ) -> np.ndarray:
     """Dense dim x dim matrix of the click operator Y_mn = pref sum_ab f[a, b] E1^a x E2^b, its
-    click columns on every basis vector."""
-    levels = np.divmod(np.arange(config.dim), config.cutoff_2)
-    pref, y = _click_columns(params, outcome, config, *levels, np.ones(config.dim))
+    click columns on every basis vector. Y does not depend on the occupations, so its E and
+    steps are read at nbar = 0."""
+    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
+    ground, steps = click_inputs(replace(params, nbar_1=0.0, nbar_2=0.0), config)
+    k1, k2 = np.divmod(np.arange(config.dim), config.cutoff_2)
+    y = replace(ground.clicks, f=_click_polynomial(steps, outcome), k1=k1, k2=k2, s=np.ones(config.dim))
     return pref * y.factor().reshape(config.dim, config.dim)
 
 
@@ -176,16 +179,16 @@ def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
                    outcome: ClickOutcome = ClickOutcome(1, 0)) -> tuple[TwoModeState, float]:
     """State Y rho Y^dag / p and probability p of a click on the thermal input (default
     cutoffs when config is None), held as fock.ClickColumns and with no factor: the thermal
-    state's columns s_x |k1_x, k2_x> (fock.thermal_state) with the f and E = D - I per mode of
-    Y = pref sum_ab f[a, b] E1^a x E2^b in place of its f = [[1]] and E = 0.
+    columns s_x |k1_x, k2_x> with this protocol's E = D - I per mode (click_inputs) and the f of
+    Y = pref sum_ab f[a, b] E1^a x E2^b in place of their f = [[1]].
 
     p = |pref|^2 times the trace of the unnormalised columns, and the normalisation is folded
     into s. Written in E, no O(1) terms cancel at the dark fringe."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
-    thermal = fock.thermal_state(params.nbar_1, params.nbar_2, config)
-    columns = thermal.clicks
-    pref, clicks = _click_columns(params, outcome, config, columns.k1, columns.k2, columns.s)
+    pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
+    thermal, steps = click_inputs(params, config)
+    clicks = replace(thermal.clicks, f=_click_polynomial(steps, outcome))
     p = abs(pref) ** 2 * clicks.trace
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")

@@ -38,6 +38,7 @@ PORTS = ("A", "B", "C", "D")
 
 COND_LIMIT = 1e8
 RANK_RESIDUAL = 0.25
+EXTRA_PHASE_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ def _greedy_rows(rows: np.ndarray, rank: int) -> list[int]:
         block, norm = rows[start : start + chunk], norms[start : start + chunk]
         residual = block - (block @ basis.conj().T) @ basis
         left = np.linalg.norm(residual, axis=1)
-        hits = np.flatnonzero((left > RANK_RESIDUAL * norm) & (norm >= 1e-12))
+        hits = np.flatnonzero(left > RANK_RESIDUAL * norm)
         if not hits.size:
             start += len(block)
             continue
@@ -327,12 +328,7 @@ def _greedy_rows(rows: np.ndarray, rank: int) -> list[int]:
     return accepted
 
 
-def default_phase_sets(
-    target_order: int,
-    phi: float = math.pi,
-    chi: float = 1.0,
-    margin: int = 3,
-) -> list[PhaseSet]:
+def default_phase_sets(target_order: int) -> list[PhaseSet]:
     """Deterministic spanning family of phase sets for the full pathway.
 
     Candidates run over a pi/4 grid (the pi/2 grid cannot separate, e.g.,
@@ -341,15 +337,19 @@ def default_phase_sets(
     port rows adds a sufficiently independent direction at any order that
     is still rank-deficient; orders never share directions, so each order
     is one greedy pass over the rows of all candidates and ports. Once every
-    order is complete, the next `margin` candidates are kept as extras to
-    overdetermine the system. At order 4 the greedy basis never completes:
-    the candidate rows have the full rank 35, but the RANK_RESIDUAL rule
-    stops short of it, so `margin` adds nothing there.
+    order is complete, the next EXTRA_PHASE_SETS candidates are kept as
+    extras to overdetermine the system.
+
+    The sets depend on the target order alone: the heralding phase puts the
+    same unit phase e^{i phi (r + s)} on each key column of every candidate
+    row, and chi scales every order-d row by chi^d, so neither moves a
+    residual-to-norm ratio of the greedy pass. The rows are built at
+    phi = 0, chi = 1.
     """
     grid = np.arange(8) * math.pi / 4.0
     z3, z1, z2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
     zetas = np.stack([z1, z2, z3, np.zeros_like(z1)], axis=-1)
-    kappa = (chi * _port_bases(zetas, phi)).reshape(-1, 4)  # candidate-then-port rows
+    kappa = _port_bases(zetas, 0.0).reshape(-1, 4)  # candidate-then-port rows
     useful = np.zeros(len(zetas), dtype=bool)
     completed = -1  # candidate at which the last order completed
     for d in range(1, target_order + 1):
@@ -362,7 +362,7 @@ def default_phase_sets(
             completed = None
     selected = np.flatnonzero(useful)
     if completed is not None:
-        extras = np.arange(completed + 1, min(completed + 1 + margin, len(zetas)))
+        extras = np.arange(completed + 1, min(completed + 1 + EXTRA_PHASE_SETS, len(zetas)))
         selected = np.concatenate([selected, extras])
     return [PhaseSet(*map(float, zetas[i])) for i in selected]
 
@@ -503,7 +503,7 @@ class VerificationStudy:
         if target_order < 1:
             raise ValueError(f"target_order = {target_order} must be >= 1")
         if phase_sets is None:
-            phase_sets = default_phase_sets(target_order, phi=phi, chi=chi)
+            phase_sets = default_phase_sets(target_order)
         if not phase_sets:
             raise ValueError("the study needs at least one phase set")
         self.table = table

@@ -24,6 +24,14 @@ def letter_matrices(cfg):
             for mode in (1, 2) for name, make in singles.items()}
 
 
+def displacement(beta, cutoff):
+    """Single-mode D(beta) = exp(beta b^dag - conj(beta) b), the D-form oracle's displacement:
+    exp of the generator through one eigendecomposition."""
+    b = fock.destroy(cutoff)
+    w, v = np.linalg.eigh(1j * (beta * b.conj().T - np.conj(beta) * b))  # D = exp(-i h), h Hermitian
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def thermal_columns(nbar_1, nbar_2, cfg):
     """The kept thermal columns, independent of fock.ClickColumns: flat indices i * cutoff_2 + j
     (ascending) and weights p1_i p2_j of every Fock product, less the smallest products while
@@ -47,8 +55,8 @@ def plain_arms(params, cfg):
     """The interferometer arms as maps on state factors (c1, c2, r), in D form:
     D1 x 1 and 1 x D2 in parallel, D1 x D2 and 1 in series, D = e^{i mu X}."""
     beta = 1j * params.mu / np.sqrt(2.0)
-    d1 = fock.checked_displacement(beta, cfg.cutoff_1)
-    d2 = fock.checked_displacement(beta, cfg.cutoff_2)
+    d1 = displacement(beta, cfg.cutoff_1)
+    d2 = displacement(beta, cfg.cutoff_2)
     if params.configuration == "parallel":
         return (lambda a: fock.on_mode(d1, 1, a)), (lambda a: fock.on_mode(d2, 2, a))
     return (lambda a: fock.on_mode(d1, 1, fock.on_mode(d2, 2, a))), (lambda a: a)

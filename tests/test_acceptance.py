@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import letter_matrices
+from dense_reference import displacement, letter_matrices
 from mechcat import algebra, criteria, detector, fock, herald, presets, sideband, verify
 from mechcat.criteria import build_d5, build_s3, mu_cutoff, non_gaussianity, s3_ground_closed_form
 from mechcat.herald import (
@@ -59,7 +59,7 @@ def test_criterion_2_heralding_probability():
         )
         eye = np.eye(cutoff)
         for mu in (0.1, 0.5, 1.0, 1.5, 2.0):
-            d = fock.checked_displacement(1j * mu / math.sqrt(2.0), cutoff)
+            d = displacement(1j * mu / math.sqrt(2.0), cutoff)
             e1 = np.kron(d, eye)
             e2 = np.kron(eye, d)
             for phi in (0.0, math.pi / 2, math.pi):

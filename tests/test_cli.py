@@ -221,6 +221,17 @@ def test_detector_alpha_out_of_range_exits_3(tmp_path, capsys, config, line):
     assert not out.exists()
 
 
+def test_verify_at_a_tiny_chi_exits_3_ill_conditioned(tmp_path, capsys):
+    # the phase sets do not depend on chi; the seeded recovery's conditioning does
+    cfg = tmp_path / "v.ini"
+    cfg.write_text("[verify]\nchi = 1e-4\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: IllConditioned: order ")
+    assert not out.exists()
+
+
 def test_cooling_map_command(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[env]\nq_factor = 1e5\n[grid]\nmu = 0.5, 5.0\nnbar_bath = 0\n")

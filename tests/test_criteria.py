@@ -259,6 +259,18 @@ def test_cooling_roots_match_brentq():
             assert abs(res.nbar_max - ref) <= 1e-9 * ref
 
 
+def test_small_cooling_root_keeps_ten_digits():
+    # root 5.76e-8: an absolute stop width of 1e-15 left it 3.4e-9 relative off
+    mu, env = 4.0, EnvParams(OMEGA, 1e6, 0.0)
+    lo, hi = 0.0, 0.5
+    while s3_evolved(mu, hi, env) < 0:
+        lo, hi = hi, 2 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):  # bisection to the last bit
+        lo, hi = (mid, hi) if s3_evolved(mu, mid, env) < 0 else (lo, mid)
+    root = max_cooled_occupation(mu, env).nbar_max
+    assert abs(root - lo) <= 1e-10 * lo
+
+
 def _cooled_occupations_all_points(mu, envs, phi=math.pi):
     """Reference: the same brackets and false-position steps, with S3 evaluated at
     every point on every step and each update masked to the brackets still open."""
@@ -272,7 +284,7 @@ def _cooled_occupations_all_points(mu, envs, phi=math.pi):
         f_hi = s3(mu, phi, hi)
     moved = np.zeros(ok.shape)
     w1 = w2 = w3 = np.full(ok.shape, np.inf)
-    while np.any(wide := (w := hi - lo) > (tol := np.maximum(1e-10 * np.abs(hi), 1e-15))):
+    while np.any(wide := (w := hi - lo) > (tol := np.maximum(1e-10 * np.abs(hi), 1e-300))):
         with np.errstate(invalid="ignore", divide="ignore"):
             x = lo - f_lo * w / (f_hi - f_lo)
         mid = ~((lo < x) & (x < hi)) | (w > 0.5 * w3)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import lift, thermal_columns
+from dense_reference import displacement, lift, thermal_columns
 from golden_section_reference import golden_section_alpha
 from mechcat import detector, fock
 from mechcat.detector import (
@@ -356,8 +356,8 @@ def dense_loss_probabilities(det, p, cfg, truncation):
     """Every P_mnkl from Kronecker-embedded dim x dim displacements: the
     population-weighted column norms of plus^m minus^n arm_1^k arm_2^l."""
     beta = 1j * p.mu / math.sqrt(2.0)
-    d1 = lift(fock.checked_displacement(beta, cfg.cutoff_1), 1, cfg)
-    d2 = lift(fock.checked_displacement(beta, cfg.cutoff_2), 2, cfg)
+    d1 = lift(displacement(beta, cfg.cutoff_1), 1, cfg)
+    d2 = lift(displacement(beta, cfg.cutoff_2), 2, cfg)
     arm_1, arm_2 = (d1, d2) if p.configuration == PARALLEL else (d1 @ d2, np.eye(cfg.dim))
     phase = np.exp(1j * p.phi)
     powers = [[np.linalg.matrix_power(op, j) for j in range(truncation + 1)]

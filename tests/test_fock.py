@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import genlaguerre
 
-from dense_reference import dense_thermal_factor, letter_matrices, lift, plain_heralded_factor
+from dense_reference import dense_thermal_factor, displacement, letter_matrices, lift, plain_heralded_factor
 from mechcat import algebra, criteria, fock, herald, verify
 from mechcat.errors import CutoffTooSmall, DimensionMismatch, MechcatError, NegativeNonGaussianity
 
@@ -70,14 +70,14 @@ def test_thermal_tail_guard():
 
 
 def test_displacement_identity_at_zero():
-    d = fock.checked_displacement(0.0, CFG.cutoff_1)
+    d = displacement(0.0, CFG.cutoff_1)
     assert np.max(np.abs(d - np.eye(CFG.cutoff_1))) < 1e-14
 
 
 def test_displacement_momentum_kick():
     mu = 0.9
     beta = 1j * mu / math.sqrt(2)
-    d = fock.checked_displacement(beta, CFG.cutoff_1)
+    d = displacement(beta, CFG.cutoff_1)
     st, _ = fock.apply_operator(lambda a: fock.on_mode(d, 1, a), fock.ground_state(CFG))
     mats = letter_matrices(CFG)
     x = np.vdot(st.columns, mats["X1"] @ st.columns)
@@ -88,7 +88,7 @@ def test_displacement_momentum_kick():
 
 def test_displacement_vacuum_amplitude():
     # <0|D(i mu/sqrt2)|0> = e^{-mu^2/4}; 0.77880 at mu = 1
-    d = fock.checked_displacement(1j / math.sqrt(2), CFG.cutoff_1)
+    d = displacement(1j / math.sqrt(2), CFG.cutoff_1)
     amp = d[0, 0]
     assert abs(amp - math.exp(-0.25)) < 1e-10
     assert abs(amp - 0.77880) < 1e-5
@@ -98,7 +98,7 @@ def test_displacement_matrix_elements_oracle():
     # associated-Laguerre closed form for <m|D(beta)|n>, m >= n
     beta = 0.3 + 0.4j
     cutoff = 30
-    d = fock.checked_displacement(beta, cutoff)
+    d = displacement(beta, cutoff)
     for m, n in [(0, 0), (1, 0), (2, 1), (3, 3), (5, 2)]:
         lag = genlaguerre(n, m - n)(abs(beta) ** 2)
         ref = (
@@ -113,15 +113,23 @@ def test_displacement_matrix_elements_oracle():
 def test_displacement_inverse_and_unitarity():
     cutoff = 32
     beta = math.sqrt(cutoff / 4.0)  # boundary of the stated regime
-    d = fock.checked_displacement(beta, cutoff)
-    dm = fock.checked_displacement(-beta, cutoff)
+    d = displacement(beta, cutoff)
+    dm = displacement(-beta, cutoff)
     assert np.max(np.abs(d @ dm - np.eye(cutoff))) < 1e-9
     assert np.max(np.abs(d.conj().T @ d - np.eye(cutoff))) < 1e-9
 
 
 def test_displacement_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
-        fock.checked_displacement(5.0, 10)
+        fock.displacement_minus_identity(5.0, 10)
+
+
+def test_library_e_is_the_oracle_d_minus_identity():
+    # the library holds E = D - I only; the D-form oracle's D is the tests' own
+    for beta, cutoff in [(0.0, 12), (0.3 + 0.4j, 30), (0.01j / math.sqrt(2), 20), (1.5j, 24), (4.0, 32)]:
+        d = displacement(beta, cutoff)
+        e = fock.displacement_minus_identity(beta, cutoff)
+        assert np.max(np.abs(e - (d - np.eye(cutoff)))) <= 1e-14 * np.max(np.abs(d))
 
 
 def test_expectation_basics():
@@ -193,7 +201,7 @@ def test_coherent_vector_matches_displacement_column():
     beta = 0.7 - 0.2j
     cutoff = 25
     vec = fock.coherent_vector(beta, cutoff)
-    col = fock.checked_displacement(beta, cutoff)[:, 0]
+    col = displacement(beta, cutoff)[:, 0]
     assert np.max(np.abs(vec - col)) < 1e-9
 
 
@@ -259,8 +267,8 @@ def test_truncation_loss_is_the_left_out_mass():
 def ref_click_matrix(params, outcome, cfg):
     """Y_mn from Kronecker-embedded displacements and matrix powers."""
     beta = 1j * params.mu / math.sqrt(2.0)
-    e1 = lift(fock.checked_displacement(beta, cfg.cutoff_1), 1, cfg)
-    e2 = lift(fock.checked_displacement(beta, cfg.cutoff_2), 2, cfg)
+    e1 = lift(displacement(beta, cfg.cutoff_1), 1, cfg)
+    e2 = lift(displacement(beta, cfg.cutoff_2), 2, cfg)
     phase = np.exp(1j * params.phi)
     if params.configuration == herald.PARALLEL:
         plus, minus = e1 + phase * e2, e1 - phase * e2

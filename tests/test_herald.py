@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import (dense_thermal_factor, lift, plain_arms, plain_click_map, plain_heralded_factor,
-                             thermal_columns)
+from dense_reference import (dense_thermal_factor, displacement, lift, plain_arms, plain_click_map,
+                             plain_heralded_factor, thermal_columns)
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
 from mechcat.herald import (
@@ -136,7 +136,7 @@ def test_series_equals_mapped_parallel():
     ser, _ = herald.heralded_state(
         ProtocolParams(mu=mu, phi=phi, configuration="series", nbar_1=nbar, nbar_2=nbar), cfg
     )
-    d2 = fock.checked_displacement(1j * mu / math.sqrt(2), cfg.cutoff_2)
+    d2 = displacement(1j * mu / math.sqrt(2), cfg.cutoff_2)
     r2 = np.diag(np.exp(-1j * math.pi * np.arange(cfg.cutoff_2)))
     u = lift(d2, 2, cfg) @ lift(r2, 2, cfg)
     mapped = u @ par.rho @ u.conj().T
@@ -184,21 +184,22 @@ def test_heralded_factor_matches_the_plain_click_expression():
 
 
 def test_click_step_is_the_plain_arm_sum():
-    # the E-polynomials of the plus and minus steps (herald.ARM_POLYNOMIALS, polynomial_step),
-    # as dense operators, against the D-form arm sums they stand for; f is left as it was
+    # the E-polynomials of the plus and minus steps and the E blocks (herald.click_inputs), through
+    # polynomial_step as dense operators, against the D-form arm sums they stand for; f is left as
+    # it was
     cfg = fock.FockConfig(10, 10)
     eye = np.eye(cfg.dim, dtype=complex).reshape(cfg.cutoff_1, cfg.cutoff_2, cfg.dim)
     for configuration in ("parallel", "series"):
         params = ProtocolParams(mu=0.6, phi=2.1, configuration=configuration)
-        e1, e2 = herald.mode_displacements(params, cfg)
-        arm_1, arm_2 = herald.ARM_POLYNOMIALS[configuration]
+        thermal, steps = herald.click_inputs(params, cfg)
+        e1, e2 = thermal.clicks.e1, thermal.clicks.e2
         phase = np.exp(1j * params.phi)
         d_1, d_2 = (arm(eye).reshape(cfg.dim, cfg.dim) for arm in plain_arms(params, cfg))
         f = np.zeros((3, 3), dtype=complex)
         f[0, 0] = 1.0
         kept = f.copy()
-        for sign in (1.0, -1.0):
-            g = herald.polynomial_step(f, arm_1 + sign * phase * arm_2)
+        for sign, click_step in zip((1.0, -1.0), steps):
+            g = herald.polynomial_step(f, click_step)
             assert f.tobytes() == kept.tobytes()
             step = sum(g[i, j] * np.kron(np.linalg.matrix_power(e1, i), np.linalg.matrix_power(e2, j))
                        for i, j in np.ndindex(g.shape))

@@ -261,12 +261,15 @@ def test_max_abs_deviation_is_the_per_key_python_maximum():
 
 
 def test_default_phase_sets_order1_minimal():
-    sets = default_phase_sets(1, phi=PHI, margin=0)
-    assert len(sets) == 1  # four ports resolve the four first moments
+    # the four ports of the first set resolve the four first moments
+    first = default_phase_sets(1)[0]
+    channels = [(Pathway(phases=first, chi=1.0, phi=PHI), port) for port in PORTS]
+    rows = verify._coefficient_rows(verify._channel_signals(channels)[0], verify._order_keys(1), 1)
+    assert np.linalg.matrix_rank(rows) == 4
 
 
 def test_default_phase_sets_span_order4():
-    sets = default_phase_sets(4, phi=PHI)
+    sets = default_phase_sets(4)
     keys = verify._order_keys(4)
     channels = [(Pathway(phases=ps, chi=1.0, phi=PHI), port) for ps in sets for port in PORTS]
     rows = verify._coefficient_rows(verify._channel_signals(channels)[0], keys, 4)
@@ -344,6 +347,14 @@ def test_ill_conditioned_family():
     study = VerificationStudy(table, phi=PHI, target_order=2, phase_sets=sets)
     with pytest.raises((IllConditioned, RankDeficient)):
         study.run(None)
+
+
+def test_small_chi_keeps_the_phase_sets_and_raises_ill_conditioned():
+    # chi ~ 1e-4 once dropped 10 of the 20 order-4 sets and raised a misleading RankDeficient
+    study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI, chi=1e-4)
+    assert [pathway.phases for pathway, _ in study.channels[:: len(PORTS)]] == default_phase_sets(4)
+    with pytest.raises(IllConditioned):
+        study.run(10**6, (7, 0))
 
 
 def test_recovered_errors_scale_and_realness():
@@ -487,21 +498,20 @@ def test_exact_port_moments_match_scalar_reference(pathway):
     "args,expected",
     [
         (
-            (4, math.pi, 1.0, 3),
+            (4,),
             [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 0),
              (1, 2, 0), (2, 0, 0), (2, 2, 0), (0, 0, 1), (0, 2, 1), (1, 3, 1), (2, 0, 1),
              (2, 3, 1), (5, 3, 1), (0, 0, 2), (1, 4, 2), (3, 3, 2), (4, 1, 2)],
         ),
-        ((1, math.pi, 1.0, 0), [(0, 0, 0)]),
+        ((1,), [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)]),
         (
-            (2, math.pi, 1.3, 3),
+            (2,),
             [(0, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 2), (0, 1, 2), (0, 2, 2), (0, 3, 2)],
         ),
         (
-            (4, 2.0, 0.7, 3),
-            [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 0),
-             (1, 2, 0), (2, 0, 0), (2, 2, 0), (0, 0, 1), (0, 2, 1), (1, 3, 1), (2, 0, 1),
-             (2, 3, 1), (5, 3, 1), (0, 0, 2), (1, 4, 2), (3, 3, 2), (4, 1, 2)],
+            (3,),
+            [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 0), (1, 2, 0), (2, 0, 0),
+             (0, 0, 2), (1, 4, 2), (3, 3, 2), (3, 4, 2), (3, 5, 2), (3, 6, 2)],
         ),
     ],
 )
@@ -552,7 +562,16 @@ def _reference_phase_sets(target_order, phi, chi, margin):
 
 @pytest.mark.parametrize(
     "args",
-    [(1, 0.3, 0.7, 3), (2, 2.0, 1.3, 0), (2, 5.1, 1.0, 3), (3, math.pi / 2, 0.7, 3), (4, 0.3, 1.3, 0)],
+    [(1, 0.3, 0.7, 3), (2, 2.0, 1.3, 3), (2, 5.1, 1.0, 3), (3, math.pi / 2, 0.7, 3), (4, 0.3, 1.3, 3)],
 )
 def test_default_phase_sets_match_candidate_loop(args):
-    assert default_phase_sets(*args) == _reference_phase_sets(*args)
+    assert default_phase_sets(args[0]) == _reference_phase_sets(*args)
+
+
+@pytest.mark.parametrize("chi", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2, 2.0, math.pi])
+def test_default_phase_sets_depend_on_the_order_alone(phi, chi):
+    # phi puts one unit phase on each key column and chi scales each order's rows,
+    # so neither moves the greedy selection of the candidate loop
+    for order in range(1, 5):
+        assert default_phase_sets(order) == _reference_phase_sets(order, phi, chi, 3)
