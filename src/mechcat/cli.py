@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import criteria, detector, presets, sideband, verify
+from . import criteria, detector, presets, sideband
 from .errors import GridTooLarge, MechcatError
 from .herald import ProtocolParams, heralded_moment_table, heralded_state
 from .opensystem import EnvParams, evolve_moments
@@ -346,6 +346,8 @@ def cmd_detector(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # deferred: no other command reads it
+
     cfg = load_config(args.config)
     mu = _cfg_float(cfg, "protocol", "mu", 1e-3)
     phi = _cfg_float(cfg, "protocol", "phi", PHI_DEFAULT)

@@ -299,12 +299,20 @@ def _poisson_weights(mean: float, count: int) -> np.ndarray:
     return np.array([mean**j / math.factorial(j) for j in range(count + 1)])
 
 
-def _walk(step: np.ndarray, f: np.ndarray, count: int):
-    """f, step f, ..., step^count f as E-polynomials (herald.polynomial_step)."""
-    yield f
+def _level_walk(step: np.ndarray, fs: np.ndarray, outcomes: np.ndarray, axis: int, count: int, t: int):
+    """The stack fs with step^j f appended for j = 1..count while the outcome total stays
+    <= t; outcomes[i] is (m, n, k, l) of fs[i], and each step adds one to its `axis`. One
+    polynomial_step per level steps the whole live stack."""
+    out_f, out_outcomes = [fs], [outcomes]
     for _ in range(count):
-        f = polynomial_step(f, step)
-        yield f
+        live = outcomes.sum(axis=1) < t
+        if not live.any():
+            break
+        fs = polynomial_step(fs[live], step)
+        outcomes = outcomes[live] + np.eye(4, dtype=int)[axis]
+        out_f.append(fs)
+        out_outcomes.append(outcomes)
+    return np.concatenate(out_f), np.concatenate(out_outcomes)
 
 
 def _loss_table(
@@ -321,9 +329,10 @@ def _loss_table(
     all as coefficient arrays f of Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode
     (herald.ARM_POLYNOMIALS, herald.click_inputs). On the thermal columns with these E,
     tr(Y rho Y^dag) = f^dag T f with T[(a, b), (a', b')] the word sum of
-    (E1^a)^dag E1^a' x (E2^b)^dag E2^b' (fock.ClickColumns.word_sums). The walk order does
-    not depend on n_max, and each entry is its own f^dag T f, so every entry it fills is the
-    same float for any n_max.
+    (E1^a)^dag E1^a' x (E2^b)^dag E2^b' (fock.ClickColumns.word_sums). The walk takes
+    the arms, then the minus and the plus clicks, one stack level at a time (_level_walk);
+    the steps of each f do not depend on n_max, and each entry is its own f^dag T f, so
+    every entry it fills is the same float for any n_max.
     """
     _require_coherent(protocol)
     t = truncation
@@ -337,15 +346,14 @@ def _loss_table(
     quad = clicks.word_sums(*words).reshape((t + 1,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
 
     arm_1, arm_2 = ARM_POLYNOMIALS[protocol.configuration]
-    unit = np.zeros((t + 1, t + 1), dtype=complex)
-    unit[0, 0] = 1.0
+    fs = np.zeros((1, t + 1, t + 1), dtype=complex)
+    fs[0, 0, 0] = 1.0
+    outcomes = np.zeros((1, 4), dtype=int)
+    for step, axis, count in ((arm_1, 2, t), (arm_2, 3, t), (minus, 1, n_max), (plus, 0, t)):
+        fs, outcomes = _level_walk(step, fs, outcomes, axis, count, t)
     norms = np.zeros((t + 1,) * 4)
-    for k, f_k in enumerate(_walk(arm_1, unit, t)):
-        for l, f_kl in enumerate(_walk(arm_2, f_k, t - k)):  # noqa: E741
-            for n, f_nkl in enumerate(_walk(minus, f_kl, min(n_max, t - k - l))):
-                for m, f in enumerate(_walk(plus, f_nkl, t - k - l - n)):
-                    f = f.ravel()
-                    norms[m, n, k, l] = np.vdot(f, quad @ f).real
+    for f, outcome in zip(fs.reshape(len(fs), -1), outcomes):
+        norms[tuple(outcome)] = np.vdot(f, quad @ f).real
     a2 = abs(protocol.input.alpha) ** 2
     click = _poisson_weights(det.eta * a2 / 4.0, t)
     lost = _poisson_weights((1.0 - det.eta) * a2 / 2.0, t)

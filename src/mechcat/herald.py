@@ -127,11 +127,12 @@ ARM_POLYNOMIALS = {PARALLEL: (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0
 
 def polynomial_step(f: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The coefficients of (sum_ab step[a, b] E1^a x E2^b)(sum_ab f[a, b] E1^a x E2^b) on the
-    shape of f; powers beyond it are dropped."""
+    shape of f; powers beyond it are dropped. Leading axes of f are a stack: each f[i] gets
+    the same adds in the same order as alone."""
     g = np.zeros(f.shape, dtype=complex)
     for (a, b), coef in np.ndenumerate(step):
         if coef:
-            g[a:, b:] += coef * f[: f.shape[0] - a, : f.shape[1] - b]
+            g[..., a:, b:] += coef * f[..., : f.shape[-2] - a, : f.shape[-1] - b]
     return g
 
 

@@ -8,8 +8,8 @@ the slot signals with phase coefficients e^{i zeta}; unused slots still
 inject vacuum noise, so every port carries one unit of input noise. A
 channel, a (pathway, port) pair, is therefore two coefficient rows over
 (X1, P1, X2, P2): the signal row, chi included and 0 on unpulsed slots, and
-the noise row (`_channel_signals`). Port moments, phase-set selection, the
-per-shot sampler and the recovery all read those two rows.
+the noise row (`_channel_signals`). Port moments, the per-shot sampler and
+the recovery all read those two rows.
 
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (Key, MomentTable, apply_mode_map, keys_up_to_order, order_slice,
+from .algebra import (D_MAX, Key, MomentTable, apply_mode_map, keys_up_to_order, order_slice,
                       symmetrization_maps)
-from .errors import IllConditioned, RankDeficient
+from .errors import IllConditioned, OrderOverflow, RankDeficient
 from . import fock
 from .fock import TwoModeState
 
@@ -37,8 +37,6 @@ SLOTS = ("m1_t0", "m1_tp", "m2_t0", "m2_tp")
 PORTS = ("A", "B", "C", "D")
 
 COND_LIMIT = 1e8
-RANK_RESIDUAL = 0.25
-EXTRA_PHASE_SETS = 3
 
 
 @dataclass(frozen=True)
@@ -300,71 +298,51 @@ def _order_keys(order: int) -> list[Key]:
     return keys_up_to_order(order)[order_slice(order)]
 
 
-def _greedy_rows(rows: np.ndarray, rank: int) -> list[int]:
-    """Indices of the rows a greedy Gram-Schmidt pass accepts, in row order.
+# (zeta_1, zeta_2, zeta_3) of each default phase set in units of pi/4, zeta_4 = 0
+_DEFAULT_PHASE_STEPS = {
+    1: ((0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)),
+    2: ((0, 0, 0), (0, 1, 0), (2, 0, 0), (0, 0, 2), (0, 1, 2), (0, 2, 2), (0, 3, 2)),
+    3: ((0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 0, 0), (1, 2, 0), (2, 0, 0), (0, 0, 2),
+        (1, 4, 2), (3, 3, 2), (3, 4, 2), (3, 5, 2), (3, 6, 2)),
+    4: ((0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0),
+        (2, 0, 0), (2, 2, 0), (0, 0, 1), (0, 2, 1), (1, 3, 1), (2, 0, 1), (2, 3, 1), (5, 3, 1),
+        (0, 0, 2), (1, 4, 2), (3, 3, 2), (4, 1, 2)),
+}
 
-    A row is accepted when its residual against the directions accepted
-    before it keeps more than RANK_RESIDUAL of its norm; the pass stops at
-    `rank` directions or when no later row qualifies. Rows are projected 64
-    at a time, so the work follows the rows actually scanned.
-    """
-    chunk = 64
-    norms = np.linalg.norm(rows, axis=1)
-    basis = np.empty((0, rows.shape[1]), dtype=complex)
-    accepted: list[int] = []
-    start = 0
-    while len(accepted) < rank and start < len(rows):
-        block, norm = rows[start : start + chunk], norms[start : start + chunk]
-        residual = block - (block @ basis.conj().T) @ basis
-        left = np.linalg.norm(residual, axis=1)
-        hits = np.flatnonzero(left > RANK_RESIDUAL * norm)
-        if not hits.size:
-            start += len(block)
-            continue
-        i = hits[0]
-        basis = np.vstack([basis, residual[i] / left[i]])
-        accepted.append(start + i)
-        start += i + 1
-    return accepted
+
+def _check_target_order(target_order: int) -> None:
+    """Target orders run from 1 to D_MAX / 2: the sampling covariances need port moments
+    of order 2 x target_order."""
+    if target_order < 1:
+        raise ValueError(f"target_order = {target_order} must be >= 1")
+    if 2 * target_order > D_MAX:
+        raise OrderOverflow(
+            f"target_order = {target_order} needs port moments of order {2 * target_order} > d_max={D_MAX}"
+        )
 
 
 def default_phase_sets(target_order: int) -> list[PhaseSet]:
-    """Deterministic spanning family of phase sets for the full pathway.
+    """Deterministic spanning family of phase sets for the full pathway, for target
+    orders 1 to 4; ValueError below, OrderOverflow above (_check_target_order).
 
-    Candidates run over a pi/4 grid (the pi/2 grid cannot separate, e.g.,
-    the X1^4 and P1^4 sums: their coefficients coincide on every port for
-    all fourth-root phases). Greedy selection keeps a set if one of its
-    port rows adds a sufficiently independent direction at any order that
-    is still rank-deficient; orders never share directions, so each order
-    is one greedy pass over the rows of all candidates and ports. Once every
-    order is complete, the next EXTRA_PHASE_SETS candidates are kept as
-    extras to overdetermine the system.
+    The four lists are the output of a greedy selection rule, held as data. Candidates
+    run over a pi/4 grid, zeta_3 slowest and zeta_2 fastest, with zeta_4 = 0 (the pi/2
+    grid cannot separate, e.g., the X1^4 and P1^4 sums: their coefficients coincide on
+    every port for all fourth-root phases). A candidate is kept if one of its port rows
+    keeps more than 0.25 of its norm against the directions already accepted at an order
+    that is still rank-deficient; orders never share directions. Once every order is
+    complete, the next three candidates are kept as extras to overdetermine the system.
 
-    The sets depend on the target order alone: the heralding phase puts the
-    same unit phase e^{i phi (r + s)} on each key column of every candidate
-    row, and chi scales every order-d row by chi^d, so neither moves a
-    residual-to-norm ratio of the greedy pass. The rows are built at
-    phi = 0, chi = 1.
+    The rule selects the same sets at every heralding phase and chi: phi puts the same
+    unit phase e^{i phi (r + s)} on each key column of every candidate row, and chi
+    scales every order-d row by chi^d, so neither moves a residual-to-norm ratio.
+    tests/test_verify.py::_reference_phase_sets runs the rule and regenerates every list.
     """
-    grid = np.arange(8) * math.pi / 4.0
-    z3, z1, z2 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
-    zetas = np.stack([z1, z2, z3, np.zeros_like(z1)], axis=-1)
-    kappa = _port_bases(zetas, 0.0).reshape(-1, 4)  # candidate-then-port rows
-    useful = np.zeros(len(zetas), dtype=bool)
-    completed = -1  # candidate at which the last order completed
-    for d in range(1, target_order + 1):
-        keys = _order_keys(d)
-        accepted = np.array(_greedy_rows(_coefficient_rows(kappa, keys, d), len(keys)), dtype=int)
-        useful[accepted // len(PORTS)] = True
-        if completed is not None and len(accepted) == len(keys):
-            completed = max(completed, accepted[-1] // len(PORTS))
-        else:
-            completed = None
-    selected = np.flatnonzero(useful)
-    if completed is not None:
-        extras = np.arange(completed + 1, min(completed + 1 + EXTRA_PHASE_SETS, len(zetas)))
-        selected = np.concatenate([selected, extras])
-    return [PhaseSet(*map(float, zetas[i])) for i in selected]
+    _check_target_order(target_order)
+    return [
+        PhaseSet(a * math.pi / 4.0, b * math.pi / 4.0, c * math.pi / 4.0, 0.0)
+        for a, b, c in _DEFAULT_PHASE_STEPS[target_order]
+    ]
 
 
 def _null_space(a_w: np.ndarray, tol: float) -> np.ndarray:
@@ -500,8 +478,7 @@ class VerificationStudy:
     ):
         if not 0 < chi < math.inf:
             raise ValueError(f"chi = {chi} must be finite and positive")
-        if target_order < 1:
-            raise ValueError(f"target_order = {target_order} must be >= 1")
+        _check_target_order(target_order)
         if phase_sets is None:
             phase_sets = default_phase_sets(target_order)
         if not phase_sets:

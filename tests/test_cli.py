@@ -298,6 +298,13 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     assert r.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_verify_out():
+    code = "import sys, mechcat.cli; print('mechcat.verify' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "command, config, named",
     [

@@ -6,7 +6,7 @@ import pytest
 
 from mechcat import fock, verify
 from mechcat.algebra import canonicalize, keys_up_to_order, symmetrized_expand
-from mechcat.errors import IllConditioned, RankDeficient
+from mechcat.errors import IllConditioned, OrderOverflow, RankDeficient
 from mechcat.herald import ProtocolParams, heralded_moment_table, pure_cat_state
 from mechcat.opensystem import EnvParams, evolve_moments
 from mechcat.verify import (
@@ -516,14 +516,16 @@ def test_exact_port_moments_match_scalar_reference(pathway):
     ],
 )
 def test_default_phase_sets_pinned(args, expected):
-    # (zeta_1, zeta_2, zeta_3) in units of pi/4, zeta_4 = 0: how the
-    # projection is computed must not move the greedy selection
+    # (zeta_1, zeta_2, zeta_3) in units of pi/4, zeta_4 = 0, written out apart from
+    # the library's table; _reference_phase_sets regenerates them from the rule
     step = math.pi / 4.0
     assert default_phase_sets(*args) == [PhaseSet(a * step, b * step, c * step, 0.0) for a, b, c in expected]
 
 
-def _reference_phase_sets(target_order, phi, chi, margin):
-    """Candidate-by-candidate greedy selection, one port row at a time."""
+def _reference_phase_sets(target_order, phi, chi, margin, residual=0.25):
+    """Candidate-by-candidate greedy selection, one port row at a time: a row is accepted
+    when it keeps more than `residual` of its norm against its order's accepted directions,
+    and `margin` extra candidates follow once every order is complete."""
     grid = [k * math.pi / 4.0 for k in range(8)]
     candidates = [PhaseSet(z1, z2, z3, 0.0) for z3 in grid for z1 in grid for z2 in grid]
     keys = {d: verify._order_keys(d) for d in range(1, target_order + 1)}
@@ -547,7 +549,7 @@ def _reference_phase_sets(target_order, phi, chi, margin):
                     continue
                 basis = np.reshape(bases[d], (-1, len(keys[d])))
                 vec = vec - basis.T @ (basis.conj() @ vec)
-                if np.linalg.norm(vec) > verify.RANK_RESIDUAL * norm0:
+                if np.linalg.norm(vec) > residual * norm0:
                     bases[d].append(vec / np.linalg.norm(vec))
                     useful = True
         if useful:
@@ -575,3 +577,27 @@ def test_default_phase_sets_depend_on_the_order_alone(phi, chi):
     # so neither moves the greedy selection of the candidate loop
     for order in range(1, 5):
         assert default_phase_sets(order) == _reference_phase_sets(order, phi, chi, 3)
+
+
+def test_default_phase_sets_reject_orders_outside_the_table():
+    with pytest.raises(ValueError):
+        default_phase_sets(0)
+    with pytest.raises(OrderOverflow):
+        default_phase_sets(5)
+
+
+@pytest.mark.parametrize("phase_sets", [None, [PhaseSet()]])
+def test_study_rejects_order_5_before_any_port_moment(monkeypatch, phase_sets):
+    # order 5 needs port moments of order 10, above algebra.D_MAX = 8
+    def port_moments(*args):
+        raise AssertionError("port moments built")
+
+    monkeypatch.setattr(verify, "_port_moments", port_moments)
+    with pytest.raises(OrderOverflow):
+        VerificationStudy(evolved_table(), phi=PHI, target_order=5, phase_sets=phase_sets)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_noiseless_recovery_exact_at_the_lower_orders(order):
+    run = VerificationStudy(evolved_table(), phi=PHI, target_order=order).run(None)
+    assert run.max_abs_deviation() < 1e-12
