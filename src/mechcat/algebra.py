@@ -299,14 +299,15 @@ def _word_matrices(cutoff: int, order_max: int) -> np.ndarray:
 
 def moments_from_state(state: TwoModeState, order_max: int,
                        check_convergence: bool = False) -> MomentTable:
-    """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state.
-
-    Click columns give them as the word sums of fock.ClickColumns over the single-mode word
-    matrices, divided by the identity word's sum (the columns' trace); a factor gives them as
-    shifted overlaps (_moments_raw). The doubling check compares the top order with the
-    moments of the same state zero-padded into the doubled-cutoff space (_reembed)."""
+    """All canonical moments <X1^p P1^q X2^r P2^s> of a Fock-space state: the word sums of its
+    click columns (TwoModeState.word_sums) over the single-mode word matrices, divided by the
+    identity word's sum (the columns' trace). The doubling check compares the top order with
+    the moments of the same state zero-padded into the doubled-cutoff space (_reembed)."""
     _check_order(order_max)
-    table = _moments_raw(state, order_max) if state.clicks is None else _click_moments(state, order_max)
+    cfg = state.config
+    grid = state.word_sums(_word_matrices(cfg.cutoff_1, order_max), _word_matrices(cfg.cutoff_2, order_max))
+    i1, i2 = _grid_index(order_max)
+    table = MomentTable(grid[i1, i2] / grid[0, 0].real, order_max)
     if check_convergence:
         top = order_slice(order_max)
         drift = np.abs(table.values[top] - moments_from_state(_reembed(state), order_max).values[top])
@@ -318,47 +319,7 @@ def moments_from_state(state: TwoModeState, order_max: int,
     return table
 
 
-def _click_moments(state: TwoModeState, order_max: int) -> MomentTable:
-    cfg = state.config
-    grid = state.clicks.word_sums(_word_matrices(cfg.cutoff_1, order_max), _word_matrices(cfg.cutoff_2, order_max))
-    i1, i2 = _grid_index(order_max)
-    return MomentTable(grid[i1, i2] / grid[0, 0].real, order_max)
-
-
-def _moments_raw(state: TwoModeState, order_max: int) -> MomentTable:
-    # <M1 x M2> = sum_{i,j,k,l} M1[i, k] M2[j, l] sum_x conj(A[i, j, x]) A[k, l, x]. Words of
-    # order <= n are banded on both modes, so with k = i + d1, l = j + d2 every moment of order
-    # <= n is a sum over |d1| + |d2| <= n of diag(M1, d1) O_d diag(M2, d2)^T with the shifted
-    # overlaps O_d[i, j] = sum_x conj(A[i, j, x]) A[i + d1, j + d2, x] (both indexed from the
-    # first valid row and column). O_{-d} is the conjugate of O_d in that indexing, so only
-    # the half plane (d1 > 0, or d1 = 0 and d2 >= 0) is computed
-    a = state.factor
-    c1, c2 = a.shape[:2]
-    m1 = _word_matrices(c1, order_max)
-    m2 = _word_matrices(c2, order_max)
-
-    def part(d1, d2, overlap):
-        return np.diagonal(m1, d1, 1, 2) @ overlap @ np.diagonal(m2, d2, 1, 2).T
-
-    grid = 0
-    for d1 in range(min(order_max, c1 - 1) + 1):
-        reach = min(order_max - d1, c2 - 1)
-        for d2 in range(-reach if d1 else 0, reach + 1):
-            lo, hi = max(0, -d2), c2 - max(0, d2)
-            overlap = np.vecdot(a[: c1 - d1, lo:hi], a[d1:, lo + d2 : hi + d2])
-            grid = grid + part(d1, d2, overlap)
-            if d1 or d2:
-                grid = grid + part(-d1, -d2, overlap.conj())
-    i1, i2 = _grid_index(order_max)
-    return MomentTable(grid[i1, i2], order_max)
-
-
 def _reembed(state: TwoModeState) -> TwoModeState:
-    """Embed the state in a doubled-cutoff space: zero-pad its click columns' E blocks (their
-    kept levels stay), which zero-pads their factor without building it, or its factor."""
-    cfg, clicks = state.config, state.clicks
-    if clicks is None:
-        payload = np.pad(state.factor, ((0, cfg.cutoff_1), (0, cfg.cutoff_2), (0, 0)))
-    else:
-        payload = replace(clicks, e1=np.pad(clicks.e1, (0, cfg.cutoff_1)), e2=np.pad(clicks.e2, (0, cfg.cutoff_2)))
-    return TwoModeState(cfg.doubled(), payload)
+    """The state in the doubled-cutoff space: its E blocks zero-padded, its kept levels and
+    everything else as they are, which zero-pads every column."""
+    return replace(state, e1=np.pad(state.e1, (0, len(state.e1))), e2=np.pad(state.e2, (0, len(state.e2))))

@@ -329,7 +329,7 @@ def _loss_table(
     all as coefficient arrays f of Y = sum_ab f[a, b] E1^a x E2^b with E = D - I per mode
     (herald.ARM_POLYNOMIALS, herald.click_inputs). On the thermal columns with these E,
     tr(Y rho Y^dag) = f^dag T f with T[(a, b), (a', b')] the word sum of
-    (E1^a)^dag E1^a' x (E2^b)^dag E2^b' (fock.ClickColumns.word_sums). The walk takes
+    (E1^a)^dag E1^a' x (E2^b)^dag E2^b' (fock.TwoModeState.word_sums). The walk takes
     the arms, then the minus and the plus clicks, one stack level at a time (_level_walk);
     the steps of each f do not depend on n_max, and each entry is its own f^dag T f, so
     every entry it fills is the same float for any n_max.
@@ -337,13 +337,12 @@ def _loss_table(
     _require_coherent(protocol)
     t = truncation
     thermal, (plus, minus) = herald.click_inputs(protocol, config)
-    clicks = thermal.clicks
     words = []
-    for e in (clicks.e1, clicks.e2):
+    for e in (thermal.e1, thermal.e2):
         powers = fock.powers(e, t + 1)
         words.append((powers.conj().swapaxes(1, 2)[:, None] @ powers).reshape(-1, len(e), len(e)))
     size = (t + 1) ** 2
-    quad = clicks.word_sums(*words).reshape((t + 1,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
+    quad = thermal.word_sums(*words).reshape((t + 1,) * 4).transpose(0, 2, 1, 3).reshape(size, size)
 
     arm_1, arm_2 = ARM_POLYNOMIALS[protocol.configuration]
     fs = np.zeros((1, t + 1, t + 1), dtype=complex)

@@ -9,10 +9,6 @@ class CutoffTooSmall(MechcatError):
     """Fock truncation cannot represent the requested object accurately."""
 
 
-class DimensionMismatch(MechcatError):
-    """A state array does not match the truncated space it is declared on."""
-
-
 class ZeroOperator(MechcatError):
     """The requested measurement operator is identically zero."""
 

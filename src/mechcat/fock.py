@@ -1,5 +1,5 @@
-"""Truncated two-mode Fock space: states held as click columns (thermal and heralded)
-or as factors (a caller's psi or rho), single-mode maps on them.
+"""Truncated two-mode Fock space: states held as click columns (thermal, and heralded by
+one click operator), read through per-mode blocks.
 
 Conventions: hbar = 1, X = (b + b^dag)/sqrt(2), P = -i(b - b^dag)/sqrt(2),
 so the vacuum quadrature variance is 1/2.
@@ -8,17 +8,14 @@ so the vacuum quadrature variance is 1/2.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch
+from .errors import CutoffTooSmall
 
 TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
-PSD_TOL = 1e-8
 ENTROPY_EIG_FLOOR = 1e-14
 GRAM_IMAG_TOL = 1e-14  # ||Im G||_F / tr G below which G = A^dag A is taken as real
 THERMAL_TAIL_TOL = 1e-10
@@ -79,15 +76,6 @@ def p_single(cutoff: int) -> np.ndarray:
     return -1j * (a - a.conj().T) / math.sqrt(2.0)
 
 
-def coherent_vector(beta: complex, cutoff: int) -> np.ndarray:
-    """Coherent-state amplitudes e^{-|b|^2/2} b^n / sqrt(n!), truncated."""
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    for k in range(1, cutoff):
-        amps[k] = amps[k - 1] * beta / math.sqrt(k)
-    return amps * math.exp(-abs(beta) ** 2 / 2.0)
-
-
 def displacement_minus_identity(beta: complex, cutoff: int) -> np.ndarray:
     """Single-mode E = D(beta) - I from one eigendecomposition of the generator, with expm1
     in place of exp: where D is near I its entries are O(|beta|) with no O(1) terms
@@ -124,15 +112,18 @@ def pair_diagonals(blocks: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ClickColumns:
-    """A thermal state, or a click operator applied to one, in per-mode blocks: column x
-    of its factor is sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each
+class TwoModeState:
+    """Density operator rho = sum_x A_x A_x^dag on the truncated two-mode space, held as its
+    click columns: A_x = sum_ab f[a, b] E1^a x E2^b s_x |k1_x, k2_x>, with E = D - I on each
     mode. thermal_state has f = [[1]], E = 0 and s = sqrt(w) on its kept levels k1, k2;
-    herald.click_inputs sets a protocol's E, and herald.heralded_state its f, folding the
-    heralding normalisation into s, so its trace is 1 up to rounding. `trace`, `gram` and
-    `word_sums` are read off c x c blocks per mode at the kept levels (`word_sums` also gives
-    the loss oracle's T, detector._loss_table), and `factor` builds the (c1, c2, r) factor
-    for the readers that need it.
+    herald.click_inputs sets a protocol's E, and apply_operator (the heralding step) its f,
+    folding the normalisation into s, so the trace is 1 up to rounding. rho is Hermitian and
+    positive semidefinite by construction. The cutoffs (`config`) are the sizes of E1 and E2.
+
+    `trace`, `gram` and `word_sums` are read off c x c blocks per mode at the kept levels:
+    von_neumann_entropy reads the Gram matrix, algebra.moments_from_state and the loss oracle
+    (detector._loss_table) the word sums. `truncation_loss` is the probability mass of the
+    thermal input left out of the state: its tail beyond the cutoffs plus the dropped columns.
     """
 
     f: np.ndarray
@@ -141,6 +132,11 @@ class ClickColumns:
     k1: np.ndarray
     k2: np.ndarray
     s: np.ndarray
+    truncation_loss: float = 0.0
+
+    @property
+    def config(self) -> FockConfig:
+        return FockConfig(len(self.e1), len(self.e2))
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +168,6 @@ class ClickColumns:
         to 2.2e-13 off an exactly summed D-form trace, where this sum stays within 7.9e-15."""
         return float(self.word_sums(np.eye(len(self.e1))[None], np.eye(len(self.e2))[None])[0, 0].real)
 
-    def factor(self) -> np.ndarray:
-        """The factor A (c1, c2, r): column x is sum_a E1^a[:, k1_x] x F_a[:, k2_x] s_x."""
-        mode_1, mode_2 = self._blocks
-        return np.einsum("aix,ajx->ijx", mode_1[:, :, self.k1], mode_2[:, :, self.k2] * self.s)
-
     def gram(self) -> np.ndarray:
         """G = A^dag A normalised by its own trace: G[x, x'] = s_x s_x' sum_{a, a'}
         M_aa'[k1_x, k1_x'] B_aa'[k2_x, k2_x'] / tr with the c x c blocks M_aa' = (E1^a)^dag E1^a'
@@ -204,95 +195,11 @@ class ClickColumns:
             block *= s[lo:hi, None]
         return gram
 
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Density operator rho = sum_x A_x A_x^dag on the truncated two-mode space,
-    held as one payload: the ClickColumns of every state the library builds
-    (thermal_state, ground_state, herald.heralded_state), or the factor A of
-    shape (cutoff_1, cutoff_2, rank) of a caller's psi or rho (state_from_vector,
-    state_from_rho, apply_operator). A pure state has rank 1. rho is Hermitian
-    and positive semidefinite by construction.
-
-    von_neumann_entropy reads the click columns' Gram matrix and
-    algebra.moments_from_state their word sums, with no factor. The `factor` is
-    built from the click columns on first read, by the readers that need it
-    (partial_trace, fidelity_to_pure and the port spectra of verify), and kept.
-
-    `truncation_loss` is the probability mass of the thermal input left out of
-    the state: its tail beyond the cutoffs plus the dropped columns.
-    """
-
-    config: FockConfig
-    payload: np.ndarray | ClickColumns
-    truncation_loss: float = 0.0
-
-    def __post_init__(self):
-        shape = (self.config.cutoff_1, self.config.cutoff_2)
-        if self.clicks is not None:
-            if (len(self.clicks.e1), len(self.clicks.e2)) != shape:
-                raise DimensionMismatch(f"click columns on {len(self.clicks.e1)} x {len(self.clicks.e2)} "
-                                        f"levels vs cutoffs {shape}")
-        elif self.payload.ndim != 3 or self.payload.shape[:2] != shape:
-            raise DimensionMismatch(f"factor shape {self.payload.shape} vs cutoffs {shape}")
-
-    @property
-    def clicks(self) -> ClickColumns | None:
-        return self.payload if isinstance(self.payload, ClickColumns) else None
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """A of shape (cutoff_1, cutoff_2, rank): rho = sum_x A[:, :, x] A[:, :, x]^dag."""
-        return self.payload if self.clicks is None else self.clicks.factor()
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The factor as a (dim, rank) matrix: rho = columns columns^dag."""
-        return self.factor.reshape(self.config.dim, -1)
-
-    @property
-    def rho(self) -> np.ndarray:
-        a = self.columns
-        return a @ a.conj().T
-
-    @property
-    def vector(self) -> np.ndarray | None:
-        """State vector of a rank-1 state, else None."""
-        return self.columns[:, 0] if self.factor.shape[2] == 1 else None
-
     def validate(self) -> "TwoModeState":
-        """Unit trace of the payload; Hermiticity and positivity need no check
-        (see state_from_rho)."""
-        tr = self.clicks.trace if self.clicks is not None else float(np.vdot(self.payload, self.payload).real)
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
+        """Unit trace; Hermiticity and positivity hold by construction."""
+        if not abs(self.trace - 1.0) <= TRACE_TOL:
+            raise ValueError(f"trace(rho) = {self.trace:.12g}, not 1")
         return self
-
-
-def state_from_vector(psi: np.ndarray, config: FockConfig) -> TwoModeState:
-    psi = psi.astype(complex)
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= 1e-8:
-        raise ValueError(f"state vector norm {norm:.12g}")
-    return TwoModeState(config, (psi / norm).reshape(config.cutoff_1, config.cutoff_2, 1))
-
-
-def state_from_rho(rho: np.ndarray, config: FockConfig) -> TwoModeState:
-    """State from a dense density matrix: trace, Hermiticity and positivity are
-    checked in full, and the factor is taken from its spectrum."""
-    if rho.shape != (config.dim, config.dim):
-        raise DimensionMismatch(f"rho shape {rho.shape} vs dim {config.dim}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace(rho) = {tr:.12g}, not 1")
-    if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
-        raise ValueError("rho is not Hermitian")
-    lam, v = np.linalg.eigh(rho)
-    if lam[0] < -PSD_TOL:
-        raise ValueError(f"rho has negative eigenvalue {lam[0]:.3g}")
-    keep = lam > 0.0
-    a = v[:, keep] * np.sqrt(lam[keep])
-    return TwoModeState(config, a.reshape(config.cutoff_1, config.cutoff_2, -1))
 
 
 def thermal_populations(nbar: float, cutoff: int) -> np.ndarray:
@@ -325,44 +232,23 @@ def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeSt
     n_drop = int(np.searchsorted(np.cumsum(w[by_size]), THERMAL_DROP_TOL, side="right"))
     kept = np.sort(by_size[n_drop:])
     tails = sum((nbar / (nbar + 1.0)) ** c for nbar, c in ((nbar_1, c1), (nbar_2, c2)))
-    columns = ClickColumns(np.ones((1, 1), dtype=complex), np.zeros((c1, c1), dtype=complex),
-                           np.zeros((c2, c2), dtype=complex), *np.divmod(kept, c2), np.sqrt(w[kept]))
-    return TwoModeState(config, columns, tails + float(w[by_size[:n_drop]].sum()))
+    return TwoModeState(np.ones((1, 1), dtype=complex), np.zeros((c1, c1), dtype=complex),
+                        np.zeros((c2, c2), dtype=complex), *np.divmod(kept, c2), np.sqrt(w[kept]),
+                        tails + float(w[by_size[:n_drop]].sum()))
 
 
-def ground_state(config: FockConfig) -> TwoModeState:
-    return thermal_state(0.0, 0.0, config)
-
-
-def on_mode(single: np.ndarray, mode: int, factor: np.ndarray) -> np.ndarray:
-    """Apply a single-mode matrix to one mode of a factor (c1, c2, r)."""
-    if mode == 1:
-        c1, c2, r = factor.shape
-        return (single @ factor.reshape(c1, c2 * r)).reshape(c1, c2, r)
-    if mode == 2:
-        return np.matmul(single, factor)
-    raise ValueError("mode must be 1 or 2")
-
-
-def apply_operator(
-    op: Callable[[np.ndarray], np.ndarray], state: TwoModeState
-) -> tuple[TwoModeState, float]:
-    """Return (K rho K^dag / p, p) with p = tr(K rho K^dag), for K given as a map
-    on factors (such as one made of on_mode steps)."""
-    a = op(state.factor)
-    p = float(np.vdot(a, a).real)
+def apply_operator(f: np.ndarray, state: TwoModeState) -> tuple[TwoModeState, float]:
+    """The heralding step: (K rho K^dag / p, p) with K = sum_ab f[a, b] E1^a x E2^b and
+    p = tr(K rho K^dag), on a state whose f is [[1]] (the thermal input of
+    herald.click_inputs). K's columns are the state's with f in place of [[1]], and 1 / sqrt(p)
+    is folded into s; (state, 0.0) where p <= 0."""
+    if state.f.tolist() != [[1.0]]:
+        raise ValueError("apply_operator acts on a state whose f is [[1]]")
+    out = replace(state, f=f)
+    p = out.trace
     if p <= 0.0:
         return state, 0.0
-    return TwoModeState(state.config, a / math.sqrt(p), state.truncation_loss), p
-
-
-def partial_trace(state: TwoModeState, keep_mode: int) -> np.ndarray:
-    """Reduced density matrix of one mode."""
-    if keep_mode not in (1, 2):
-        raise ValueError("keep_mode must be 1 or 2")
-    a = state.factor if keep_mode == 1 else state.factor.transpose(1, 0, 2)
-    a = a.reshape(a.shape[0], -1)
-    return a @ a.conj().T
+    return replace(out, s=out.s / math.sqrt(p)), p
 
 
 def entropy_of_matrix(rho: np.ndarray) -> float:
@@ -372,36 +258,18 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 
 
 def von_neumann_entropy(state: TwoModeState) -> float:
-    """-sum lambda ln lambda over eigenvalues above the truncation-noise floor,
-    from the rank x rank Gram matrix G = A^dag A (same nonzero spectrum as rho).
+    """-sum lambda ln lambda over eigenvalues above the truncation-noise floor, from the
+    rank x rank Gram matrix G = A^dag A of the click columns (same nonzero spectrum as rho;
+    TwoModeState.gram, written in E = D - I so that no O(1) terms cancel at the dark fringe).
 
-    Click columns give G from c x c blocks of E = D - I per mode
-    (ClickColumns.gram, written in E so that no O(1) terms cancel at the dark
-    fringe); a factor gives it as the plain product A^dag A.
-
-    G is real for thermal and heralded thermal states (the thermal columns are
-    real, the arms are complex-symmetric and commute) and diagonal for
-    state_from_rho factors. By Weyl's inequality dropping Im G moves each
-    eigenvalue by at most ||Im G||_2 <= ||Im G||_F, so the real solve is taken
-    when that bound is at rounding level: at most GRAM_IMAG_TOL of tr G, the
-    size of the entropy's eigenvalue floor. Any other factor, such as A U for a
-    unitary U (the same rho), keeps the Hermitian solve.
+    G is real for thermal and heralded thermal states. Their columns are K s_x |k1_x, k2_x> on
+    real thermal weights, with K a polynomial in E1 x 1 and 1 x E2 for E = e^{i mu X} - I.
+    Those two commute and are complex-symmetric and normal, so K is too, and then
+    conj(K^dag K) = K^T conj(K) = K K^dag = K^dag K. By Weyl's inequality dropping Im G moves
+    each eigenvalue by at most ||Im G||_2 <= ||Im G||_F, so the real solve is taken when that
+    bound is at rounding level: at most GRAM_IMAG_TOL of tr G, the size of the entropy's
+    eigenvalue floor. Click columns with other E keep the Hermitian solve.
     """
-    if state.clicks is None:
-        a = state.columns
-        g = a.conj().T @ a
-    else:
-        g = state.clicks.gram()
+    g = state.gram()
     real = np.linalg.norm(g.imag) <= GRAM_IMAG_TOL * np.trace(g.real)
     return entropy_of_matrix(g.real if real else g)
-
-
-def entanglement_entropy(state: TwoModeState) -> float:
-    """Entropy of the mode-1 reduced state (equals mode 2 for pure states)."""
-    return entropy_of_matrix(partial_trace(state, 1))
-
-
-def fidelity_to_pure(state: TwoModeState, psi: np.ndarray) -> float:
-    """<psi| rho |psi> for a normalized reference vector."""
-    psi = psi / np.linalg.norm(psi)
-    return float(np.sum(np.abs(psi.conj() @ state.columns) ** 2))

@@ -3,9 +3,9 @@
 A click event {m, n} after the interferometer applies a measurement operator
 built from pulsed-interaction phase factors e^{i mu X}; the {1, 0} event
 heralds the two-mode cat state. Two independent computation paths are
-provided: a truncated-Fock path, where a heralded state is held as its click
-columns (per-mode E = D - I blocks on the kept thermal columns,
-fock.ClickColumns), and a closed-form moment path (the heralded state is a
+provided: a truncated-Fock path, where the click operator's coefficients over
+per-mode E = D - I powers act on the thermal click columns (fock.TwoModeState,
+fock.apply_operator), and a closed-form moment path (the heralded state is a
 superposition of displaced Gaussians, so every canonical moment follows from
 a quadratic generating function).
 """
@@ -146,10 +146,10 @@ def click_inputs(params: ProtocolParams, config: FockConfig) -> tuple[TwoModeSta
     thermal = fock.thermal_state(params.nbar_1, params.nbar_2, config)
     beta = 1j * params.mu / math.sqrt(2.0)
     e = {c: fock.displacement_minus_identity(beta, c) for c in {config.cutoff_1, config.cutoff_2}}
-    columns = replace(thermal.clicks, e1=e[config.cutoff_1], e2=e[config.cutoff_2])
     arm_1, arm_2 = ARM_POLYNOMIALS[params.configuration]
     phase = np.exp(1j * params.phi)
-    return replace(thermal, payload=columns), (arm_1 + phase * arm_2, arm_1 - phase * arm_2)
+    return (replace(thermal, e1=e[config.cutoff_1], e2=e[config.cutoff_2]),
+            (arm_1 + phase * arm_2, arm_1 - phase * arm_2))
 
 
 def _click_polynomial(steps: tuple[np.ndarray, np.ndarray], outcome: ClickOutcome) -> np.ndarray:
@@ -166,59 +166,35 @@ def _click_polynomial(steps: tuple[np.ndarray, np.ndarray], outcome: ClickOutcom
 def measurement_operator(
     params: ProtocolParams, outcome: ClickOutcome, config: FockConfig
 ) -> np.ndarray:
-    """Dense dim x dim matrix of the click operator Y_mn = pref sum_ab f[a, b] E1^a x E2^b, its
-    click columns on every basis vector. Y does not depend on the occupations, so its E and
-    steps are read at nbar = 0."""
+    """Dense dim x dim matrix of the click operator Y_mn = pref sum_ab f[a, b] E1^a x E2^b,
+    summed over a with F_a = sum_b f[a, b] E2^b. Y does not depend on the occupations, so its
+    E and steps are read at nbar = 0."""
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
     ground, steps = click_inputs(replace(params, nbar_1=0.0, nbar_2=0.0), config)
-    k1, k2 = np.divmod(np.arange(config.dim), config.cutoff_2)
-    y = replace(ground.clicks, f=_click_polynomial(steps, outcome), k1=k1, k2=k2, s=np.ones(config.dim))
-    return pref * y.factor().reshape(config.dim, config.dim)
+    f = _click_polynomial(steps, outcome)
+    blocks_2 = np.tensordot(f, fock.powers(ground.e2, len(f)), 1)
+    y = np.einsum("aik,ajl->ijkl", fock.powers(ground.e1, len(f)), blocks_2)
+    return pref * y.reshape(config.dim, config.dim)
 
 
 def heralded_state(params: ProtocolParams, config: FockConfig | None = None,
                    outcome: ClickOutcome = ClickOutcome(1, 0)) -> tuple[TwoModeState, float]:
     """State Y rho Y^dag / p and probability p of a click on the thermal input (default
-    cutoffs when config is None), held as fock.ClickColumns and with no factor: the thermal
-    columns s_x |k1_x, k2_x> with this protocol's E = D - I per mode (click_inputs) and the f of
-    Y = pref sum_ab f[a, b] E1^a x E2^b in place of their f = [[1]].
+    cutoffs when config is None): the thermal click columns with this protocol's E = D - I per
+    mode (click_inputs) and the f of Y = pref sum_ab f[a, b] E1^a x E2^b in place of their
+    f = [[1]] (fock.apply_operator, which folds the normalisation into s).
 
-    p = |pref|^2 times the trace of the unnormalised columns, and the normalisation is folded
-    into s. Written in E, no O(1) terms cancel at the dark fringe."""
+    p = |pref|^2 times the trace of the unnormalised columns. Written in E, no O(1) terms
+    cancel at the dark fringe."""
     if config is None:
         config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
     pref = amplitude_prefactor(params, outcome)  # raises ZeroOperator if needed
     thermal, steps = click_inputs(params, config)
-    clicks = replace(thermal.clicks, f=_click_polynomial(steps, outcome))
-    p = abs(pref) ** 2 * clicks.trace
+    state, trace = fock.apply_operator(_click_polynomial(steps, outcome), thermal)
+    p = abs(pref) ** 2 * trace
     if p < 1e-15:
         raise HeraldImpossible(f"click probability {p:.3g} for outcome {outcome}")
-    clicks = replace(clicks, s=clicks.s / math.sqrt(clicks.trace))
-    return TwoModeState(config, clicks, thermal.truncation_loss).validate(), p
-
-
-def pure_cat_state(mu: float, phi: float, configuration: str, config: FockConfig) -> TwoModeState:
-    """Ground-state-limit cat state, built from analytic coherent amplitudes."""
-    beta = 1j * mu / math.sqrt(2.0)
-    c1 = fock.coherent_vector(beta, config.cutoff_1)
-    c2 = fock.coherent_vector(beta, config.cutoff_2)
-    v1 = np.zeros(config.cutoff_1, dtype=complex)
-    v1[0] = 1.0
-    v2 = np.zeros(config.cutoff_2, dtype=complex)
-    v2[0] = 1.0
-    if configuration == PARALLEL:
-        psi = np.kron(c1, v2) + np.exp(1j * phi) * np.kron(v1, c2)
-    elif configuration == SERIES:
-        psi = np.kron(c1, c2) + np.exp(1j * phi) * np.kron(v1, v2)
-    else:
-        raise ValueError(f"unknown configuration {configuration!r}")
-    norm_sq = 2.0 * fringe(mu**2 / 2.0, phi)
-    if norm_sq < 1e-15:
-        raise HeraldImpossible("cat state norm vanishes (dark fringe at mu -> 0)")
-    truncation_loss = abs(np.vdot(psi, psi) - norm_sq)
-    if truncation_loss > 1e-9 * norm_sq:
-        raise fock.CutoffTooSmall(f"cat-state truncation loss {truncation_loss:.3g}")
-    return fock.state_from_vector(psi / math.sqrt(norm_sq), config)
+    return state.validate(), p
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +283,3 @@ def heralded_moment_table(params: ProtocolParams, order_max: int,
     values = heralded_moments(p.mu, p.phi, p.nbar_1, p.nbar_2, order_max, outcome, p.configuration)
     return MomentTable(values, order_max)
 
-
-def thermal_moment_table(nbar_1: float, nbar_2: float, order_max: int) -> MomentTable:
-    """Moments of the bare product thermal state (mu = 0 limit)."""
-    return heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=nbar_1, nbar_2=nbar_2), order_max)

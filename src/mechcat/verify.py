@@ -8,8 +8,8 @@ the slot signals with phase coefficients e^{i zeta}; unused slots still
 inject vacuum noise, so every port carries one unit of input noise. A
 channel, a (pathway, port) pair, is therefore two coefficient rows over
 (X1, P1, X2, P2): the signal row, chi included and 0 on unpulsed slots, and
-the noise row (`_channel_signals`). Port moments, the per-shot sampler and
-the recovery all read those two rows.
+the noise row (`_channel_signals`). Port moments and the recovery read those
+two rows.
 
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
@@ -30,8 +30,6 @@ import numpy as np
 from .algebra import (D_MAX, Key, MomentTable, apply_mode_map, keys_up_to_order, order_slice,
                       symmetrization_maps)
 from .errors import IllConditioned, OrderOverflow, RankDeficient
-from . import fock
-from .fock import TwoModeState
 
 SLOTS = ("m1_t0", "m1_tp", "m2_t0", "m2_tp")
 PORTS = ("A", "B", "C", "D")
@@ -249,45 +247,6 @@ def _factor_complex_symmetric(c: np.ndarray) -> np.ndarray:
             f"{np.ravel(residual)[worst]:.3g}, scale {np.ravel(scale)[worst]:.3g}"
         )
     return b
-
-
-def _port_spectrum(signal: np.ndarray, state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the real port signal Y1 x 1 + 1 x Y2, for a signal row over
-    (X1, P1, X2, P2), and the state's probability on each eigenvector, from the
-    single-mode eigenbases."""
-    y = [
-        np.real(signal[2 * k]) * fock.x_single(c) + np.real(signal[2 * k + 1]) * fock.p_single(c)
-        for k, c in enumerate((state.config.cutoff_1, state.config.cutoff_2))
-    ]
-    (w1, v1), (w2, v2) = map(np.linalg.eigh, y)
-    amps = fock.on_mode(v1.conj().T, 1, fock.on_mode(v2.conj().T, 2, state.factor))
-    return np.add.outer(w1, w2).ravel(), np.sum(np.abs(amps) ** 2, axis=2).ravel()
-
-
-def sample_port_shots(
-    pathway: Pathway,
-    port: str,
-    state: TwoModeState,
-    n_samples: int,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Per-shot homodyne record for real-coefficient pathways (closed system).
-
-    The port observable is Hermitian only when every phase coefficient is
-    real (zetas and phi multiples of pi), the noise row's included: an
-    unpulsed slot still injects vacuum noise. Samples are drawn from the
-    signal's exact spectral measure plus the Gaussian input noise of the port.
-    """
-    (signal,), (noise,) = _channel_signals([(pathway, port)])
-    if np.max(np.abs(np.imag([signal, noise]))) > 1e-12:
-        raise ValueError("per-shot sampling requires a real-coefficient pathway")
-    w, probs = _port_spectrum(signal, state)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(w), size=n_samples, p=probs)
-    noise_sigma = math.sqrt(np.real(np.sum(noise**2)) / 2.0)
-    return w[idx] + rng.normal(0.0, noise_sigma, size=n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from dense_reference import letter_matrices
+from dense_reference import (density_matrix, factor, letter_matrices, moments_raw, on_mode, random_click_state,
+                             state_from_rho)
 from mechcat import algebra, fock, herald
 from mechcat.algebra import MomentTable, canonicalize, ladder_to_quadrature, symmetrized_expand
 from mechcat.errors import MissingMoment, OrderOverflow
 
 RNG = np.random.default_rng(1234)
-
-
-def random_state(cfg: fock.FockConfig, seed: int) -> fock.TwoModeState:
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
-    rho = m @ m.conj().T
-    # damp high-Fock weight so truncation effects stay below the tolerances
-    n1 = np.kron(np.arange(cfg.cutoff_1), np.ones(cfg.cutoff_2))
-    n2 = np.kron(np.ones(cfg.cutoff_1), np.arange(cfg.cutoff_2))
-    w = np.exp(-2.0 * (n1 + n2))
-    rho = w[:, None] * rho * w[None, :]
-    rho = rho / np.trace(rho)
-    return fock.state_from_rho(rho, cfg)
 
 
 def fock_word_matrix(word, cfg):
@@ -122,7 +110,7 @@ def test_moments_from_state_match_matrix_power_words(mu, phi, nbar):
     # reference: per-key sandwiches of the factor with matrix_power word matrices
     state, _ = herald.heralded_state(herald.ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar),
                                      fock.FockConfig(24, 24))
-    a = state.factor
+    a = factor(state)
     c1, c2 = a.shape[:2]
 
     def word(cutoff, n_x, n_p):
@@ -134,22 +122,21 @@ def test_moments_from_state_match_matrix_power_words(mu, phi, nbar):
     sandwiches = {}
     for p, q, r, s in algebra.keys_up_to_order(8):
         if (r, s) not in sandwiches:
-            sandwiches[r, s] = conj_rows @ fock.on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
+            sandwiches[r, s] = conj_rows @ on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
         ref = complex(np.sum(word(c1, p, q) * sandwiches[r, s]))
         assert abs(table.value((p, q, r, s)) - ref) <= 1e-14 * (1 + abs(ref)), (p, q, r, s)
 
 
-def _random_factor_state(cutoff_1, cutoff_2, rank, seed, decay=1.0):
+def _random_factor(cutoff_1, cutoff_2, rank, seed, decay=1.0):
     # rho = A A^dag with Fock amplitudes damped as e^(-decay (i + j)), so truncation stays small
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(cutoff_1, cutoff_2, rank)) + 1j * rng.normal(size=(cutoff_1, cutoff_2, rank))
     a *= np.exp(-decay * np.add.outer(np.arange(cutoff_1), np.arange(cutoff_2)))[..., None]
-    return fock.TwoModeState(fock.FockConfig(cutoff_1, cutoff_2), a / np.linalg.norm(a))
+    return a / np.linalg.norm(a)
 
 
-def _matrix_power_moments(state, order):
+def _matrix_power_moments(a, order):
     # per-key sandwiches of the factor with matrix_power word matrices
-    a = state.factor
     c1, c2 = a.shape[:2]
 
     def word(cutoff, n_x, n_p):
@@ -159,7 +146,7 @@ def _matrix_power_moments(state, order):
     conj_rows = a.conj().reshape(c1, -1)
     out = {}
     for p, q, r, s in algebra.keys_up_to_order(order):
-        sandwich = conj_rows @ fock.on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
+        sandwich = conj_rows @ on_mode(word(c2, r, s), 2, a).reshape(c1, -1).T
         out[p, q, r, s] = complex(np.sum(word(c1, p, q) * sandwich))
     return out
 
@@ -174,10 +161,20 @@ def _assert_moments_match(entries, ref):
 @pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])
 @pytest.mark.parametrize("cutoffs", [(12, 7), (7, 12), (12, 3), (3, 12)], ids=lambda c: "%dx%d" % c)
 def test_banded_moments_match_matrix_power_words(cutoffs, rank, order):
-    # a cutoff of 3 clips that mode's shift loop at c - 1 = 2 at orders 4 and 8
-    state = _random_factor_state(*cutoffs, rank, seed=sum(cutoffs) + rank + order)
+    # the factor oracle's shifted overlaps; a cutoff of 3 clips that mode's shift loop at
+    # c - 1 = 2 at orders 4 and 8
+    a = _random_factor(*cutoffs, rank, seed=sum(cutoffs) + rank + order)
+    _assert_moments_match(moments_raw(a, order).entries, _matrix_power_moments(a, order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+@pytest.mark.parametrize("rank", [1, 4, None], ids=["pure", "mixed", "full"])
+@pytest.mark.parametrize("cutoffs", [(12, 7), (7, 12), (12, 3), (3, 12)], ids=lambda c: "%dx%d" % c)
+def test_click_moments_match_matrix_power_words(cutoffs, rank, order):
+    # click columns with complex, non-commuting E blocks: the word sums against the factor
+    state = random_click_state(fock.FockConfig(*cutoffs), seed=sum(cutoffs) + order, rank=rank)
     table = algebra.moments_from_state(state, order)
-    _assert_moments_match(table.entries, _matrix_power_moments(state, order))
+    _assert_moments_match(table.entries, _matrix_power_moments(factor(state), order))
 
 
 @pytest.mark.parametrize("order", [2, 4, 8])
@@ -185,21 +182,26 @@ def test_banded_moments_match_matrix_power_words(cutoffs, rank, order):
 def test_moments_of_non_contiguous_factors(cutoffs, order):
     # state_from_rho factors are views of the eigenvector matrix, and a factor
     # stored mode-2 major is a transposed view: the overlaps read both as strided
-    state = _random_factor_state(*cutoffs, 4, seed=sum(cutoffs) + order)
-    from_rho = fock.state_from_rho(state.rho, state.config)
-    transposed = fock.TwoModeState(state.config, state.factor.transpose(1, 0, 2).copy().transpose(1, 0, 2))
-    for s in (from_rho, transposed):
-        assert not s.factor.flags.c_contiguous
-        _assert_moments_match(algebra.moments_from_state(s, order).entries, _matrix_power_moments(s, order))
+    a = _random_factor(*cutoffs, 4, seed=sum(cutoffs) + order)
+    from_rho = state_from_rho(density_matrix(a), fock.FockConfig(*cutoffs))
+    transposed = a.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    for b in (from_rho, transposed):
+        assert not b.flags.c_contiguous
+        _assert_moments_match(moments_raw(b, order).entries, _matrix_power_moments(b, order))
 
 
 @pytest.mark.parametrize("rank", [1, 4], ids=["pure", "mixed"])
 def test_banded_moments_on_reembedded_state(rank):
-    state = _random_factor_state(14, 10, rank, seed=rank, decay=2.0)
+    # the doubling zero-pads E, which zero-pads every column of the factor
+    state = random_click_state(fock.FockConfig(14, 10), seed=rank, rank=rank)
     checked = algebra.moments_from_state(state, 4, check_convergence=True)
     assert checked.entries == algebra.moments_from_state(state, 4).entries
     big = algebra._reembed(state)
-    _assert_moments_match(algebra._moments_raw(big, 4).entries, _matrix_power_moments(big, 4))
+    assert big.config == state.config.doubled()
+    a = factor(state)
+    padded = np.pad(a, ((0, 14), (0, 10), (0, 0)))
+    assert np.max(np.abs(factor(big) - padded)) <= 1e-15 * np.max(np.abs(a))
+    _assert_moments_match(algebra.moments_from_state(big, 4).entries, _matrix_power_moments(padded, 4))
 
 
 def test_canonicalize_single_commutator():
@@ -226,14 +228,15 @@ def test_canonicalize_worked_identity():
 
 def test_canonicalize_against_fock_random_states():
     cfg = fock.FockConfig(10, 10)
-    st = random_state(cfg, 7)
+    st = random_click_state(cfg, 7)
+    rho = density_matrix(factor(st))
     table = algebra.moments_from_state(st, 4)
     letters = ["X1", "P1", "X2", "P2"]
     rng = np.random.default_rng(42)
     for _ in range(40):
         d = rng.integers(1, 5)
         word = tuple(rng.choice(letters) for _ in range(d))
-        direct = np.trace(st.rho @ fock_word_matrix(word, cfg))
+        direct = np.trace(rho @ fock_word_matrix(word, cfg))
         via_table = table.evaluate(canonicalize(word))
         assert abs(direct - via_table) < 1e-9
 
@@ -280,19 +283,20 @@ def test_ladder_expansions():
 
 def test_ladder_against_fock():
     cfg = fock.FockConfig(10, 10)
-    st = random_state(cfg, 9)
+    st = random_click_state(cfg, 9)
+    rho = density_matrix(factor(st))
     table = algebra.moments_from_state(st, 4)
     for word in [("b1",), ("b1d", "b1"), ("b1", "b2d"), ("b1d", "b1", "b2d", "b2")]:
-        direct = np.trace(st.rho @ fock_word_matrix(word, cfg))
+        direct = np.trace(rho @ fock_word_matrix(word, cfg))
         assert abs(direct - table.ladder_value(word)) < 1e-9
-    ground = algebra.moments_from_state(fock.ground_state(cfg), 4)
+    ground = algebra.moments_from_state(fock.thermal_state(0.0, 0.0, cfg), 4)
     assert abs(ground.ladder_value(("b1d", "b1", "b2d", "b2"))) < 1e-12
 
 
 def test_moment_matrix_positivity_spot_check():
     # <w^dag w> >= 0 for words of order <= 2
     cfg = fock.FockConfig(10, 10)
-    st = random_state(cfg, 21)
+    st = random_click_state(cfg, 21)
     table = algebra.moments_from_state(st, 4)
     reverse = {"X1": "X1", "P1": "P1", "X2": "X2", "P2": "P2"}
     for key in algebra.keys_up_to_order(2):
@@ -304,7 +308,7 @@ def test_moment_matrix_positivity_spot_check():
 
 def test_moments_from_state_basics():
     cfg = fock.FockConfig(20, 20)
-    ground = algebra.moments_from_state(fock.ground_state(cfg), 2)
+    ground = algebra.moments_from_state(fock.thermal_state(0.0, 0.0, cfg), 2)
     assert abs(ground.value((2, 0, 0, 0)) - 0.5) < 1e-12
     assert abs(ground.value((1, 0, 0, 0))) < 1e-13
     th = algebra.moments_from_state(fock.thermal_state(0.6, 0.0, fock.FockConfig(26, 8)), 2)

@@ -18,7 +18,7 @@ from mechcat.criteria import (
     symplectic_eigenvalues,
 )
 from mechcat.errors import DegenerateHerald, NonPhysicalCovariance
-from mechcat.herald import ProtocolParams, heralded_moment_table, thermal_moment_table
+from mechcat.herald import ProtocolParams, heralded_moment_table
 from mechcat.opensystem import EnvParams, evolve_moments
 
 OMEGA = 2 * math.pi * 1e6
@@ -52,7 +52,7 @@ def test_s3_is_row_deletion_of_extended_matrix():
 
 
 def test_vacuum_d5_boundary():
-    table = thermal_moment_table(0.0, 0.0, 2)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0), 2)
     res = build_d5(table)
     assert abs(res.value) < 1e-12
     assert not res.entangled
@@ -61,7 +61,7 @@ def test_vacuum_d5_boundary():
 def test_separable_thermal_guard():
     for n1 in (0.0, 0.5):
         for n2 in (0.3, 1.5):
-            table = thermal_moment_table(n1, n2, 4)
+            table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=n1, nbar_2=n2), 4)
             assert build_d5(table).value >= -1e-10
             assert build_s3(table).value >= -1e-10
             # thermal closed forms: D5 = n1(n1+1)n2(n2+1), S3 = n1 n2^2
@@ -117,7 +117,7 @@ def test_table_row_i():
 
 
 def test_criterion_result_json():
-    table = thermal_moment_table(0.5, 0.5, 4)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=0.5, nbar_2=0.5), 4)
     res = build_s3(table)
     import json
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import (dense_thermal_factor, displacement, lift, plain_arms, plain_click_map,
-                             plain_heralded_factor, thermal_columns)
+from dense_reference import (density_matrix, dense_thermal_factor, displacement, entanglement_entropy, factor,
+                             fidelity_to_pure, lift, moments_raw, plain_arms, plain_click_map,
+                             plain_heralded_factor, pure_cat_state, thermal_columns)
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
 from mechcat.herald import (
@@ -16,7 +17,6 @@ from mechcat.herald import (
     SinglePhotonInput,
     heralding_probability,
     measurement_operator,
-    pure_cat_state,
 )
 
 CFG = fock.FockConfig(24, 24)
@@ -24,7 +24,7 @@ CFG = fock.FockConfig(24, 24)
 
 def fock_click_probability(params, outcome, cfg=CFG):
     op = measurement_operator(params, outcome, cfg)
-    rho = fock.thermal_state(params.nbar_1, params.nbar_2, cfg).rho
+    rho = density_matrix(factor(fock.thermal_state(params.nbar_1, params.nbar_2, cfg)))
     return float(np.real(np.trace(op @ rho @ op.conj().T)))
 
 
@@ -70,7 +70,7 @@ def test_pure_cat_at_the_membrane_row_is_the_bell_state():
     cat = pure_cat_state(2.26e-5, math.pi, "parallel", cfg)
     bell = np.zeros(cfg.dim, dtype=complex)
     bell[1], bell[cfg.cutoff_2] = 1 / math.sqrt(2), -1 / math.sqrt(2)  # |0,1>, |1,0>
-    assert fock.fidelity_to_pure(cat, bell) > 1 - 1e-9
+    assert fidelity_to_pure(cat, bell) > 1 - 1e-9
 
 
 def test_heralding_probability_alpha_argmax():
@@ -115,7 +115,7 @@ def test_herald_matches_pure_cat(configuration):
     params = ProtocolParams(mu=0.8, phi=math.pi, configuration=configuration)
     state, prob = herald.heralded_state(params, CFG)
     cat = pure_cat_state(0.8, math.pi, configuration, CFG)
-    assert fock.fidelity_to_pure(state, cat.vector) > 1 - 1e-9
+    assert fidelity_to_pure(factor(state), cat.reshape(-1)) > 1 - 1e-9
     assert prob > 0
 
 
@@ -125,7 +125,7 @@ def test_small_mu_bell_state():
     bell = np.zeros(CFG.dim, dtype=complex)
     bell[0 * CFG.cutoff_2 + 1] = 1 / math.sqrt(2)   # |0,1>
     bell[1 * CFG.cutoff_2 + 0] = -1 / math.sqrt(2)  # |1,0>
-    assert fock.fidelity_to_pure(state, bell) > 0.9999
+    assert fidelity_to_pure(factor(state), bell) > 0.9999
 
 
 def test_series_equals_mapped_parallel():
@@ -139,8 +139,8 @@ def test_series_equals_mapped_parallel():
     d2 = displacement(1j * mu / math.sqrt(2), cfg.cutoff_2)
     r2 = np.diag(np.exp(-1j * math.pi * np.arange(cfg.cutoff_2)))
     u = lift(d2, 2, cfg) @ lift(r2, 2, cfg)
-    mapped = u @ par.rho @ u.conj().T
-    assert np.max(np.abs(mapped - ser.rho)) < 1e-8
+    mapped = u @ density_matrix(factor(par)) @ u.conj().T
+    assert np.max(np.abs(mapped - density_matrix(factor(ser)))) < 1e-8
 
 
 @pytest.mark.parametrize("configuration", ["parallel", "series"])
@@ -179,7 +179,7 @@ def test_heralded_factor_matches_the_plain_click_expression():
         state, p = herald.heralded_state(params, cfg, ClickOutcome(*outcome))
         a, p_plain = plain_heralded_factor(params, ClickOutcome(*outcome), cfg)
         assert abs(p - p_plain) <= 1e-14 * p_plain
-        assert np.max(np.abs(state.factor - a)) <= 1e-14 * np.max(np.abs(a))
+        assert np.max(np.abs(factor(state) - a)) <= 1e-14 * np.max(np.abs(a))
         assert state.truncation_loss == fock.thermal_state(nbar_1, nbar_2, cfg).truncation_loss
 
 
@@ -192,7 +192,7 @@ def test_click_step_is_the_plain_arm_sum():
     for configuration in ("parallel", "series"):
         params = ProtocolParams(mu=0.6, phi=2.1, configuration=configuration)
         thermal, steps = herald.click_inputs(params, cfg)
-        e1, e2 = thermal.clicks.e1, thermal.clicks.e2
+        e1, e2 = thermal.e1, thermal.e2
         phase = np.exp(1j * params.phi)
         d_1, d_2 = (arm(eye).reshape(cfg.dim, cfg.dim) for arm in plain_arms(params, cfg))
         f = np.zeros((3, 3), dtype=complex)
@@ -212,23 +212,43 @@ def test_herald_impossible():
         herald.heralded_state(ProtocolParams(mu=0.0, phi=math.pi), CFG)
 
 
+@pytest.mark.parametrize("configuration", ["parallel", "series"])
+@pytest.mark.parametrize("outcome", [(1, 0), (0, 1), (2, 1)])
+def test_heralded_state_is_the_heralding_step_on_the_thermal_input(configuration, outcome):
+    # heralded_state is fock.apply_operator of the click polynomial on click_inputs' thermal
+    # state, bit for bit, with p scaled by |pref|^2; apply_operator takes only f = [[1]]
+    params = ProtocolParams(mu=0.9, phi=1.7, configuration=configuration, nbar_1=0.2, nbar_2=0.1)
+    click = ClickOutcome(*outcome)
+    cfg = fock.FockConfig(14, 12)
+    state, p = herald.heralded_state(params, cfg, click)
+    thermal, steps = herald.click_inputs(params, cfg)
+    stepped, trace = fock.apply_operator(herald._click_polynomial(steps, click), thermal)
+    assert state.s.tobytes() == stepped.s.tobytes()
+    assert state.f.tobytes() == stepped.f.tobytes()
+    assert p == abs(herald.amplitude_prefactor(params, click)) ** 2 * trace
+    assert thermal.f.tolist() == [[1.0]] and thermal.s.tobytes() != stepped.s.tobytes()
+    with pytest.raises(ValueError, match="f is"):
+        fock.apply_operator(state.f, state)
+    assert fock.apply_operator(np.zeros((2, 2)), thermal) == (thermal, 0.0)
+
+
 def test_pure_cat_mu_zero_is_vacuum():
     for configuration in ("parallel", "series"):
         cat = pure_cat_state(0.0, 0.3, configuration, CFG)
-        assert fock.fidelity_to_pure(cat, fock.ground_state(CFG).vector) > 1 - 1e-12
+        assert fidelity_to_pure(cat, np.eye(CFG.dim)[0]) > 1 - 1e-12
 
 
 def test_entanglement_entropy_large_mu_limit():
     cfg = fock.FockConfig(fock.default_cutoff(0, 3.0), fock.default_cutoff(0, 3.0))
     cat = pure_cat_state(3.0, math.pi, "parallel", cfg)
-    assert abs(fock.entanglement_entropy(cat) - math.log(2)) < 0.02
+    assert abs(entanglement_entropy(cat) - math.log(2)) < 0.02
 
 
 def test_entanglement_maximized_at_phi_pi():
     mu = 0.8
     cfg = fock.FockConfig(20, 20)
     phis = np.linspace(0.05, 2 * math.pi - 0.05, 101)
-    entropies = [fock.entanglement_entropy(pure_cat_state(mu, phi, "parallel", cfg)) for phi in phis]
+    entropies = [entanglement_entropy(pure_cat_state(mu, phi, "parallel", cfg)) for phi in phis]
     assert abs(phis[int(np.argmax(entropies))] - math.pi) < (phis[1] - phis[0]) * 1.5
 
 
@@ -256,7 +276,7 @@ def test_analytic_moments_input_independent():
 
 def test_thermal_moment_table_against_fock():
     cfg = fock.FockConfig(24, 24)
-    ana = herald.thermal_moment_table(0.3, 0.15, 4)
+    ana = herald.heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=0.3, nbar_2=0.15), 4)
     num = algebra.moments_from_state(fock.thermal_state(0.3, 0.15, cfg), 4)
     worst = max(abs(ana.value(k) - num.value(k)) for k in ana.entries)
     assert worst < 1e-9
@@ -448,9 +468,8 @@ def test_carried_gram_is_the_factors_gram(configuration, outcome):
         assert abs(trace - 1.0) <= fock.TRACE_TOL
         a = a / math.sqrt(trace)
         gram = a.conj().T @ a
-        assert np.max(np.abs(state.clicks.gram() - gram)) <= 1e-13 * np.max(np.abs(gram))
-        plain = fock.TwoModeState(state.config, a.reshape(state.config.cutoff_1, state.config.cutoff_2, -1))
-        assert abs(fock.von_neumann_entropy(state) - fock.von_neumann_entropy(plain)) <= 1e-13
+        assert np.max(np.abs(state.gram() - gram)) <= 1e-13 * np.max(np.abs(gram))
+        assert abs(fock.von_neumann_entropy(state) - fock.entropy_of_matrix(gram)) <= 1e-13
 
 
 def mpmath_heralded_gram(params, cfg, dps=50):
@@ -500,7 +519,7 @@ def test_carried_gram_at_the_dark_fringe_against_50_digits(configuration, mu):
     state, _ = herald.heralded_state(params, cfg)
     a = plain_heralded_factor(params, ClickOutcome(1, 0), cfg)[0].reshape(cfg.dim, -1)
     scale = np.max(np.abs(ref))
-    carried = np.max(np.abs(state.clicks.gram() - ref)) / scale
+    carried = np.max(np.abs(state.gram() - ref)) / scale
     product = np.max(np.abs(a.conj().T @ a - ref)) / scale
     assert carried <= product
 
@@ -526,12 +545,10 @@ def test_heralding_probability_of_the_click_columns_at_the_dark_fringe_against_5
 
 
 def factor_moments(params, outcome, cfg, order):
-    """The factor path's moments of the D-form oracle factor at its own trace, its (0, 0, 0, 0)
-    entry: the factor is normalised by np.vdot, which is off by up to 1e-13 at dim 1936. A
-    state without click columns takes the factor path, bit for bit."""
-    bare = fock.TwoModeState(cfg, plain_heralded_factor(params, outcome, cfg)[0])
-    values = algebra.moments_from_state(bare, order).values
-    assert values.tobytes() == algebra._moments_raw(bare, order).values.tobytes()
+    """The factor oracle's moments of the D-form oracle factor at its own trace, its
+    (0, 0, 0, 0) entry: the factor is normalised by np.vdot, which is off by up to 1e-13 at
+    dim 1936."""
+    values = moments_raw(plain_heralded_factor(params, outcome, cfg)[0], order).values
     return values / values[0].real
 
 

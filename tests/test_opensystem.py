@@ -6,7 +6,7 @@ import pytest
 
 from mechcat import herald, opensystem
 from mechcat.algebra import canonicalize, keys_up_to_order
-from mechcat.herald import ProtocolParams, heralded_moment_table, thermal_moment_table
+from mechcat.herald import ProtocolParams, heralded_moment_table
 from mechcat.opensystem import (
     EnvParams,
     MeasurementSchedule,
@@ -168,7 +168,7 @@ def test_measured_p_damping_factor():
 def test_second_moment_evolution_explicit():
     # <P^2>_measured = s^2 <P0^2> + var_dx(tau')
     env = EnvParams(omega_m=OMEGA, q_factor=80.0, nbar_bath=5.0)
-    table = thermal_moment_table(0.7, 0.7, 2)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=0.7, nbar_2=0.7), 2)
     tq = quarter_period(env)
     s = math.exp(-env.gamma * tq / 2.0) * math.sin(OMEGA * tq)
     evolved = evolve_moments(table, env)
@@ -181,7 +181,7 @@ def test_rethermalization_long_time():
     env = EnvParams(omega_m=OMEGA, q_factor=100.0, nbar_bath=4.0)
     t_long = 20.0 / env.gamma
     schedule = MeasurementSchedule(t_x=t_long, t_p=t_long + quarter_period(env))
-    table = thermal_moment_table(0.0, 0.0, 2)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0), 2)
     evolved = evolve_moments(table, env, schedule)
     assert evolved.value((2, 0, 0, 0)).real == pytest.approx(env.force_strength, rel=1e-3)
 
@@ -191,7 +191,7 @@ def test_gaussian_noise_factorization_monte_carlo():
     # sampling the noise process (3 sigma, 1e6 samples)
     env = EnvParams(omega_m=OMEGA, q_factor=60.0, nbar_bath=2.0)
     nbar = 0.5
-    table = thermal_moment_table(nbar, nbar, 4)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=nbar, nbar_2=nbar), 4)
     tq = quarter_period(env)
     s = math.exp(-env.gamma * tq / 2.0) * math.sin(OMEGA * tq)
     w = noise_covariances(env, tq, tq)[0]
@@ -208,7 +208,7 @@ def test_gaussian_noise_factorization_monte_carlo():
 
 def test_commutator_defect_scaling():
     # evolved Im<X P> = s/2: defect (1-s)/2 ~ gamma tau'/4; below 1e-6 at Q >= 1e6
-    table = thermal_moment_table(0.2, 0.2, 2)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=0.2, nbar_2=0.2), 2)
     for q, bound in [(1e6, 1e-6), (1e5, 1e-5)]:
         env = EnvParams(omega_m=OMEGA, q_factor=q, nbar_bath=0.0)
         evolved = evolve_moments(table, env)

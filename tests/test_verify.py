@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import factor, moments_raw, pure_cat_state, sample_port_shots
 from mechcat import fock, verify
 from mechcat.algebra import canonicalize, keys_up_to_order, symmetrized_expand
 from mechcat.errors import IllConditioned, OrderOverflow, RankDeficient
-from mechcat.herald import ProtocolParams, heralded_moment_table, pure_cat_state
+from mechcat.herald import ProtocolParams, heralded_moment_table
 from mechcat.opensystem import EnvParams, evolve_moments
 from mechcat.verify import (
     PORTS,
@@ -17,7 +18,6 @@ from mechcat.verify import (
     default_phase_sets,
     exact_port_moments,
     recover_moments,
-    sample_port_shots,
 )
 
 PHI = math.pi
@@ -93,9 +93,7 @@ def test_exact_third_moment_single_pulse_structure():
 
 
 def test_odd_port_moments_vanish_on_ground_state():
-    from mechcat.herald import thermal_moment_table
-
-    table = thermal_moment_table(0.0, 0.0, 8)
+    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0), 8)
     pathway = Pathway(chi=1.0, phi=PHI)
     m = exact_port_moments(pathway, "A", table, 5)
     assert abs(m[0]) < 1e-14
@@ -147,9 +145,7 @@ def test_per_shot_sampler_matches_moments():
     state = pure_cat_state(0.7, PHI, "parallel", cfg)
     pathway = Pathway(chi=1.2, phi=PHI)
     shots = sample_port_shots(pathway, "A", state, 200_000, seed=4)
-    from mechcat.algebra import moments_from_state
-
-    table = moments_from_state(state, 8)
+    table = moments_raw(state, 8)
     exact = exact_port_moments(pathway, "A", table, 3)
     for d in range(1, 4):
         emp = np.mean(shots**d)
@@ -159,7 +155,7 @@ def test_per_shot_sampler_matches_moments():
 
 def test_per_shot_requires_real_pathway():
     cfg = fock.FockConfig(10, 10)
-    state = fock.ground_state(cfg)
+    state = factor(fock.thermal_state(0.0, 0.0, cfg))
     pathway = Pathway(phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
     with pytest.raises(ValueError):
         sample_port_shots(pathway, "A", state, 10, seed=0)
@@ -168,7 +164,7 @@ def test_per_shot_requires_real_pathway():
 def test_per_shot_requires_a_real_noise_row():
     # the one pulsed slot's signal is real, but the unpulsed P1 slot still injects
     # noise through the complex coefficient e^{i (zeta_3 + zeta_1)} / 2
-    state = fock.ground_state(fock.FockConfig(10, 10))
+    state = factor(fock.thermal_state(0.0, 0.0, fock.FockConfig(10, 10)))
     pathway = Pathway(pulses=frozenset({"m1_t0"}), phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
     signal, noise = channel_rows(pathway, "A")
     assert np.all(signal.imag == 0) and np.max(np.abs(noise.imag)) > 0.1
