@@ -305,7 +305,9 @@ def moments_from_state(state: TwoModeState, order_max: int,
     the moments of the same state zero-padded into the doubled-cutoff space (_reembed)."""
     _check_order(order_max)
     cfg = state.config
-    grid = state.word_sums(_word_matrices(cfg.cutoff_1, order_max), _word_matrices(cfg.cutoff_2, order_max))
+    words_1 = _word_matrices(cfg.cutoff_1, order_max)
+    words_2 = words_1 if cfg.cutoff_2 == cfg.cutoff_1 else _word_matrices(cfg.cutoff_2, order_max)
+    grid = state.word_sums(words_1, words_2)
     i1, i2 = _grid_index(order_max)
     table = MomentTable(grid[i1, i2] / grid[0, 0].real, order_max)
     if check_convergence:

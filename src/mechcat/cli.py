@@ -225,9 +225,10 @@ def cmd_table1(args) -> int:
               for name in ("D5", "S3")}
     for kind, resolving in (("resolving", True), ("nonresolving", False)):
         det = presets.default_detector(resolving)
-        fraction = detector.fraction_of_amplitude(det, mus, PHI_DEFAULT, nbars, nbars)
-        values[f"F_{kind}"] = 100 * fraction(ALPHA_DEFAULT)
-        values[f"F_{kind}_opt"] = 100 * detector.optimize_alpha(det, mus, PHI_DEFAULT, nbars, nbars).fraction
+        # the alpha-independent parts of F once, for the F column and its optimum alike
+        parts = detector._fraction_parts(det, mus, PHI_DEFAULT, nbars, nbars)
+        values[f"F_{kind}"] = 100 * detector._fraction_function(det, *parts)(ALPHA_DEFAULT)
+        values[f"F_{kind}_opt"] = 100 * detector._optimum(det, *parts)[1]
     rows_out = []
     computed = {}
     for row, vals in zip(rows, np.column_stack([values[q] for q in QUANTITIES_T1]).tolist()):

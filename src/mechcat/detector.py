@@ -137,7 +137,11 @@ def fraction_of_amplitude(det: DetectorParams, mu, phi, nbar_1, nbar_2):
     with P10 = e^{-|a|^2} |a|^2/2 (1 + lam cos phi) of `herald.heralding_probability`, its
     fringe in expm1 form; the alpha-independent fringe and click terms are computed once.
     """
-    fringe, terms = _fraction_parts(det, mu, phi, nbar_1, nbar_2)
+    return _fraction_function(det, *_fraction_parts(det, mu, phi, nbar_1, nbar_2))
+
+
+def _fraction_function(det: DetectorParams, fringe, terms):
+    """F as a function of alpha from the parts of `_fraction_parts`."""
 
     def fraction(alpha) -> np.ndarray:
         a2 = np.float_power(np.abs(alpha), 2)
@@ -231,8 +235,12 @@ def optimize_alpha(det: DetectorParams, mu, phi, nbar_1, nbar_2,
     between them (the probes); alpha is then hi.
     """
     points = np.broadcast_arrays(mu, phi, nbar_1, nbar_2)
-    shape = points[0].shape
-    fringe, terms = _fraction_parts(det, *(np.ravel(v) for v in points))
+    optimum = _optimum(det, *_fraction_parts(det, *(np.ravel(v) for v in points)), lo, hi)
+    return AlphaOptimum(*(v.reshape(points[0].shape) for v in optimum))
+
+
+def _optimum(det: DetectorParams, fringe, terms, lo: float = 1e-4, hi: float = 4.0):
+    """(alpha, F, flat) of `optimize_alpha` over 1-D points, from the parts of `_fraction_parts`."""
     eta, dark, s = det.eta, det.dark_prob, 1.0 - det.eta
     with np.errstate(divide="ignore", invalid="ignore"):
         c = 2.0 * dark / (eta * (1.0 - dark) * fringe)
@@ -244,8 +252,7 @@ def optimize_alpha(det: DetectorParams, mu, phi, nbar_1, nbar_2,
         a2 = np.float_power(np.concatenate([np.broadcast_to(probes, (4, x.size)), np.sqrt(x)[None]]), 2)
         f = 1.0 / _inverse_fraction(det, fringe, a2)
         flat = np.ptp(f[:4], axis=0) < 1e-12
-        alpha, fraction = np.where(flat, hi, np.sqrt(x)), np.where(flat, f[3], f[4])
-        return AlphaOptimum(*(v.reshape(shape) for v in (alpha, fraction, flat)))
+        return np.where(flat, hi, np.sqrt(x)), np.where(flat, f[3], f[4]), flat
     a2 = np.float_power(probes, 2)
     h, _, lsum, inside = _click_slope(det, a2, terms)
     flat = inside.all(axis=0) & (np.ptp(1.0 / _inverse_fraction(det, fringe, a2, lsum), axis=0) < 1e-12)
@@ -268,8 +275,7 @@ def optimize_alpha(det: DetectorParams, mu, phi, nbar_1, nbar_2,
     alpha = np.full(x.size, hi)
     alpha[todo] = np.clip(np.sqrt(_exp(u)), lo, hi)
     a2 = np.float_power(alpha, 2)
-    fraction = 1.0 / _inverse_fraction(det, fringe, a2, click_sum(eta, a2, terms))
-    return AlphaOptimum(*(v.reshape(shape) for v in (alpha, fraction, flat)))
+    return alpha, 1.0 / _inverse_fraction(det, fringe, a2, click_sum(eta, a2, terms)), flat
 
 
 # ---------------------------------------------------------------------------

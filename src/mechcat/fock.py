@@ -168,32 +168,104 @@ class TwoModeState:
         to 2.2e-13 off an exactly summed D-form trace, where this sum stays within 7.9e-15."""
         return float(self.word_sums(np.eye(len(self.e1))[None], np.eye(len(self.e2))[None])[0, 0].real)
 
-    def gram(self) -> np.ndarray:
-        """G = A^dag A normalised by its own trace: G[x, x'] = s_x s_x' sum_{a, a'}
-        M_aa'[k1_x, k1_x'] B_aa'[k2_x, k2_x'] / tr with the c x c blocks M_aa' = (E1^a)^dag E1^a'
-        and B_aa' = F_a^dag F_a'.
+    def _exchange_signs(self) -> np.ndarray | None:
+        """sigma_x of each kept column under the mode exchange R that the state commutes with,
+        or None: R|i, j> = sigma |j, i> with sigma = 1 (R = S, the swap) or (-1)^(i + j)
+        (R = S Pi, Pi = (-1)^(n1 + n2)). Decided from the state at O(r + c^2 + n^2) cost:
 
-        The kept columns ascend in k1, so G is filled one row block of equal k1 at a time, from
-        the columns M_aa'[:, k1] and B_aa'[:, k2]. M_00 = I adds only the block's diagonal part,
-        and the column factor s_x' / tr is folded into those columns."""
+        - E1 and E2 are the same block; the kept levels ascend in flat index (gram's row blocks),
+          are swap-closed and s(i, j) = s(j, i) exactly (thermal_state's products p_i p_j are,
+          and the heralding step scales them alike);
+        - S: f = f^T, so S K S = K (series clicks; K = sum_ab f[a, b] E1^a x E2^b);
+        - S Pi: f^T = lam conj(f) with |lam| = 1, Pi E Pi = conj(E) and E = E^T. Then
+          (S Pi) K (S Pi) = lam conj(K) (parallel clicks, lam the product of the steps' +-c),
+          and K^dag K is real (von_neumann_entropy), so R commutes with it.
+
+        The others are taken to GRAM_IMAG_TOL relative to the largest |f| or |E|, as rounding
+        leaves them (|c|^2 = 1 only to rounding in c (1 + conj(c)) = c + 1, and E from
+        one eigh); von_neumann_entropy bounds what the split then drops."""
+        e, f, tol = self.e1, self.f, GRAM_IMAG_TOL
+        if e.shape != self.e2.shape or not np.array_equal(e, self.e2):
+            return None
+        kept = np.zeros(e.shape, dtype=bool)
+        kept[self.k1, self.k2] = True
+        weights = np.zeros(e.shape)
+        weights[self.k1, self.k2] = self.s
+        if (np.any(np.diff(self.k1 * len(e) + self.k2) <= 0) or not np.array_equal(kept, kept.T)
+                or not np.array_equal(weights, weights.T)):
+            return None
+        f_scale = tol * np.max(np.abs(f))
+        if np.max(np.abs(f - f.T)) <= f_scale:
+            return np.ones(self.k1.size)
+        top = np.unravel_index(np.argmax(np.abs(f)), f.shape)
+        lam = f.T[top] / np.conj(f[top])
+        parity = (-1.0) ** np.arange(len(e))
+        e_scale = tol * np.max(np.abs(e))
+        if (abs(abs(lam) - 1.0) <= tol and np.max(np.abs(f.T - lam * f.conj())) <= f_scale
+                and np.max(np.abs(parity[:, None] * e * parity - e.conj())) <= e_scale
+                and np.max(np.abs(e - e.T)) <= e_scale):
+            return (-1.0) ** (self.k1 + self.k2)
+        return None
+
+    def gram(self) -> list[np.ndarray]:
+        """G = A^dag A normalised by its own trace, as its blocks under the state's mode
+        exchange R (_exchange_signs): [G] where there is none, else [G+, G-] in the orthonormal
+        bases of the representative columns u (k1 <= k2) with R: |u> for a diagonal column
+        (k1 = k2, even) and (|u> +- sigma_u R|u>) / sqrt(2) for the others. R G R = G, so G is
+        the direct sum of G+ and G- and they have its spectrum. Both come from the
+        representative rows alone, G+-[u, v] = G[u, v] +- sigma_v G[u, R(v)] between the
+        others, sqrt(2) G[u, v] from another row u to a diagonal v and (G[u, v] + sigma_v
+        G[u, R(v)]) / sqrt(2) the other way, so half of G's rows are built and no r x r matrix.
+
+        G[x, x'] = s_x s_x' sum_{a, a'} M_aa'[k1_x, k1_x'] B_aa'[k2_x, k2_x'] / tr with the
+        c x c blocks M_aa' = (E1^a)^dag E1^a' and B_aa' = F_a^dag F_a', and G[u, R(v)] the same
+        at the swapped levels (k2_v, k1_v) of v. The kept columns ascend in flat index, so the
+        rows are filled one row block of equal k1 at a time (a kept diagonal column first),
+        from the columns M_aa'[:, k1] and B_aa'[:, k2]. M_00 = I adds only the block's diagonal
+        part (for G[u, R(v)], the columns with k2_v = k1_u), and the column factor s_v / tr
+        (sigma_v s_v / tr for G[u, R(v)], 0 at a diagonal v: it is its own mirror) is folded
+        into those columns."""
         mode_1, mode_2 = self._blocks
-        k1, k2, s = self.k1, self.k2, self.s
-        pairs = [(a, a2) for a in range(len(mode_1)) for a2 in range(len(mode_1))][1:]
-        # G before the gathered columns: freed, they leave one block that the entropy's
-        # real copy of G reuses (the other order raised the fock round's peak by 1 MB)
-        gram = np.zeros((k1.size, k1.size), dtype=complex)
+        sign = self._exchange_signs()
+        reps = np.arange(self.k1.size) if sign is None else np.flatnonzero(self.k1 <= self.k2)
+        k1, k2, s = self.k1[reps], self.k2[reps], self.s[reps]
+        pairs = [(a, a2) for a in range(len(mode_1)) for a2 in range(len(mode_1))]
+        m_blocks = [mode_1[a].conj().T @ mode_1[a2] for a, a2 in pairs]
+        b_blocks = [mode_2[a].conj().T @ mode_2[a2] for a, a2 in pairs]
+        # the blocks before the gathered columns: freed, they leave memory that the entropy's
+        # real copies reuse (the other order raised the fock round's peak by 1 MB)
+        blocks = [np.zeros((k1.size, k1.size), dtype=complex)]
         cols = s / self.trace
-        m_cols = [(mode_1[a].conj().T @ mode_1[a2])[:, k1] * cols for a, a2 in pairs]
-        b_cols = [(mode_2[a].conj().T @ mode_2[a2])[:, k2] for a, a2 in pairs]
-        b_00 = mode_2[0].conj().T @ mode_2[0]
+        if sign is not None:
+            odd, diagonal = np.flatnonzero(k1 != k2), np.flatnonzero(k1 == k2)
+            blocks.append(np.zeros((odd.size, odd.size), dtype=complex))
+            odd_row = np.cumsum(k1 != k2) - 1
+            swapped = np.where(k1 != k2, sign[reps] * cols, 0.0)
+            m_swap = [m[:, k2] * swapped for m in m_blocks[1:]]
+            b_swap = [b[:, k1] for b in b_blocks]
+        m_cols = [m[:, k1] * cols for m in m_blocks[1:]]
+        b_cols = [b[:, k2] for b in b_blocks[1:]]
         starts = np.flatnonzero(np.diff(k1, prepend=-1))
         for lo, hi in zip(starts, [*starts[1:], k1.size]):
-            rows, block = k2[lo:hi], gram[lo:hi]
-            block[:, lo:hi] = b_00[rows][:, rows] * cols[lo:hi]
+            rows = k2[lo:hi]
+            direct = blocks[0][lo:hi]
+            direct[:, lo:hi] = b_blocks[0][rows][:, rows] * cols[lo:hi]
             for m, b in zip(m_cols, b_cols):
-                block += b[rows] * m[k1[lo]]
-            block *= s[lo:hi, None]
-        return gram
+                direct += b[rows] * m[k1[lo]]
+            if sign is not None:
+                mirror = np.zeros_like(direct)
+                at = np.flatnonzero(k2 == k1[lo])
+                mirror[:, at] = b_swap[0][rows][:, at] * swapped[at]
+                for m, b in zip(m_swap, b_swap[1:]):
+                    mirror += b[rows] * m[k1[lo]]
+                first = int(rows[0] == k1[lo])  # 1 where the row block starts with its diagonal column
+                odd_rows = (direct[first:] - mirror[first:])[:, odd]
+                blocks[1][odd_row[lo + first:hi]] = odd_rows * s[lo + first:hi, None]
+                direct += mirror
+                direct[first:, diagonal] *= math.sqrt(2.0)
+                direct[:first, odd] *= math.sqrt(0.5)
+            direct *= s[lo:hi, None]
+        return blocks
 
     def validate(self) -> "TwoModeState":
         """Unit trace; Hermiticity and positivity hold by construction."""
@@ -224,17 +296,26 @@ def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeSt
     """Product of single-mode thermal states as click columns with f = [[1]] and E = 0:
     one column sqrt(p1_i p2_j) |i, j> per Fock product, less the smallest products while
     their total mass stays at or below THERMAL_DROP_TOL, kept in ascending flat index
-    i * cutoff_2 + j. The truncation loss is each mode's tail beyond its cutoff plus the
-    dropped mass; the populations are normalised, so the trace is 1 less the dropped mass."""
+    i * cutoff_2 + j. A run of equal products is never split at that cut: it is kept whole,
+    so the mirror products p_i p_j = p_j p_i of equal occupations and cutoffs are kept or
+    dropped together and the kept set is closed under the mode exchange (TwoModeState.gram
+    splits on it). A stable sort alone cut through such runs: one pair at nbar = 0.4, cutoff
+    30, three at nbar 0.5, cutoff 23 and at nbar 0.1, cutoff 12. The products a run brings
+    back were among the dropped ones, so they weigh at most THERMAL_DROP_TOL; over nbar 0-5.3
+    and cutoffs 12-90 they were 1-56 columns and at most 5.7e-17. The truncation loss is each
+    mode's tail beyond its cutoff plus the dropped mass; the populations are normalised, so
+    the trace is 1 less the dropped mass."""
     c1, c2 = config.cutoff_1, config.cutoff_2
     w = np.outer(thermal_populations(nbar_1, c1), thermal_populations(nbar_2, c2)).ravel()
     by_size = np.argsort(w, kind="stable")
-    n_drop = int(np.searchsorted(np.cumsum(w[by_size]), THERMAL_DROP_TOL, side="right"))
+    ordered = w[by_size]
+    n_drop = int(np.searchsorted(np.cumsum(ordered), THERMAL_DROP_TOL, side="right"))
+    n_drop = int(np.searchsorted(ordered, ordered[n_drop], side="left"))  # the cut's run whole
     kept = np.sort(by_size[n_drop:])
     tails = sum((nbar / (nbar + 1.0)) ** c for nbar, c in ((nbar_1, c1), (nbar_2, c2)))
     return TwoModeState(np.ones((1, 1), dtype=complex), np.zeros((c1, c1), dtype=complex),
                         np.zeros((c2, c2), dtype=complex), *np.divmod(kept, c2), np.sqrt(w[kept]),
-                        tails + float(w[by_size[:n_drop]].sum()))
+                        tails + float(ordered[:n_drop].sum()))
 
 
 def apply_operator(f: np.ndarray, state: TwoModeState) -> tuple[TwoModeState, float]:
@@ -260,7 +341,10 @@ def entropy_of_matrix(rho: np.ndarray) -> float:
 def von_neumann_entropy(state: TwoModeState) -> float:
     """-sum lambda ln lambda over eigenvalues above the truncation-noise floor, from the
     rank x rank Gram matrix G = A^dag A of the click columns (same nonzero spectrum as rho;
-    TwoModeState.gram, written in E = D - I so that no O(1) terms cancel at the dark fringe).
+    TwoModeState.gram, written in E = D - I so that no O(1) terms cancel at the dark fringe),
+    as the spectra of its blocks under the state's mode exchange: two eigenproblems of about
+    half G's size where the state is exchange-symmetric (every state heralded from equal
+    occupations and cutoffs), else G's own.
 
     G is real for thermal and heralded thermal states. Their columns are K s_x |k1_x, k2_x> on
     real thermal weights, with K a polynomial in E1 x 1 and 1 x E2 for E = e^{i mu X} - I.
@@ -268,8 +352,18 @@ def von_neumann_entropy(state: TwoModeState) -> float:
     conj(K^dag K) = K^T conj(K) = K K^dag = K^dag K. By Weyl's inequality dropping Im G moves
     each eigenvalue by at most ||Im G||_2 <= ||Im G||_F, so the real solve is taken when that
     bound is at rounding level: at most GRAM_IMAG_TOL of tr G, the size of the entropy's
-    eigenvalue floor. Click columns with other E keep the Hermitian solve.
+    eigenvalue floor. The blocks are G in an orthonormal real basis, so the test reads their
+    ||Im||_F and traces. Click columns with other E keep the Hermitian solve.
+
+    The split is exact where the state's symmetry is: R G R = G, and the cross block between
+    the even and odd combinations is zero. _exchange_signs takes f and E as symmetric where
+    they are to GRAM_IMAG_TOL of their largest entry, the size of the rounding they carry
+    already; the cross block the split then drops moves no eigenvalue by more than its norm
+    (Weyl, as for Im G). Formed from the unsplit G of the benchmark's Fock points (seeds 3 and
+    62, both configurations) it was at most 2.2e-16 of max |G|, and the entropy moved by at most
+    1.4e-15 relative.
     """
-    g = state.gram()
-    real = np.linalg.norm(g.imag) <= GRAM_IMAG_TOL * np.trace(g.real)
-    return entropy_of_matrix(g.real if real else g)
+    blocks = state.gram()
+    imag = math.hypot(*(np.linalg.norm(b.imag) for b in blocks))
+    real = imag <= GRAM_IMAG_TOL * sum(np.trace(b.real) for b in blocks)
+    return sum(entropy_of_matrix(b.real if real else b) for b in blocks)

@@ -326,6 +326,31 @@ def _missing_directions(null: np.ndarray, keys: list[Key]) -> list[Key]:
     return sorted(picked)
 
 
+def _row_weights(se: np.ndarray) -> np.ndarray:
+    """1/se per row; a row with se = 0 gets ten times the largest weight, and all get 1 where
+    every se is 0 (noiseless data)."""
+    pos = se > 0
+    w = np.empty(len(se))
+    w[pos] = 1.0 / se[pos]
+    w[~pos] = w[pos].max() * 10.0 if pos.any() else 1.0
+    return w
+
+
+def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: int) -> None:
+    """RankDeficient below full column rank, IllConditioned above COND_LIMIT, from the singular
+    values of one order's weighted system."""
+    tol = svals[0] * max(a_w.shape) * np.finfo(float).eps
+    rank = int(np.sum(svals > tol))
+    if rank < len(keys):
+        raise RankDeficient(
+            f"order {order}: rank {rank} < {len(keys)} unknowns",
+            _missing_directions(_null_space(a_w, tol), keys),
+        )
+    cond = svals[0] / svals[-1]
+    if cond > COND_LIMIT:
+        raise IllConditioned(f"order {order}: condition number {cond:.3g}")
+
+
 def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> MomentTable:
     """Iterative order-by-order least-squares recovery of canonical moments.
 
@@ -363,23 +388,10 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         )
         a = _coefficient_rows(kappa[use], keys, order)
         b = np.array([datasets[i].sample_moments[order - 1] for i in use]) - known
-        se = np.array([datasets[i].standard_errors[order - 1] for i in use])
-        pos = se > 0
-        w = np.empty(len(use))
-        w[pos] = 1.0 / se[pos]
-        w[~pos] = w[pos].max() * 10.0 if pos.any() else 1.0
+        w = _row_weights(np.array([datasets[i].standard_errors[order - 1] for i in use]))
         a_w = a * w[:, None]
         u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
-        tol = svals[0] * max(a_w.shape) * np.finfo(float).eps
-        rank = int(np.sum(svals > tol))
-        if rank < len(keys):
-            raise RankDeficient(
-                f"order {order}: rank {rank} < {len(keys)} unknowns",
-                _missing_directions(_null_space(a_w, tol), keys),
-            )
-        cond = svals[0] / svals[-1]
-        if cond > COND_LIMIT:
-            raise IllConditioned(f"order {order}: condition number {cond:.3g}")
+        _check_spectrum(a_w, svals, keys, order)
         v_scaled = vh.conj().T / svals
         b_w = b * w
         sol = v_scaled @ (u.conj().T @ b_w)
@@ -424,7 +436,8 @@ class VerificationStudy:
 
     Exact port moments and the LDL^T factors of all sampling covariances are
     computed once, as stacked arrays; repeated Monte-Carlo draws then only
-    add noise and re-run the recovery.
+    add noise and re-run the recovery. `kappa` holds the channels' signal rows
+    and `variances` the per-sample variances of their port moments.
     """
 
     def __init__(
@@ -447,7 +460,8 @@ class VerificationStudy:
         self.channels = [
             (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
         ]
-        exact = _port_moments(*_channel_signals(self.channels), table, 2 * target_order)
+        self.kappa, noise = _channel_signals(self.channels)
+        exact = _port_moments(self.kappa, noise, table, 2 * target_order)
         cov = _sampling_covariance(exact, target_order)
         self.exact = exact[:, :target_order]
         self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
@@ -476,6 +490,18 @@ class VerificationStudy:
     def run(
         self, n_samples: int | None = None, seed: int | tuple | None = None
     ) -> VerificationRun:
+        """One campaign: datasets (exact for n_samples None) and their recovery. A noiseless
+        run is held to the seeded runs' rule too: each order's system weighted by the sampling
+        errors must have full rank and a condition number within COND_LIMIT (the weights
+        1/sqrt(variance) of one sample; N scales them all alike). Its own solve weighs every
+        row 1, and where chi^d sits below the rounding of the port-noise moments it would
+        return a wrong table with no error."""
+        if n_samples is None:
+            for order in range(1, self.target_order + 1):
+                keys = _order_keys(order)
+                w = _row_weights(np.sqrt(self.variances[:, order - 1]))
+                a_w = _coefficient_rows(self.kappa, keys, order) * w[:, None]
+                _check_spectrum(a_w, np.linalg.svd(a_w, compute_uv=False), keys, order)
         datasets = self.datasets(n_samples, seed)
         recovered = recover_moments(datasets, self.target_order)
         return VerificationRun(

@@ -234,6 +234,58 @@ def random_click_state(cfg, seed, rank=None, n=2, decay=2.0):
     return dataclasses.replace(state, s=s / math.sqrt(state.trace))
 
 
+def unsplit_gram(state):
+    """The full Gram matrix G = A^dag A / tr of a state's click columns, whatever the state's
+    mode exchange, in the arithmetic of fock.TwoModeState.gram's one-block case: row blocks of
+    equal k1, the pairs (a, a') in order after the diagonal part of M_00 = I."""
+    n = len(state.f)
+    mode_1 = fock.powers(state.e1, n)
+    mode_2 = np.tensordot(state.f, fock.powers(state.e2, n), 1)
+    k1, k2, s = state.k1, state.k2, state.s
+    pairs = [(a, a2) for a in range(n) for a2 in range(n)][1:]
+    gram = np.zeros((k1.size, k1.size), dtype=complex)
+    cols = s / state.trace
+    m_cols = [(mode_1[a].conj().T @ mode_1[a2])[:, k1] * cols for a, a2 in pairs]
+    b_cols = [(mode_2[a].conj().T @ mode_2[a2])[:, k2] for a, a2 in pairs]
+    b_00 = mode_2[0].conj().T @ mode_2[0]
+    starts = np.flatnonzero(np.diff(k1, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], k1.size]):
+        rows, block = k2[lo:hi], gram[lo:hi]
+        block[:, lo:hi] = b_00[rows][:, rows] * cols[lo:hi]
+        for m, b in zip(m_cols, b_cols):
+            block += b[rows] * m[k1[lo]]
+        block *= s[lo:hi, None]
+    return gram
+
+
+def exchange_blocks(gram, state, root_half=math.sqrt(0.5)):
+    """A full Gram matrix (float, complex or mpmath objects) of `state`'s kept columns, in the
+    bases of fock.TwoModeState.gram: [gram] where the state has no mode exchange, else
+    [G+, G-] and the cross block between them. Each entry is b_u^T G b_v with the basis vectors
+    b_u = n_u (|u> +- sigma_u |R(u)>) over the representative columns k1 <= k2 (n = 1/2 on a
+    diagonal column, which is even, root_half on the others), summed from all four terms, so
+    no symmetry of G is assumed; R(u) is found by its levels (k2_u, k1_u)."""
+    sign = state._exchange_signs()
+    if sign is None:
+        return [gram]
+    k1, k2 = state.k1, state.k2
+    index = {(a, b): x for x, (a, b) in enumerate(zip(k1.tolist(), k2.tolist()))}
+    reps = np.flatnonzero(k1 <= k2)
+    mirror = np.array([index[k2[x], k1[x]] for x in reps])
+    pair = k1[reps] != k2[reps]
+    norm = np.where(pair, root_half, 0.5)
+
+    def block(rows, cols, row_sign, col_sign):
+        r, c = reps[rows], reps[cols]
+        su, sv = row_sign * sign[r][:, None], col_sign * sign[c][None, :]
+        terms = (gram[np.ix_(r, c)] + gram[np.ix_(r, mirror[cols])] * sv
+                 + su * gram[np.ix_(mirror[rows], c)] + su * sv * gram[np.ix_(mirror[rows], mirror[cols])])
+        return norm[rows][:, None] * norm[cols][None, :] * terms
+
+    every, odd = np.arange(reps.size), np.flatnonzero(pair)
+    return [block(every, every, 1, 1), block(odd, odd, -1, -1), block(every, odd, 1, -1)]
+
+
 # ---------------------------------------------------------------------------
 # the D-form heralding oracle
 
@@ -241,11 +293,13 @@ def random_click_state(cfg, seed, rank=None, n=2, decay=2.0):
 def thermal_columns(nbar_1, nbar_2, cfg):
     """The kept thermal columns, independent of fock.thermal_state: flat indices i * cutoff_2 + j
     (ascending) and weights p1_i p2_j of every Fock product, less the smallest products while
-    their total mass stays at or below fock.THERMAL_DROP_TOL."""
+    their total mass stays at or below fock.THERMAL_DROP_TOL; every product equal to the
+    smallest one kept is kept too."""
     pops = (fock.thermal_populations(nbar, cfg.cutoff(mode)) for mode, nbar in ((1, nbar_1), (2, nbar_2)))
     w = np.outer(*pops).ravel()
     by_size = np.argsort(w, kind="stable")
-    kept = np.sort(by_size[np.cumsum(w[by_size]) > fock.THERMAL_DROP_TOL])
+    smallest = np.min(w[by_size[np.cumsum(w[by_size]) > fock.THERMAL_DROP_TOL]])
+    kept = np.flatnonzero(w >= smallest)
     return kept, w[kept]
 
 

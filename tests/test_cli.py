@@ -232,6 +232,19 @@ def test_verify_at_a_tiny_chi_exits_3_ill_conditioned(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_noiseless_only_at_a_tiny_chi_exits_3_ill_conditioned(tmp_path, capsys):
+    # with no seeded runs the noiseless run meets their rule: the condition number of the
+    # sampling-weighted system (3e9 at order 2), where its own unit weights would pass and
+    # report a wrong recovery with exit 0
+    cfg = tmp_path / "v.ini"
+    cfg.write_text("[verify]\nchi = 1e-4\nn_seeds = 0\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: IllConditioned: order 2: condition number")
+    assert not out.exists()
+
+
 def test_cooling_map_command(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[env]\nq_factor = 1e5\n[grid]\nmu = 0.5, 5.0\nnbar_bath = 0\n")

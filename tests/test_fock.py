@@ -10,7 +10,8 @@ from scipy.special import genlaguerre
 
 from dense_reference import (coherent_vector, columns, density_matrix, dense_thermal_factor, displacement, factor,
                              fidelity_to_pure, letter_matrices, lift, moments_raw, on_mode, partial_trace,
-                             plain_heralded_factor, port_spectrum, random_click_state, state_from_rho)
+                             plain_heralded_factor, port_spectrum, random_click_state, state_from_rho,
+                             unsplit_gram)
 from mechcat import algebra, criteria, fock, herald, verify
 from mechcat.errors import CutoffTooSmall, MechcatError, NegativeNonGaussianity
 
@@ -157,11 +158,83 @@ def test_entropy_of_a_complex_gram_matrix_takes_the_hermitian_solve():
     # above rounding, and whose real part has another spectrum than rho
     for cfg, seed in ((fock.FockConfig(5, 6), 3), (fock.FockConfig(7, 4), 4)):
         state = random_click_state(cfg, seed, decay=0.3)
-        gram = state.gram()
+        [gram] = state.gram()
         assert np.linalg.norm(gram.imag) > 1e6 * fock.GRAM_IMAG_TOL
         ref = fock.entropy_of_matrix(density_matrix(factor(state)))
         assert abs(fock.entropy_of_matrix(gram.real) - ref) > 0.1
         assert abs(fock.von_neumann_entropy(state) - ref) <= 1e-12 * ref
+
+
+def test_exchange_blocks_have_the_spectrum_of_the_full_gram():
+    # heralded states from equal occupations and cutoffs split into two blocks, whose joint
+    # spectrum is that of the full Gram matrix
+    rng = np.random.default_rng(28)
+    for _ in range(12):
+        mu, phi, nbar = rng.uniform(0.05, 1.5), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 0.3)
+        configuration = (herald.PARALLEL, herald.SERIES)[rng.integers(2)]
+        outcome = herald.ClickOutcome(*((1, 0), (0, 1))[rng.integers(2)])
+        params = herald.ProtocolParams(mu=mu, phi=phi, configuration=configuration, nbar_1=nbar, nbar_2=nbar)
+        state, _ = herald.heralded_state(params, outcome=outcome)
+        blocks = state.gram()
+        assert len(blocks) == 2 and sum(len(b) for b in blocks) == state.s.size
+        full = unsplit_gram(state)
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(full))) <= 1e-14 * np.trace(full).real
+        assert abs(fock.von_neumann_entropy(state) - fock.entropy_of_matrix(full)) <= 1e-13
+
+
+@pytest.mark.parametrize("nbar, cutoff", [(0.0, 12), (0.05, 20), (0.1, 12), (0.2, 20), (0.4, 30), (0.4, 44),
+                                          (0.5, 23), (1.0, 40)])
+def test_thermal_kept_set_is_closed_under_the_mode_exchange(nbar, cutoff):
+    # a run of equal products is not split at the drop cut, so mirror products stay together
+    th = fock.thermal_state(nbar, nbar, fock.FockConfig(cutoff, cutoff))
+    weights = np.zeros((cutoff, cutoff))
+    weights[th.k1, th.k2] = th.s
+    assert np.array_equal(weights, weights.T)
+    assert th._exchange_signs() is not None
+
+
+def _parent_entropy(gram):
+    real = np.linalg.norm(gram.imag) <= fock.GRAM_IMAG_TOL * np.trace(gram.real)
+    return fock.entropy_of_matrix(gram.real if real else gram)
+
+
+def test_states_without_the_mode_exchange_keep_the_full_gram():
+    # unequal occupations, unequal cutoffs and random click columns: one block, the full G in
+    # its unsplit arithmetic, and so the entropy bit for bit
+    states = [herald.heralded_state(herald.ProtocolParams(mu=0.8, phi=0.4, nbar_1=0.2, nbar_2=0.05))[0],
+              herald.heralded_state(herald.ProtocolParams(mu=0.8, phi=0.4, configuration=herald.SERIES,
+                                                          nbar_1=0.1, nbar_2=0.1), fock.FockConfig(20, 22))[0],
+              random_click_state(fock.FockConfig(6, 6), 5, decay=0.3),
+              random_click_state(fock.FockConfig(7, 4), 4, decay=0.3)]
+    for state in states:
+        assert state._exchange_signs() is None
+        [gram] = state.gram()
+        assert np.array_equal(gram, unsplit_gram(state))
+        assert fock.von_neumann_entropy(state) == _parent_entropy(gram)
+
+
+def test_a_real_gram_without_the_parity_symmetry_is_not_split():
+    # E = e^{iH} - I with H real symmetric: G is real, but H = mu (X + 0.3 X^2) is not odd under
+    # Pi, so Pi E Pi != conj(E) and the parallel click (f^T = c conj(f), f not symmetric) has no
+    # mode exchange; with H = mu X it has S Pi
+    cfg = fock.FockConfig(16, 16)
+    params = herald.ProtocolParams(mu=0.6, phi=0.9, nbar_1=0.1, nbar_2=0.1)
+    thermal, steps = herald.click_inputs(params, cfg)
+    f = herald._click_polynomial(steps, herald.ClickOutcome(1, 0))
+    x = fock.x_single(16).real
+    for generator, split in ((x + 0.3 * x @ x, False), (x, True)):
+        w, v = np.linalg.eigh(0.6 * generator)
+        e = (v * np.expm1(1j * w)) @ v.T
+        state, _ = fock.apply_operator(f, dataclasses.replace(thermal, e1=e, e2=e))
+        blocks = state.gram()
+        assert len(blocks) == (2 if split else 1)
+        assert math.hypot(*(np.linalg.norm(b.imag) for b in blocks)) <= fock.GRAM_IMAG_TOL
+        full = unsplit_gram(state)
+        if split:
+            assert abs(fock.von_neumann_entropy(state) - _parent_entropy(full)) <= 1e-13
+        else:
+            assert fock.von_neumann_entropy(state) == _parent_entropy(full)
 
 
 def test_partial_trace_product_state():
@@ -202,14 +275,16 @@ def test_coherent_vector_matches_displacement_column():
 
 
 def test_thermal_factor_rank_rule():
-    # one column per Fock product, less the smallest whose total mass is <= 1e-16
-    for (mu, nbar), rank in {(1.0, 0.2): 249, (1.5, 0.4): 519, (2.0, 0.4): 527, (0.5, 0.5): 477}.items():
+    # one column per Fock product, less the smallest whose total mass is <= 1e-16, where the
+    # run of equal products at that cut is kept whole (one mirror pair at nbar 0.4, three at 0.5)
+    for (mu, nbar), rank in {(1.0, 0.2): 249, (1.5, 0.4): 520, (2.0, 0.4): 528, (0.5, 0.5): 480}.items():
         cfg = fock.default_config(nbar, nbar, mu)
         st_ = fock.thermal_state(nbar, nbar, cfg)
         assert st_.config == cfg and st_.s.shape == st_.k1.shape == st_.k2.shape == (rank,)
         w = np.sort(np.outer(*(fock.thermal_populations(nbar, c) for c in (cfg.cutoff_1, cfg.cutoff_2))).ravel())
-        dropped = cfg.dim - rank
-        assert w[:dropped].sum() <= fock.THERMAL_DROP_TOL < w[: dropped + 1].sum()
+        dropped, cut = cfg.dim - rank, int(np.searchsorted(np.cumsum(w), fock.THERMAL_DROP_TOL, side="right"))
+        assert w[:cut].sum() <= fock.THERMAL_DROP_TOL < w[: cut + 1].sum()
+        assert w[dropped - 1] < w[dropped] == w[cut]
     assert fock.thermal_state(0.0, 0.0, CFG).s.shape == (1,)
 
 
@@ -304,7 +379,7 @@ def test_factor_entropy_matches_the_dense_spectrum(configuration):
         state, _ = herald.heralded_state(params, cfg)
         ref = ref_entropy(density_matrix(factor(state)))
         assert abs(fock.von_neumann_entropy(state) - ref) <= 1e-13
-        gram = state.gram()
+        [gram] = state.gram()
         assert np.linalg.norm(gram.imag) <= fock.GRAM_IMAG_TOL * np.trace(gram).real
         assert abs(fock.entropy_of_matrix(gram.real) - fock.entropy_of_matrix(gram)) <= 1e-13
 

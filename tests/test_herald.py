@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import (density_matrix, dense_thermal_factor, displacement, entanglement_entropy, factor,
-                             fidelity_to_pure, lift, moments_raw, plain_arms, plain_click_map,
-                             plain_heralded_factor, pure_cat_state, thermal_columns)
+from dense_reference import (density_matrix, dense_thermal_factor, displacement, entanglement_entropy,
+                             exchange_blocks, factor, fidelity_to_pure, lift, moments_raw, plain_arms,
+                             plain_click_map, plain_heralded_factor, pure_cat_state, thermal_columns)
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
 from mechcat.herald import (
@@ -468,7 +468,13 @@ def test_carried_gram_is_the_factors_gram(configuration, outcome):
         assert abs(trace - 1.0) <= fock.TRACE_TOL
         a = a / math.sqrt(trace)
         gram = a.conj().T @ a
-        assert np.max(np.abs(state.gram() - gram)) <= 1e-13 * np.max(np.abs(gram))
+        # in the blocks of the state's mode exchange; the factor's cross block between them is
+        # the symmetry's check on the independent side
+        ref = exchange_blocks(gram, state)
+        assert len(ref) == 3
+        assert np.max(np.abs(ref[2]), initial=0.0) <= 1e-13 * np.max(np.abs(gram))
+        for block, ref_block in zip(state.gram(), ref):
+            assert np.max(np.abs(block - ref_block), initial=0.0) <= 1e-13 * np.max(np.abs(gram))
         assert abs(fock.von_neumann_entropy(state) - fock.entropy_of_matrix(gram)) <= 1e-13
 
 
@@ -477,7 +483,8 @@ def mpmath_heralded_gram(params, cfg, dps=50):
     of the truncated generator: A_x = sum_t g_t (U_t |k1_x>)(V_t |k2_x>) s_x / sqrt(p) with
     (g, U, V) = (1, D1, 1), (c, 1, D2) in parallel and (1, D1, D2), (c, 1, 1) in series,
     c = e^{i phi} as rounded to double. p = |pref|^2 tr is the trace before that normalisation
-    times the prefactor as rounded to double, which cancels in A^dag A."""
+    times the prefactor as rounded to double, which cancels in A^dag A. A^dag A is returned as
+    mpmath objects."""
     import mpmath as mp
 
     kept, w = thermal_columns(params.nbar_1, params.nbar_2, cfg)
@@ -506,21 +513,26 @@ def mpmath_heralded_gram(params, cfg, dps=50):
         gram = gram * s[:, None] * s[None, :]
         trace = mp.re(sum(np.diagonal(gram)))
         p = trace * mp.mpf(abs(herald.amplitude_prefactor(params, ClickOutcome(1, 0))) ** 2)
-        return np.array([[complex(v) for v in row] for row in gram / trace]), p
+        return gram / trace, p
 
 
 @pytest.mark.parametrize("configuration", ["parallel", "series"])
 @pytest.mark.parametrize("mu", [0.01, 0.05])
 def test_carried_gram_at_the_dark_fringe_against_50_digits(configuration, mu):
-    # at phi = pi the heralded factor is O(mu) made from O(1) columns; E = D - I is O(mu) itself
+    # at phi = pi the heralded factor is O(mu) made from O(1) columns; E = D - I is O(mu) itself;
+    # compared in the blocks of the state's mode exchange, the reference's taken at 50 digits
+    import mpmath as mp
+
     params = ProtocolParams(mu=mu, phi=math.pi, configuration=configuration, nbar_1=0.1, nbar_2=0.1)
     cfg = fock.FockConfig(10, 10)
-    ref, _ = mpmath_heralded_gram(params, cfg)
+    gram, _ = mpmath_heralded_gram(params, cfg)
     state, _ = herald.heralded_state(params, cfg)
+    with mp.workdps(50):
+        ref = [b.astype(complex) for b in exchange_blocks(gram, state, mp.sqrt(mp.mpf(0.5)))[:2]]
     a = plain_heralded_factor(params, ClickOutcome(1, 0), cfg)[0].reshape(cfg.dim, -1)
-    scale = np.max(np.abs(ref))
-    carried = np.max(np.abs(state.gram() - ref)) / scale
-    product = np.max(np.abs(a.conj().T @ a - ref)) / scale
+    scale = np.max(np.abs(gram.astype(complex)))
+    carried = max(np.max(np.abs(b - r)) for b, r in zip(state.gram(), ref)) / scale
+    product = max(np.max(np.abs(b - r)) for b, r in zip(exchange_blocks(a.conj().T @ a, state), ref)) / scale
     assert carried <= product
 
 
