@@ -11,7 +11,6 @@ form cx X + cp P; ladder letters use b = (X + iP)/sqrt(2).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -108,10 +107,6 @@ def symmetrized_expand(p: int, q: int, r: int, s: int) -> list[tuple[str, ...]]:
     m1 = [tuple(c + "1" for c in w) for w in _interleavings(p, q)]
     m2 = [tuple(c + "2" for c in w) for w in _interleavings(r, s)]
     return [w1 + w2 for w1 in m1 for w2 in m2]
-
-
-def _key_to_word(key: Key) -> tuple[str, ...]:
-    return ("X1",) * key[0] + ("P1",) * key[1] + ("X2",) * key[2] + ("P2",) * key[3]
 
 
 def keys_up_to_order(order_max: int) -> list[Key]:
@@ -239,22 +234,6 @@ class MomentTable:
         """Value of a linear combination of canonical words."""
         return complex(sum(c * self.value(k) for k, c in combo.items()))
 
-    def word_value(self, word: tuple[str, ...]) -> complex:
-        return self.evaluate(canonicalize(word))
-
-    def ladder_value(self, word: tuple[str, ...]) -> complex:
-        return self.evaluate(ladder_to_quadrature(word))
-
-    def check_hermitian_real(self, tol: float = 1e-9) -> None:
-        """Hermitian-symmetric words (q and s paired as X^p P^q with the word
-        equal to its own reversal) must have real expectation: spot-check the
-        pure powers and the symmetrized sums."""
-        for key, v in self.entries.items():
-            p, q, r, s = key
-            if q == 0 and s == 0 or p == 0 and r == 0:
-                if abs(v.imag) > tol * (1.0 + abs(v)):
-                    raise ValueError(f"{key_to_string(key)} = {v} not real")
-
     def to_dict(self) -> dict:
         """The JSON payload of the table: entries as [re, im] and std_errors by word string."""
         return {
@@ -267,22 +246,6 @@ class MomentTable:
             },
             "std_errors": {key_to_string(k): e for k, e in sorted(self.std_errors.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentTable":
-        payload = json.loads(text)
-        names = [key_to_string(k) for k in keys_up_to_order(payload["order_max"])]
-        entries, errors = payload["entries"], payload.get("std_errors")
-        return cls(
-            [complex(*entries[name]) for name in names],
-            payload["order_max"],
-            payload.get("provenance", "exact"),
-            payload.get("n_samples"),
-            [errors[name] for name in names] if errors else None,
-        )
 
 
 # ---------------------------------------------------------------------------

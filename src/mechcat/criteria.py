@@ -8,7 +8,6 @@ label multiply from the left, mode-2 letters from the right).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import fock
 from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_quadrature,
-                      moments_from_state)
+                      moments_from_state, symmetrization_maps)
 from .errors import DegenerateHerald, NegativeNonGaussianity, NoSignChange, NonPhysicalCovariance
 from .fock import TwoModeState
 from .herald import fringe, heralded_moments
@@ -62,28 +61,11 @@ def criterion_words(indices: tuple[int, ...]) -> list[list[LadderWord]]:
 
 @dataclass
 class CriterionResult:
+    """A criterion's determinant and its matrix; value < 0 certifies entanglement."""
+
     name: str
     value: float
     matrix: np.ndarray
-    tolerance: float = 1e-10
-
-    @property
-    def entangled(self) -> bool:
-        return self.value < -self.tolerance
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "value": self.value,
-                "entangled": self.entangled,
-                "tolerance": self.tolerance,
-                "matrix_re": np.real(self.matrix).tolist(),
-                "matrix_im": np.imag(self.matrix).tolist(),
-                "convention": {"hbar": 1, "var_vacuum": 0.5},
-            },
-            indent=1,
-        )
 
 
 @lru_cache(maxsize=None)
@@ -160,18 +142,16 @@ def _bosonic_entropy(nu: float) -> float:
 
 
 def covariance_matrix(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
-    """First moments and symmetrized covariance over (X1, P1, X2, P2)."""
-    letters = ["X1", "P1", "X2", "P2"]
-    mean = np.array([table.word_value((c,)) for c in letters])
-    cov = np.empty((4, 4), dtype=float)
-    for i in range(4):
-        for j in range(4):
-            sym = 0.5 * (
-                table.word_value((letters[i], letters[j]))
-                + table.word_value((letters[j], letters[i]))
-            )
-            cov[i, j] = float(np.real(sym - mean[i] * mean[j]))
-    return np.real(mean), cov
+    """First moments and symmetrized covariance over (X1, P1, X2, P2), read off the
+    symmetrized sums of order <= 2 (algebra.symmetrization_maps), each divided by its number
+    of orderings: the mean of <X_i X_j> and <X_j X_i>, less the product of the real means."""
+    sums = apply_mode_map(symmetrization_maps(2)[0], table.moments(2), 2).real
+    at = {key: n for n, key in enumerate(keys_up_to_order(2))}
+    unit = np.eye(4, dtype=int)
+    mean = sums[[at[tuple(u)] for u in unit]]
+    pairs = [tuple(unit[i] + unit[j]) for i in range(4) for j in range(4)]
+    second = [sums[at[k]] / (math.comb(k[0] + k[1], k[0]) * math.comb(k[2] + k[3], k[2])) for k in pairs]
+    return mean, np.reshape(second, (4, 4)) - np.outer(mean, mean)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

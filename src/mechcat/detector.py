@@ -389,17 +389,6 @@ class LossOracle:
         return float(self.table[outcome.m, outcome.n, outcome.k, outcome.l])
 
 
-def loss_outcome_probability(
-    det: DetectorParams,
-    protocol: ProtocolParams,
-    outcome: LossOutcome,
-    config: FockConfig,
-    truncation: int = LOSS_TRUNCATION,
-) -> float:
-    _check_truncation(outcome, truncation)
-    return LossOracle(det, protocol, config, outcome.total).probability(outcome)
-
-
 @dataclass(frozen=True)
 class OracleFractions:
     resolving: float
@@ -424,12 +413,3 @@ def fractions_from_oracle(
     nonres = p1000 / (sum_m0kl + dark * sum_00kl)
     return OracleFractions(float(res), float(nonres))
 
-
-def total_probability_covered(
-    det: DetectorParams,
-    protocol: ProtocolParams,
-    config: FockConfig,
-    truncation: int = LOSS_TRUNCATION,
-) -> float:
-    """sum over all {m,n,k,l} with total <= truncation; approaches 1."""
-    return float(LossOracle(det, protocol, config, truncation).table.sum())

@@ -37,12 +37,6 @@ class FockConfig:
     def dim(self) -> int:
         return self.cutoff_1 * self.cutoff_2
 
-    def cutoff(self, mode: int) -> int:
-        return self.cutoff_1 if mode == 1 else self.cutoff_2
-
-    def doubled(self) -> "FockConfig":
-        return FockConfig(2 * self.cutoff_1, 2 * self.cutoff_2)
-
 
 def default_cutoff(nbar: float, mu: float) -> int:
     """Per-mode cutoff: 8x margin over the excitation scale, and two levels

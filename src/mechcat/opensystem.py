@@ -101,25 +101,6 @@ def noise_covariances(env: EnvParams, t_x: float, t_p: float) -> tuple[float, fl
     return _noise_cov(env, t_x, t_x), _noise_cov(env, t_p, t_p), _noise_cov(env, t_x, t_p)
 
 
-def noise_covariances_quad(env: EnvParams, t_x: float, t_p: float) -> tuple[float, float, float]:
-    """Adaptive-quadrature oracle for the same three entries."""
-    from scipy.integrate import quad
-
-    g, w, s = env.gamma, env.omega_m, env.force_strength
-    period = 2 * math.pi / w
-
-    def cov(t1, t2):
-        tm = min(t1, t2)
-        if g == 0.0 or tm == 0.0:
-            return 0.0
-        pts = min(int(tm / period) * 4 + 50, 1000)
-        val = quad(lambda tp: math.exp(g * tp) * math.sin(w * (t1 - tp)) * math.sin(w * (t2 - tp)),
-                   0.0, tm, limit=max(200, pts), epsabs=1e-13, epsrel=1e-11)[0]
-        return 2 * g * s * math.exp(-g * (t1 + t2) / 2) * val
-
-    return cov(t_x, t_x), cov(t_p, t_p), cov(t_x, t_p)
-
-
 @dataclass(frozen=True)
 class MeasurementSchedule:
     """Read-out times: X letters at t_x, P letters at t_p."""

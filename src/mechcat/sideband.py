@@ -43,6 +43,8 @@ def mu_effective(cav: CavityParams, t: float) -> tuple[float, float]:
     if not 0 <= t < math.inf:
         raise ValueError("t must be finite and >= 0")
     theta = cav.omega_m * t
+    if math.isinf(theta):  # omega_m t overflows: the rotation, and so mu', is undefined
+        return math.nan, theta
     mu_p = 2.0 * cav.g0 / cav.omega_m * math.sqrt(max(1.0 - math.cos(theta), 0.0))
     return mu_p, theta
 
@@ -50,6 +52,10 @@ def mu_effective(cav: CavityParams, t: float) -> tuple[float, float]:
 def percent_reduction(cav: CavityParams) -> float:
     """Second-order percentage reduction of mu, (omega_m / kappa)^2 / 6 * 100.
 
-    Valid for the long adiabatic pulse (interaction time 2/kappa).
+    Valid for the long adiabatic pulse (interaction time 2/kappa); inf where the square
+    overflows.
     """
-    return 100.0 * cav.sideband_ratio**2 / 6.0
+    try:
+        return 100.0 * cav.sideband_ratio**2 / 6.0
+    except OverflowError:
+        return math.inf

@@ -21,7 +21,6 @@ relations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -161,48 +160,10 @@ class HomodyneDataset:
     n_samples: int | None
     sample_moments: np.ndarray
     standard_errors: np.ndarray
-    seed: int | tuple | None = None
 
     @property
     def d_max(self) -> int:
         return len(self.sample_moments)
-
-    def to_json(self) -> str:
-        ps = self.pathway.phases
-        payload = {
-            "pathway": {
-                "pulses": sorted(self.pathway.pulses),
-                "phases": [ps.zeta_1, ps.zeta_2, ps.zeta_3, ps.zeta_4],
-                "chi": self.pathway.chi,
-                "phi": self.pathway.phi,
-            },
-            "port": self.port,
-            "n_samples": self.n_samples,
-            "seed": list(self.seed) if isinstance(self.seed, tuple) else self.seed,
-            "sample_moments": [[m.real, m.imag] for m in self.sample_moments],
-            "standard_errors": list(map(float, self.standard_errors)),
-        }
-        return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HomodyneDataset":
-        payload = json.loads(text)
-        p = payload["pathway"]
-        pathway = Pathway(
-            pulses=frozenset(p["pulses"]),
-            phases=PhaseSet(*p["phases"]),
-            chi=p["chi"],
-            phi=p["phi"],
-        )
-        seed = payload.get("seed")
-        return cls(
-            pathway,
-            payload["port"],
-            payload["n_samples"],
-            np.array([complex(re, im) for re, im in payload["sample_moments"]]),
-            np.array(payload["standard_errors"]),
-            tuple(seed) if isinstance(seed, list) else seed,
-        )
 
 
 _TAN_PI_16 = math.tan(math.pi / 16)
@@ -479,12 +440,12 @@ class VerificationStudy:
         for stream, (pathway, port) in enumerate(self.channels):
             exact = self.exact[stream]
             if n_samples is None:
-                out.append(HomodyneDataset(pathway, port, None, exact.copy(), np.zeros(order), seed))
+                out.append(HomodyneDataset(pathway, port, None, exact.copy(), np.zeros(order)))
                 continue
             ses = np.sqrt(self.variances[stream] / n_samples)
             rng = np.random.default_rng(None if seed is None else (seed, stream))
             noise = (self.factors[stream] / math.sqrt(n_samples)) @ rng.standard_normal(order)
-            out.append(HomodyneDataset(pathway, port, n_samples, exact + noise, ses, seed))
+            out.append(HomodyneDataset(pathway, port, n_samples, exact + noise, ses))
         return out
 
     def run(

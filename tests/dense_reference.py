@@ -17,6 +17,20 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-8
 
 
+def mode_cutoff(cfg, mode):
+    """cfg's cutoff of mode 1 or 2."""
+    return cfg.cutoff_1 if mode == 1 else cfg.cutoff_2
+
+
+def assert_hermitian_words_real(table, tol=1e-9):
+    """The pure powers X1^p X2^r and P1^q P2^s are Hermitian words, so their moments in the
+    table are real to tol (relative to 1 + |value|)."""
+    for key, v in table.entries.items():
+        p, q, r, s = key
+        if q == 0 and s == 0 or p == 0 and r == 0:
+            assert abs(v.imag) <= tol * (1.0 + abs(v)), f"{algebra.key_to_string(key)} = {v} not real"
+
+
 def lift(single, mode, cfg):
     """The single-mode matrix `single` on mode 1 or 2 of cfg's two-mode space."""
     if mode == 1:
@@ -28,7 +42,7 @@ def letter_matrices(cfg):
     """X1, P1, b1, b1d, X2, P2, b2, b2d as dense matrices."""
     singles = {"X{}": fock.x_single, "P{}": fock.p_single, "b{}": fock.destroy,
                "b{}d": lambda c: fock.destroy(c).conj().T}
-    return {name.format(mode): lift(make(cfg.cutoff(mode)), mode, cfg)
+    return {name.format(mode): lift(make(mode_cutoff(cfg, mode)), mode, cfg)
             for mode in (1, 2) for name, make in singles.items()}
 
 
@@ -295,7 +309,7 @@ def thermal_columns(nbar_1, nbar_2, cfg):
     (ascending) and weights p1_i p2_j of every Fock product, less the smallest products while
     their total mass stays at or below fock.THERMAL_DROP_TOL; every product equal to the
     smallest one kept is kept too."""
-    pops = (fock.thermal_populations(nbar, cfg.cutoff(mode)) for mode, nbar in ((1, nbar_1), (2, nbar_2)))
+    pops = (fock.thermal_populations(nbar, mode_cutoff(cfg, mode)) for mode, nbar in ((1, nbar_1), (2, nbar_2)))
     w = np.outer(*pops).ravel()
     by_size = np.argsort(w, kind="stable")
     smallest = np.min(w[by_size[np.cumsum(w[by_size]) > fock.THERMAL_DROP_TOL]])

@@ -281,20 +281,48 @@ def test_numerical_failures_exit_3_with_one_error_line(monkeypatch, tmp_path, ca
     assert not out.exists()
 
 
-def test_import_loads_no_scipy():
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mechcat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True,
-    )
+# run in a fresh interpreter where `import scipy` fails: numpy is the only runtime dependency
+NO_SCIPY = """
+import os, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+"""
+SCIPY_LOADED = "print(sorted(m for m, mod in sys.modules.items() if mod and m.split('.')[0] == 'scipy'))"
+
+
+def _run_without_scipy(code, tmp_path):
+    """Run `code` with tmp_path as sys.argv[1]; its printed lines, less the scipy check's."""
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY + code + SCIPY_LOADED, str(tmp_path)],
+                       capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip().splitlines()[-1] == "[]"
+    return r.stdout.strip().splitlines()[:-1]
 
 
-def test_verify_path_loads_no_scipy():
-    # the `mechcat verify` default table, its study and one seeded run
+def test_import_loads_no_scipy(tmp_path):
+    # the import, then every command but verify on a small config
+    (tmp_path / "grid.ini").write_text("[grid]\nmu = 0.3, 1.1\nphi = 0, 3.1\nnbar_bath = 0, 100\n"
+                                       "alpha = 0.5, 1.5\n")
     code = """
-import sys
+import mechcat.cli
+from mechcat import cli
+tmp = sys.argv[1]
+for argv in (["table1", "--check"], ["table2", "--check"], ["map", "--criterion", "S3"],
+             ["map", "--criterion", "D5"], ["map", "--criterion", "delta"], ["cooling-map"],
+             ["detector"], ["sideband", "--g0", "800", "--kappa", "1e8", "--omega-m", "7e6"]):
+    config = [] if argv[0] in ("table1", "table2", "sideband") else ["--config", tmp + "/grid.ini"]
+    out = tmp + "/out-" + "-".join(argv[:2])
+    print(argv[0], cli.main([*argv, *config, "--out", out]), os.path.getsize(out) > 0)
+"""
+    lines = _run_without_scipy(code, tmp_path)
+    assert [line.split()[0] for line in lines] == ["table1", "table2", "map", "map", "map", "cooling-map",
+                                                   "detector", "sideband"]
+    assert all(line.split()[1:] == ["0", "True"] for line in lines), lines
+
+
+def test_verify_path_loads_no_scipy(tmp_path):
+    # the `mechcat verify` default table, its study and one seeded run, then the command
+    (tmp_path / "v.ini").write_text("[verify]\nn_samples = 1e5\nn_seeds = 2\n")
+    code = """
 from mechcat import cli, verify
 from mechcat.herald import ProtocolParams, heralded_moment_table
 from mechcat.opensystem import evolve_moments
@@ -304,11 +332,11 @@ env = cli.env_from_config(cli.load_config(None))
 params = ProtocolParams(mu=1e-3, phi=PHI_DEFAULT, nbar_1=0.1, nbar_2=0.1)
 table = evolve_moments(heralded_moment_table(params, 8), env)
 verify.VerificationStudy(table, phi=PHI_DEFAULT).run(10**6, (7, 0))
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+tmp = sys.argv[1]
+print(cli.main(["verify", "--config", tmp + "/v.ini", "--seed", "7", "--out", tmp + "/v.json"]))
 """
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert _run_without_scipy(code, tmp_path) == ["0"]
+    assert len(json.loads((tmp_path / "v.json").read_text())["runs"]) == 2
 
 
 def test_cli_import_leaves_verify_out():
@@ -348,8 +376,6 @@ def test_cli_import_leaves_verify_out():
         ("verify", "[verify]\ntarget_order = 0\n", "target_order = 0"),
         ("verify", "[verify]\ntarget_order = -1\n", "target_order = -1"),
         ("verify", "[verify]\ntarget_order = 2.5\n", "target_order = 2.5"),
-        ("verify", "[verify]\ntarget_order = 3\n", "target_order = 3"),
-        ("verify", "[verify]\ntarget_order = 5\n", "target_order = 5"),
         ("verify", "[verify]\nn_samples = -5\n", "n_samples"),
         ("map --criterion S3", "[grid]\nmu = 0:1:2.5\n", "'0:1:2.5'"),
         ("map --criterion S3", "[grid]\nmu = a:1:3\n", "'a:1:3'"),
@@ -363,7 +389,7 @@ def test_cli_import_leaves_verify_out():
         "fractional-n-seeds", "word-n-seeds", "fractional-n-samples", "zero-n-samples", "inf-n-samples",
         "zero-point-grid", "negative-point-grid", "empty-grid", "commas-only-grid", "zero-target-order",
         "negative-target-order",
-        "fractional-target-order", "target-order-3", "target-order-5",
+        "fractional-target-order",
         "negative-n-samples", "fractional-grid-count", "word-grid-start", "word-q-factor", "word-dark-prob",
     ],
 )
@@ -390,6 +416,78 @@ def test_impossible_sideband_rates_exit_3(capsys, rates):
     assert cli.main(["sideband", *rates]) == cli.EXIT_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError:")
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        cli.write_json(str(out), {"x": math.inf})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rates, infinite",
+    [
+        (["--g0", "1e300", "--kappa", "1e-10", "--omega-m", "1e-10"], "mu_nominal"),
+        (["--g0", "1", "--kappa", "1e-300", "--omega-m", "1"], "percent_reduction"),
+        (["--g0", "1", "--kappa", "1e-300", "--omega-m", "1e10"], "mu_effective, rotation_angle"),
+    ],
+    ids=["infinite-mu", "overflowing-reduction", "overflowing-rotation"],
+)
+def test_sideband_rates_with_a_non_finite_result_exit_3(tmp_path, capsys, rates, infinite):
+    out = tmp_path / "s.json"
+    assert cli.main(["sideband", *rates, "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: g0 = ")
+    assert "kappa = " in err[0] and "omega_m = " in err[0] and infinite in err[0]
+    assert not out.exists()
+
+
+def test_verify_report_of_the_closed_system_is_strict_json(tmp_path):
+    # q_factor = inf is the documented closed system; the report writes it as "inf"
+    cfg = tmp_path / "v.ini"
+    cfg.write_text("[env]\nq_factor = inf\n[verify]\nn_samples = 1e5\nn_seeds = 1\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    report = _strict_json(out.read_text())
+    assert report["env"]["q_factor"] == "inf"
+    assert report["exact"]["S3"] < 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_verify_reports_the_criteria_its_target_order_supports(tmp_path, order):
+    # D5 reads moments of order 2 and S3 of order 4: below 4 the report has no S3
+    cfg = tmp_path / "v.ini"
+    cfg.write_text(f"[verify]\nn_samples = 1e5\nn_seeds = 2\ntarget_order = {order}\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    report = _strict_json(out.read_text())
+    names = ["D5"] if order >= 2 else []
+    assert sorted(report["exact"]) == names
+    assert [sorted(run) for run in report["runs"]] == [sorted([*names, "max_abs_moment_error", "seed"])] * 2
+    assert "s3_sign_agreement" not in report
+    assert report["protocol"]["target_order"] == order
+    assert len(report["recovered_moments_last_run"]) == math.comb(order + 4, 4)
+    assert report["noiseless_max_abs_deviation"] < 1e-8
+
+
+def test_verify_above_target_order_4_exits_3_order_overflow(tmp_path, capsys):
+    # the exact table of order 2 x 5 = 10 is beyond the evolution's order 8
+    cfg = tmp_path / "v.ini"
+    cfg.write_text("[verify]\ntarget_order = 5\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: OrderOverflow: target_order = 5")
+    assert not out.exists()
 
 
 def _csv_rows(path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mechcat import algebra, criteria, fock, herald
+from mechcat.algebra import ladder_to_quadrature
 from mechcat.criteria import (
-    CriterionResult,
     build_d5,
     build_s3,
     criterion_words,
@@ -55,7 +55,6 @@ def test_vacuum_d5_boundary():
     table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0), 2)
     res = build_d5(table)
     assert abs(res.value) < 1e-12
-    assert not res.entangled
 
 
 def test_separable_thermal_guard():
@@ -114,17 +113,6 @@ def test_table_row_i():
     env = EnvParams(omega_m=OMEGA, q_factor=1e5, nbar_bath=1000.0)
     assert d5_evolved(1e-3, 0.1, env) == pytest.approx(0.56, abs=0.01)
     assert s3_evolved(1e-3, 0.1, env) == pytest.approx(-0.080, abs=0.008)
-
-
-def test_criterion_result_json():
-    table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0, nbar_1=0.5, nbar_2=0.5), 4)
-    res = build_s3(table)
-    import json
-
-    payload = json.loads(res.to_json())
-    assert payload["name"] == "S3"
-    assert not payload["entangled"]
-    assert len(payload["matrix_re"]) == 3
 
 
 def test_non_gaussianity_gaussian_states():
@@ -189,13 +177,6 @@ def test_mu_cutoff_value():
     assert mu_cutoff(env) == pytest.approx(3.6, abs=0.3)
 
 
-def test_entangled_flag_threshold():
-    res = CriterionResult("S3", -1e-12, np.eye(3))
-    assert not res.entangled
-    res2 = CriterionResult("S3", -1e-3, np.eye(3))
-    assert res2.entangled
-
-
 def test_fig3_structure():
     env = EnvParams(omega_m=OMEGA, q_factor=1e5, nbar_bath=500.0)
     phis = np.linspace(0.0, 2 * math.pi, 41)
@@ -220,11 +201,11 @@ def test_non_gaussianity_increases_toward_phi_pi():
 
 
 def _entrywise_determinant(name, mu, phi, nbar, env):
-    """Reference: every matrix entry by MomentTable.ladder_value on the evolved table."""
+    """Reference: every matrix entry, its ladder word expanded into quadratures, on the evolved table."""
     indices, order = criteria.CRITERIA[name]
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
     table = evolve_moments(heralded_moment_table(params, order), env)
-    mat = np.array([[table.ladder_value(w) for w in row] for row in criterion_words(indices)])
+    mat = np.array([[table.evaluate(ladder_to_quadrature(w)) for w in row] for row in criterion_words(indices)])
     return np.linalg.det(mat).real
 
 

@@ -19,9 +19,7 @@ from mechcat.detector import (
     dark_prob_from_rate,
     fraction_of_amplitude,
     fractions_from_oracle,
-    loss_outcome_probability,
     optimize_alpha,
-    total_probability_covered,
     true_positive_fraction_nonresolving,
     true_positive_fraction_resolving,
 )
@@ -299,10 +297,10 @@ def test_dark_count_dominated_limit():
 def test_loss_oracle_no_loss_channel():
     det = DetectorParams(eta=1.0, dark_prob=0.0)
     cfg = FockConfig(20, 20)
-    p = loss_outcome_probability(det, protocol(0.3), LossOutcome(1, 0, 1, 0), cfg)
-    assert abs(p) < 1e-14
+    oracle = LossOracle(det, protocol(0.3), cfg)
+    assert abs(oracle.probability(LossOutcome(1, 0, 1, 0))) < 1e-14
     with pytest.raises(TruncationTooSmall):
-        loss_outcome_probability(det, protocol(0.3), LossOutcome(5, 4, 3, 2), cfg)
+        oracle.probability(LossOutcome(5, 4, 3, 2))
 
 
 @pytest.mark.parametrize("configuration", [PARALLEL, SERIES])
@@ -329,7 +327,7 @@ def test_fractions_need_the_herald_outcome_in_the_truncation():
 def test_loss_oracle_completeness():
     cfg = FockConfig(20, 20)
     p = protocol(0.3)
-    covered = total_probability_covered(DET, p, cfg, truncation=8)
+    covered = LossOracle(DET, p, cfg, truncation=8).table.sum()
     # total detected+lost photon number is Poisson(|alpha|^2)
     tail = 1.0 - math.exp(-1.0) * sum(1.0 / math.factorial(k) for k in range(9))
     assert covered + tail == pytest.approx(1.0, abs=1e-8)

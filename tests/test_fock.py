@@ -23,7 +23,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fock.FockConfig(1, 10)
     assert CFG.dim == 576
-    assert CFG.doubled() == fock.FockConfig(48, 48)
 
 
 def test_default_cutoff_heuristic():

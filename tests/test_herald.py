@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_reference import (density_matrix, dense_thermal_factor, displacement, entanglement_entropy,
-                             exchange_blocks, factor, fidelity_to_pure, lift, moments_raw, plain_arms,
+from dense_reference import (assert_hermitian_words_real, density_matrix, dense_thermal_factor, displacement,
+                             entanglement_entropy, exchange_blocks, factor, fidelity_to_pure, lift, moments_raw, plain_arms,
                              plain_click_map, plain_heralded_factor, pure_cat_state, thermal_columns)
 from mechcat import algebra, fock, herald
 from mechcat.errors import HeraldImpossible, ZeroOperator
@@ -284,7 +284,7 @@ def test_thermal_moment_table_against_fock():
 
 def test_hermitian_words_real():
     table = herald.heralded_moment_table(ProtocolParams(mu=0.9, phi=1.3, nbar_1=0.4, nbar_2=0.2), 6)
-    table.check_hermitian_real()
+    assert_hermitian_words_real(table)
 
 
 def test_dark_port_click_is_phase_shifted_bright_port():

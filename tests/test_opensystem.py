@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import assert_hermitian_words_real
 from mechcat import herald, opensystem
 from mechcat.algebra import canonicalize, keys_up_to_order
 from mechcat.herald import ProtocolParams, heralded_moment_table
@@ -12,7 +13,6 @@ from mechcat.opensystem import (
     MeasurementSchedule,
     evolve_moments,
     noise_covariances,
-    noise_covariances_quad,
     quarter_period,
 )
 
@@ -63,6 +63,25 @@ def test_noise_covariances_zero_cases():
     assert noise_covariances(env, 0.0, 0.0) == (0.0, 0.0, 0.0)
     env0 = EnvParams(omega_m=OMEGA, q_factor=math.inf, nbar_bath=100.0)
     assert noise_covariances(env0, 1.0, 1.0) == (0.0, 0.0, 0.0)
+
+
+def noise_covariances_quad(env, t_x, t_p):
+    """Adaptive-quadrature oracle for the three entries of opensystem.noise_covariances."""
+    from scipy.integrate import quad
+
+    g, w, s = env.gamma, env.omega_m, env.force_strength
+    period = 2 * math.pi / w
+
+    def cov(t1, t2):
+        tm = min(t1, t2)
+        if g == 0.0 or tm == 0.0:
+            return 0.0
+        pts = min(int(tm / period) * 4 + 50, 1000)
+        val = quad(lambda tp: math.exp(g * tp) * math.sin(w * (t1 - tp)) * math.sin(w * (t2 - tp)),
+                   0.0, tm, limit=max(200, pts), epsabs=1e-13, epsrel=1e-11)[0]
+        return 2 * g * s * math.exp(-g * (t1 + t2) / 2) * val
+
+    return cov(t_x, t_x), cov(t_p, t_p), cov(t_x, t_p)
 
 
 @pytest.mark.parametrize("q,nbar_b,cycles", [(1e5, 1000.0, 0.25), (50.0, 3.0, 0.25), (50.0, 3.0, 2.7)])
@@ -221,7 +240,7 @@ def test_commutator_defect_scaling():
 def test_hermitian_realness_preserved():
     env = EnvParams(omega_m=OMEGA, q_factor=1e4, nbar_bath=30.0)
     table = heralded_moment_table(ProtocolParams(mu=0.6, phi=1.7, nbar_1=0.3, nbar_2=0.1), 4)
-    evolve_moments(table, env).check_hermitian_real()
+    assert_hermitian_words_real(evolve_moments(table, env))
 
 
 # ---------------------------------------------------------------------------

@@ -412,34 +412,6 @@ def test_sign_stability_small():
     assert agree >= 19
 
 
-def test_json_round_trip_recovered():
-    from mechcat.algebra import MomentTable
-
-    table = evolved_table(mu=1e-3)
-    study = VerificationStudy(table, phi=PHI, target_order=4)
-    rec = study.run(10**5, seed=9).recovered_table
-    back = MomentTable.from_json(rec.to_json())
-    assert back.provenance == "recovered"
-    assert back.n_samples == 10**5
-    worst = max(abs(back.entries[k] - rec.entries[k]) for k in rec.entries)
-    assert worst < 1e-12
-
-
-def test_dataset_json_round_trip():
-    from mechcat.verify import HomodyneDataset
-
-    table = evolved_table(mu=1e-3)
-    (ds,) = port_datasets(table, "C", 10**5, [(5, 1)], phases=PhaseSet(zeta_1=0.5), chi=1.3)
-    assert ds.pathway == Pathway(phases=PhaseSet(zeta_1=0.5), chi=1.3, phi=PHI)
-    back = HomodyneDataset.from_json(ds.to_json())
-    assert back.port == "C"
-    assert back.pathway == ds.pathway
-    assert back.n_samples == 10**5
-    assert back.seed == (5, 1)
-    assert np.allclose(back.sample_moments, ds.sample_moments)
-    assert np.allclose(back.standard_errors, ds.standard_errors)
-
-
 # ---------------------------------------------------------------------------
 # scalar reference: symmetrized sums word by word, port moments key by key
 
