@@ -17,7 +17,7 @@ import numpy as np
 from . import fock
 from .algebra import (MomentTable, apply_mode_map, keys_up_to_order, ladder_to_quadrature,
                       moments_from_state, symmetrization_maps)
-from .errors import DegenerateHerald, NegativeNonGaussianity, NoSignChange, NonPhysicalCovariance
+from .errors import DegenerateHerald, NegativeNonGaussianity, NoSignChange, NonFiniteValue, NonPhysicalCovariance
 from .fock import TwoModeState
 from .herald import fringe, heralded_moments
 from .opensystem import EnvParams, evolution_map
@@ -195,12 +195,24 @@ def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
     return _determinants(name, criterion_matrices(name, vectors))
 
 
+def _finite(name: str, values: np.ndarray, mu, phi, nbar, baths) -> np.ndarray:
+    """The criterion values, or NonFiniteValue naming the first point where they overflow, with
+    the bath occupation of its evolution map (baths runs along the maps' axis)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), values.shape)
+        m, p, n, b = (np.broadcast_to(v, values.shape)[at] for v in (mu, phi, nbar, baths))
+        raise NonFiniteValue(f"{name} = {values[at]} at mu = {m:g}, phi = {p:g}, nbar = {n:g}, nbar_bath = {b:g}")
+    return values
+
+
 def evolved_criterion(name: str, envs: list[EnvParams]):
     """The function (mu, phi, nbar) -> D5 or S3 after the open-system verification
     delays, at every point of broadcast arrays. The evolution maps are built
     once; the environments run along the last batch axis (one broadcasts)."""
     maps = _evolution_maps(name, envs)
-    return lambda mu, phi, nbar: _criterion_values(name, maps, mu, phi, nbar)
+    baths = np.array([env.nbar_bath for env in envs])
+    return lambda mu, phi, nbar: _finite(name, _criterion_values(name, maps, mu, phi, nbar), mu, phi, nbar, baths)
 
 
 def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi) -> float:
@@ -266,9 +278,11 @@ def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple
     shape = np.broadcast_shapes(np.shape(mu), (len(envs),))
     mus = np.broadcast_to(mu, shape).ravel()
     env_index = np.broadcast_to(np.arange(len(envs)), shape).ravel()
+    baths = np.array([env.nbar_bath for env in envs])
 
     def s3(nbar, at):
-        return _criterion_values("S3", maps[env_index[at]], mus[at], phi, nbar)
+        values = _criterion_values("S3", maps[env_index[at]], mus[at], phi, nbar)
+        return _finite("S3", values, mus[at], phi, nbar, baths[env_index[at]])
 
     f_lo = s3(0.0, np.arange(mus.size))
     ok = f_lo < 0.0

@@ -49,6 +49,10 @@ class TruncationTooSmall(MechcatError):
     """Photon-number truncation too small for the requested outcome."""
 
 
+class NonFiniteValue(MechcatError):
+    """A closed-form value overflowed to inf or nan at the named point."""
+
+
 class GridTooLarge(MechcatError):
     """A CLI grid has more points than its evaluation can hold in memory."""
 

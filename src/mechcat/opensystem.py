@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MomentTable, apply_mode_map, mode_keys, mode_product
-from .errors import OrderOverflow
+from .errors import NonFiniteValue, OrderOverflow
 
 Q_WARN = 10.0
 
@@ -173,6 +173,11 @@ def evolution_map(envs: list[EnvParams], order_max: int,
     rows = 0
     for c, g, w in zip(coef.T, g_at.T, w_at.T):
         rows = rows + (c * gauss[:, g])[..., None] * words[:, w]
+    finite = np.isfinite(rows).reshape(len(envs), -1).all(axis=1)
+    if not finite.all():
+        env = envs[int(np.argmin(finite))]
+        raise NonFiniteValue(f"the order-{order_max} evolution map overflows at omega_m = {env.omega_m:g}, "
+                             f"q_factor = {env.q_factor:g}, nbar_bath = {env.nbar_bath:g}")
     return rows
 
 

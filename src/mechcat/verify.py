@@ -1,5 +1,5 @@
 """Pulsed homodyne verification pipeline: port statistics, finite-sample
-datasets, and iterative order-by-order recovery of mechanical moments.
+moments, and iterative order-by-order recovery of mechanical moments.
 
 A pathway sends verification pulses into up to four slots (mode 1 or 2,
 read-out time 0 or the damped quarter period), so the slots carry the
@@ -13,7 +13,8 @@ two rows.
 
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
-semi-analytically with the exact estimator covariance. The recovery solves
+semi-analytically with the exact estimator covariance, as one (channel, order)
+array per run. The recovery takes the channel rows with those arrays, solves
 one weighted least-squares system per order for its symmetrized sums, through
 one SVD, and unlocks individual moments through the canonical commutation
 relations.
@@ -22,7 +23,7 @@ relations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,22 +149,7 @@ def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dataset synthesis
-
-
-@dataclass
-class HomodyneDataset:
-    """Sample moments <P^d> (d = 1..d_max) of one pathway/port, with errors."""
-
-    pathway: Pathway
-    port: str
-    n_samples: int | None
-    sample_moments: np.ndarray
-    standard_errors: np.ndarray
-
-    @property
-    def d_max(self) -> int:
-        return len(self.sample_moments)
+# sampling noise
 
 
 _TAN_PI_16 = math.tan(math.pi / 16)
@@ -297,6 +283,15 @@ def _row_weights(se: np.ndarray) -> np.ndarray:
     return w
 
 
+def _weighted_system(kappa: np.ndarray, order: int, se: np.ndarray):
+    """One order's keys, coefficient rows A, row weights w (_row_weights of the standard
+    errors se) and weighted rows A_w = w A."""
+    keys = _order_keys(order)
+    a = _coefficient_rows(kappa, keys, order)
+    w = _row_weights(se)
+    return keys, a, w, a * w[:, None]
+
+
 def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: int) -> None:
     """RankDeficient below full column rank, IllConditioned above COND_LIMIT, from the singular
     values of one order's weighted system."""
@@ -312,8 +307,19 @@ def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: 
         raise IllConditioned(f"order {order}: condition number {cond:.3g}")
 
 
-def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> MomentTable:
+def recover_moments(
+    kappa: np.ndarray,
+    noise: np.ndarray,
+    sample_moments: np.ndarray,
+    standard_errors: np.ndarray,
+    n_samples: int | None = None,
+) -> MomentTable:
     """Iterative order-by-order least-squares recovery of canonical moments.
+
+    The channels are the rows of every argument: kappa and noise are their signal and
+    noise rows (_channel_signals), sample_moments their <P^d> for d = 1..target_order
+    and standard_errors the errors of those, all zero for noiseless data (every row
+    then weighs 1). n_samples is recorded on the recovered table.
 
     Each order is one weighted solve A_w x = b_w for its symmetrized sums
     (weights 1/se, lower orders moved to b). One reduced SVD A_w = U diag(s) V^H
@@ -328,29 +334,23 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
     Uncertainties are propagated to first order, neglecting correlations
     between orders.
     """
-    if not datasets:
-        raise ValueError("no datasets supplied")
-    kappa, noise = _channel_signals([(ds.pathway, ds.port) for ds in datasets])
+    if not len(kappa):
+        raise ValueError("no channels supplied")
+    if not (noise.shape == kappa.shape and standard_errors.shape == sample_moments.shape
+            and len(sample_moments) == len(kappa)):
+        raise ValueError("the signal and noise rows, sample moments and standard errors need one row per channel")
+    target_order = sample_moments.shape[1]
     noise_moments = _noise_powers(noise, target_order)
-    covered = np.array([ds.d_max for ds in datasets])
     # recovered <(sum_s kappa_s L_s)^j> of every channel, order by order
-    mech = np.ones((len(datasets), target_order + 1), dtype=complex)
+    mech = np.ones((len(kappa), target_order + 1), dtype=complex)
     sym, sym_sq = symmetrization_maps(target_order)
     values = np.zeros(math.comb(target_order + 4, 4), dtype=complex)
     values[0] = 1.0
     errors = np.zeros(len(values))
     for order in range(1, target_order + 1):
-        keys = _order_keys(order)
-        use = np.flatnonzero(covered >= order)
-        if not use.size:
-            raise RankDeficient(f"no datasets cover order {order}", keys)
-        known = sum(
-            math.comb(order, j) * mech[use, j] * noise_moments[use, order - j] for j in range(order)
-        )
-        a = _coefficient_rows(kappa[use], keys, order)
-        b = np.array([datasets[i].sample_moments[order - 1] for i in use]) - known
-        w = _row_weights(np.array([datasets[i].standard_errors[order - 1] for i in use]))
-        a_w = a * w[:, None]
+        keys, a, w, a_w = _weighted_system(kappa, order, standard_errors[:, order - 1])
+        known = sum(math.comb(order, j) * mech[:, j] * noise_moments[:, order - j] for j in range(order))
+        b = sample_moments[:, order - 1] - known
         u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
         _check_spectrum(a_w, svals, keys, order)
         v_scaled = vh.conj().T / svals
@@ -358,7 +358,7 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         sol = v_scaled @ (u.conj().T @ b_w)
         sol += v_scaled @ (u.conj().T @ (b_w - a_w @ sol))
         sum_errors = np.linalg.norm(v_scaled, axis=1)
-        mech[use, order] = a @ sol
+        mech[:, order] = a @ sol
         # unlock individual canonical moments through the commutators (the
         # entries of this order are still zero: the maps give the lower part)
         block = order_slice(order)
@@ -367,9 +367,6 @@ def recover_moments(datasets: list[HomodyneDataset], target_order: int) -> Momen
         n_words = np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
         values[block] = (sol - lower) / n_words
         errors[block] = np.sqrt(sum_errors**2 + lower_var) / n_words
-    n_samples = min(
-        (ds.n_samples for ds in datasets if ds.n_samples is not None), default=None
-    )
     return MomentTable(
         values, target_order, provenance="recovered", n_samples=n_samples, errors=errors, evolved=True
     )
@@ -384,7 +381,6 @@ class VerificationRun:
 
     exact_table: MomentTable
     recovered_table: MomentTable
-    datasets: list[HomodyneDataset] = field(default_factory=list)
 
     def max_abs_deviation(self) -> float:
         # Python abs, not np.abs: numpy rounds complex moduli differently in the last bit
@@ -397,8 +393,9 @@ class VerificationStudy:
 
     Exact port moments and the LDL^T factors of all sampling covariances are
     computed once, as stacked arrays; repeated Monte-Carlo draws then only
-    add noise and re-run the recovery. `kappa` holds the channels' signal rows
-    and `variances` the per-sample variances of their port moments.
+    add noise and re-run the recovery. `kappa` and `noise` hold the channels'
+    signal and noise rows, `exact` their exact port moments and `variances`
+    the per-sample variances of those.
     """
 
     def __init__(
@@ -421,37 +418,36 @@ class VerificationStudy:
         self.channels = [
             (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
         ]
-        self.kappa, noise = _channel_signals(self.channels)
-        exact = _port_moments(self.kappa, noise, table, 2 * target_order)
+        self.kappa, self.noise = _channel_signals(self.channels)
+        exact = _port_moments(self.kappa, self.noise, table, 2 * target_order)
         cov = _sampling_covariance(exact, target_order)
         self.exact = exact[:, :target_order]
         self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
         self.factors = _factor_complex_symmetric(cov)
 
-    def datasets(
+    def sample_moments(
         self, n_samples: int | None = None, seed: int | tuple | None = None
-    ) -> list[HomodyneDataset]:
-        """One dataset per channel: the exact moments plus, for finite n_samples,
-        correlated estimation noise B z / sqrt(N) with z from the stream (seed, channel)."""
-        if n_samples is not None and n_samples < 1:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sample moments <P^d> (d = 1..target_order) of every channel, one row each, and
+        their standard errors: the exact moments with zero errors for n_samples None, else plus
+        correlated estimation noise factors[k] z / sqrt(N) on channel k, with z from the stream
+        (seed, k)."""
+        if n_samples is None:
+            return self.exact.copy(), np.zeros(self.exact.shape)
+        if n_samples < 1:
             raise ValueError(f"n_samples = {n_samples} must be >= 1")
-        order = self.target_order
-        out = []
-        for stream, (pathway, port) in enumerate(self.channels):
-            exact = self.exact[stream]
-            if n_samples is None:
-                out.append(HomodyneDataset(pathway, port, None, exact.copy(), np.zeros(order)))
-                continue
-            ses = np.sqrt(self.variances[stream] / n_samples)
-            rng = np.random.default_rng(None if seed is None else (seed, stream))
-            noise = (self.factors[stream] / math.sqrt(n_samples)) @ rng.standard_normal(order)
-            out.append(HomodyneDataset(pathway, port, n_samples, exact + noise, ses))
-        return out
+        z = np.array([
+            np.random.default_rng(None if seed is None else (seed, k)).standard_normal(self.target_order)
+            for k in range(len(self.channels))
+        ])
+        # a stacked matrix-vector product: per channel the same arithmetic as factors[k] @ z[k]
+        noise = np.matmul(self.factors / math.sqrt(n_samples), z[..., None])[..., 0]
+        return self.exact + noise, np.sqrt(self.variances / n_samples)
 
     def run(
         self, n_samples: int | None = None, seed: int | tuple | None = None
     ) -> VerificationRun:
-        """One campaign: datasets (exact for n_samples None) and their recovery. A noiseless
+        """One campaign: sample moments (exact for n_samples None) and their recovery. A noiseless
         run is held to the seeded runs' rule too: each order's system weighted by the sampling
         errors must have full rank and a condition number within COND_LIMIT (the weights
         1/sqrt(variance) of one sample; N scales them all alike). Its own solve weighs every
@@ -459,13 +455,8 @@ class VerificationStudy:
         return a wrong table with no error."""
         if n_samples is None:
             for order in range(1, self.target_order + 1):
-                keys = _order_keys(order)
-                w = _row_weights(np.sqrt(self.variances[:, order - 1]))
-                a_w = _coefficient_rows(self.kappa, keys, order) * w[:, None]
+                keys, _, _, a_w = _weighted_system(self.kappa, order, np.sqrt(self.variances[:, order - 1]))
                 _check_spectrum(a_w, np.linalg.svd(a_w, compute_uv=False), keys, order)
-        datasets = self.datasets(n_samples, seed)
-        recovered = recover_moments(datasets, self.target_order)
-        return VerificationRun(
-            exact_table=self.table, recovered_table=recovered, datasets=datasets
-        )
-
+        moments, errors = self.sample_moments(n_samples, seed)
+        recovered = recover_moments(self.kappa, self.noise, moments, errors, n_samples)
+        return VerificationRun(exact_table=self.table, recovered_table=recovered)

@@ -208,8 +208,7 @@ def test_criterion_8_verification_pipeline():
     ns = [10**3, 10**4, 10**5, 10**6]
     means = []
     for n in ns:
-        errs = [abs(single.datasets(n, (17, k))[port_a].sample_moments[0] - exact1)
-                for k in range(100)]
+        errs = [abs(single.sample_moments(n, (17, k))[0][port_a, 0] - exact1) for k in range(100)]
         means.append(np.mean(errs))
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
     slope_ok = abs(slope + 0.5) <= 0.1

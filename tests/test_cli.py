@@ -281,6 +281,31 @@ def test_numerical_failures_exit_3_with_one_error_line(monkeypatch, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["map", "--criterion", "S3"], "[protocol]\nnbar = 1e80\n[grid]\nmu = 0.5\nphi = 3\n",
+         "S3 = nan at mu = 0.5, phi = 3, nbar = 1e+80, nbar_bath = 500"),
+        (["map", "--criterion", "D5"], "[protocol]\nnbar = 1e80\n[grid]\nmu = 0.5\nphi = 3\n",
+         "D5 = inf at mu = 0.5, phi = 3, nbar = 1e+80, nbar_bath = 500"),
+        (["cooling-map"], "[grid]\nmu = 0.5\nnbar_bath = 1e300\n",
+         "the order-4 evolution map overflows at omega_m = 6.28319e+06, q_factor = 100000, nbar_bath = 1e+300"),
+    ],
+    ids=["map-S3", "map-D5", "cooling-map"],
+)
+def test_overflowing_closed_form_exits_3_naming_the_point(tmp_path, argv, config, message, fmt):
+    # the CSV forms wrote nan and inf with exit 0 (the JSON forms failed in the writer, naming no
+    # point), and cooling-map a false "not verifiable" (nbar_max 0, verifiable 0) in both
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    out = tmp_path / f"c.{fmt}"
+    r = run_cli([*argv, "--config", str(cfg), "--format", fmt, "--out", str(out)])
+    assert r.returncode == cli.EXIT_ERROR
+    assert r.stderr.splitlines()[-1] == f"error: NonFiniteValue: {message}"
+    assert not out.exists()
+
+
 # run in a fresh interpreter where `import scipy` fails: numpy is the only runtime dependency
 NO_SCIPY = """
 import os, sys

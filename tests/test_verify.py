@@ -29,10 +29,14 @@ def evolved_table(mu=0.5, phi=PHI, nbar=0.1, order=8, configuration="parallel", 
     return evolve_moments(heralded_moment_table(params, order), env)
 
 
-def port_datasets(table, port, n_samples, seeds, phases=PhaseSet(), chi=1.0):
-    """The `port` dataset of a one-phase-set study, one per seed."""
+def port_samples(table, port, n_samples, seeds, phases=PhaseSet(), chi=1.0):
+    """The sample moments and standard errors of the `port` channel of a one-phase-set
+    study, one pair per seed."""
     study = VerificationStudy(table, phi=PHI, chi=chi, phase_sets=[phases])
-    return [study.datasets(n_samples, seed)[PORTS.index(port)] for seed in seeds]
+    k = PORTS.index(port)
+    assert study.channels[k] == (Pathway(phases=phases, chi=chi, phi=PHI), port)
+    samples = (study.sample_moments(n_samples, seed) for seed in seeds)
+    return [(moments[k], errors[k]) for moments, errors in samples]
 
 
 def channel_rows(pathway, port):
@@ -104,10 +108,9 @@ def test_odd_port_moments_vanish_on_ground_state():
 def test_synthesize_noiseless_equals_exact():
     table = evolved_table()
     pathway = Pathway(chi=1.0, phi=PHI)
-    (ds,) = port_datasets(table, "B", None, [None])
-    assert (ds.pathway, ds.port) == (pathway, "B")
-    assert np.allclose(ds.sample_moments, exact_port_moments(pathway, "B", table, 4))
-    assert np.all(ds.standard_errors == 0)
+    ((moments, errors),) = port_samples(table, "B", None, [None])
+    assert np.allclose(moments, exact_port_moments(pathway, "B", table, 4))
+    assert np.all(errors == 0)
 
 
 def test_synthesize_estimator_variance():
@@ -115,13 +118,31 @@ def test_synthesize_estimator_variance():
     pathway = Pathway(chi=1.0, phi=PHI)
     exact = exact_port_moments(pathway, "A", table, 2)
     n = 10**4
-    devs = [
-        ds.sample_moments[0] - exact[0]
-        for ds in port_datasets(table, "A", n, [(3, k) for k in range(1000)])
-    ]
+    devs = [moments[0] - exact[0] for moments, _ in port_samples(table, "A", n, [(3, k) for k in range(1000)])]
     var_emp = np.var(np.real(devs)) + np.var(np.imag(devs))
     var_th = abs(exact[1] - exact[0] ** 2) / n
     assert var_emp == pytest.approx(var_th, rel=0.05)
+
+
+def test_seeded_sample_moments_are_the_per_channel_streams():
+    # channel k of run(n, seed) adds factors[k] / sqrt(n) @ default_rng((seed, k)).standard_normal(order)
+    # to its exact moments, bit for bit: `mechcat verify --seed 7` depends on these streams
+    study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI)
+    for n, seed in [(10**6, (7, 0)), (10**4, 3)]:
+        moments, errors = study.sample_moments(n, seed)
+        assert moments.shape == errors.shape == (len(study.channels), study.target_order)
+        for k in range(len(study.channels)):
+            z = np.random.default_rng((seed, k)).standard_normal(study.target_order)
+            assert np.array_equal(moments[k], study.exact[k] + (study.factors[k] / math.sqrt(n)) @ z)
+            assert np.array_equal(errors[k], np.sqrt(study.variances[k] / n))
+        recovered = recover_moments(study.kappa, study.noise, moments, errors, n)
+        run = study.run(n, seed).recovered_table
+        assert np.array_equal(run.values, recovered.values)
+        assert np.array_equal(run.errors, recovered.errors)
+        assert run.n_samples == n
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            study.run(n, 1)
 
 
 def test_error_scaling_slope():
@@ -131,10 +152,8 @@ def test_error_scaling_slope():
     ns = [10**3, 10**4, 10**5, 10**6]
     means = []
     for n in ns:
-        devs = [
-            abs(ds.sample_moments[0] - exact)
-            for ds in port_datasets(table, "A", n, [(11, k) for k in range(100)])
-        ]
+        samples = port_samples(table, "A", n, [(11, k) for k in range(100)])
+        devs = [abs(moments[0] - exact) for moments, _ in samples]
         means.append(np.mean(devs))
     slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.1)
@@ -308,10 +327,25 @@ def test_port_redundancy_noiseless():
     table = evolved_table()
     study = VerificationStudy(table, phi=PHI, target_order=4)
     full = study.run(None).recovered_table
-    drop = [ds for ds in study.run(None).datasets if ds.port != "D"]
-    reduced = recover_moments(drop, 4)
+    keep = np.array([port != "D" for _, port in study.channels])
+    moments, errors = study.sample_moments(None)
+    reduced = recover_moments(study.kappa[keep], study.noise[keep], moments[keep], errors[keep])
     worst = max(abs(full.entries[k] - reduced.entries[k]) for k in full.entries)
     assert worst < 1e-8
+
+
+def test_recovery_needs_one_row_per_channel_in_every_array():
+    # a single sample row would broadcast against every channel's rows
+    study = VerificationStudy(evolved_table(), phi=PHI, target_order=2)
+    moments, errors = study.sample_moments(None)
+    for args in [
+        (study.kappa, study.noise, moments[:1], errors[:1]),
+        (study.kappa, study.noise[:, :2], moments, errors),
+        (study.kappa, study.noise, moments, errors[:, :1]),
+        (study.kappa[:0], study.noise[:0], moments[:0], errors[:0]),
+    ]:
+        with pytest.raises(ValueError):
+            recover_moments(*args)
 
 
 def test_rank_deficient_single_phase_set():
@@ -378,17 +412,17 @@ def test_recovered_errors_against_50_digit_gram_inverse():
     from mechcat.presets import OMEGA_M_DEFAULT
 
     env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
-    datasets = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI).datasets(10**6, (7, 19))
-    rec = recover_moments(datasets, 4)
-    kappa, _ = verify._channel_signals([(ds.pathway, ds.port) for ds in datasets])
+    study = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI)
+    moments, standard_errors = study.sample_moments(10**6, (7, 19))
+    rec = recover_moments(study.kappa, study.noise, moments, standard_errors, 10**6)
     sym_sq = symmetrization_maps(4)[1]
     errors = np.zeros(len(keys_up_to_order(4)))
     with mp.workdps(50):
         for order in range(1, 5):
             keys = verify._order_keys(order)
-            se = np.array([ds.standard_errors[order - 1] for ds in datasets])
+            se = standard_errors[:, order - 1]
             assert np.all(se > 0)
-            a_w = mp.matrix((verify._coefficient_rows(kappa, keys, order) / se[:, None]).tolist())
+            a_w = mp.matrix((verify._coefficient_rows(study.kappa, keys, order) / se[:, None]).tolist())
             gram_inv = mp.inverse(a_w.H * a_w)
             sum_var = np.array([float(mp.re(gram_inv[i, i])) for i in range(len(keys))])
             block = order_slice(order)
