@@ -16,6 +16,7 @@ import importlib.resources as resources
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +32,16 @@ EXIT_ERROR = 3
 
 GRID_MEMORY_LIMIT = 2e9  # bytes
 # peak memory per point of the array evaluations, measured on 2e4-point grids
-# (12.3, 3.4 and 16.0 kB) and rounded up
-GRID_BYTES_PER_POINT = {"S3": 13e3, "D5": 4e3, "cooling-map": 17e3}
+# (12.3, 3.4, 16.0 and 1.7 kB) and rounded up
+GRID_BYTES_PER_POINT = {"S3": 13e3, "D5": 4e3, "cooling-map": 17e3, "detector": 2e3}
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, header_meta: list[str], columns: list[str], rows: list[tuple]):
-    lines = [f"# {m}" for m in header_meta]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [*(f"# {m}" for m in header_meta), ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -100,61 +96,98 @@ def parse_grid(spec: str, max_points: int | None = None) -> list[float]:
     if not (num.is_integer() and num >= 1):
         raise ValueError(f"grid {spec!r} needs an integral num >= 1")
     check_grid_size(int(num), max_points)
+    if not math.isfinite(stop - start):  # an infinite or nan end, or a span that overflows
+        raise ValueError(f"grid {spec!r} has a point that is not finite")
     return [float(v) for v in np.linspace(start, stop, int(num))]
 
 
-def load_config(path: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(interpolation=None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
+@dataclass(frozen=True)
+class Count:
+    """An integral INI value of at least `minimum`; float syntax such as 1e5 is accepted."""
+
+    default: int | None
+    minimum: int
+
+
+ENV_KEYS = {"omega_m": OMEGA_M_DEFAULT, "q_factor": 1e5, "nbar_bath": 500.0}
+MAP_GRID = {"phi": "0:6.283185307179586:41", "mu": "0.05:2.0:40"}
+# The INI keys of each command, {command: {section: {key: default}}}. A key's type is its
+# default's: a string is a grid spec (parse_grid), a Count an integral count, and a number or
+# None (no default) a float. The ranges are checked where the values are used.
+CONFIG_KEYS = {
+    "map": {"env": ENV_KEYS, "protocol": {"nbar": 0.1}, "grid": MAP_GRID},
+    "map --criterion delta": {"protocol": {"nbar": 0.1}, "grid": MAP_GRID},
+    "cooling-map": {"env": {"omega_m": OMEGA_M_DEFAULT, "q_factor": 1e5},
+                    "grid": {"mu": "0.2:4.2:21", "nbar_bath": "0:2000:9"}},
+    # the dark count is dark_prob, or dark_rate_hz x window_s (1e-8 by default)
+    "detector": {"protocol": {"mu": 1e-2, "phi": PHI_DEFAULT, "nbar": 0.1},
+                 "detector": {"eta": presets.ETA_DEFAULT, "dark_prob": None, "dark_rate_hz": 1.0, "window_s": 10e-9},
+                 "grid": {"alpha": "0.05:3.0:60"}},
+    "verify": {"protocol": {"mu": 1e-3, "phi": PHI_DEFAULT, "nbar": 0.1},
+               "verify": {"chi": 1.0, "n_samples": Count(10**6, 1), "target_order": Count(4, 1),
+                          "n_seeds": Count(20, 0), "max_phase_sets": Count(None, 1)},
+               "env": ENV_KEYS},
+}
+
+
+def read_config(args) -> dict[str, dict]:
+    """The INI file args.config as {section: {key: value}} over every key its command declares in
+    CONFIG_KEYS, typed and with the defaults filled in. A section or key the command does not
+    declare raises ValueError."""
+    command = "map --criterion delta" if getattr(args, "criterion", None) == "delta" else args.command
+    declared = CONFIG_KEYS[command]
+    # no section name is the default section, so a [DEFAULT] section is checked like any other
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 cfg.read_file(fh)
             except configparser.Error as exc:
-                reason = " ".join(str(exc).split())
-                raise ValueError(f"config file {path} is malformed: {reason}") from None
-    return cfg
+                raise ValueError(f"config file {args.config} is malformed: {' '.join(str(exc).split())}") from None
+    for section in cfg.sections():
+        for key in cfg[section]:
+            if key not in declared.get(section, {}):
+                raise ValueError(f"[{section}] {key} is not a config key of {command}")
+        if section not in declared:
+            raise ValueError(f"[{section}] is not a config section of {command}")
+    if cfg.has_option("detector", "dark_prob") and (
+            rate := [key for key in ("dark_rate_hz", "window_s") if cfg.has_option("detector", key)]):
+        raise ValueError(f"[detector] dark_prob and {' and '.join(rate)} both set the dark count")
+    return {section: {key: _typed(cfg, section, key, default) for key, default in keys.items()}
+            for section, keys in declared.items()}
 
 
-def _cfg_float(cfg, section, key, default):
+def _typed(cfg, section: str, key: str, default):
+    """One declared key's value, of its default's type (see CONFIG_KEYS)."""
+    count = default if isinstance(default, Count) else None
+    if not cfg.has_option(section, key):
+        return count.default if count else default
+    text = cfg.get(section, key)
+    if isinstance(default, str):
+        return text
     try:
-        return cfg.getfloat(section, key, fallback=default)
+        value = float(text)
     except ValueError:
-        raise ValueError(f"[{section}] {key} = {cfg.get(section, key)} is not a number") from None
-
-
-def _cfg_int(cfg, section, key, default: int, minimum: int) -> int:
-    """An integral value of at least `minimum`; float syntax such as 1e5 is accepted."""
-    try:
-        value = float(_cfg_float(cfg, section, key, default))
-    except ValueError:
+        if not count:
+            raise ValueError(f"[{section}] {key} = {text} is not a number") from None
         value = math.nan
-    if not (value.is_integer() and value >= minimum):
-        raise ValueError(f"[{section}] {key} = {cfg.get(section, key)} must be an integer >= {minimum}")
-    return int(value)
+    if count and not (value.is_integer() and value >= count.minimum):
+        raise ValueError(f"[{section}] {key} = {text} must be an integer >= {count.minimum}")
+    return int(value) if count else value
 
 
-def env_from_config(cfg) -> EnvParams:
-    return EnvParams(
-        omega_m=_cfg_float(cfg, "env", "omega_m", OMEGA_M_DEFAULT),
-        q_factor=_cfg_float(cfg, "env", "q_factor", 1e5),
-        nbar_bath=_cfg_float(cfg, "env", "nbar_bath", 500.0),
-    )
+def _keys_help(*commands: str) -> str:
+    """The INI keys of the CONFIG_KEYS entries and their defaults, for --help."""
+    def line(section, key, value):
+        count = f" (an integer >= {value.minimum})" if isinstance(value, Count) else ""
+        value = value.default if isinstance(value, Count) else value
+        return f"  [{section}] {key}" + (" (no default)" if value is None else f" = {_fmt(value)}") + count
 
-
-def detector_from_config(cfg, resolving=True) -> detector.DetectorParams:
-    dark = None
-    if cfg.has_option("detector", "dark_prob"):
-        dark = _cfg_float(cfg, "detector", "dark_prob", None)
-    elif cfg.has_option("detector", "dark_rate_hz") or cfg.has_option("detector", "window_s"):
-        dark = detector.dark_prob_from_rate(
-            _cfg_float(cfg, "detector", "dark_rate_hz", 1.0),
-            _cfg_float(cfg, "detector", "window_s", 10e-9),
-        )
-    return detector.DetectorParams(
-        eta=_cfg_float(cfg, "detector", "eta", presets.ETA_DEFAULT),
-        dark_prob=presets.DARK_PROB_DEFAULT if dark is None else dark,
-        resolving=resolving,
-    )
+    lines = []
+    for command in commands:
+        lines += [f"INI keys of {command}:"] + [line(section, key, value) for section, keys
+                                                 in CONFIG_KEYS[command].items() for key, value in keys.items()]
+    return "\n".join([*lines, "Any other key exits 3."])
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +196,8 @@ def detector_from_config(cfg, resolving=True) -> detector.DetectorParams:
 
 def load_golden(name: str) -> dict[tuple[str, str], tuple[float, str, float]]:
     text = resources.files("mechcat.data").joinpath(name).read_text(encoding="utf-8")
-    golden = {}
-    for line in text.splitlines():
-        if not line or line.startswith("#") or line.startswith("row,"):
-            continue
-        row, quantity, value, kind, tol = line.split(",")
-        golden[(row, quantity)] = (float(value), kind, float(tol))
-    return golden
+    lines = (line.split(",") for line in text.splitlines() if line and not line.startswith(("#", "row,")))
+    return {(row, quantity): (float(value), kind, float(tol)) for row, quantity, value, kind, tol in lines}
 
 
 def check_against_golden(computed: dict[tuple[str, str], float], golden) -> list[str]:
@@ -187,10 +215,9 @@ def check_against_golden(computed: dict[tuple[str, str], float], golden) -> list
             ok = val >= ref - tol
         else:
             raise ValueError(f"unknown tolerance kind {kind!r}")
-        if math.copysign(1.0, ref) != math.copysign(1.0, val) and kind != "geq":
-            # sign agreement is the hard gate for the determinants
-            if key[1] in ("D5", "S3") and abs(ref) > 1e-12:
-                ok = False
+        # sign agreement is the hard gate for the determinants
+        if kind != "geq" and key[1] in ("D5", "S3") and abs(ref) > 1e-12:
+            ok = ok and math.copysign(1.0, ref) == math.copysign(1.0, val)
         if not ok:
             failures.append(f"{key}: computed {val:.6g} vs reference {ref:.6g} ({kind} {tol:g})")
     return failures
@@ -231,8 +258,7 @@ def cmd_table1(args) -> int:
         parts = detector._fraction_parts(det, mus, PHI_DEFAULT, nbars, nbars)
         values[f"F_{kind}"] = 100 * detector._fraction_function(det, *parts)(ALPHA_DEFAULT)
         values[f"F_{kind}_opt"] = 100 * detector._optimum(det, *parts)[1]
-    rows_out = []
-    computed = {}
+    rows_out, computed = [], {}
     for row, vals in zip(rows, np.column_stack([values[q] for q in QUANTITIES_T1]).tolist()):
         computed |= {(row.name, q): v for q, v in zip(QUANTITIES_T1, vals)}
         rows_out.append((row.name, row.mu, row.q_factor, row.nbar, row.nbar_bath, *vals))
@@ -248,34 +274,27 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    rows_out = []
-    computed = {}
+    rows_out, computed = [], {}
     for row in presets.CAVITY_ROWS:
-        mu = sideband.mu_nominal(row.cavity)
-        ratio = row.cavity.sideband_ratio
-        red = sideband.percent_reduction(row.cavity)
-        computed[(row.name, "mu")] = mu
-        computed[(row.name, "sideband_ratio")] = ratio
-        computed[(row.name, "percent_reduction")] = red
-        rows_out.append((row.name, row.cavity.g0, row.cavity.kappa, row.cavity.omega_m,
-                         mu, ratio, red))
-    meta = [
-        "sideband-ratio corrections; g0, kappa, omega_m in rad/s",
-        "mu and sideband_ratio dimensionless; percent_reduction in percent",
-    ]
+        values = (sideband.mu_nominal(row.cavity), row.cavity.sideband_ratio, sideband.percent_reduction(row.cavity))
+        computed |= {(row.name, q): v for q, v in zip(("mu", "sideband_ratio", "percent_reduction"), values)}
+        rows_out.append((row.name, row.cavity.g0, row.cavity.kappa, row.cavity.omega_m, *values))
+    meta = ["sideband-ratio corrections; g0, kappa, omega_m in rad/s",
+            "mu and sideband_ratio dimensionless; percent_reduction in percent"]
     columns = ["row", "g0", "kappa", "omega_m", "mu", "sideband_ratio", "percent_reduction"]
     write_table(args, meta, columns, rows_out)
     return _check(args, computed, "table2")
 
 
 def cmd_map(args) -> int:
-    cfg = load_config(args.config)
-    env = env_from_config(cfg)
-    nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
+    cfg = read_config(args)
+    # the delta map takes no environment; its meta line names the default one
+    env = EnvParams(**cfg.get("env", ENV_KEYS))
+    nbar = cfg["protocol"]["nbar"]
     # the delta map holds one Fock state at a time
     limit = None if args.criterion == "delta" else max_grid_points(args.criterion)
-    phis = parse_grid(cfg.get("grid", "phi", fallback="0:6.283185307179586:41"), limit)
-    mus = parse_grid(cfg.get("grid", "mu", fallback="0.05:2.0:40"), limit)
+    phis = parse_grid(cfg["grid"]["phi"], limit)
+    mus = parse_grid(cfg["grid"]["mu"], limit)
     check_grid_size(len(mus) * len(phis), limit)
     grid_mu, grid_phi = (a.ravel().tolist() for a in np.meshgrid(mus, phis, indexing="ij"))
     if args.criterion == "delta":  # non-Gaussianity of the closed-system heralded state
@@ -298,52 +317,42 @@ def cmd_map(args) -> int:
             if v1 == 0.0 or (v1 < 0) != (v2 < 0):
                 frac = abs(v1) / (abs(v1) + abs(v2)) if (abs(v1) + abs(v2)) > 0 else 0.0
                 contours.append((mu, p1 + frac * (p2 - p1)))
-    contour_path = args.contour_out or (
-        None if args.out == "-" else args.out + ".contour.csv"
-    )
-    if contour_path:
-        write_csv(
-            contour_path,
-            [f"sign-change contour of {args.criterion} along phi (linear interpolation)"],
-            ["mu", "phi_zero"],
-            contours,
-        )
+    if contour_path := args.contour_out or (None if args.out == "-" else args.out + ".contour.csv"):
+        write_csv(contour_path, [f"sign-change contour of {args.criterion} along phi (linear interpolation)"],
+                  ["mu", "phi_zero"], contours)
     return EXIT_OK
 
 
 def cmd_cooling_map(args) -> int:
-    cfg = load_config(args.config)
-    env = env_from_config(cfg)
+    cfg = read_config(args)
     limit = max_grid_points("cooling-map")
-    mus = parse_grid(cfg.get("grid", "mu", fallback="0.2:4.2:21"), limit)
-    baths = parse_grid(cfg.get("grid", "nbar_bath", fallback="0:2000:9"), limit)
+    mus = parse_grid(cfg["grid"]["mu"], limit)
+    baths = parse_grid(cfg["grid"]["nbar_bath"], limit)
     check_grid_size(len(mus) * len(baths), limit)
-    envs = [EnvParams(omega_m=env.omega_m, q_factor=env.q_factor, nbar_bath=nb) for nb in baths]
+    envs = [EnvParams(**cfg["env"], nbar_bath=nb) for nb in baths]
     nbar_max, ok = criteria.cooled_occupations(np.array(mus)[:, None], envs, PHI_DEFAULT)
     grid_mu, grid_nb = (a.ravel().tolist() for a in np.meshgrid(mus, baths, indexing="ij"))
     rows = list(zip(grid_mu, grid_nb, nbar_max.ravel().tolist(), ok.ravel().astype(int).tolist()))
-    meta = [
-        "maximum initial occupation with S3 < 0; phi = pi",
-        f"q_factor={env.q_factor}; verifiable=0 marks the NoVerification region",
-    ]
+    meta = ["maximum initial occupation with S3 < 0; phi = pi",
+            f"q_factor={cfg['env']['q_factor']}; verifiable=0 marks the NoVerification region"]
     write_table(args, meta, ["mu", "nbar_bath", "nbar_max", "verifiable"], rows)
     return EXIT_OK
 
 
 def cmd_detector(args) -> int:
-    cfg = load_config(args.config)
-    mu = _cfg_float(cfg, "protocol", "mu", 1e-2)
-    phi = _cfg_float(cfg, "protocol", "phi", PHI_DEFAULT)
-    nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
-    alphas = parse_grid(cfg.get("grid", "alpha", fallback="0.05:3.0:60"))
-    dets = [detector_from_config(cfg, resolving) for resolving in (True, False)]
+    cfg = read_config(args)
+    mu, phi, nbar = (cfg["protocol"][key] for key in ("mu", "phi", "nbar"))
+    alphas = parse_grid(cfg["grid"]["alpha"], max_grid_points("detector"))
+    det = cfg["detector"]
+    dark = det["dark_prob"]
+    if dark is None:
+        dark = detector.dark_prob_from_rate(det["dark_rate_hz"], det["window_s"])
+    dets = [detector.DetectorParams(det["eta"], dark, resolving) for resolving in (True, False)]
     ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)  # rejects an invalid point
     columns = [100 * detector.fraction_of_amplitude(det, mu, phi, nbar, nbar)(alphas) for det in dets]
     rows = list(zip(alphas, *(c.tolist() for c in columns)))
-    meta = [
-        f"true-positive fractions vs entangling amplitude; mu={mu}, phi={phi}, nbar={nbar}",
-        f"eta={dets[0].eta}, dark_prob={dets[0].dark_prob}; F columns in percent",
-    ]
+    meta = [f"true-positive fractions vs entangling amplitude; mu={mu}, phi={phi}, nbar={nbar}",
+            f"eta={dets[0].eta}, dark_prob={dets[0].dark_prob}; F columns in percent"]
     write_table(args, meta, ["alpha", "F_resolving", "F_nonresolving"], rows)
     return EXIT_OK
 
@@ -351,60 +360,42 @@ def cmd_detector(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # deferred: no other command reads it
 
-    cfg = load_config(args.config)
-    mu = _cfg_float(cfg, "protocol", "mu", 1e-3)
-    phi = _cfg_float(cfg, "protocol", "phi", PHI_DEFAULT)
-    nbar = _cfg_float(cfg, "protocol", "nbar", 0.1)
-    chi = _cfg_float(cfg, "verify", "chi", 1.0)
-    n_samples = _cfg_int(cfg, "verify", "n_samples", 10**6, minimum=1)
-    target_order = _cfg_int(cfg, "verify", "target_order", 4, minimum=1)
-    n_seeds = _cfg_int(cfg, "verify", "n_seeds", 20, minimum=0)
-    env = env_from_config(cfg)
-
+    cfg = read_config(args)
+    protocol, settings, env = cfg["protocol"], cfg["verify"], EnvParams(**cfg["env"])
+    mu, phi, nbar, order = protocol["mu"], protocol["phi"], protocol["nbar"], settings["target_order"]
     # OrderOverflow above order 4, before any table: the exact table has order 2 x target_order,
     # and the evolution's limit is 8
-    phase_sets = verify.default_phase_sets(target_order)
-    if cfg.has_option("verify", "max_phase_sets"):
-        phase_sets = phase_sets[: _cfg_int(cfg, "verify", "max_phase_sets", 1, minimum=1)]
+    phase_sets = verify.default_phase_sets(order)[: settings["max_phase_sets"]]
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
-    table = evolve_moments(heralded_moment_table(params, 2 * target_order), env)
-    study = verify.VerificationStudy(
-        table, phi=phi, chi=chi, target_order=target_order, phase_sets=phase_sets
-    )
+    table = evolve_moments(heralded_moment_table(params, 2 * order), env)
+    study = verify.VerificationStudy(table, phi=phi, chi=settings["chi"], target_order=order, phase_sets=phase_sets)
     noiseless = study.run(None)
     # the criteria whose moments the recovered table holds: D5 from order 2, S3 at order 4
     builders = {name: build for name, build in (("D5", criteria.build_d5), ("S3", criteria.build_s3))
-                if criteria.CRITERIA[name][1] <= target_order}
+                if criteria.CRITERIA[name][1] <= order}
     exact = {name: build(table).value for name, build in builders.items()}
 
-    runs = []
-    s3_signs = 0
-    last_recovered = None
-    for k in range(n_seeds):
-        run = study.run(n_samples, (args.seed, k))
-        rec = run.recovered_table
-        last_recovered = rec
-        values = {name: build(rec).value for name, build in builders.items()}
-        if "S3" in values:
-            s3_signs += (values["S3"] < 0) == (exact["S3"] < 0)
-        runs.append({"seed": [args.seed, k], **values, "max_abs_moment_error": run.max_abs_deviation()})
-    recovered = last_recovered.to_dict() if last_recovered else None
+    runs, recovered = [], None
+    for k in range(settings["n_seeds"]):
+        run = study.run(settings["n_samples"], (args.seed, k))
+        recovered = run.recovered_table
+        runs.append({"seed": [args.seed, k], **{name: build(recovered).value for name, build in builders.items()},
+                     "max_abs_moment_error": run.max_abs_deviation()})
+    recovered = recovered and recovered.to_dict()
     report = {
         "meta": "verification Monte-Carlo; hbar=1, Var_vac=1/2",
-        "protocol": {"mu": mu, "phi": phi, "nbar": nbar, "chi": chi,
-                     "n_samples": n_samples, "target_order": target_order},
+        "protocol": {**protocol, **{key: settings[key] for key in ("chi", "n_samples", "target_order")}},
         # q_factor = inf (the closed system) as the string "inf", as the CSV meta lines write it
-        "env": {"omega_m": env.omega_m, "nbar_bath": env.nbar_bath,
-                "q_factor": env.q_factor if math.isfinite(env.q_factor) else str(env.q_factor)},
+        "env": {**cfg["env"], "q_factor": env.q_factor if math.isfinite(env.q_factor) else str(env.q_factor)},
         "noiseless_max_abs_deviation": noiseless.max_abs_deviation(),
         "exact": exact,
         "exact_moments": table.to_dict()["entries"],
-        "recovered_moments_last_run": recovered["entries"] if recovered else None,
-        "recovered_errors_last_run": recovered["std_errors"] if recovered else None,
+        "recovered_moments_last_run": recovered and recovered["entries"],
+        "recovered_errors_last_run": recovered and recovered["std_errors"],
         "runs": runs,
     }
     if "S3" in exact:
-        report["s3_sign_agreement"] = [s3_signs, n_seeds]
+        report["s3_sign_agreement"] = [sum((run["S3"] < 0) == (exact["S3"] < 0) for run in runs), len(runs)]
     write_json(args.out, report)
     return EXIT_OK
 
@@ -432,14 +423,15 @@ def cmd_sideband(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mechcat",
-        description="Two-mode mechanical cat states: criteria, detector studies, verification",
-    )
+        prog="mechcat", description="Two-mode mechanical cat states: criteria, detector studies, verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, check=False, config=True, formats=("csv", "json")):
-        if config:
+    def common(p, *keys, check=False, formats=("csv", "json")):
+        """The options every command takes; a command with CONFIG_KEYS entries `keys` takes an INI
+        file, whose keys its --help lists."""
+        if keys:
             p.add_argument("--config", default=None, help="INI config file")
+            p.epilog, p.formatter_class = _keys_help(*keys), argparse.RawDescriptionHelpFormatter
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
@@ -448,22 +440,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="compare against bundled golden values")
 
     p = sub.add_parser("table1", help="benchmark criteria and detector fractions")
-    common(p, check=True, config=False)
+    common(p, check=True)
     p = sub.add_parser("table2", help="sideband-ratio correction table")
-    common(p, check=True, config=False)
+    common(p, check=True)
     p = sub.add_parser("map", help="criterion over a (phi, mu) grid")
-    common(p)
+    common(p, "map", "map --criterion delta")
     p.add_argument("--criterion", choices=("D5", "S3", "delta"), required=True)
     p.add_argument("--contour-out", default=None)
     p = sub.add_parser("cooling-map", help="nbar_max over a (mu, nbar_bath) grid")
-    common(p)
+    common(p, "cooling-map")
     p = sub.add_parser("detector", help="true-positive fractions vs alpha")
-    common(p)
+    common(p, "detector")
     p = sub.add_parser("verify", help="verification Monte-Carlo report")
-    common(p, formats=("json",))
+    common(p, "verify", formats=("json",))
     p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("sideband", help="finite sideband-ratio corrections")
-    common(p, config=False, formats=("json",))
+    common(p, formats=("json",))
     p.add_argument("--g0", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--omega-m", dest="omega_m", type=float, required=True)

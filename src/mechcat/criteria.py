@@ -185,7 +185,8 @@ def non_gaussianity(state: TwoModeState) -> float:
 
 def _evolution_maps(name: str, envs: list[EnvParams]) -> np.ndarray:
     """Single-mode evolution maps of the named criterion's order, one per environment."""
-    return evolution_map(envs, CRITERIA[name][1])
+    with np.errstate(over="ignore", invalid="ignore"):  # evolution_map names an overflow
+        return evolution_map(envs, CRITERIA[name][1])
 
 
 def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
@@ -195,9 +196,11 @@ def _criterion_values(name: str, maps: np.ndarray, mu, phi, nbar) -> np.ndarray:
     return _determinants(name, criterion_matrices(name, vectors))
 
 
-def _finite(name: str, values: np.ndarray, mu, phi, nbar, baths) -> np.ndarray:
-    """The criterion values, or NonFiniteValue naming the first point where they overflow, with
-    the bath occupation of its evolution map (baths runs along the maps' axis)."""
+def _finite_values(name: str, maps: np.ndarray, mu, phi, nbar, baths) -> np.ndarray:
+    """The criterion values of _criterion_values, or NonFiniteValue naming the first point where
+    they overflow, with the bath occupation of its evolution map (baths runs along the maps' axis)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, naming the point
+        values = _criterion_values(name, maps, mu, phi, nbar)
     finite = np.isfinite(values)
     if not finite.all():
         at = np.unravel_index(np.argmin(finite), values.shape)
@@ -212,7 +215,7 @@ def evolved_criterion(name: str, envs: list[EnvParams]):
     once; the environments run along the last batch axis (one broadcasts)."""
     maps = _evolution_maps(name, envs)
     baths = np.array([env.nbar_bath for env in envs])
-    return lambda mu, phi, nbar: _finite(name, _criterion_values(name, maps, mu, phi, nbar), mu, phi, nbar, baths)
+    return lambda mu, phi, nbar: _finite_values(name, maps, mu, phi, nbar, baths)
 
 
 def s3_evolved(mu: float, nbar: float, env: EnvParams, phi: float = math.pi) -> float:
@@ -281,8 +284,7 @@ def cooled_occupations(mu, envs: list[EnvParams], phi: float = math.pi) -> tuple
     baths = np.array([env.nbar_bath for env in envs])
 
     def s3(nbar, at):
-        values = _criterion_values("S3", maps[env_index[at]], mus[at], phi, nbar)
-        return _finite("S3", values, mus[at], phi, nbar, baths[env_index[at]])
+        return _finite_values("S3", maps[env_index[at]], mus[at], phi, nbar, baths[env_index[at]])
 
     f_lo = s3(0.0, np.arange(mus.size))
     ok = f_lo < 0.0

@@ -112,7 +112,8 @@ def click_sum(eta: float, a2, terms: np.ndarray) -> np.ndarray:
 
 def _fraction_parts(det: DetectorParams, mu, phi, nbar_1, nbar_2):
     """The alpha-independent parts of F: P10's fringe and, for a non-resolving detector, the click terms."""
-    fringe = _fringe(np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0, phi)
+    with np.errstate(over="ignore"):  # an x that overflows is the e^{-x} = 0 limit of the fringe
+        fringe = _fringe(np.float_power(mu, 2) * (1.0 + nbar_1 + nbar_2) / 2.0, phi)
     return fringe, None if det.resolving else click_terms(mu, phi, nbar_1, nbar_2)
 
 
@@ -120,7 +121,7 @@ def _inverse_fraction(det: DetectorParams, fringe, a2, lsum=None) -> np.ndarray:
     """1/F at |alpha|^2 = a2 from the parts of `_fraction_parts` (and the click sum L if non-resolving)."""
     eta, dark = det.eta, det.dark_prob
     p10 = _exp(-a2) * a2 / 2.0 * fringe
-    if np.any(p10 < 1e-300):
+    if not np.all(p10 >= 1e-300):  # nan where |alpha|^2 overflows
         raise DegenerateHerald("P10 vanishes; F undefined")
     if det.resolving:
         return _exp((1.0 - eta) * a2) + _exp(-eta * a2) * dark / (eta * p10 * (1.0 - dark))
@@ -144,9 +145,12 @@ def _fraction_function(det: DetectorParams, fringe, terms):
     """F as a function of alpha from the parts of `_fraction_parts`."""
 
     def fraction(alpha) -> np.ndarray:
-        a2 = np.float_power(np.abs(alpha), 2)
-        lsum = None if det.resolving else click_sum(det.eta, a2, terms)
-        return 1.0 / _inverse_fraction(det, fringe, a2, lsum)
+        # an |alpha|^2 that overflows fails P10's floor or the click sum's cap, which raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            a2 = np.float_power(np.abs(alpha), 2)
+            lsum = None if det.resolving else click_sum(det.eta, a2, terms)
+            inverse = _inverse_fraction(det, fringe, a2, lsum)
+        return 1.0 / inverse
 
     return fraction
 

@@ -302,7 +302,7 @@ def test_overflowing_closed_form_exits_3_naming_the_point(tmp_path, argv, config
     out = tmp_path / f"c.{fmt}"
     r = run_cli([*argv, "--config", str(cfg), "--format", fmt, "--out", str(out)])
     assert r.returncode == cli.EXIT_ERROR
-    assert r.stderr.splitlines()[-1] == f"error: NonFiniteValue: {message}"
+    assert r.stderr == f"error: NonFiniteValue: {message}\n"  # no numpy warning before it
     assert not out.exists()
 
 
@@ -325,8 +325,9 @@ def _run_without_scipy(code, tmp_path):
 
 def test_import_loads_no_scipy(tmp_path):
     # the import, then every command but verify on a small config
-    (tmp_path / "grid.ini").write_text("[grid]\nmu = 0.3, 1.1\nphi = 0, 3.1\nnbar_bath = 0, 100\n"
-                                       "alpha = 0.5, 1.5\n")
+    (tmp_path / "map.ini").write_text("[grid]\nmu = 0.3, 1.1\nphi = 0, 3.1\n")
+    (tmp_path / "cooling-map.ini").write_text("[grid]\nmu = 0.3, 1.1\nnbar_bath = 0, 100\n")
+    (tmp_path / "detector.ini").write_text("[grid]\nalpha = 0.5, 1.5\n")
     code = """
 import mechcat.cli
 from mechcat import cli
@@ -334,7 +335,7 @@ tmp = sys.argv[1]
 for argv in (["table1", "--check"], ["table2", "--check"], ["map", "--criterion", "S3"],
              ["map", "--criterion", "D5"], ["map", "--criterion", "delta"], ["cooling-map"],
              ["detector"], ["sideband", "--g0", "800", "--kappa", "1e8", "--omega-m", "7e6"]):
-    config = [] if argv[0] in ("table1", "table2", "sideband") else ["--config", tmp + "/grid.ini"]
+    config = [] if argv[0] in ("table1", "table2", "sideband") else ["--config", f"{tmp}/{argv[0]}.ini"]
     out = tmp + "/out-" + "-".join(argv[:2])
     print(argv[0], cli.main([*argv, *config, "--out", out]), os.path.getsize(out) > 0)
 """
@@ -350,10 +351,10 @@ def test_verify_path_loads_no_scipy(tmp_path):
     code = """
 from mechcat import cli, verify
 from mechcat.herald import ProtocolParams, heralded_moment_table
-from mechcat.opensystem import evolve_moments
+from mechcat.opensystem import EnvParams, evolve_moments
 from mechcat.presets import PHI_DEFAULT
 
-env = cli.env_from_config(cli.load_config(None))
+env = EnvParams(**cli.CONFIG_KEYS["verify"]["env"])
 params = ProtocolParams(mu=1e-3, phi=PHI_DEFAULT, nbar_1=0.1, nbar_2=0.1)
 table = evolve_moments(heralded_moment_table(params, 8), env)
 verify.VerificationStudy(table, phi=PHI_DEFAULT).run(10**6, (7, 0))
@@ -611,8 +612,9 @@ def test_consecutive_main_calls_write_what_fresh_processes_write(tmp_path, capsy
         ("map --criterion S3", "mu = 0:1:1000\nphi = 0:1:1000\n", 1000000, cli.max_grid_points("S3")),
         ("map --criterion D5", "mu = 0:1:1000\nphi = 0:1:1000\n", 1000000, cli.max_grid_points("D5")),
         ("cooling-map", "mu = 0.2:3:400\nnbar_bath = 0:2000:400\n", 160000, cli.max_grid_points("cooling-map")),
+        ("detector", "alpha = 0:3:1e12\n", 1000000000000, cli.max_grid_points("detector")),
     ],
-    ids=["map-one-axis", "map-product", "map-d5", "cooling-map"],
+    ids=["map-one-axis", "map-product", "map-d5", "cooling-map", "detector"],
 )
 def test_grid_above_the_memory_limit_exits_3(tmp_path, capsys, command, grid, points, limit):
     cfg = tmp_path / "big.ini"
@@ -623,3 +625,71 @@ def test_grid_above_the_memory_limit_exits_3(tmp_path, capsys, command, grid, po
     assert len(err) == 1 and err[0].startswith("error: GridTooLarge:")
     assert f"{points} points" in err[0] and f"{limit} points" in err[0]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        ("map --criterion S3", "[protocol]\nnbr = 5\n", "[protocol] nbr"),
+        ("map --criterion S3", "[protocol]\nmu = 1e-3\n", "[protocol] mu"),
+        ("map --criterion D5", "[detector]\neta = 0.9\n", "[detector] eta"),
+        ("map --criterion S3", "[DEFAULT]\nnbar = 5\n", "[DEFAULT] nbar"),
+        ("map --criterion S3", "[verify]\n", "[verify]"),
+        ("cooling-map", "[env]\nnbar_bath = 7777\n", "[env] nbar_bath"),
+        ("map --criterion delta", "[env]\nq_factor = 1e5\n", "[env] q_factor"),
+        ("detector", "[env]\nq_factor = 1e5\n", "[env] q_factor"),
+        ("verify", "[grid]\nmu = 0.5\n", "[grid] mu"),
+    ],
+    ids=["typo-map", "unused-map-mu", "section-of-another-command", "default-section", "empty-section",
+         "cooling-map-bath", "delta-env", "detector-env", "verify-grid"],
+)
+def test_a_key_the_command_does_not_take_exits_3(tmp_path, capsys, command, config, named):
+    # each of these ran on the defaults with exit 0
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ValueError: {named} ")
+    assert err[0].endswith(" of " + ("map --criterion delta" if "delta" in command else command.split()[0]))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["dark_rate_hz = 1e9\n", "window_s = 1\n", "dark_rate_hz = 1\nwindow_s = 1e-8\n"],
+                         ids=["rate", "window", "both"])
+def test_dark_prob_with_a_dark_rate_exits_3(tmp_path, capsys, rate):
+    cfg = tmp_path / "d.ini"
+    cfg.write_text("[detector]\ndark_prob = 1e-8\n" + rate)
+    out = tmp_path / "d.csv"
+    assert cli.main(["detector", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: [detector] dark_prob and ")
+    assert all(line.split(" =")[0] in err[0] for line in rate.splitlines())
+    assert not out.exists()
+
+
+def test_dark_count_from_rate_and_window(tmp_path):
+    # either key alone keeps the other's default; both defaults give the 1e-8 of dark_prob's
+    metas = []
+    for detector in ("", "dark_rate_hz = 2\n", "window_s = 3e-8\n", "dark_prob = 1e-8\n"):
+        cfg = tmp_path / "d.ini"
+        cfg.write_text(f"[detector]\n{detector}[grid]\nalpha = 1\n")
+        out = tmp_path / "d.csv"
+        assert cli.main(["detector", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        metas.append(out.read_text().splitlines()[1])
+    assert [m.split("dark_prob=")[1].split(";")[0] for m in metas] == ["1e-08", "2e-08", "3e-08", "1e-08"]
+
+
+@pytest.mark.parametrize("command", ["map", "cooling-map", "detector", "verify"])
+def test_help_lists_every_key_and_default(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    names = ["map", "map --criterion delta"] if command == "map" else [command]
+    for name in names:
+        assert f"INI keys of {name}:" in out
+        for section, keys in cli.CONFIG_KEYS[name].items():
+            for key, default in keys.items():
+                default = default.default if isinstance(default, cli.Count) else default
+                text = "(no default)" if default is None else f"= {cli._fmt(default)}"
+                assert f"[{section}] {key} {text}" in out
