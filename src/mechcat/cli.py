@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, detector, presets, sideband
-from .errors import GridTooLarge, MechcatError
+from . import criteria, detector, fock, presets, sideband
+from .errors import GridTooLarge, MechcatError, NonFiniteValue
 from .herald import ProtocolParams, heralded_moment_table, heralded_state
 from .opensystem import EnvParams, evolve_moments
 from .presets import ALPHA_DEFAULT, OMEGA_M_DEFAULT, PHI_DEFAULT
@@ -34,6 +34,10 @@ GRID_MEMORY_LIMIT = 2e9  # bytes
 # peak memory per point of the array evaluations, measured on 2e4-point grids
 # (12.3, 3.4, 16.0 and 1.7 kB) and rounded up
 GRID_BYTES_PER_POINT = {"S3": 13e3, "D5": 4e3, "cooling-map": 17e3, "detector": 2e3}
+# the delta map holds one Fock state at a time; its peak memory per point, measured at equal
+# cutoffs 41-521 and 153-15646 kept columns, is about 410 bytes (some 26 complex arrays) per
+# entry of cutoff_1 x cutoff_2 (the mode blocks) and 10 bytes per entry of the kept columns' Gram matrix
+DELTA_BYTES_PER_BLOCK_ENTRY, DELTA_BYTES_PER_GRAM_ENTRY = 410, 10
 
 
 def _fmt(x) -> str:
@@ -77,27 +81,47 @@ def check_grid_size(points: int, limit: int | None) -> None:
                            f"({GRID_MEMORY_LIMIT / 1e9:g} GB)")
 
 
-def parse_grid(spec: str, max_points: int | None = None) -> list[float]:
+def check_fock_size(params: ProtocolParams) -> None:
+    """GridTooLarge where the delta map's Fock state at this point would pass GRID_MEMORY_LIMIT,
+    decided from its default cutoffs and thermal populations before any Fock array is built."""
+    config = fock.default_config(params.nbar_1, params.nbar_2, params.mu)
+    size = DELTA_BYTES_PER_BLOCK_ENTRY * config.dim
+    if size <= GRID_MEMORY_LIMIT:  # the populations are cutoff-long arrays: skipped past the limit
+        size += DELTA_BYTES_PER_GRAM_ENTRY * fock.kept_columns_bound(params.nbar_1, params.nbar_2, config) ** 2
+    if size > GRID_MEMORY_LIMIT:
+        raise GridTooLarge(f"the Fock state at mu = {params.mu:g}, nbar = {params.nbar_1:g} (cutoffs "
+                           f"{config.cutoff_1} x {config.cutoff_2}) needs about {size / 1e9:.3g} GB, above "
+                           f"the limit of {GRID_MEMORY_LIMIT / 1e9:g} GB")
+
+
+def parse_grid(spec: str, max_points: int | None = None, key: str | None = None) -> list[float]:
     """Grid syntax: 'start:stop:num' (inclusive linspace, num >= 1) or 'a, b, c'.
-    A range of more than max_points points is rejected before it is built."""
+    A range of more than max_points points is rejected before it is built. A malformed
+    grid raises ValueError naming the spec and, when given, its [grid] key."""
     spec = spec.strip()
+
+    def invalid(why: str) -> ValueError:
+        return ValueError(f"grid {spec!r} {why}" + (f" ([grid] {key})" if key else ""))
+
     parts = spec.split(":") if ":" in spec else [v for v in spec.split(",") if v.strip()]
     try:
         values = [float(v) for v in parts]
     except ValueError:
-        raise ValueError(f"grid {spec!r} has a value that is not a number") from None
+        raise invalid("has a value that is not a number") from None
     if ":" not in spec:
         if not values:
-            raise ValueError(f"grid {spec!r} has no point")
+            raise invalid("has no point")
+        if not all(map(math.isfinite, values)):
+            raise invalid("has a point that is not finite")
         return values
     if len(values) != 3:
-        raise ValueError(f"grid {spec!r} is not start:stop:num")
+        raise invalid("is not start:stop:num")
     start, stop, num = values
     if not (num.is_integer() and num >= 1):
-        raise ValueError(f"grid {spec!r} needs an integral num >= 1")
+        raise invalid("needs an integral num >= 1")
     check_grid_size(int(num), max_points)
     if not math.isfinite(stop - start):  # an infinite or nan end, or a span that overflows
-        raise ValueError(f"grid {spec!r} has a point that is not finite")
+        raise invalid("has a point that is not finite")
     return [float(v) for v in np.linspace(start, stop, int(num))]
 
 
@@ -293,11 +317,13 @@ def cmd_map(args) -> int:
     nbar = cfg["protocol"]["nbar"]
     # the delta map holds one Fock state at a time
     limit = None if args.criterion == "delta" else max_grid_points(args.criterion)
-    phis = parse_grid(cfg["grid"]["phi"], limit)
-    mus = parse_grid(cfg["grid"]["mu"], limit)
+    phis = parse_grid(cfg["grid"]["phi"], limit, "phi")
+    mus = parse_grid(cfg["grid"]["mu"], limit, "mu")
     check_grid_size(len(mus) * len(phis), limit)
     grid_mu, grid_phi = (a.ravel().tolist() for a in np.meshgrid(mus, phis, indexing="ij"))
     if args.criterion == "delta":  # non-Gaussianity of the closed-system heralded state
+        # the largest coupling has the largest Fock state
+        check_fock_size(ProtocolParams(mu=max(mus, key=abs), phi=phis[0], nbar_1=nbar, nbar_2=nbar))
         states = (heralded_state(ProtocolParams(mu=m, phi=p, nbar_1=nbar, nbar_2=nbar))[0]
                   for m, p in zip(grid_mu, grid_phi))
         values = [criteria.non_gaussianity(state) for state in states]
@@ -326,8 +352,8 @@ def cmd_map(args) -> int:
 def cmd_cooling_map(args) -> int:
     cfg = read_config(args)
     limit = max_grid_points("cooling-map")
-    mus = parse_grid(cfg["grid"]["mu"], limit)
-    baths = parse_grid(cfg["grid"]["nbar_bath"], limit)
+    mus = parse_grid(cfg["grid"]["mu"], limit, "mu")
+    baths = parse_grid(cfg["grid"]["nbar_bath"], limit, "nbar_bath")
     check_grid_size(len(mus) * len(baths), limit)
     envs = [EnvParams(**cfg["env"], nbar_bath=nb) for nb in baths]
     nbar_max, ok = criteria.cooled_occupations(np.array(mus)[:, None], envs, PHI_DEFAULT)
@@ -342,7 +368,7 @@ def cmd_cooling_map(args) -> int:
 def cmd_detector(args) -> int:
     cfg = read_config(args)
     mu, phi, nbar = (cfg["protocol"][key] for key in ("mu", "phi", "nbar"))
-    alphas = parse_grid(cfg["grid"]["alpha"], max_grid_points("detector"))
+    alphas = parse_grid(cfg["grid"]["alpha"], max_grid_points("detector"), "alpha")
     det = cfg["detector"]
     dark = det["dark_prob"]
     if dark is None:
@@ -367,7 +393,10 @@ def cmd_verify(args) -> int:
     # and the evolution's limit is 8
     phase_sets = verify.default_phase_sets(order)[: settings["max_phase_sets"]]
     params = ProtocolParams(mu=mu, phi=phi, nbar_1=nbar, nbar_2=nbar)
-    table = evolve_moments(heralded_moment_table(params, 2 * order), env)
+    with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is named below
+        table = evolve_moments(heralded_moment_table(params, 2 * order), env)
+    if not np.all(np.isfinite(table.values)):
+        raise NonFiniteValue(f"the exact moment table is not finite at mu = {mu:g}, phi = {phi:g}, nbar = {nbar:g}")
     study = verify.VerificationStudy(table, phi=phi, chi=settings["chi"], target_order=order, phase_sets=phase_sets)
     noiseless = study.run(None)
     # the criteria whose moments the recovered table holds: D5 from order 2, S3 at order 4

@@ -41,7 +41,10 @@ class FockConfig:
 def default_cutoff(nbar: float, mu: float) -> int:
     """Per-mode cutoff: 8x margin over the excitation scale, and two levels
     above the cutoff whose thermal tail mass meets THERMAL_TAIL_TOL."""
-    cutoff = max(20, math.ceil(8.0 * (nbar + mu * mu + 1.0)))
+    scale = 8.0 * (nbar + mu * mu + 1.0)
+    if not math.isfinite(scale):
+        raise CutoffTooSmall(f"no finite cutoff at nbar = {nbar:g}, mu = {mu:g}")
+    cutoff = max(20, math.ceil(scale))
     if nbar > 0:
         ratio = nbar / (nbar + 1.0)
         cutoff = max(cutoff, math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(ratio)) + 2)
@@ -310,6 +313,17 @@ def thermal_state(nbar_1: float, nbar_2: float, config: FockConfig) -> TwoModeSt
     return TwoModeState(np.ones((1, 1), dtype=complex), np.zeros((c1, c1), dtype=complex),
                         np.zeros((c2, c2), dtype=complex), *np.divmod(kept, c2), np.sqrt(w[kept]),
                         tails + float(ordered[:n_drop].sum()))
+
+
+def kept_columns_bound(nbar_1: float, nbar_2: float, config: FockConfig) -> int:
+    """At least as many columns as thermal_state keeps, from the per-mode populations alone (no
+    cutoff_1 x cutoff_2 array): the products p1_i p2_j above THERMAL_DROP_TOL / dim. The products
+    at or below it weigh at most THERMAL_DROP_TOL together, so thermal_state drops them all."""
+    p1 = thermal_populations(nbar_1, config.cutoff_1)
+    p2 = np.sort(thermal_populations(nbar_2, config.cutoff_2))
+    with np.errstate(divide="ignore"):  # p1_i = 0 pairs with no level
+        above = np.searchsorted(p2, THERMAL_DROP_TOL / config.dim / p1, side="right")
+    return int(np.sum(len(p2) - above))
 
 
 def apply_operator(f: np.ndarray, state: TwoModeState) -> tuple[TwoModeState, float]:

@@ -8,8 +8,9 @@ the slot signals with phase coefficients e^{i zeta}; unused slots still
 inject vacuum noise, so every port carries one unit of input noise. A
 channel, a (pathway, port) pair, is therefore two coefficient rows over
 (X1, P1, X2, P2): the signal row, chi included and 0 on unpulsed slots, and
-the noise row (`_channel_signals`). Port moments and the recovery read those
-two rows.
+the noise row (`_channel_signals`). Port moments and the recovery read what
+they need of those rows from one `ChannelRows`, built once per study: per order
+the keys, coefficient rows and word counts, and the port-noise moments.
 
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
@@ -122,16 +123,35 @@ def _noise_powers(noise: np.ndarray, d_max: int) -> np.ndarray:
     return out
 
 
-def _port_moments(kappa: np.ndarray, noise: np.ndarray, table: MomentTable, d_max: int) -> np.ndarray:
-    """<P^d> for d = 1..d_max, one row per channel, from the table's symmetrized sums."""
+class ChannelRows:
+    """What the port moments and the recovery read of a set of channels, built once for
+    port-moment orders 1..d_max: the channels' signal and noise rows `kappa` and `noise`
+    (_channel_signals); per order d, its symmetrized-sum keys `keys[d]`, the coefficient rows
+    `coefficients[d]` (channel x key, _coefficient_rows) and the number of canonical words of
+    each key `n_words[d]`; and the Gaussian port-noise moments <N^m>, m = 0..d_max
+    (`noise_moments`, channel x m). None of it depends on the moments, the seed or N."""
+
+    def __init__(self, kappa: np.ndarray, noise: np.ndarray, d_max: int):
+        if noise.shape != kappa.shape:
+            raise ValueError("the signal and noise rows need one row per channel")
+        self.kappa, self.noise, self.d_max = kappa, noise, d_max
+        self.keys = {d: _order_keys(d) for d in range(1, d_max + 1)}
+        self.coefficients = {d: _coefficient_rows(kappa, keys, d) for d, keys in self.keys.items()}
+        self.n_words = {d: np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
+                        for d, keys in self.keys.items()}
+        self.noise_moments = _noise_powers(noise, d_max)
+
+
+def _port_moments(rows: ChannelRows, table: MomentTable) -> np.ndarray:
+    """<P^d> for d = 1..rows.d_max, one row per channel, from the table's symmetrized sums."""
+    d_max = rows.d_max
     sums = apply_mode_map(symmetrization_maps(d_max)[0], table.moments(d_max), d_max)
-    mech = np.ones((len(kappa), d_max + 1), dtype=complex)
+    mech = np.ones((len(rows.kappa), d_max + 1), dtype=complex)
     for j in range(1, d_max + 1):
-        mech[:, j] = _coefficient_rows(kappa, _order_keys(j), j) @ sums[order_slice(j)]
-    noise_moments = _noise_powers(noise, d_max)
-    out = np.empty((len(kappa), d_max), dtype=complex)
+        mech[:, j] = rows.coefficients[j] @ sums[order_slice(j)]
+    out = np.empty((len(rows.kappa), d_max), dtype=complex)
     for d in range(1, d_max + 1):
-        out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * noise_moments[:, d - j] for j in range(d + 1))
+        out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * rows.noise_moments[:, d - j] for j in range(d + 1))
     return out
 
 
@@ -139,7 +159,7 @@ def exact_port_moments(
     pathway: Pathway, port: str, table: MomentTable, d_max: int
 ) -> np.ndarray:
     """<P_port^d> for d = 1..d_max from the mechanical moment table."""
-    return _port_moments(*_channel_signals([(pathway, port)]), table, d_max)[0]
+    return _port_moments(ChannelRows(*_channel_signals([(pathway, port)]), d_max), table)[0]
 
 
 def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
@@ -150,6 +170,26 @@ def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # sampling noise
+
+
+def _entropy_words(seed) -> list[int]:
+    """The uint32 words numpy's SeedSequence takes from `seed` as its entropy: a non-negative
+    integer as its little-endian 32-bit words (0 as one word), a decimal or 0x-hex string as
+    that integer, and a sequence as its items' words in turn (nested sequences flattened).
+    A negative integer raises ValueError and a float TypeError, as numpy does."""
+    if isinstance(seed, str):
+        seed = int(seed, 16) if seed.startswith("0x") else int(seed)
+    if isinstance(seed, (int, np.integer)):
+        n = int(seed)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words = [n & 0xFFFFFFFF]
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+        return words
+    if isinstance(seed, (float, np.inexact)):
+        raise TypeError("seed must be integer")
+    return [word for item in seed for word in _entropy_words(item)]
 
 
 _TAN_PI_16 = math.tan(math.pi / 16)
@@ -283,15 +323,6 @@ def _row_weights(se: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weighted_system(kappa: np.ndarray, order: int, se: np.ndarray):
-    """One order's keys, coefficient rows A, row weights w (_row_weights of the standard
-    errors se) and weighted rows A_w = w A."""
-    keys = _order_keys(order)
-    a = _coefficient_rows(kappa, keys, order)
-    w = _row_weights(se)
-    return keys, a, w, a * w[:, None]
-
-
 def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: int) -> None:
     """RankDeficient below full column rank, IllConditioned above COND_LIMIT, from the singular
     values of one order's weighted system."""
@@ -308,18 +339,18 @@ def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: 
 
 
 def recover_moments(
-    kappa: np.ndarray,
-    noise: np.ndarray,
+    rows: ChannelRows,
     sample_moments: np.ndarray,
     standard_errors: np.ndarray,
     n_samples: int | None = None,
 ) -> MomentTable:
     """Iterative order-by-order least-squares recovery of canonical moments.
 
-    The channels are the rows of every argument: kappa and noise are their signal and
-    noise rows (_channel_signals), sample_moments their <P^d> for d = 1..target_order
-    and standard_errors the errors of those, all zero for noiseless data (every row
-    then weighs 1). n_samples is recorded on the recovered table.
+    The channels are the rows of every argument: `rows` holds their keys, coefficient rows
+    and port-noise moments (ChannelRows, built once per study, with d_max at least the
+    target order), sample_moments their <P^d> for d = 1..target_order and standard_errors
+    the errors of those, all zero for noiseless data (every row then weighs 1). n_samples
+    is recorded on the recovered table.
 
     Each order is one weighted solve A_w x = b_w for its symmetrized sums
     (weights 1/se, lower orders moved to b). One reduced SVD A_w = U diag(s) V^H
@@ -327,6 +358,7 @@ def recover_moments(
     by one step on its residual (x += V diag(1/s) U^H (b_w - A_w x), about a digit
     for noiseless data), and the sums' standard errors as the row norms of
     V diag(1/s); forming (A_w^H A_w)^-1 instead would square the condition number.
+    The weights follow the errors, so the SVD is taken per call.
 
     Solved in complex arithmetic: for an evolved table the symmetrized
     sums carry small imaginary parts (the decoherence map does not preserve
@@ -334,22 +366,24 @@ def recover_moments(
     Uncertainties are propagated to first order, neglecting correlations
     between orders.
     """
-    if not len(kappa):
+    if not len(rows.kappa):
         raise ValueError("no channels supplied")
-    if not (noise.shape == kappa.shape and standard_errors.shape == sample_moments.shape
-            and len(sample_moments) == len(kappa)):
-        raise ValueError("the signal and noise rows, sample moments and standard errors need one row per channel")
+    if not (standard_errors.shape == sample_moments.shape and len(sample_moments) == len(rows.kappa)):
+        raise ValueError("the channel rows, sample moments and standard errors need one row per channel")
     target_order = sample_moments.shape[1]
-    noise_moments = _noise_powers(noise, target_order)
+    if target_order > rows.d_max:
+        raise ValueError(f"target order {target_order} is above the rows' d_max = {rows.d_max}")
     # recovered <(sum_s kappa_s L_s)^j> of every channel, order by order
-    mech = np.ones((len(kappa), target_order + 1), dtype=complex)
+    mech = np.ones((len(rows.kappa), target_order + 1), dtype=complex)
     sym, sym_sq = symmetrization_maps(target_order)
     values = np.zeros(math.comb(target_order + 4, 4), dtype=complex)
     values[0] = 1.0
     errors = np.zeros(len(values))
     for order in range(1, target_order + 1):
-        keys, a, w, a_w = _weighted_system(kappa, order, standard_errors[:, order - 1])
-        known = sum(math.comb(order, j) * mech[:, j] * noise_moments[:, order - j] for j in range(order))
+        keys, a, n_words = rows.keys[order], rows.coefficients[order], rows.n_words[order]
+        w = _row_weights(standard_errors[:, order - 1])
+        a_w = a * w[:, None]
+        known = sum(math.comb(order, j) * mech[:, j] * rows.noise_moments[:, order - j] for j in range(order))
         b = sample_moments[:, order - 1] - known
         u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
         _check_spectrum(a_w, svals, keys, order)
@@ -364,7 +398,6 @@ def recover_moments(
         block = order_slice(order)
         lower = apply_mode_map(sym, values, target_order)[block]
         lower_var = apply_mode_map(sym_sq, errors**2, target_order)[block].real
-        n_words = np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
         values[block] = (sol - lower) / n_words
         errors[block] = np.sqrt(sum_errors**2 + lower_var) / n_words
     return MomentTable(
@@ -393,9 +426,13 @@ class VerificationStudy:
 
     Exact port moments and the LDL^T factors of all sampling covariances are
     computed once, as stacked arrays; repeated Monte-Carlo draws then only
-    add noise and re-run the recovery. `kappa` and `noise` hold the channels'
-    signal and noise rows, `exact` their exact port moments and `variances`
-    the per-sample variances of those.
+    add noise and re-run the recovery. `rows` holds what the port moments and the
+    recovery read of the channels (ChannelRows: their signal and noise rows, and per
+    port-moment order up to 2 x target_order the keys, coefficient rows and word counts,
+    and the port-noise moments), built once here; `exact` holds the channels' exact
+    port moments and `variances` the per-sample variances of those. A seeded run
+    only draws its noise and solves: what depends on neither the seed nor N is
+    built here.
     """
 
     def __init__(
@@ -418,8 +455,8 @@ class VerificationStudy:
         self.channels = [
             (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
         ]
-        self.kappa, self.noise = _channel_signals(self.channels)
-        exact = _port_moments(self.kappa, self.noise, table, 2 * target_order)
+        self.rows = ChannelRows(*_channel_signals(self.channels), 2 * target_order)
+        exact = _port_moments(self.rows, table)
         cov = _sampling_covariance(exact, target_order)
         self.exact = exact[:, :target_order]
         self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
@@ -431,15 +468,20 @@ class VerificationStudy:
         """The sample moments <P^d> (d = 1..target_order) of every channel, one row each, and
         their standard errors: the exact moments with zero errors for n_samples None, else plus
         correlated estimation noise factors[k] z / sqrt(N) on channel k, with z from the stream
-        (seed, k)."""
+        default_rng((seed, k)), or default_rng() for seed None. The seed's entropy words are
+        taken once per call (_entropy_words) and channel k's generator is seeded with them and k,
+        which is default_rng((seed, k)) bit for bit."""
         if n_samples is None:
             return self.exact.copy(), np.zeros(self.exact.shape)
         if n_samples < 1:
             raise ValueError(f"n_samples = {n_samples} must be >= 1")
-        z = np.array([
-            np.random.default_rng(None if seed is None else (seed, k)).standard_normal(self.target_order)
-            for k in range(len(self.channels))
-        ])
+        if seed is None:
+            streams = (np.random.default_rng() for _ in self.channels)
+        else:
+            words = _entropy_words(seed)
+            entropy = (np.array([*words, k], dtype=np.uint32) for k in range(len(self.channels)))
+            streams = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(e))) for e in entropy)
+        z = np.array([stream.standard_normal(self.target_order) for stream in streams])
         # a stacked matrix-vector product: per channel the same arithmetic as factors[k] @ z[k]
         noise = np.matmul(self.factors / math.sqrt(n_samples), z[..., None])[..., 0]
         return self.exact + noise, np.sqrt(self.variances / n_samples)
@@ -455,8 +497,9 @@ class VerificationStudy:
         return a wrong table with no error."""
         if n_samples is None:
             for order in range(1, self.target_order + 1):
-                keys, _, _, a_w = _weighted_system(self.kappa, order, np.sqrt(self.variances[:, order - 1]))
-                _check_spectrum(a_w, np.linalg.svd(a_w, compute_uv=False), keys, order)
+                w = _row_weights(np.sqrt(self.variances[:, order - 1]))
+                a_w = self.rows.coefficients[order] * w[:, None]
+                _check_spectrum(a_w, np.linalg.svd(a_w, compute_uv=False), self.rows.keys[order], order)
         moments, errors = self.sample_moments(n_samples, seed)
-        recovered = recover_moments(self.kappa, self.noise, moments, errors, n_samples)
+        recovered = recover_moments(self.rows, moments, errors, n_samples)
         return VerificationRun(exact_table=self.table, recovered_table=recovered)

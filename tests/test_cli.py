@@ -627,6 +627,35 @@ def test_grid_above_the_memory_limit_exits_3(tmp_path, capsys, command, grid, po
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_delta_map_above_the_memory_limit_exits_3(tmp_path, capsys):
+    # mu = 1000 asks for cutoffs of 8000009 per mode; refused before any Fock array is built
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[grid]\nmu = 0.5, 1000\nphi = 0\n")
+    argv = ["map", "--criterion", "delta", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: GridTooLarge:")
+    assert "mu = 1000" in err[0] and "8000009 x 8000009" in err[0] and f"{cli.GRID_MEMORY_LIMIT / 1e9:g} GB" in err[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, grid",
+    [("detector", "alpha", "0.5, nan"), ("map --criterion S3", "mu", "0.5, inf"),
+     ("map --criterion delta", "phi", "-inf, 0")],
+    ids=["detector-nan", "map-inf", "delta-minus-inf"],
+)
+def test_a_listed_grid_point_that_is_not_finite_exits_3(tmp_path, capsys, command, key, grid):
+    # the range form's message, naming the key
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[grid]\n{key} = {grid}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ValueError: grid {grid!r} has a point that is not finite ([grid] {key})"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, config, named",
     [

@@ -26,8 +26,8 @@ if ROOT not in sys.path:
 from mcbench import inputs  # noqa: E402
 
 EDGES = ["0", "-1", "-2.5", "1e-300", "1e300", "inf", "-inf", "nan", "abc", ""]
-# the delta map's Fock size grows with nbar and mu, with no memory limit (CHANGES.md FOUND):
-# it draws nbar <= 1 and mu <= 2
+# the delta map's Fock size grows with nbar and mu; its memory guard still admits points that take
+# seconds each (about 5 s at mu = 2, nbar = 3), so it draws nbar <= 1 and mu <= 2
 DELTA_EDGES = [e for e in EDGES if e not in ("1e300", "inf")]
 UNDECLARED = [("protocol", "nbr"), ("env", "nbar_bath"), ("env", "q_factor"), ("grid", "alpha"),
               ("detector", "eta"), ("verify", "chi"), ("DEFAULT", "nbar"), ("misc", "mu")]
@@ -156,12 +156,12 @@ def test_benchmark_sweep_configs_are_read_through_their_commands_keys(tmp_path):
                 {s: {k: str(v) for k, v in keys.items()} for s, keys in config.items()}, label
 
 
-@pytest.mark.xfail(strict=True, reason="numpy overflow warnings from the heralded moment recursion come "
-                   "before the error line (CHANGES.md FOUND: verify at mu or nbar = 1e300)")
 @pytest.mark.parametrize("protocol", ["mu = 1e300", "nbar = 1e300"])
 def test_verify_at_an_overflowing_point_prints_one_error_line(tmp_path, protocol):
     cfg = tmp_path / "v.ini"
     cfg.write_text(f"[protocol]\n{protocol}\n[verify]\nn_seeds = 1\n")
     code, err, caught = _run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")])
     assert code == cli.EXIT_ERROR and len(err) == 1
+    assert err[0].startswith("error: NonFiniteValue:")
+    assert all(f"{name} = " in err[0] for name in ("mu", "phi", "nbar"))
     assert [str(w.message) for w in caught] == []

@@ -193,6 +193,21 @@ def test_thermal_kept_set_is_closed_under_the_mode_exchange(nbar, cutoff):
     assert th._exchange_signs() is not None
 
 
+@pytest.mark.parametrize("nbar_1, nbar_2, cutoff_1, cutoff_2",
+                         [(0.0, 0.0, 20, 20), (0.0, 0.3, 20, 24), (0.1, 0.1, 41, 41), (0.4, 0.4, 30, 30),
+                          (0.5, 0.5, 23, 23), (1.0, 0.2, 40, 25), (3.0, 3.0, 83, 83)])
+def test_kept_columns_bound_holds_the_kept_columns(nbar_1, nbar_2, cutoff_1, cutoff_2):
+    # the delta map's memory guard sizes the Gram matrix from this bound; it stays close
+    config = fock.FockConfig(cutoff_1, cutoff_2)
+    kept = fock.thermal_state(nbar_1, nbar_2, config).k1.size
+    assert kept <= fock.kept_columns_bound(nbar_1, nbar_2, config) <= 1.5 * kept
+
+
+def test_default_cutoff_of_an_overflowing_scale_is_typed():
+    with pytest.raises(CutoffTooSmall):
+        fock.default_cutoff(0.1, 1e200)
+
+
 def _parent_entropy(gram):
     real = np.linalg.norm(gram.imag) <= fock.GRAM_IMAG_TOL * np.trace(gram.real)
     return fock.entropy_of_matrix(gram.real if real else gram)

@@ -12,6 +12,7 @@ from mechcat.herald import ProtocolParams, heralded_moment_table
 from mechcat.opensystem import EnvParams, evolve_moments
 from mechcat.verify import (
     PORTS,
+    ChannelRows,
     Pathway,
     PhaseSet,
     VerificationStudy,
@@ -127,15 +128,18 @@ def test_synthesize_estimator_variance():
 def test_seeded_sample_moments_are_the_per_channel_streams():
     # channel k of run(n, seed) adds factors[k] / sqrt(n) @ default_rng((seed, k)).standard_normal(order)
     # to its exact moments, bit for bit: `mechcat verify --seed 7` depends on these streams
+    # the seeds' entropy words: one word for 0 and 2**32 - 1, two for 2**32, three for
+    # 2**64 + 5, nested tuples flattened, and numpy's decimal and hex strings read as integers
     study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI)
-    for n, seed in [(10**6, (7, 0)), (10**4, 3)]:
+    seeds = [(7, 0), 3, 0, 2**32 - 1, 2**32, (2**64 + 5, 1), (3, (0, 2**40), 1), ("12", "0x1f")]
+    for n, seed in zip([10**6, 10**4] + [10**5] * 6, seeds):
         moments, errors = study.sample_moments(n, seed)
         assert moments.shape == errors.shape == (len(study.channels), study.target_order)
         for k in range(len(study.channels)):
             z = np.random.default_rng((seed, k)).standard_normal(study.target_order)
             assert np.array_equal(moments[k], study.exact[k] + (study.factors[k] / math.sqrt(n)) @ z)
             assert np.array_equal(errors[k], np.sqrt(study.variances[k] / n))
-        recovered = recover_moments(study.kappa, study.noise, moments, errors, n)
+        recovered = recover_moments(study.rows, moments, errors, n)
         run = study.run(n, seed).recovered_table
         assert np.array_equal(run.values, recovered.values)
         assert np.array_equal(run.errors, recovered.errors)
@@ -143,6 +147,12 @@ def test_seeded_sample_moments_are_the_per_channel_streams():
     for n in (0, -1):
         with pytest.raises(ValueError):
             study.run(n, 1)
+    # a seed numpy refuses raises what default_rng((seed, k)) raises
+    for seed, error in [(-1, ValueError), (1.5, TypeError), ((2, -1), ValueError), ((2, 1.5), TypeError)]:
+        with pytest.raises(error) as numpy_error:
+            np.random.default_rng((seed, 0))
+        with pytest.raises(error, match=str(numpy_error.value)):
+            study.sample_moments(10**6, seed)
 
 
 def test_error_scaling_slope():
@@ -329,7 +339,8 @@ def test_port_redundancy_noiseless():
     full = study.run(None).recovered_table
     keep = np.array([port != "D" for _, port in study.channels])
     moments, errors = study.sample_moments(None)
-    reduced = recover_moments(study.kappa[keep], study.noise[keep], moments[keep], errors[keep])
+    rows = ChannelRows(study.rows.kappa[keep], study.rows.noise[keep], study.rows.d_max)
+    reduced = recover_moments(rows, moments[keep], errors[keep])
     worst = max(abs(full.entries[k] - reduced.entries[k]) for k in full.entries)
     assert worst < 1e-8
 
@@ -338,14 +349,18 @@ def test_recovery_needs_one_row_per_channel_in_every_array():
     # a single sample row would broadcast against every channel's rows
     study = VerificationStudy(evolved_table(), phi=PHI, target_order=2)
     moments, errors = study.sample_moments(None)
+    kappa, noise = study.rows.kappa, study.rows.noise
     for args in [
-        (study.kappa, study.noise, moments[:1], errors[:1]),
-        (study.kappa, study.noise[:, :2], moments, errors),
-        (study.kappa, study.noise, moments, errors[:, :1]),
-        (study.kappa[:0], study.noise[:0], moments[:0], errors[:0]),
+        (kappa, noise, moments[:1], errors[:1]),
+        (kappa, noise[:, :2], moments, errors),
+        (kappa, noise, moments, errors[:, :1]),
+        (kappa[:0], noise[:0], moments[:0], errors[:0]),
     ]:
         with pytest.raises(ValueError):
-            recover_moments(*args)
+            recover_moments(ChannelRows(*args[:2], study.rows.d_max), *args[2:])
+    # the rows must reach the target order
+    with pytest.raises(ValueError):
+        recover_moments(ChannelRows(kappa, noise, 1), moments, errors)
 
 
 def test_rank_deficient_single_phase_set():
@@ -414,7 +429,7 @@ def test_recovered_errors_against_50_digit_gram_inverse():
     env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
     study = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI)
     moments, standard_errors = study.sample_moments(10**6, (7, 19))
-    rec = recover_moments(study.kappa, study.noise, moments, standard_errors, 10**6)
+    rec = recover_moments(study.rows, moments, standard_errors, 10**6)
     sym_sq = symmetrization_maps(4)[1]
     errors = np.zeros(len(keys_up_to_order(4)))
     with mp.workdps(50):
@@ -422,7 +437,7 @@ def test_recovered_errors_against_50_digit_gram_inverse():
             keys = verify._order_keys(order)
             se = standard_errors[:, order - 1]
             assert np.all(se > 0)
-            a_w = mp.matrix((verify._coefficient_rows(study.kappa, keys, order) / se[:, None]).tolist())
+            a_w = mp.matrix((verify._coefficient_rows(study.rows.kappa, keys, order) / se[:, None]).tolist())
             gram_inv = mp.inverse(a_w.H * a_w)
             sum_var = np.array([float(mp.re(gram_inv[i, i])) for i in range(len(keys))])
             block = order_slice(order)
