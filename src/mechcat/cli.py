@@ -422,6 +422,12 @@ def cmd_verify(args) -> int:
         "recovered_moments_last_run": recovered and recovered["entries"],
         "recovered_errors_last_run": recovered and recovered["std_errors"],
         "runs": runs,
+        # per order: channel count, rank and condition number of the weighted systems, as the
+        # noiseless run checked them and as the seeded runs solved them (None without seeds)
+        "recovery_diagnostics": {
+            "noiseless_check": study.plan(None).checked,
+            "seeded": study.plan(settings["n_samples"]).spectra if runs else None,
+        },
     }
     if "S3" in exact:
         report["s3_sign_agreement"] = [sum((run["S3"] < 0) == (exact["S3"] < 0) for run in runs), len(runs)]

@@ -15,10 +15,11 @@ the keys, coefficient rows and word counts, and the port-noise moments.
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
 semi-analytically with the exact estimator covariance, as one (channel, order)
-array per run. The recovery takes the channel rows with those arrays, solves
-one weighted least-squares system per order for its symmetrized sums, through
-one SVD, and unlocks individual moments through the canonical commutation
-relations.
+array per run. The recovery solves one weighted least-squares system per order
+for its symmetrized sums and unlocks individual moments through the canonical
+commutation relations. Everything of it that the sample moments do not move (the
+weights, each order's one SVD and its checks, the recovered standard errors) is
+a `RecoveryPlan`, built once per study and N; a seeded run only solves against it.
 """
 
 from __future__ import annotations
@@ -140,6 +141,14 @@ class ChannelRows:
         self.n_words = {d: np.array([math.comb(p + q, p) * math.comb(r + s, r) for p, q, r, s in keys])
                         for d, keys in self.keys.items()}
         self.noise_moments = _noise_powers(noise, d_max)
+
+    def truncate(self, d_max: int) -> None:
+        """Drop every order above d_max, in place: nothing is recomputed."""
+        for table in (self.keys, self.coefficients, self.n_words):
+            for d in range(d_max + 1, self.d_max + 1):
+                del table[d]
+        self.noise_moments = self.noise_moments[:, : d_max + 1].copy()
+        self.d_max = d_max
 
 
 def _port_moments(rows: ChannelRows, table: MomentTable) -> np.ndarray:
@@ -323,9 +332,10 @@ def _row_weights(se: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: int) -> None:
+def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: int) -> dict:
     """RankDeficient below full column rank, IllConditioned above COND_LIMIT, from the singular
-    values of one order's weighted system."""
+    values of one order's weighted system; else that order's channel count, rank and
+    condition number."""
     tol = svals[0] * max(a_w.shape) * np.finfo(float).eps
     rank = int(np.sum(svals > tol))
     if rank < len(keys):
@@ -336,29 +346,76 @@ def _check_spectrum(a_w: np.ndarray, svals: np.ndarray, keys: list[Key], order: 
     cond = svals[0] / svals[-1]
     if cond > COND_LIMIT:
         raise IllConditioned(f"order {order}: condition number {cond:.3g}")
+    return {"order": order, "channels": len(a_w), "rank": rank, "condition_number": float(cond)}
 
 
-def recover_moments(
-    rows: ChannelRows,
-    sample_moments: np.ndarray,
-    standard_errors: np.ndarray,
-    n_samples: int | None = None,
-) -> MomentTable:
+class RecoveryPlan:
+    """What the recovery of a set of channels reads that the sample moments do not move, built
+    once for their standard errors (channel x order, all zero for noiseless data: every row
+    then weighs 1; a study's errors at one N are the same for every seed).
+
+    Per order d, over the channels of `rows` (ChannelRows, d_max at least the target order):
+    the row weights `weights[d]` (1/se), the weighted matrix `a_w[d]` and, from its one
+    reduced SVD A_w = U diag(s) V^H, `uh[d]` = U^H and `v_scaled[d]` = V diag(1/s), taken
+    once the spectrum has passed (_check_spectrum: RankDeficient or IllConditioned
+    otherwise); `spectra` holds each order's channel count, rank and condition number.
+    `errors` are the recovered table's standard errors, the row norms of V diag(1/s)
+    propagated through the commutators order by order: they follow from the plan alone.
+
+    check_errors, when given, are errors the systems must also pass the spectrum check
+    at, before the plan's own (the noiseless run's rule, with the errors of one sample);
+    their spectra are kept as `checked`, else `checked` is None.
+    """
+
+    def __init__(self, rows: ChannelRows, standard_errors: np.ndarray, check_errors: np.ndarray | None = None):
+        if not len(rows.kappa):
+            raise ValueError("no channels supplied")
+        if standard_errors.ndim != 2 or len(standard_errors) != len(rows.kappa):
+            raise ValueError("the channel rows and standard errors need one row per channel")
+        target_order = standard_errors.shape[1]
+        if target_order > rows.d_max:
+            raise ValueError(f"target order {target_order} is above the rows' d_max = {rows.d_max}")
+        self.rows, self.shape, self.target_order = rows, standard_errors.shape, target_order
+        orders = range(1, target_order + 1)
+        self.checked = None
+        if check_errors is not None:
+            self.checked = []
+            for order in orders:
+                a_c = rows.coefficients[order] * _row_weights(check_errors[:, order - 1])[:, None]
+                self.checked.append(
+                    _check_spectrum(a_c, np.linalg.svd(a_c, compute_uv=False), rows.keys[order], order)
+                )
+        sym_sq = symmetrization_maps(target_order)[1]
+        self.weights, self.a_w, self.uh, self.v_scaled, self.spectra = {}, {}, {}, {}, []
+        errors = np.zeros(math.comb(target_order + 4, 4))
+        for order in orders:
+            w = _row_weights(standard_errors[:, order - 1])
+            a_w = rows.coefficients[order] * w[:, None]
+            u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
+            self.spectra.append(_check_spectrum(a_w, svals, rows.keys[order], order))
+            v_scaled = vh.conj().T / svals
+            self.weights[order], self.a_w[order], self.uh[order], self.v_scaled[order] = w, a_w, u.conj().T, v_scaled
+            # the entries of this order are still zero: the map gives the lower part
+            block = order_slice(order)
+            lower_var = apply_mode_map(sym_sq, errors**2, target_order)[block].real
+            errors[block] = np.sqrt(np.linalg.norm(v_scaled, axis=1) ** 2 + lower_var) / rows.n_words[order]
+        self.errors = errors
+
+
+def recover_moments(plan: RecoveryPlan, sample_moments: np.ndarray, n_samples: int | None = None) -> MomentTable:
     """Iterative order-by-order least-squares recovery of canonical moments.
 
-    The channels are the rows of every argument: `rows` holds their keys, coefficient rows
-    and port-noise moments (ChannelRows, built once per study, with d_max at least the
-    target order), sample_moments their <P^d> for d = 1..target_order and standard_errors
-    the errors of those, all zero for noiseless data (every row then weighs 1). n_samples
-    is recorded on the recovered table.
+    The channels are the rows of sample_moments, their <P^d> for d = 1..target_order, in the
+    order of the plan's channel rows; the plan (RecoveryPlan) holds everything the sample
+    moments do not move, built once for their standard errors. n_samples is recorded on
+    the recovered table.
 
     Each order is one weighted solve A_w x = b_w for its symmetrized sums
-    (weights 1/se, lower orders moved to b). One reduced SVD A_w = U diag(s) V^H
-    gives the rank and condition number, the solution V diag(1/s) U^H b_w, refined
-    by one step on its residual (x += V diag(1/s) U^H (b_w - A_w x), about a digit
-    for noiseless data), and the sums' standard errors as the row norms of
-    V diag(1/s); forming (A_w^H A_w)^-1 instead would square the condition number.
-    The weights follow the errors, so the SVD is taken per call.
+    (weights 1/se, lower orders moved to b), through the plan's reduced SVD
+    A_w = U diag(s) V^H: the solution V diag(1/s) U^H b_w, refined by one step on its
+    residual (x += V diag(1/s) U^H (b_w - A_w x), about a digit for noiseless data).
+    The sums' standard errors, the row norms of V diag(1/s), are the plan's;
+    forming (A_w^H A_w)^-1 instead would square the condition number.
 
     Solved in complex arithmetic: for an evolved table the symmetrized
     sums carry small imaginary parts (the decoherence map does not preserve
@@ -366,42 +423,27 @@ def recover_moments(
     Uncertainties are propagated to first order, neglecting correlations
     between orders.
     """
-    if not len(rows.kappa):
-        raise ValueError("no channels supplied")
-    if not (standard_errors.shape == sample_moments.shape and len(sample_moments) == len(rows.kappa)):
-        raise ValueError("the channel rows, sample moments and standard errors need one row per channel")
-    target_order = sample_moments.shape[1]
-    if target_order > rows.d_max:
-        raise ValueError(f"target order {target_order} is above the rows' d_max = {rows.d_max}")
+    if sample_moments.shape != plan.shape:
+        raise ValueError("the sample moments need the plan's shape: one row per channel, one column per order")
+    rows, target_order = plan.rows, plan.target_order
     # recovered <(sum_s kappa_s L_s)^j> of every channel, order by order
     mech = np.ones((len(rows.kappa), target_order + 1), dtype=complex)
-    sym, sym_sq = symmetrization_maps(target_order)
+    sym = symmetrization_maps(target_order)[0]
     values = np.zeros(math.comb(target_order + 4, 4), dtype=complex)
     values[0] = 1.0
-    errors = np.zeros(len(values))
     for order in range(1, target_order + 1):
-        keys, a, n_words = rows.keys[order], rows.coefficients[order], rows.n_words[order]
-        w = _row_weights(standard_errors[:, order - 1])
-        a_w = a * w[:, None]
+        a_w, uh, v_scaled = plan.a_w[order], plan.uh[order], plan.v_scaled[order]
         known = sum(math.comb(order, j) * mech[:, j] * rows.noise_moments[:, order - j] for j in range(order))
-        b = sample_moments[:, order - 1] - known
-        u, svals, vh = np.linalg.svd(a_w, full_matrices=False)
-        _check_spectrum(a_w, svals, keys, order)
-        v_scaled = vh.conj().T / svals
-        b_w = b * w
-        sol = v_scaled @ (u.conj().T @ b_w)
-        sol += v_scaled @ (u.conj().T @ (b_w - a_w @ sol))
-        sum_errors = np.linalg.norm(v_scaled, axis=1)
-        mech[:, order] = a @ sol
+        b_w = (sample_moments[:, order - 1] - known) * plan.weights[order]
+        sol = v_scaled @ (uh @ b_w)
+        sol += v_scaled @ (uh @ (b_w - a_w @ sol))
+        mech[:, order] = rows.coefficients[order] @ sol
         # unlock individual canonical moments through the commutators (the
-        # entries of this order are still zero: the maps give the lower part)
+        # entries of this order are still zero: the map gives the lower part)
         block = order_slice(order)
-        lower = apply_mode_map(sym, values, target_order)[block]
-        lower_var = apply_mode_map(sym_sq, errors**2, target_order)[block].real
-        values[block] = (sol - lower) / n_words
-        errors[block] = np.sqrt(sum_errors**2 + lower_var) / n_words
+        values[block] = (sol - apply_mode_map(sym, values, target_order)[block]) / rows.n_words[order]
     return MomentTable(
-        values, target_order, provenance="recovered", n_samples=n_samples, errors=errors, evolved=True
+        values, target_order, provenance="recovered", n_samples=n_samples, errors=plan.errors, evolved=True
     )
 
 
@@ -426,13 +468,14 @@ class VerificationStudy:
 
     Exact port moments and the LDL^T factors of all sampling covariances are
     computed once, as stacked arrays; repeated Monte-Carlo draws then only
-    add noise and re-run the recovery. `rows` holds what the port moments and the
-    recovery read of the channels (ChannelRows: their signal and noise rows, and per
-    port-moment order up to 2 x target_order the keys, coefficient rows and word counts,
-    and the port-noise moments), built once here; `exact` holds the channels' exact
-    port moments and `variances` the per-sample variances of those. A seeded run
-    only draws its noise and solves: what depends on neither the seed nor N is
-    built here.
+    add noise and solve. `rows` holds what the recovery reads of the channels
+    (ChannelRows: their signal and noise rows, and per order up to target_order the
+    keys, coefficient rows and word counts, and the port-noise moments); the orders
+    up to 2 x target_order that the exact port moments need are built here and
+    dropped once those are taken. `exact` holds the channels' exact port moments
+    and `variances` the per-sample variances of those. What depends on neither the
+    seed nor N is built here; what depends on N alone, the recovery plan, on the
+    first run at that N (`plan`), kept for every later one.
     """
 
     def __init__(
@@ -457,10 +500,19 @@ class VerificationStudy:
         ]
         self.rows = ChannelRows(*_channel_signals(self.channels), 2 * target_order)
         exact = _port_moments(self.rows, table)
+        self.rows.truncate(target_order)
         cov = _sampling_covariance(exact, target_order)
         self.exact = exact[:, :target_order]
         self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
         self.factors = _factor_complex_symmetric(cov)
+        self._plans: dict[int | None, RecoveryPlan] = {}
+
+    def _standard_errors(self, n_samples: int | None) -> np.ndarray:
+        if n_samples is None:
+            return np.zeros(self.exact.shape)
+        if n_samples < 1:
+            raise ValueError(f"n_samples = {n_samples} must be >= 1")
+        return np.sqrt(self.variances / n_samples)
 
     def sample_moments(
         self, n_samples: int | None = None, seed: int | tuple | None = None
@@ -471,10 +523,9 @@ class VerificationStudy:
         default_rng((seed, k)), or default_rng() for seed None. The seed's entropy words are
         taken once per call (_entropy_words) and channel k's generator is seeded with them and k,
         which is default_rng((seed, k)) bit for bit."""
+        errors = self._standard_errors(n_samples)
         if n_samples is None:
-            return self.exact.copy(), np.zeros(self.exact.shape)
-        if n_samples < 1:
-            raise ValueError(f"n_samples = {n_samples} must be >= 1")
+            return self.exact.copy(), errors
         if seed is None:
             streams = (np.random.default_rng() for _ in self.channels)
         else:
@@ -484,22 +535,28 @@ class VerificationStudy:
         z = np.array([stream.standard_normal(self.target_order) for stream in streams])
         # a stacked matrix-vector product: per channel the same arithmetic as factors[k] @ z[k]
         noise = np.matmul(self.factors / math.sqrt(n_samples), z[..., None])[..., 0]
-        return self.exact + noise, np.sqrt(self.variances / n_samples)
+        return self.exact + noise, errors
+
+    def plan(self, n_samples: int | None = None) -> RecoveryPlan:
+        """The recovery plan of the runs at n_samples, built on the first call at that value
+        and kept; a plan whose spectrum check raises is not kept, so every call raises.
+        The noiseless plan (None) weighs every row 1 in its own solve, but is held to the
+        seeded runs' rule too: each order's system weighted by the sampling errors must have
+        full rank and a condition number within COND_LIMIT (the weights 1/sqrt(variance) of
+        one sample; N scales them all alike), checked once, as its `checked`. Without that
+        check, where chi^d sits below the rounding of the port-noise moments, the noiseless
+        run would return a wrong table with no error."""
+        plan = self._plans.get(n_samples)
+        if plan is None:
+            check = np.sqrt(self.variances) if n_samples is None else None
+            plan = self._plans[n_samples] = RecoveryPlan(self.rows, self._standard_errors(n_samples), check)
+        return plan
 
     def run(
         self, n_samples: int | None = None, seed: int | tuple | None = None
     ) -> VerificationRun:
-        """One campaign: sample moments (exact for n_samples None) and their recovery. A noiseless
-        run is held to the seeded runs' rule too: each order's system weighted by the sampling
-        errors must have full rank and a condition number within COND_LIMIT (the weights
-        1/sqrt(variance) of one sample; N scales them all alike). Its own solve weighs every
-        row 1, and where chi^d sits below the rounding of the port-noise moments it would
-        return a wrong table with no error."""
-        if n_samples is None:
-            for order in range(1, self.target_order + 1):
-                w = _row_weights(np.sqrt(self.variances[:, order - 1]))
-                a_w = self.rows.coefficients[order] * w[:, None]
-                _check_spectrum(a_w, np.linalg.svd(a_w, compute_uv=False), self.rows.keys[order], order)
-        moments, errors = self.sample_moments(n_samples, seed)
-        recovered = recover_moments(self.rows, moments, errors, n_samples)
+        """One campaign: sample moments (exact for n_samples None) and their recovery against
+        the study's plan at n_samples (`plan`)."""
+        moments, _ = self.sample_moments(n_samples, seed)
+        recovered = recover_moments(self.plan(n_samples), moments, n_samples)
         return VerificationRun(exact_table=self.table, recovered_table=recovered)

@@ -505,6 +505,29 @@ def test_verify_reports_the_criteria_its_target_order_supports(tmp_path, order):
     assert report["noiseless_max_abs_deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("n_seeds", [0, 2])
+def test_verify_reports_the_recovery_diagnostics(tmp_path, n_seeds):
+    # per order, the channel count, rank and condition number of the noiseless check and of
+    # the seeded runs' weighted systems; no seeded runs, no seeded diagnostics
+    cfg = tmp_path / "v.ini"
+    cfg.write_text(f"[verify]\nn_samples = 1e5\nn_seeds = {n_seeds}\ntarget_order = 3\nmax_phase_sets = 12\n")
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    diagnostics = _strict_json(out.read_text())["recovery_diagnostics"]
+    spectra = [diagnostics["noiseless_check"]] + ([diagnostics["seeded"]] if n_seeds else [])
+    if not n_seeds:
+        assert diagnostics["seeded"] is None
+    for orders in spectra:
+        assert [(d["order"], d["channels"], d["rank"]) for d in orders] == [
+            (order, 48, math.comb(order + 3, 3)) for order in (1, 2, 3)
+        ]
+        assert all(1.0 <= d["condition_number"] <= 1e8 for d in orders)
+    if n_seeds:
+        # N scales every weight alike: the condition numbers agree to rounding
+        for check, seeded in zip(*spectra):
+            assert seeded["condition_number"] == pytest.approx(check["condition_number"], rel=1e-9)
+
+
 def test_verify_above_target_order_4_exits_3_order_overflow(tmp_path, capsys):
     # the exact table of order 2 x 5 = 10 is beyond the evolution's order 8
     cfg = tmp_path / "v.ini"

@@ -15,6 +15,7 @@ from mechcat.verify import (
     ChannelRows,
     Pathway,
     PhaseSet,
+    RecoveryPlan,
     VerificationStudy,
     default_phase_sets,
     exact_port_moments,
@@ -139,7 +140,7 @@ def test_seeded_sample_moments_are_the_per_channel_streams():
             z = np.random.default_rng((seed, k)).standard_normal(study.target_order)
             assert np.array_equal(moments[k], study.exact[k] + (study.factors[k] / math.sqrt(n)) @ z)
             assert np.array_equal(errors[k], np.sqrt(study.variances[k] / n))
-        recovered = recover_moments(study.rows, moments, errors, n)
+        recovered = recover_moments(RecoveryPlan(study.rows, errors), moments, n)
         run = study.run(n, seed).recovered_table
         assert np.array_equal(run.values, recovered.values)
         assert np.array_equal(run.errors, recovered.errors)
@@ -340,7 +341,7 @@ def test_port_redundancy_noiseless():
     keep = np.array([port != "D" for _, port in study.channels])
     moments, errors = study.sample_moments(None)
     rows = ChannelRows(study.rows.kappa[keep], study.rows.noise[keep], study.rows.d_max)
-    reduced = recover_moments(rows, moments[keep], errors[keep])
+    reduced = recover_moments(RecoveryPlan(rows, errors[keep]), moments[keep])
     worst = max(abs(full.entries[k] - reduced.entries[k]) for k in full.entries)
     assert worst < 1e-8
 
@@ -357,10 +358,10 @@ def test_recovery_needs_one_row_per_channel_in_every_array():
         (kappa[:0], noise[:0], moments[:0], errors[:0]),
     ]:
         with pytest.raises(ValueError):
-            recover_moments(ChannelRows(*args[:2], study.rows.d_max), *args[2:])
+            recover_moments(RecoveryPlan(ChannelRows(*args[:2], study.rows.d_max), args[3]), args[2])
     # the rows must reach the target order
     with pytest.raises(ValueError):
-        recover_moments(ChannelRows(kappa, noise, 1), moments, errors)
+        recover_moments(RecoveryPlan(ChannelRows(kappa, noise, 1), errors), moments)
 
 
 def test_rank_deficient_single_phase_set():
@@ -402,6 +403,40 @@ def test_small_chi_keeps_the_phase_sets_and_raises_ill_conditioned():
         study.run(10**6, (7, 0))
 
 
+def test_stored_plans_recover_what_a_fresh_plan_does():
+    # one study keeps a plan per n_samples; runs at N1, None, N2, N1 in turn give the tables
+    # of a RecoveryPlan built afresh for each call, bit for bit
+    study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI)
+    for k, n in enumerate([10**6, None, 10**4, 10**6]):
+        run = study.run(n, (5, k)).recovered_table
+        moments, errors = study.sample_moments(n, (5, k))
+        fresh = recover_moments(RecoveryPlan(study.rows, errors), moments, n)
+        assert np.array_equal(run.values, fresh.values)
+        assert np.array_equal(run.errors, fresh.errors)
+        assert run.n_samples == n
+    assert study.plan(10**6) is study.plan(10**6) is not study.plan(10**4)
+
+
+def test_a_failed_plan_is_not_kept():
+    # the chi = 1e-4 study raises on every call, seeded or noiseless, not only on the first
+    study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI, chi=1e-4)
+    for seed in [(7, 0), (7, 1), (7, 0)]:
+        with pytest.raises(IllConditioned):
+            study.run(10**6, seed)
+    for _ in range(3):
+        with pytest.raises(IllConditioned):
+            study.run(None)
+
+
+def test_seeds_at_one_n_share_their_errors():
+    # the recovered standard errors follow from the plan alone: no seed moves them
+    study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI)
+    first = study.run(10**6, (9, 0)).recovered_table.errors
+    for seed in [(9, 1), 4, (9, 0, 2), None]:
+        assert np.array_equal(study.run(10**6, seed).recovered_table.errors, first)
+    assert not np.array_equal(study.run(10**5, 4).recovered_table.errors, first)
+
+
 def test_recovered_errors_scale_and_realness():
     table = evolved_table(mu=1e-3)
     study = VerificationStudy(table, phi=PHI, target_order=4)
@@ -429,7 +464,7 @@ def test_recovered_errors_against_50_digit_gram_inverse():
     env = EnvParams(omega_m=OMEGA_M_DEFAULT, q_factor=1e5, nbar_bath=500.0)
     study = VerificationStudy(evolved_table(mu=1e-3, env=env), phi=PHI)
     moments, standard_errors = study.sample_moments(10**6, (7, 19))
-    rec = recover_moments(study.rows, moments, standard_errors, 10**6)
+    rec = recover_moments(RecoveryPlan(study.rows, standard_errors), moments, 10**6)
     sym_sq = symmetrization_maps(4)[1]
     errors = np.zeros(len(keys_up_to_order(4)))
     with mp.workdps(50):
