@@ -1,16 +1,17 @@
 """Pulsed homodyne verification pipeline: port statistics, finite-sample
 moments, and iterative order-by-order recovery of mechanical moments.
 
-A pathway sends verification pulses into up to four slots (mode 1 or 2,
-read-out time 0 or the damped quarter period), so the slots carry the
-letters X1, P1, X2, P2. Each beam-splitter port measures a linear form over
-the slot signals with phase coefficients e^{i zeta}; unused slots still
-inject vacuum noise, so every port carries one unit of input noise. A
-channel, a (pathway, port) pair, is therefore two coefficient rows over
-(X1, P1, X2, P2): the signal row, chi included and 0 on unpulsed slots, and
-the noise row (`_channel_signals`). Port moments and the recovery read what
-they need of those rows from one `ChannelRows`, built once per study: per order
-the keys, coefficient rows and word counts, and the port-noise moments.
+A verification run sends four pulses, one per mode at read-out time 0 and at
+the damped quarter period, so the slots carry the letters X1, P1, X2, P2, and
+their phase set zeta_1..zeta_4 fixes what each beam-splitter port measures: a
+linear form over the slot signals with phase coefficients e^{i zeta}, plus one
+unit of vacuum input noise. A channel, a (phase set, port) pair, is therefore
+two coefficient rows over (X1, P1, X2, P2): the noise row, the port's transfer
+coefficients (_port_bases), and the signal row, chi times it. Port moments and
+the recovery read what they need of those rows from one `ChannelRows`, built
+once per study: per order the keys, coefficient rows and word counts, and the
+port-noise moments. Any other channel, such as one whose pathway leaves a slot
+unpulsed (a zero column of its signal row), is its own `ChannelRows`.
 
 Port moments are linear in the symmetrized sums, and the sums are a per-mode
 linear map of the moment vector. Sample moments <P^d> are synthesized
@@ -31,9 +32,8 @@ import numpy as np
 
 from .algebra import (D_MAX, Key, MomentTable, apply_mode_map, keys_up_to_order, order_slice,
                       symmetrization_maps)
-from .errors import IllConditioned, OrderOverflow, RankDeficient
+from .errors import IllConditioned, NonFiniteValue, OrderOverflow, RankDeficient
 
-SLOTS = ("m1_t0", "m1_tp", "m2_t0", "m2_tp")
 PORTS = ("A", "B", "C", "D")
 
 COND_LIMIT = 1e8
@@ -47,25 +47,6 @@ class PhaseSet:
     zeta_2: float = 0.0
     zeta_3: float = 0.0
     zeta_4: float = 0.0
-
-
-@dataclass(frozen=True)
-class Pathway:
-    """Which slots carry pulses, the phase set, the heralding phase, and chi."""
-
-    pulses: frozenset[str] = frozenset(SLOTS)
-    phases: PhaseSet = PhaseSet()
-    chi: float = 1.0
-    phi: float = math.pi
-
-    def __post_init__(self):
-        if not self.pulses:
-            raise ValueError("pathway needs at least one pulse")
-        for s in self.pulses:
-            if s not in SLOTS:
-                raise ValueError(f"unknown slot {s!r}")
-        if not 0 < self.chi < math.inf:
-            raise ValueError("chi must be finite and positive")
 
 
 def _port_bases(zetas, phi) -> np.ndarray:
@@ -82,25 +63,6 @@ def _port_bases(zetas, phi) -> np.ndarray:
         [one, -e(z1), e(phi + z4), -e(phi + z4 + z2)],
     ]
     return 0.5 * np.stack([np.stack(c, axis=-1) for c in ports], axis=-2)
-
-
-def _channel_signals(channels: list[tuple[Pathway, str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The two coefficient rows of each channel over (X1, P1, X2, P2): the signal,
-    chi times the port's transfer coefficient on pulsed slots and 0 elsewhere, and
-    the input noise, the transfer coefficients themselves (vacuum variance 1/2 per
-    slot, so nu = sum(noise^2) / 2)."""
-    for _, port in channels:
-        if port not in PORTS:
-            raise ValueError(f"unknown port {port!r}")
-    pathways = [pathway for pathway, _ in channels]
-    zetas = np.reshape(
-        [(p.phases.zeta_1, p.phases.zeta_2, p.phases.zeta_3, p.phases.zeta_4) for p in pathways], (-1, 4)
-    )
-    ports = [PORTS.index(port) for _, port in channels]
-    noise = _port_bases(zetas, [p.phi for p in pathways])[np.arange(len(channels)), ports]
-    pulsed = np.array([[s in p.pulses for s in SLOTS] for p in pathways], dtype=bool)
-    chi = np.array([p.chi for p in pathways], dtype=float)
-    return np.where(pulsed, chi[:, None] * noise, 0.0), noise
 
 
 def _coefficient_rows(kappa: np.ndarray, keys, order: int) -> np.ndarray:
@@ -127,14 +89,15 @@ def _noise_powers(noise: np.ndarray, d_max: int) -> np.ndarray:
 class ChannelRows:
     """What the port moments and the recovery read of a set of channels, built once for
     port-moment orders 1..d_max: the channels' signal and noise rows `kappa` and `noise`
-    (_channel_signals); per order d, its symmetrized-sum keys `keys[d]`, the coefficient rows
-    `coefficients[d]` (channel x key, _coefficient_rows) and the number of canonical words of
-    each key `n_words[d]`; and the Gaussian port-noise moments <N^m>, m = 0..d_max
-    (`noise_moments`, channel x m). None of it depends on the moments, the seed or N."""
+    (channel x slot, one row over (X1, P1, X2, P2) each); per order d, its symmetrized-sum
+    keys `keys[d]`, the coefficient rows `coefficients[d]` (channel x key, _coefficient_rows)
+    and the number of canonical words of each key `n_words[d]`; and the Gaussian port-noise
+    moments <N^m>, m = 0..d_max (`noise_moments`, channel x m). None of it depends on the
+    moments, the seed or N."""
 
     def __init__(self, kappa: np.ndarray, noise: np.ndarray, d_max: int):
-        if noise.shape != kappa.shape:
-            raise ValueError("the signal and noise rows need one row per channel")
+        if kappa.shape[1:] != (4,) or noise.shape != kappa.shape:
+            raise ValueError(f"signal and noise rows need shape (channels, 4), not {kappa.shape} and {noise.shape}")
         self.kappa, self.noise, self.d_max = kappa, noise, d_max
         self.keys = {d: _order_keys(d) for d in range(1, d_max + 1)}
         self.coefficients = {d: _coefficient_rows(kappa, keys, d) for d, keys in self.keys.items()}
@@ -162,13 +125,6 @@ def _port_moments(rows: ChannelRows, table: MomentTable) -> np.ndarray:
     for d in range(1, d_max + 1):
         out[:, d - 1] = sum(math.comb(d, j) * mech[:, j] * rows.noise_moments[:, d - j] for j in range(d + 1))
     return out
-
-
-def exact_port_moments(
-    pathway: Pathway, port: str, table: MomentTable, d_max: int
-) -> np.ndarray:
-    """<P_port^d> for d = 1..d_max from the mechanical moment table."""
-    return _port_moments(ChannelRows(*_channel_signals([(pathway, port)]), d_max), table)[0]
 
 
 def _sampling_covariance(exact: np.ndarray, d_max: int) -> np.ndarray:
@@ -466,16 +422,16 @@ class VerificationRun:
 class VerificationStudy:
     """Precomputed campaign over every (phase set, port) of the full pathway.
 
-    Exact port moments and the LDL^T factors of all sampling covariances are
-    computed once, as stacked arrays; repeated Monte-Carlo draws then only
-    add noise and solve. `rows` holds what the recovery reads of the channels
-    (ChannelRows: their signal and noise rows, and per order up to target_order the
-    keys, coefficient rows and word counts, and the port-noise moments); the orders
-    up to 2 x target_order that the exact port moments need are built here and
-    dropped once those are taken. `exact` holds the channels' exact port moments
-    and `variances` the per-sample variances of those. What depends on neither the
-    seed nor N is built here; what depends on N alone, the recovery plan, on the
-    first run at that N (`plan`), kept for every later one.
+    `channels` lists the (PhaseSet, port) pairs, set-major, and `rows` (ChannelRows)
+    their noise rows, the ports' transfer coefficients at phi, and signal rows, chi
+    times those; the orders up to 2 x target_order that the exact port moments need
+    are built here and dropped once those are taken. `exact` holds the channels' exact
+    port moments, `variances` their per-sample variances and `factors` the LDL^T factors
+    of their sampling covariances, all computed once as stacked arrays; repeated
+    Monte-Carlo draws then only add noise and solve. What depends on N alone, the
+    recovery plan, is built on the first run at that N (`plan`) and kept. A non-finite
+    phi or zeta raises ValueError before any port moment is built, and port moments or
+    covariances that overflow raise NonFiniteValue.
     """
 
     def __init__(
@@ -488,20 +444,28 @@ class VerificationStudy:
     ):
         if not 0 < chi < math.inf:
             raise ValueError(f"chi = {chi} must be finite and positive")
+        if not math.isfinite(phi):
+            raise ValueError(f"phi = {phi} must be finite")
         _check_target_order(target_order)
         if phase_sets is None:
             phase_sets = default_phase_sets(target_order)
         if not phase_sets:
             raise ValueError("the study needs at least one phase set")
+        zetas = np.array([(ps.zeta_1, ps.zeta_2, ps.zeta_3, ps.zeta_4) for ps in phase_sets], dtype=float)
+        if not np.all(np.isfinite(zetas)):
+            k, j = np.argwhere(~np.isfinite(zetas))[0]
+            raise ValueError(f"zeta_{j + 1} = {zetas[k, j]} of phase set {k} must be finite")
         self.table = table
         self.target_order = target_order
-        self.channels = [
-            (Pathway(phases=ps, chi=chi, phi=phi), port) for ps in phase_sets for port in PORTS
-        ]
-        self.rows = ChannelRows(*_channel_signals(self.channels), 2 * target_order)
-        exact = _port_moments(self.rows, table)
+        self.channels = [(ps, port) for ps in phase_sets for port in PORTS]
+        noise = _port_bases(zetas, phi).reshape(-1, 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is named below
+            self.rows = ChannelRows(chi * noise, noise, 2 * target_order)
+            exact = _port_moments(self.rows, table)
+            cov = _sampling_covariance(exact, target_order)
+        if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(cov))):
+            raise NonFiniteValue(f"the port moments or covariances are not finite at chi = {chi:g}, phi = {phi:g}")
         self.rows.truncate(target_order)
-        cov = _sampling_covariance(exact, target_order)
         self.exact = exact[:, :target_order]
         self.variances = np.abs(np.diagonal(cov, axis1=-2, axis2=-1))
         self.factors = _factor_complex_symmetric(cov)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mechcat import algebra, fock, herald, verify
+from mechcat import algebra, fock, herald
 from mechcat.errors import CutoffTooSmall, HeraldImpossible
 
 HERM_TOL = 1e-10
@@ -207,15 +207,16 @@ def port_spectrum(signal, a):
     return np.add.outer(w1, w2).ravel(), np.sum(np.abs(amps) ** 2, axis=2).ravel()
 
 
-def sample_port_shots(pathway, port, a, n_samples, seed=None):
-    """Per-shot homodyne record for real-coefficient pathways (closed system).
+def sample_port_shots(signal, noise, a, n_samples, seed=None):
+    """Per-shot homodyne record of one channel, given by its signal and noise rows over
+    (X1, P1, X2, P2), for real-coefficient rows (closed system).
 
     The port observable is Hermitian only when every phase coefficient is
     real (zetas and phi multiples of pi), the noise row's included: an
-    unpulsed slot still injects vacuum noise. Samples are drawn from the
-    signal's exact spectral measure plus the Gaussian input noise of the port.
+    unpulsed slot (a zero signal column) still injects vacuum noise. Samples
+    are drawn from the signal's exact spectral measure plus the Gaussian
+    input noise of the port.
     """
-    (signal,), (noise,) = verify._channel_signals([(pathway, port)])
     if np.max(np.abs(np.imag([signal, noise]))) > 1e-12:
         raise ValueError("per-shot sampling requires a real-coefficient pathway")
     w, probs = port_spectrum(signal, a)

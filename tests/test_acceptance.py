@@ -201,10 +201,9 @@ def test_criterion_8_verification_pipeline():
 
     params_i = ProtocolParams(mu=1e-3, phi=PHI_DEFAULT, nbar_1=0.1, nbar_2=0.1)
     table_i = evolve_moments(heralded_moment_table(params_i, 8), env)
-    pathway = verify.Pathway(chi=1.0, phi=PHI_DEFAULT)
-    exact1 = verify.exact_port_moments(pathway, "A", table_i, 1)[0]
     single = verify.VerificationStudy(table_i, phi=PHI_DEFAULT, phase_sets=[verify.PhaseSet()])
     port_a = verify.PORTS.index("A")
+    exact1 = single.exact[port_a, 0]
     ns = [10**3, 10**4, 10**5, 10**6]
     means = []
     for n in ns:

@@ -156,12 +156,17 @@ def test_benchmark_sweep_configs_are_read_through_their_commands_keys(tmp_path):
                 {s: {k: str(v) for k, v in keys.items()} for s, keys in config.items()}, label
 
 
-@pytest.mark.parametrize("protocol", ["mu = 1e300", "nbar = 1e300"])
-def test_verify_at_an_overflowing_point_prints_one_error_line(tmp_path, protocol):
+@pytest.mark.parametrize("protocol,verify,names", [
+    pytest.param("mu = 1e300", "", ("mu", "phi", "nbar"), id="mu = 1e300"),
+    pytest.param("nbar = 1e300", "", ("mu", "phi", "nbar"), id="nbar = 1e300"),
+    # a finite table whose order-8 port moments overflow through chi^8
+    pytest.param("", "chi = 1e100", ("chi", "phi"), id="chi = 1e100"),
+])
+def test_verify_at_an_overflowing_point_prints_one_error_line(tmp_path, protocol, verify, names):
     cfg = tmp_path / "v.ini"
-    cfg.write_text(f"[protocol]\n{protocol}\n[verify]\nn_seeds = 1\n")
+    cfg.write_text(f"[protocol]\n{protocol}\n[verify]\nn_seeds = 1\n{verify}\n")
     code, err, caught = _run(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.json")])
     assert code == cli.EXIT_ERROR and len(err) == 1
     assert err[0].startswith("error: NonFiniteValue:")
-    assert all(f"{name} = " in err[0] for name in ("mu", "phi", "nbar"))
+    assert all(f"{name} = " in err[0] for name in names)
     assert [str(w.message) for w in caught] == []

@@ -519,7 +519,7 @@ def test_factor_path_matches_dense_reference(mu, phi, nbar_1, nbar_2, configurat
         assert checked.entries == table.entries
 
     # per-shot sampler: the spectral measure of a real-coefficient port signal
-    (signal,), _ = verify._channel_signals([(verify.Pathway(chi=1.2, phi=math.pi), "A")])
+    signal = 1.2 * verify._port_bases(np.zeros(4), math.pi)[verify.PORTS.index("A")]
     w, probs = port_spectrum(signal, a)
     w_ref, probs_ref = ref_port_spectrum(signal, rho, cfg)
     for k in range(5):

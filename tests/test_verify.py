@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +15,10 @@ from mechcat.opensystem import EnvParams, evolve_moments
 from mechcat.verify import (
     PORTS,
     ChannelRows,
-    Pathway,
     PhaseSet,
     RecoveryPlan,
     VerificationStudy,
     default_phase_sets,
-    exact_port_moments,
     recover_moments,
 )
 
@@ -36,20 +36,29 @@ def port_samples(table, port, n_samples, seeds, phases=PhaseSet(), chi=1.0):
     study, one pair per seed."""
     study = VerificationStudy(table, phi=PHI, chi=chi, phase_sets=[phases])
     k = PORTS.index(port)
-    assert study.channels[k] == (Pathway(phases=phases, chi=chi, phi=PHI), port)
+    assert study.channels[k] == (phases, port)
     samples = (study.sample_moments(n_samples, seed) for seed in seeds)
     return [(moments[k], errors[k]) for moments, errors in samples]
 
 
-def channel_rows(pathway, port):
-    """The signal and noise coefficient rows of one channel over (X1, P1, X2, P2)."""
-    (signal,), (noise,) = verify._channel_signals([(pathway, port)])
+def channel_rows(port, phases=PhaseSet(), chi=1.0, phi=PHI, pulsed=range(4)):
+    """The signal and noise coefficient rows over (X1, P1, X2, P2) of one port of a pathway
+    that pulses the slots `pulsed` (0 X1, 1 P1, 2 X2, 3 P2): the noise row is the port's
+    transfer coefficients, and the signal row chi times them on the pulsed slots, 0 elsewhere
+    (an unpulsed slot still injects vacuum noise)."""
+    noise = verify._port_bases(dataclasses.astuple(phases), phi)[PORTS.index(port)]
+    signal = np.where(np.isin(range(4), list(pulsed)), chi * noise, 0.0)
     return signal, noise
 
 
+def port_moments(port, table, d_max, **pathway):
+    """<P^d>, d = 1..d_max, of one channel (channel_rows) from the mechanical moment table."""
+    signal, noise = channel_rows(port, **pathway)
+    return verify._port_moments(ChannelRows(signal[None], noise[None], d_max), table)[0]
+
+
 def test_port_coefficients_single_pulse():
-    pathway = Pathway(pulses=frozenset({"m1_t0"}), chi=2.0, phi=0.7)
-    signal, noise = channel_rows(pathway, "A")
+    signal, noise = channel_rows("A", chi=2.0, phi=0.7, pulsed=[0])
     assert signal[0] == pytest.approx(2.0 * 0.5)
     assert np.all(signal[1:] == 0)
     # every port carries exactly one unit of vacuum noise
@@ -58,17 +67,16 @@ def test_port_coefficients_single_pulse():
 
 def test_port_coefficients_full_pathway():
     phi = 1.3
-    pathway = Pathway(phases=PhaseSet(), chi=1.0, phi=phi)
-    signal_a, _ = channel_rows(pathway, "A")
+    signal_a, _ = channel_rows("A", phi=phi)
     e = np.exp(1j * phi)
     assert signal_a[0] == pytest.approx(0.5)
     assert signal_a[1] == pytest.approx(0.5)
     assert signal_a[2] == pytest.approx(0.5 * e)
     assert signal_a[3] == pytest.approx(0.5 * e)
-    _, noise_c = channel_rows(pathway, "C")
+    _, noise_c = channel_rows("C", phi=phi)
     signs = np.sign([noise_c[0].real, noise_c[1].real, (noise_c[2] / e).real, (noise_c[3] / e).real])
     assert list(signs) == [1, -1, -1, -1]
-    _, noise_d = channel_rows(pathway, "D")
+    _, noise_d = channel_rows("D", phi=phi)
     signs_d = np.sign([noise_d[0].real, noise_d[1].real, (noise_d[2] / e).real, (noise_d[3] / e).real])
     assert list(signs_d) == [1, -1, 1, -1]
 
@@ -76,8 +84,7 @@ def test_port_coefficients_full_pathway():
 def test_exact_first_moment_single_pulse():
     table = evolved_table(order=2)
     chi = 1.7
-    pathway = Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=PHI)
-    m = exact_port_moments(pathway, "A", table, 1)
+    m = port_moments("A", table, 1, chi=chi, pulsed=[0])
     assert m[0] == pytest.approx(chi * table.value((1, 0, 0, 0)) / 2.0)
 
 
@@ -86,22 +93,20 @@ def test_exact_third_moment_single_pulse_structure():
     # unitary-network vacuum variance of the port
     table = evolved_table(mu=0.8, phi=2.0, order=6)
     chi = 1.3
-    pathway = Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=2.0)
-    nu = np.sum(channel_rows(pathway, "A")[1] ** 2) / 2.0
-    m = exact_port_moments(pathway, "A", table, 3)
+    nu = np.sum(channel_rows("A", chi=chi, phi=2.0, pulsed=[0])[1] ** 2) / 2.0
+    m = port_moments("A", table, 3, chi=chi, phi=2.0, pulsed=[0])
     x1 = table.value((1, 0, 0, 0))
     x3 = table.value((3, 0, 0, 0))
     expect = (chi / 2) ** 3 * x3 + 3 * (chi / 2) * x1 * nu
     assert m[2] == pytest.approx(expect, rel=1e-12)
     # real pathway (phi = pi): the port noise variance is the full vacuum 1/2
-    _, noise_pi = channel_rows(Pathway(pulses=frozenset({"m1_t0"}), chi=chi, phi=PHI), "A")
+    _, noise_pi = channel_rows("A", chi=chi, pulsed=[0])
     assert np.sum(noise_pi**2) / 2.0 == pytest.approx(0.5)
 
 
 def test_odd_port_moments_vanish_on_ground_state():
     table = heralded_moment_table(ProtocolParams(mu=0.0, phi=0.0), 8)
-    pathway = Pathway(chi=1.0, phi=PHI)
-    m = exact_port_moments(pathway, "A", table, 5)
+    m = port_moments("A", table, 5)
     assert abs(m[0]) < 1e-14
     assert abs(m[2]) < 1e-14
     assert abs(m[4]) < 1e-14
@@ -109,16 +114,14 @@ def test_odd_port_moments_vanish_on_ground_state():
 
 def test_synthesize_noiseless_equals_exact():
     table = evolved_table()
-    pathway = Pathway(chi=1.0, phi=PHI)
     ((moments, errors),) = port_samples(table, "B", None, [None])
-    assert np.allclose(moments, exact_port_moments(pathway, "B", table, 4))
+    assert np.allclose(moments, port_moments("B", table, 4))
     assert np.all(errors == 0)
 
 
 def test_synthesize_estimator_variance():
     table = evolved_table(mu=1e-3)
-    pathway = Pathway(chi=1.0, phi=PHI)
-    exact = exact_port_moments(pathway, "A", table, 2)
+    exact = port_moments("A", table, 2)
     n = 10**4
     devs = [moments[0] - exact[0] for moments, _ in port_samples(table, "A", n, [(3, k) for k in range(1000)])]
     var_emp = np.var(np.real(devs)) + np.var(np.imag(devs))
@@ -158,8 +161,7 @@ def test_seeded_sample_moments_are_the_per_channel_streams():
 
 def test_error_scaling_slope():
     table = evolved_table(mu=1e-3)
-    pathway = Pathway(chi=1.0, phi=PHI)
-    exact = exact_port_moments(pathway, "A", table, 1)[0]
+    exact = port_moments("A", table, 1)[0]
     ns = [10**3, 10**4, 10**5, 10**6]
     means = []
     for n in ns:
@@ -173,10 +175,9 @@ def test_error_scaling_slope():
 def test_per_shot_sampler_matches_moments():
     cfg = fock.FockConfig(24, 24)
     state = pure_cat_state(0.7, PHI, "parallel", cfg)
-    pathway = Pathway(chi=1.2, phi=PHI)
-    shots = sample_port_shots(pathway, "A", state, 200_000, seed=4)
+    shots = sample_port_shots(*channel_rows("A", chi=1.2), state, 200_000, seed=4)
     table = moments_raw(state, 8)
-    exact = exact_port_moments(pathway, "A", table, 3)
+    exact = port_moments("A", table, 3, chi=1.2)
     for d in range(1, 4):
         emp = np.mean(shots**d)
         se = np.std(shots**d) / math.sqrt(len(shots))
@@ -186,20 +187,18 @@ def test_per_shot_sampler_matches_moments():
 def test_per_shot_requires_real_pathway():
     cfg = fock.FockConfig(10, 10)
     state = factor(fock.thermal_state(0.0, 0.0, cfg))
-    pathway = Pathway(phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
     with pytest.raises(ValueError):
-        sample_port_shots(pathway, "A", state, 10, seed=0)
+        sample_port_shots(*channel_rows("A", phases=PhaseSet(zeta_1=0.3)), state, 10, seed=0)
 
 
 def test_per_shot_requires_a_real_noise_row():
     # the one pulsed slot's signal is real, but the unpulsed P1 slot still injects
     # noise through the complex coefficient e^{i (zeta_3 + zeta_1)} / 2
     state = factor(fock.thermal_state(0.0, 0.0, fock.FockConfig(10, 10)))
-    pathway = Pathway(pulses=frozenset({"m1_t0"}), phases=PhaseSet(zeta_1=0.3), chi=1.0, phi=PHI)
-    signal, noise = channel_rows(pathway, "A")
+    signal, noise = channel_rows("A", phases=PhaseSet(zeta_1=0.3), pulsed=[0])
     assert np.all(signal.imag == 0) and np.max(np.abs(noise.imag)) > 0.1
     with pytest.raises(ValueError):
-        sample_port_shots(pathway, "A", state, 10, seed=0)
+        sample_port_shots(signal, noise, state, 10, seed=0)
 
 
 def test_noise_factor_is_ldlt_with_residual_check():
@@ -289,16 +288,16 @@ def test_max_abs_deviation_is_the_per_key_python_maximum():
 def test_default_phase_sets_order1_minimal():
     # the four ports of the first set resolve the four first moments
     first = default_phase_sets(1)[0]
-    channels = [(Pathway(phases=first, chi=1.0, phi=PHI), port) for port in PORTS]
-    rows = verify._coefficient_rows(verify._channel_signals(channels)[0], verify._order_keys(1), 1)
+    kappa = verify._port_bases(dataclasses.astuple(first), PHI)
+    rows = verify._coefficient_rows(kappa, verify._order_keys(1), 1)
     assert np.linalg.matrix_rank(rows) == 4
 
 
 def test_default_phase_sets_span_order4():
     sets = default_phase_sets(4)
     keys = verify._order_keys(4)
-    channels = [(Pathway(phases=ps, chi=1.0, phi=PHI), port) for ps in sets for port in PORTS]
-    rows = verify._coefficient_rows(verify._channel_signals(channels)[0], keys, 4)
+    kappa = verify._port_bases([dataclasses.astuple(ps) for ps in sets], PHI).reshape(-1, 4)
+    rows = verify._coefficient_rows(kappa, keys, 4)
     rank = np.linalg.matrix_rank(rows)
     assert rank == len(keys) == 35
 
@@ -364,6 +363,16 @@ def test_recovery_needs_one_row_per_channel_in_every_array():
         recover_moments(RecoveryPlan(ChannelRows(kappa, noise, 1), errors), moments)
 
 
+def test_channel_rows_need_one_row_over_the_four_slots_per_channel():
+    # a (4,) row or rows over three slots once raised a bare IndexError, and a fifth
+    # column was built silently and counted in the port-noise variance
+    rows = verify._port_bases(np.zeros((2, 4)), PHI).reshape(-1, 4)
+    five = np.hstack([rows, rows[:, :1]])
+    for kappa, noise in [(rows[0], rows[0]), (rows[:, :3], rows[:, :3]), (five, five), (rows, rows[:, :3])]:
+        with pytest.raises(ValueError, match=r"shape \(channels, 4\)"):
+            ChannelRows(kappa, noise, 2)
+
+
 def test_rank_deficient_single_phase_set():
     table = evolved_table(order=8)
     study = VerificationStudy(table, phi=PHI, target_order=2, phase_sets=[PhaseSet()])
@@ -377,7 +386,7 @@ def test_rank_deficient_single_phase_set():
 
 
 def test_missing_directions_do_not_depend_on_the_null_basis():
-    kappa, _ = verify._channel_signals([(Pathway(phases=PhaseSet(), phi=PHI), port) for port in PORTS])
+    kappa = verify._port_bases(dataclasses.astuple(PhaseSet()), PHI)
     keys = verify._order_keys(2)
     null = verify._null_space(verify._coefficient_rows(kappa, keys, 2), 1e-12)
     assert len(null) == 6
@@ -398,7 +407,7 @@ def test_ill_conditioned_family():
 def test_small_chi_keeps_the_phase_sets_and_raises_ill_conditioned():
     # chi ~ 1e-4 once dropped 10 of the 20 order-4 sets and raised a misleading RankDeficient
     study = VerificationStudy(evolved_table(mu=1e-3), phi=PHI, chi=1e-4)
-    assert [pathway.phases for pathway, _ in study.channels[:: len(PORTS)]] == default_phase_sets(4)
+    assert [phases for phases, _ in study.channels[:: len(PORTS)]] == default_phase_sets(4)
     with pytest.raises(IllConditioned):
         study.run(10**6, (7, 0))
 
@@ -500,8 +509,8 @@ def test_sign_stability_small():
 # scalar reference: symmetrized sums word by word, port moments key by key
 
 
-def _reference_port_moments(pathway, port, table, d_max):
-    signal, noise = channel_rows(pathway, port)
+def _reference_port_moments(port, table, d_max, **pathway):
+    signal, noise = channel_rows(port, **pathway)
 
     def mech_coefficient(key, order):
         c = math.comb(order, key[0] + key[1])
@@ -533,16 +542,16 @@ def _reference_port_moments(pathway, port, table, d_max):
 @pytest.mark.parametrize(
     "pathway",
     [
-        Pathway(chi=1.0, phi=PHI),
-        Pathway(phases=PhaseSet(0.3, 1.1, 2.0, 0.7), chi=1.4, phi=2.3),
-        Pathway(pulses=frozenset({"m1_t0", "m2_tp"}), phases=PhaseSet(zeta_2=0.9), chi=0.8, phi=PHI),
+        {},
+        {"phases": PhaseSet(0.3, 1.1, 2.0, 0.7), "chi": 1.4, "phi": 2.3},
+        {"phases": PhaseSet(zeta_2=0.9), "chi": 0.8, "pulsed": [0, 3]},
     ],
 )
 def test_exact_port_moments_match_scalar_reference(pathway):
     table = evolved_table(mu=0.9, phi=2.0, nbar=0.2)
     for port in PORTS:
-        ref = _reference_port_moments(pathway, port, table, 8)
-        new = exact_port_moments(pathway, port, table, 8)
+        ref = _reference_port_moments(port, table, 8, **pathway)
+        new = port_moments(port, table, 8, **pathway)
         assert np.max(np.abs(new - ref) / (1.0 + np.abs(ref))) < 1e-12
 
 
@@ -588,14 +597,13 @@ def _reference_phase_sets(target_order, phi, chi, margin, residual=0.25):
         return all(len(bases[d]) >= len(keys[d]) for d in keys)
 
     for cand in candidates:
-        pathway = Pathway(phases=cand, chi=chi, phi=phi)
+        kappa = chi * verify._port_bases(dataclasses.astuple(cand), phi)
         useful, complete_before = False, complete()
         for d in keys:
-            for port in PORTS:
+            for port in range(len(PORTS)):
                 if len(bases[d]) >= len(keys[d]):
                     break
-                kappa, _ = verify._channel_signals([(pathway, port)])
-                vec = verify._coefficient_rows(kappa, keys[d], d)[0]
+                vec = verify._coefficient_rows(kappa[[port]], keys[d], d)[0]
                 norm0 = np.linalg.norm(vec)
                 if norm0 < 1e-12:
                     continue
@@ -647,6 +655,45 @@ def test_study_rejects_order_5_before_any_port_moment(monkeypatch, phase_sets):
     monkeypatch.setattr(verify, "_port_moments", port_moments)
     with pytest.raises(OrderOverflow):
         VerificationStudy(evolved_table(), phi=PHI, target_order=5, phase_sets=phase_sets)
+
+
+@pytest.mark.parametrize(
+    "phi,phase_sets,message",
+    [
+        (math.nan, None, "phi = nan must be finite"),
+        (math.inf, [PhaseSet()], "phi = inf must be finite"),
+        (PHI, [PhaseSet(), PhaseSet(zeta_2=math.nan)], "zeta_2 = nan of phase set 1 must be finite"),
+        (PHI, [PhaseSet(zeta_4=-math.inf)], "zeta_4 = -inf of phase set 0 must be finite"),
+    ],
+    ids=["phi-nan", "phi-inf", "zeta_2-nan", "zeta_4-minus-inf"],
+)
+def test_study_rejects_a_non_finite_phase_before_any_port_moment(monkeypatch, phi, phase_sets, message):
+    # phi = nan once gave two numpy warnings, then IllConditioned from the sampling covariance
+    def port_moments(*args):
+        raise AssertionError("port moments built")
+
+    monkeypatch.setattr(verify, "_port_moments", port_moments)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(message)):
+        warnings.simplefilter("error")
+        VerificationStudy(evolved_table(order=2), phi=phi, target_order=1, phase_sets=phase_sets)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_study_rows_are_the_port_bases_of_its_phase_sets(order):
+    # set-major, port-minor: channel k is port k % 4 of phase set k // 4, its noise row that
+    # port's transfer coefficients and its signal row chi times them, bit for bit
+    table = evolved_table(order=2 * order)
+    sets = default_phase_sets(order)
+    zetas = [dataclasses.astuple(ps) for ps in sets]
+    for phi, chi in [(PHI, 1.0), (0.3, 0.7), (2.0, 1.3), (5.1, 2.5)]:
+        study = VerificationStudy(table, phi=phi, chi=chi, target_order=order)
+        noise = verify._port_bases(zetas, phi).reshape(-1, 4)
+        assert np.array_equal(study.rows.noise, noise)
+        assert np.array_equal(study.rows.kappa, chi * noise)
+        assert study.channels == [(ps, port) for ps in sets for port in PORTS]
+        for k, (phases, port) in enumerate(study.channels):
+            signal, noise_k = channel_rows(port, phases, chi, phi)
+            assert np.array_equal(study.rows.kappa[k], signal) and np.array_equal(study.rows.noise[k], noise_k)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
